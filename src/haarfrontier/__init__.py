@@ -15,10 +15,8 @@ from .estimators import (
     corrected_estimate,
     geffroy_estimate,
     haar_ev_estimate,
-    haar_ev_estimate_at,
     minima_mean,
     oracle_corrected_estimate,
-    residuals,
 )
 from .experiments import (
     ErrorMetrics,
@@ -37,7 +35,6 @@ from .experiments import (
 from .frontiers import (
     FrontierSpec,
     affine_frontier,
-    area,
     constant_frontier,
     parse_frontier,
     sine_frontier,
@@ -47,7 +44,6 @@ from .haar import (
     DyadicIndex,
     DyadicInterval,
     dirichlet_kernel,
-    dirichlet_kernel_sum,
     dyadic_index,
     haar_coefficient,
     haar_eval,
@@ -58,14 +54,12 @@ from .haar import (
 )
 from .oracles import (
     LimitLaw,
-    Normalization,
     cell_cdf,
     cell_max_mean,
     cell_max_variance,
     ks_statistic,
     limit_cdf,
     limit_law,
-    normalizations,
 )
 from .process import CellStats, PartitionConfig, PointSample, cell_stats, simulate
 from .quadrature import QuadratureError, adaptive_simpson
@@ -78,10 +72,8 @@ __all__ = [
     "corrected_estimate",
     "geffroy_estimate",
     "haar_ev_estimate",
-    "haar_ev_estimate_at",
     "minima_mean",
     "oracle_corrected_estimate",
-    "residuals",
     "ErrorMetrics",
     "ExperimentConfig",
     "error_metrics",
@@ -96,7 +88,6 @@ __all__ = [
     "zn_moments_experiment",
     "FrontierSpec",
     "affine_frontier",
-    "area",
     "constant_frontier",
     "parse_frontier",
     "sine_frontier",
@@ -104,7 +95,6 @@ __all__ = [
     "DyadicIndex",
     "DyadicInterval",
     "dirichlet_kernel",
-    "dirichlet_kernel_sum",
     "dyadic_index",
     "haar_coefficient",
     "haar_eval",
@@ -113,14 +103,12 @@ __all__ = [
     "truncated_expansion",
     "uniform_cell_index",
     "LimitLaw",
-    "Normalization",
     "cell_cdf",
     "cell_max_mean",
     "cell_max_variance",
     "ks_statistic",
     "limit_cdf",
     "limit_law",
-    "normalizations",
     "CellStats",
     "PartitionConfig",
     "PointSample",

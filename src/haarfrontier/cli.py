@@ -92,49 +92,46 @@ def _parse_schedule(text: str) -> tuple:
     return tuple(entries)
 
 
-def _merge_experiment_config(base: ExperimentConfig, file_vals: dict, args) -> ExperimentConfig:
-    cfg = base
-    if "frontier" in file_vals:
-        cfg = replace(cfg, frontier=file_vals["frontier"])
-    if "c" in file_vals:
-        cfg = replace(cfg, c=float(file_vals["c"]))
-    if "schedule" in file_vals:
-        cfg = replace(cfg, schedule=_parse_schedule(file_vals["schedule"]))
-    elif {"n", "hprime", "dn"} <= file_vals.keys():
-        entry = (int(file_vals["n"]), int(file_vals["hprime"]), int(file_vals["dn"]))
-        cfg = replace(cfg, schedule=(entry,))
-    if "replicates" in file_vals:
-        cfg = replace(cfg, replicates=int(file_vals["replicates"]))
-    if "seed" in file_vals:
-        cfg = replace(cfg, base_seed=int(file_vals["seed"]))
-    if "x" in file_vals:
-        cfg = replace(cfg, xs=tuple(float(v) for v in file_vals["x"].split(",")))
-    if "variant" in file_vals:
-        cfg = replace(cfg, variant=file_vals["variant"])
-    if "workers" in file_vals:
-        cfg = replace(cfg, workers=int(file_vals["workers"]))
+def _floats(value) -> tuple:
+    return tuple(float(v) for v in (value.split(",") if isinstance(value, str) else value))
 
-    if args.frontier is not None:
-        cfg = replace(cfg, frontier=args.frontier)
-    if args.c is not None:
-        cfg = replace(cfg, c=args.c)
-    if args.schedule is not None:
-        cfg = replace(cfg, schedule=_parse_schedule(args.schedule))
-    elif args.n is not None or args.hprime is not None or args.dn is not None:
-        if None in (args.n, args.hprime, args.dn):
-            raise ValueError("--n, --hprime and --dn must be given together")
-        cfg = replace(cfg, schedule=((args.n, args.hprime, args.dn),))
-    if args.replicates is not None:
-        cfg = replace(cfg, replicates=args.replicates)
-    if args.seed is not None:
-        cfg = replace(cfg, base_seed=args.seed)
-    if args.x:
-        cfg = replace(cfg, xs=tuple(args.x))
-    if args.variant is not None:
-        cfg = replace(cfg, variant=args.variant)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    return cfg
+
+# config-file key and flag name -> (ExperimentConfig field, parser); a file
+# value arrives as text, a flag value already typed by argparse
+_CONFIG_KEYS = {
+    "frontier": ("frontier", str),
+    "c": ("c", float),
+    "schedule": ("schedule", _parse_schedule),
+    "replicates": ("replicates", int),
+    "seed": ("base_seed", int),
+    "x": ("xs", _floats),
+    "variant": ("variant", str),
+    "workers": ("workers", int),
+}
+_ENTRY_KEYS = ("n", "hprime", "dn")  # one schedule entry, given whole or not at all
+
+
+def _apply_config(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
+    unknown = sorted(values.keys() - _CONFIG_KEYS.keys() - set(_ENTRY_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}")
+    changes = {}
+    given = [key for key in _ENTRY_KEYS if key in values]
+    if given:
+        if len(given) != len(_ENTRY_KEYS):
+            raise ValueError("n, hprime and dn must be given together")
+        changes["schedule"] = (tuple(int(values[key]) for key in _ENTRY_KEYS),)
+    for key, (field, parse) in _CONFIG_KEYS.items():
+        if key in values:
+            changes[field] = parse(values[key])
+    return replace(cfg, **changes)
+
+
+def _merge_experiment_config(base: ExperimentConfig, file_vals: dict, args) -> ExperimentConfig:
+    """Preset, then the config file, then the flags; each layer overrides the last."""
+    flags = {key: getattr(args, key) for key in (*_CONFIG_KEYS, *_ENTRY_KEYS)}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    return _apply_config(_apply_config(base, file_vals), flags)
 
 
 def _config_payload(name: str, kind: str, cfg: ExperimentConfig) -> dict:

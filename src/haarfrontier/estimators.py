@@ -1,8 +1,7 @@
 """Frontier estimators built from per-cell extremes.
 
 The core estimator averages the d_n cell maxima inside each dyadic block,
-equivalently a Haar-series estimate with Riemann-sum coefficient estimates;
-both forms are implemented and the kernel form serves as a cross-check.
+equivalently a Haar-series estimate with Riemann-sum coefficient estimates.
 The minima mean estimates the downward bias k_n/(n c) without knowing c,
 and shifting by it gives the practical corrected estimator.
 """
@@ -14,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haar import dirichlet_kernel, haar_eval
+from .haar import haar_eval
 from .process import CellStats, PartitionConfig
 from .stepfun import StepFunction
 
@@ -68,20 +67,6 @@ def haar_ev_estimate(stats: CellStats, cfg: PartitionConfig) -> StepFunction:
     return StepFunction.uniform(values)
 
 
-def haar_ev_estimate_at(stats: CellStats, cfg: PartitionConfig, x) -> np.ndarray:
-    """Kernel-sum form of the estimator, evaluated at x; cross-checks the block form."""
-    _check_cfg(stats, cfg)
-    centers = cfg.cell_centers()
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty(len(x_arr))
-    for j, xv in enumerate(x_arr):
-        weights = dirichlet_kernel(cfg.h_n, centers, xv)
-        out[j] = float(np.dot(weights, stats.x_star)) / cfg.k_n
-    if np.ndim(x) == 0:
-        return float(out[0])
-    return out
-
-
 def geffroy_estimate(stats: CellStats, cfg: PartitionConfig) -> StepFunction:
     """The d_n = 1 special case: the cellwise-maximum histogram."""
     if cfg.d_n != 1:
@@ -127,8 +112,3 @@ def oracle_corrected_estimate(stats: CellStats, cfg: PartitionConfig, c: float) 
     if c <= 0.0:
         raise ValueError("intensity rate c must be positive")
     return haar_ev_estimate(stats, cfg) + cfg.k_n / (cfg.n * c)
-
-
-def residuals(stats: CellStats) -> np.ndarray:
-    """Per-cell residuals of the scaled maxima against the exact cell areas."""
-    return stats.x_star / stats.cfg.k_n - stats.cell_areas

@@ -78,8 +78,10 @@ def _require_regimes(cfg: ExperimentConfig, needed) -> None:
         raise ValueError(f"schedule must declare regime flags {missing}")
 
 
-def _entry_seed(cfg: ExperimentConfig, entry_index: int) -> int:
-    return derive_seed(cfg.base_seed, entry_index)
+def _replicates(kind: str, cfg: ExperimentConfig, e: int, pc: PartitionConfig, xs=()):
+    """Replicate statistics of one kernel at schedule entry e, whose partition is pc."""
+    task = ReplicateTask(kind, cfg.frontier, pc.n, pc.h_prime, pc.d_n, cfg.c, xs)
+    return run_task(task, cfg.replicates, derive_seed(cfg.base_seed, e), cfg.workers)
 
 
 def _mean_se(col: np.ndarray) -> tuple:
@@ -99,6 +101,16 @@ def _row(name, cfg, pc, **kw) -> ReportRow:
     )
 
 
+def _ks_row(name, cfg, pc, x, statistic, sample, law, tol) -> ReportRow:
+    """Kolmogorov distance of a replicate sample from a limit law, against its budget."""
+    ks = ks_statistic(sample, law)
+    return _row(
+        name, cfg, pc, x=x, statistic=statistic,
+        estimate=ks, std_err=_KS_SD / math.sqrt(cfg.replicates),
+        comparator=0.0, tolerance=tol, passed=ks <= tol,
+    )
+
+
 def local_bias_experiment(cfg: ExperimentConfig) -> list:
     """Mean of the raw estimate at each x against its projection, shifted by k_n/(nc)."""
     _require_regimes(cfg, (REGIME_KN_SMALL,))
@@ -108,8 +120,7 @@ def local_bias_experiment(cfg: ExperimentConfig) -> list:
     rows = []
     for e, entry in enumerate(cfg.schedule):
         pc = cfg.partition(entry)
-        task = ReplicateTask("fhat_at", cfg.frontier, pc.n, pc.h_prime, pc.d_n, cfg.c, cfg.xs)
-        data = run_task(task, cfg.replicates, _entry_seed(cfg, e), cfg.workers)
+        data = _replicates("fhat_zn_at", cfg, e, pc, cfg.xs)
         proj = truncated_expansion(f, pc.h_n)
         shift = pc.k_n / (pc.n * cfg.c)
         for j, x in enumerate(cfg.xs):
@@ -143,8 +154,7 @@ def variance_experiment(cfg: ExperimentConfig) -> list:
             if pc.h_n == 0:
                 raise ValueError("variance comparator needs h_n >= 1 when d_n > 1")
             comparator_var = pc.k_n * pc.h_n / nc**2
-        task = ReplicateTask("fhat_at", cfg.frontier, pc.n, pc.h_prime, pc.d_n, cfg.c, cfg.xs)
-        data = run_task(task, cfg.replicates, _entry_seed(cfg, e), cfg.workers)
+        data = _replicates("fhat_zn_at", cfg, e, pc, cfg.xs)
         for j, x in enumerate(cfg.xs):
             ratio = float(data[:, j].var(ddof=1)) / comparator_var
             se = ratio * math.sqrt(2.0 / (cfg.replicates - 1))
@@ -168,8 +178,7 @@ def mise_experiment(cfg: ExperimentConfig) -> list:
     per_entry = []
     for e, entry in enumerate(cfg.schedule):
         pc = cfg.partition(entry)
-        task = ReplicateTask("mise", cfg.frontier, pc.n, pc.h_prime, pc.d_n, cfg.c, ())
-        data = run_task(task, cfg.replicates, _entry_seed(cfg, e), cfg.workers)
+        data = _replicates("mise", cfg, e, pc)
         stoch_mean, stoch_se = _mean_se(data[:, 0])
         total_mean, total_se = _mean_se(data[:, 1])
         systematic = systematic_l2_sq(f, pc.h_n)
@@ -258,8 +267,7 @@ def supnorm_experiment(cfg: ExperimentConfig) -> list:
     rows = []
     for e, entry in enumerate(cfg.schedule):
         pc = cfg.partition(entry)
-        task = ReplicateTask("sup", cfg.frontier, pc.n, pc.h_prime, pc.d_n, cfg.c, ())
-        sups = run_task(task, cfg.replicates, _entry_seed(cfg, e), cfg.workers)[:, 0]
+        sups = _replicates("sup", cfg, e, pc)[:, 0]
         grid, fvals, pad = sup_grid(f)
         proj = truncated_expansion(f, pc.h_n)
         sys_sup = float(np.max(np.abs(proj(grid) - fvals))) + pad
@@ -283,21 +291,19 @@ def supnorm_experiment(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def weibull_experiment(cfg: ExperimentConfig, x: float = None) -> list:
-    """Local statistic at x against the Weibull extreme-value law (d_n = 1 regime)."""
+def weibull_experiment(cfg: ExperimentConfig) -> list:
+    """Local statistic at the first x against the Weibull extreme-value law (d_n = 1 regime)."""
     _require_regimes(cfg, (REGIME_KN_SUBLINEAR, REGIME_N_VS_KN))
-    if x is None:
-        if not cfg.xs:
-            raise ValueError("weibull experiment needs an evaluation point")
-        x = cfg.xs[0]
+    if not cfg.xs:
+        raise ValueError("weibull experiment needs an evaluation point")
+    x = cfg.xs[0]
     law = limit_law("weibull_evd")
     rows = []
     for e, entry in enumerate(cfg.schedule):
         pc = cfg.partition(entry)
         if pc.d_n != 1:
             raise ValueError("the extreme-value local limit requires d_n = 1")
-        task = ReplicateTask("weibull", cfg.frontier, pc.n, pc.h_prime, pc.d_n, cfg.c, (x,))
-        data = run_task(task, cfg.replicates, _entry_seed(cfg, e), cfg.workers)
+        data = _replicates("weibull", cfg, e, pc, (x,))
         gap = float(np.max(np.abs(data[:, 0] - data[:, 1])))
         rows.append(
             _row(
@@ -306,15 +312,7 @@ def weibull_experiment(cfg: ExperimentConfig, x: float = None) -> list:
                 comparator=0.0, tolerance=1e-12, passed=gap <= 1e-12,
             )
         )
-        ks = ks_statistic(data[:, 0], law)
-        se = _KS_SD / math.sqrt(cfg.replicates)
-        rows.append(
-            _row(
-                "weibull", cfg, pc, x=x, statistic="ks_weibull",
-                estimate=ks, std_err=se,
-                comparator=0.0, tolerance=KS_TOL_WEIBULL, passed=ks <= KS_TOL_WEIBULL,
-            )
-        )
+        rows.append(_ks_row("weibull", cfg, pc, x, "ks_weibull", data[:, 0], law, KS_TOL_WEIBULL))
     return rows
 
 
@@ -327,8 +325,7 @@ def gumbel_experiment(cfg: ExperimentConfig) -> list:
         pc = cfg.partition(entry)
         if pc.d_n != 1:
             raise ValueError("the worst-cell limit requires d_n = 1")
-        task = ReplicateTask("gumbel", cfg.frontier, pc.n, pc.h_prime, pc.d_n, cfg.c, ())
-        raw = run_task(task, cfg.replicates, _entry_seed(cfg, e), cfg.workers)[:, 0]
+        raw = _replicates("gumbel", cfg, e, pc)[:, 0]
         rate = pc.n * cfg.c / pc.k_n
         normalized = rate * raw - math.log(pc.k_n)
         rows.append(
@@ -338,22 +335,14 @@ def gumbel_experiment(cfg: ExperimentConfig) -> list:
                 comparator=0.0, tolerance=0.0, passed=bool(raw.min() >= 0.0),
             )
         )
-        ks = ks_statistic(normalized, law)
-        se = _KS_SD / math.sqrt(cfg.replicates)
-        rows.append(
-            _row(
-                "gumbel", cfg, pc, x=None, statistic="ks_gumbel",
-                estimate=ks, std_err=se,
-                comparator=0.0, tolerance=KS_TOL_GUMBEL, passed=ks <= KS_TOL_GUMBEL,
-            )
-        )
+        rows.append(_ks_row("gumbel", cfg, pc, None, "ks_gumbel", normalized, law, KS_TOL_GUMBEL))
         if entry == cfg.schedule[-1]:
             med = float(np.median(normalized))
             med_target = -math.log(math.log(2.0))
             rows.append(
                 _row(
                     "gumbel", cfg, pc, x=None, statistic="gumbel_median",
-                    estimate=med, std_err=se,
+                    estimate=med, std_err=_KS_SD / math.sqrt(cfg.replicates),
                     comparator=med_target, tolerance=0.1,
                     passed=abs(med - med_target) <= 0.1,
                 )
@@ -361,18 +350,14 @@ def gumbel_experiment(cfg: ExperimentConfig) -> list:
     return rows
 
 
-def gaussian_experiment(cfg: ExperimentConfig, x: float = None, variant: str = None) -> list:
-    """Normalized local error against the standard Gaussian (d_n large regime)."""
-    variant = variant or cfg.variant
-    if variant not in GAUSSIAN_VARIANTS:
-        raise ValueError(f"variant must be one of {GAUSSIAN_VARIANTS}")
+def gaussian_experiment(cfg: ExperimentConfig) -> list:
+    """Normalized local error at the first x against the standard Gaussian (d_n large regime)."""
     needed = [REGIME_HN_SMALL, REGIME_KN_SMALL]
-    needed.append(REGIME_N_CENTERED if variant == "centered" else REGIME_N_CORRECTED)
+    needed.append(REGIME_N_CENTERED if cfg.variant == "centered" else REGIME_N_CORRECTED)
     _require_regimes(cfg, needed)
-    if x is None:
-        if not cfg.xs:
-            raise ValueError("gaussian experiment needs an evaluation point")
-        x = cfg.xs[0]
+    if not cfg.xs:
+        raise ValueError("gaussian experiment needs an evaluation point")
+    x = cfg.xs[0]
     f = parse_frontier(cfg.frontier)
     f_true = f(x)
     law = limit_law("std_normal")
@@ -381,27 +366,19 @@ def gaussian_experiment(cfg: ExperimentConfig, x: float = None, variant: str = N
         pc = cfg.partition(entry)
         if pc.d_n == 1:
             raise ValueError("the Gaussian normalization presumes d_n > 1")
-        task = ReplicateTask("fhat_zn_at", cfg.frontier, pc.n, pc.h_prime, pc.d_n, cfg.c, (x,))
-        data = run_task(task, cfg.replicates, _entry_seed(cfg, e), cfg.workers)
+        data = _replicates("fhat_zn_at", cfg, e, pc, (x,))
         fhat, zn = data[:, 0], data[:, 1]
         nc = pc.n * cfg.c
         sigma = pc.k_n / (nc * math.sqrt(pc.d_n))
-        if variant == "centered":
+        if cfg.variant == "centered":
             # two passes over the same replicate set: grand mean, then centering
             v = (fhat - fhat.mean()) / sigma
-        elif variant == "oracle_corrected":
+        elif cfg.variant == "oracle_corrected":
             v = (fhat + pc.k_n / nc - f_true) / sigma
         else:
             v = (fhat + zn - f_true) / sigma
-        ks = ks_statistic(v, law)
-        se = _KS_SD / math.sqrt(cfg.replicates)
-        rows.append(
-            _row(
-                "gaussian", cfg, pc, x=x, statistic=f"ks_gaussian_{variant}",
-                estimate=ks, std_err=se,
-                comparator=0.0, tolerance=KS_TOL_GAUSSIAN, passed=ks <= KS_TOL_GAUSSIAN,
-            )
-        )
+        statistic = f"ks_gaussian_{cfg.variant}"
+        rows.append(_ks_row("gaussian", cfg, pc, x, statistic, v, law, KS_TOL_GAUSSIAN))
         v_mean, v_se = _mean_se(v)
         mean_tol = 3.0 / math.sqrt(cfg.replicates)
         rows.append(
@@ -430,8 +407,7 @@ def zn_moments_experiment(cfg: ExperimentConfig) -> list:
     rows = []
     for e, entry in enumerate(cfg.schedule):
         pc = cfg.partition(entry)
-        task = ReplicateTask("zn", cfg.frontier, pc.n, pc.h_prime, pc.d_n, cfg.c, ())
-        zn = run_task(task, cfg.replicates, _entry_seed(cfg, e), cfg.workers)[:, 0]
+        zn = _replicates("fhat_zn_at", cfg, e, pc)[:, -1]
         nc = pc.n * cfg.c
         mean, se = _mean_se(zn)
         target = pc.k_n / nc

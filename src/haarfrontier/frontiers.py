@@ -296,8 +296,3 @@ def parse_frontier(label: str) -> FrontierSpec:
                 raise ValueError(f"malformed frontier parameter {item!r}")
             kwargs[key.strip()] = float(value)
     return _FAMILY[name](**kwargs)
-
-
-def area(f: FrontierSpec) -> float:
-    """Area under the frontier over [0, 1]."""
-    return f.integral(0.0, 1.0)

@@ -30,11 +30,6 @@ class DyadicInterval:
     hi: float
     closed_right: bool
 
-    def contains(self, x: float) -> bool:
-        if self.closed_right:
-            return self.lo <= x <= self.hi
-        return self.lo <= x < self.hi
-
 
 def dyadic_index(i: int) -> DyadicIndex:
     """Unique decomposition i = 2^(q-1) + p with 0 <= p < 2^(q-1)."""
@@ -118,12 +113,6 @@ def dirichlet_kernel(h_n: int, x, y):
     if np.ndim(out) == 0:
         return float(out)
     return out
-
-
-def dirichlet_kernel_sum(h_n: int, x: float, y: float) -> float:
-    """Summed form of the kernel, kept as an independent cross-check."""
-    _require_dyadic(h_n)
-    return float(sum(haar_eval(i, x) * haar_eval(i, y) for i in range(h_n + 1)))
 
 
 def truncated_expansion(f: FrontierSpec, h_n: int) -> StepFunction:

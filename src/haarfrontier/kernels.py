@@ -74,12 +74,8 @@ def _stats(f: FrontierSpec, cfg: PartitionConfig, c: float, seed: int):
     return cell_stats(simulate(f, cfg.n, c, seed), cfg, f)
 
 
-def _kernel_fhat_at(f, cfg, c, xs, seed):
-    stats = _stats(f, cfg, c, seed)
-    return haar_ev_estimate(stats, cfg)(np.asarray(xs, dtype=float))
-
-
 def _kernel_fhat_zn_at(f, cfg, c, xs, seed):
+    """The block-mean estimate at each x in xs, then the minima mean z_n."""
     stats = _stats(f, cfg, c, seed)
     est = haar_ev_estimate(stats, cfg)
     return np.append(est(np.asarray(xs, dtype=float)), minima_mean(stats))
@@ -121,25 +117,12 @@ def _kernel_gumbel(f, cfg, c, xs, seed):
     return np.array([float(np.max(stats.f_max - stats.x_star))])
 
 
-def _kernel_cell_max(f, cfg, c, xs, seed):
-    stats = _stats(f, cfg, c, seed)
-    r = int(uniform_cell_index(xs[0], cfg.k_n))
-    return np.array([stats.x_star[r]])
-
-
-def _kernel_zn(f, cfg, c, xs, seed):
-    return np.array([minima_mean(_stats(f, cfg, c, seed))])
-
-
 KERNELS = {
-    "fhat_at": _kernel_fhat_at,
     "fhat_zn_at": _kernel_fhat_zn_at,
     "mise": _kernel_mise,
     "sup": _kernel_sup,
     "weibull": _kernel_weibull,
     "gumbel": _kernel_gumbel,
-    "cell_max": _kernel_cell_max,
-    "zn": _kernel_zn,
 }
 
 

@@ -16,7 +16,6 @@ from typing import Callable, Union
 import numpy as np
 
 from .frontiers import FrontierSpec
-from .haar import uniform_cell_index
 from .process import PartitionConfig
 from .quadrature import adaptive_simpson
 
@@ -139,33 +138,3 @@ def ks_statistic(samples, law: Union[LimitLaw, Callable]) -> float:
     d_plus = float(np.max(grid - ref))
     d_minus = float(np.max(ref - (grid - 1.0 / n)))
     return max(d_plus, d_minus)
-
-
-@dataclass(frozen=True)
-class Normalization:
-    """Centering and scaling constants for the limit-law statistics at a point."""
-
-    sigma_n: float        # k_n / (n c sqrt(d_n)), the Gaussian-regime scale
-    cell: int             # 1-based index of the cell containing x
-    rate: float           # n c / k_n
-    weibull_center: float  # k_n times the cell area (centering for the local statistic)
-    mean_center: float    # cell minimum of f minus k_n/(n c)
-    gumbel_shift: float   # ln k_n
-
-
-def normalizations(f: FrontierSpec, cfg: PartitionConfig, c: float, x: float) -> Normalization:
-    if c <= 0.0:
-        raise ValueError("intensity rate c must be positive")
-    k = cfg.k_n
-    nc = cfg.n * c
-    r = int(uniform_cell_index(x, k)) + 1
-    lo, hi = cfg.cell_bounds(r)
-    cell_m, _ = f.range_on(lo, hi)
-    return Normalization(
-        sigma_n=k / (nc * math.sqrt(cfg.d_n)),
-        cell=r,
-        rate=nc / k,
-        weibull_center=k * f.integral(lo, hi),
-        mean_center=cell_m - k / nc,
-        gumbel_shift=math.log(k),
-    )

@@ -4,19 +4,19 @@ The observed process is the superposition of n unit-rate-c Poisson
 processes restricted to the region under the frontier, i.e. a single
 Poisson process with intensity n*c on that region. Sampling is by
 rejection from the bounding box [0,1] x [0,M]; the acceptance rate is
-bounded below by m/M > 0. Points are stored sorted by x so cell
-statistics are a single pass at any resolution.
+bounded below by m/M > 0. A PointSample keeps its points sorted by x,
+whatever order they are given in, so cell statistics are a single pass at
+any resolution.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frontiers import FrontierSpec, area
+from .frontiers import FrontierSpec
 
 _MASK64 = (1 << 64) - 1
 
@@ -70,6 +70,13 @@ class PointSample:
         ys = np.asarray(self.ys, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1:
             raise ValueError("xs and ys must be 1-d arrays of equal length")
+        # NaN fails every comparison, so this also rejects non-finite values
+        if len(xs) and not (
+            0.0 <= xs.min() and xs.max() <= 1.0 and 0.0 <= ys.min() and ys.max() < np.inf
+        ):
+            raise ValueError("sample values must be finite, with x in [0, 1] and y >= 0")
+        order = np.argsort(xs)
+        xs, ys = xs[order], ys[order]
         xs.flags.writeable = False
         ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
@@ -117,14 +124,14 @@ def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
     """Draw one realization of the superposed process restricted to the frontier region.
 
     Deterministic in seed (counter-based generator keyed by it); the number
-    of points is Poisson with mean n*c*area(f) and, given the count, points
-    are i.i.d. uniform under the frontier.
+    of points is Poisson with mean n*c times the area under f and, given the
+    count, points are i.i.d. uniform under the frontier.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if c <= 0.0:
         raise ValueError("intensity rate c must be positive")
-    total_area = area(f)
+    total_area = f.integral(0.0, 1.0)
     if f.M / total_area > 1e6:
         raise ValueError(
             f"rejection sampling would be pathological: M/mean(f) = {f.M / total_area:.3g} > 1e6"
@@ -149,10 +156,7 @@ def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
         have += len(take_x)
     xs = np.concatenate(xs_parts) if xs_parts else np.empty(0)
     ys = np.concatenate(ys_parts) if ys_parts else np.empty(0)
-    order = np.argsort(xs)
-    return PointSample(
-        xs=xs[order], ys=ys[order], n=n, c=float(c), seed=int(seed), frontier_label=f.label
-    )
+    return PointSample(xs=xs, ys=ys, n=n, c=float(c), seed=int(seed), frontier_label=f.label)
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,6 +8,7 @@ worker count (including one) produces bit-identical output.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -26,8 +27,16 @@ def derive_seed(base: int, index: int) -> int:
     return z ^ (z >> 31)
 
 
-def replicate_seeds(base: int, count: int) -> list:
-    return [derive_seed(base, i) for i in range(count)]
+def plan_chunks(replicates: int, workers: int, cpus: int) -> tuple:
+    """Pool size and chunk bounds for `replicates` replicates.
+
+    The pool never has more processes than CPUs or chunks, whatever
+    `workers` asks for; a pool size of 1 means run serially.
+    """
+    workers = max(1, min(workers, cpus))
+    size = -(-replicates // (4 * workers))
+    bounds = list(range(0, replicates, size)) + [replicates]
+    return min(workers, len(bounds) - 1), bounds
 
 
 def run_task(task: ReplicateTask, replicates: int, base_seed: int, workers: int = 1) -> np.ndarray:
@@ -38,12 +47,11 @@ def run_task(task: ReplicateTask, replicates: int, base_seed: int, workers: int 
     """
     if replicates < 1:
         raise ValueError("need at least one replicate")
-    seeds = replicate_seeds(base_seed, replicates)
-    if workers <= 1:
+    seeds = [derive_seed(base_seed, i) for i in range(replicates)]
+    pool_size, bounds = plan_chunks(replicates, workers, os.cpu_count() or 1)
+    if pool_size == 1:
         return run_chunk(task, seeds)
-    chunk_size = max(1, -(-replicates // (4 * workers)))
-    bounds = list(range(0, replicates, chunk_size)) + [replicates]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
         futures = [
             pool.submit(run_chunk, task, seeds[a:b]) for a, b in zip(bounds, bounds[1:])
         ]

@@ -67,9 +67,6 @@ class StepFunction:
     def l2_norm_sq(self) -> float:
         return float(np.dot(self.values**2, self.widths()))
 
-    def l2_norm(self) -> float:
-        return float(np.sqrt(self.l2_norm_sq()))
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 

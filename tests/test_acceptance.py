@@ -32,11 +32,13 @@ from haarfrontier.experiments import (
     zn_moments_experiment,
 )
 from haarfrontier.frontiers import constant_frontier, parse_frontier
-from haarfrontier.haar import dirichlet_kernel, dirichlet_kernel_sum, haar_eval, haar_step
+from haarfrontier.haar import dirichlet_kernel, haar_eval, haar_step
 from haarfrontier.kernels import ReplicateTask
 from haarfrontier.oracles import cell_cdf, ks_statistic
 from haarfrontier.process import PartitionConfig, cell_stats, simulate
 from haarfrontier.runner import run_task
+
+from crosschecks import dirichlet_kernel_sum
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -95,7 +97,8 @@ def test_criterion_02_exact_cell_max_law() -> None:
     f = constant_frontier(1.0)
     pc = PartitionConfig(n=200, h_prime=4, d_n=1)
     x_probe = 0.4  # cell 7 of 16
-    task = ReplicateTask("cell_max", f.label, 200, 4, 1, 1.0, (x_probe,))
+    # at d_n = 1 the estimate at x is the maximum of the cell holding x
+    task = ReplicateTask("fhat_zn_at", f.label, 200, 4, 1, 1.0, (x_probe,))
     maxima = run_task(task, 10_000, base_seed=202, workers=1)[:, 0]
     r = 7
     ks = ks_statistic(maxima, lambda u: cell_cdf(f, pc, r, 1.0, u))
@@ -211,8 +214,9 @@ def test_criterion_08_gaussian_limit() -> None:
         base_seed=808,
         xs=(0.3,),
         regimes=(REGIME_HN_SMALL, REGIME_KN_SMALL, REGIME_N_CORRECTED),
+        variant="z_corrected",
     )
-    rows = gaussian_experiment(cfg, variant="z_corrected")
+    rows = gaussian_experiment(cfg)
     ks = next(r for r in rows if r.statistic == "ks_gaussian_z_corrected")
     raw = next(r for r in rows if r.statistic == "uncorrected_mean")
     ok = ks.estimate < 0.05 and raw.estimate < -2.0

@@ -73,6 +73,34 @@ def test_experiment_with_config_file_and_overrides(tmp_path) -> None:
     assert "wall_time_s" in manifest and "input_hash" in manifest
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n = 5000\n", "given together"),
+        ("n = 5000\nhprime = 4\n", "given together"),
+        ("replicate = 10\n", "unknown config keys"),
+    ],
+    ids=["n-only", "n-and-hprime", "unknown-key"],
+)
+def test_experiment_config_file_errors_exit_1(tmp_path, capsys, text, message) -> None:
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    out = tmp_path / "reports"
+    rc = main(["experiment", "zn-moments", "--config", str(config), "--out", str(out)])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_estimate_rejects_invalid_values(tmp_path, capsys) -> None:
+    sample = tmp_path / "sample.csv"
+    sample.write_text("n=4,c=1.0,seed=0,frontier=constant:a=1.0\nx,y\n0.1,nan\n1.5,0.8\n")
+    out = tmp_path / "est"
+    assert main(["estimate", str(sample), "--hprime", "1", "--dn", "1", "--out", str(out)]) == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "estimate.json").exists()
+
+
 def test_experiment_workers_byte_identical(tmp_path) -> None:
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     run_cli("experiment", "zn-moments", "--replicates", "60", "--workers", "1", "--out", str(out1))
@@ -99,6 +127,7 @@ def test_usage_errors_exit_1() -> None:
     assert run_cli("experiment", "no-such-preset", check=False).returncode == 1
     assert run_cli("simulate", "--frontier", "constant:a=1.0", check=False).returncode == 1
     assert run_cli("bogus-subcommand", check=False).returncode == 1
+    assert run_cli("experiment", "zn-moments", "--n", "5000", check=False).returncode == 1
     proc = run_cli("simulate", "--frontier", "mystery:a=1", "--n", "10", check=False)
     assert proc.returncode == 1
 

@@ -11,14 +11,14 @@ from haarfrontier.estimators import (
     corrected_estimate,
     geffroy_estimate,
     haar_ev_estimate,
-    haar_ev_estimate_at,
     minima_mean,
     oracle_corrected_estimate,
-    residuals,
 )
 from haarfrontier.frontiers import affine_frontier, constant_frontier
 from haarfrontier.haar import haar_eval, truncated_expansion, uniform_cell_index
 from haarfrontier.process import CellStats, PartitionConfig, PointSample, cell_stats, simulate
+
+from crosschecks import haar_ev_estimate_at
 
 
 def synthetic_stats(cfg: PartitionConfig, maxima, minima=None) -> CellStats:
@@ -61,6 +61,22 @@ def test_kernel_form_agrees_with_block_form() -> None:
     rng = np.random.Generator(np.random.Philox(key=9))
     xs = rng.random(1000)
     np.testing.assert_allclose(haar_ev_estimate_at(stats, cfg, xs), est(xs), atol=1e-12)
+
+
+def _estimate_from_rows(points, cfg) -> np.ndarray:
+    f = constant_frontier(1.0)
+    xs = np.array([p[0] for p in points], dtype=float)
+    ys = np.array([p[1] for p in points], dtype=float)
+    sample = PointSample(xs, ys, n=cfg.n, c=1.0, seed=0, frontier_label=f.label)
+    return haar_ev_estimate(cell_stats(sample, cfg, f), cfg).values
+
+
+def test_estimate_does_not_depend_on_row_order() -> None:
+    points = [(0.1, 0.5), (0.3, 0.2), (0.6, 0.8), (0.9, 0.3)]
+    cfg = PartitionConfig(n=4, h_prime=1, d_n=1)
+    np.testing.assert_array_equal(_estimate_from_rows(points, cfg), [0.5, 0.8])
+    shuffled = [points[i] for i in (2, 0, 3, 1)]
+    np.testing.assert_array_equal(_estimate_from_rows(shuffled, cfg), [0.5, 0.8])
 
 
 def test_geffroy_is_the_d1_case() -> None:
@@ -146,29 +162,13 @@ def test_oracle_corrected_reduces_bias_flat_frontier() -> None:
     assert abs(np.mean(fixed_at) - 1.0) < abs(np.mean(raw_at) - 1.0)
 
 
-def test_residuals_examples() -> None:
-    cfg = PartitionConfig(n=20, h_prime=1, d_n=1)
-    stats = CellStats(
-        counts=np.array([0, 1]),
-        x_star=np.array([0.0, 0.4]),
-        z_star=np.array([0.0, 0.4]),
-        cell_areas=np.array([0.1, 0.2]),
-        f_min=np.array([0.15, 0.35]),
-        f_max=np.array([0.25, 0.45]),
-        cfg=cfg,
-    )
-    got = residuals(stats)
-    assert got[0] == pytest.approx(-0.1)  # empty cell: 0/k - area
-    assert got[1] == pytest.approx(0.4 / 2 - 0.2)  # scaled max equals area
-
-
 def test_reduced_form_identity() -> None:
     f = affine_frontier(1.0, 0.5)
     cfg = PartitionConfig(n=400, h_prime=2, d_n=3)
     stats = cell_stats(simulate(f, 400, 1.0, 99), cfg, f)
     est = haar_ev_estimate(stats, cfg)
     proj = truncated_expansion(f, cfg.h_n)
-    y = residuals(stats)
+    y = stats.x_star / cfg.k_n - stats.cell_areas  # scaled maxima against exact cell areas
     rng = np.random.Generator(np.random.Philox(key=41))
     for x in rng.random(50):
         block = int(uniform_cell_index(x, cfg.h_n + 1))
@@ -230,3 +230,25 @@ def test_adding_a_point_never_lowers_the_estimate(points, extra, h_prime, d_n) -
     before = build(points)
     after = build(points + [extra])
     assert np.all(after.values >= before.values - 1e-15)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=0.0, max_value=1.0),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+        min_size=0,
+        max_size=20,
+    ),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=1, max_value=3),
+    st.data(),
+)
+def test_estimate_is_invariant_under_row_permutation(points, h_prime, d_n, data) -> None:
+    cfg = PartitionConfig(n=5, h_prime=h_prime, d_n=d_n)
+    shuffled = data.draw(st.permutations(points))
+    np.testing.assert_array_equal(
+        _estimate_from_rows(shuffled, cfg), _estimate_from_rows(points, cfg)
+    )

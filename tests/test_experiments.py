@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from haarfrontier.experiments import (
 )
 from haarfrontier.frontiers import affine_frontier, constant_frontier
 from haarfrontier.kernels import ReplicateTask
-from haarfrontier.runner import run_task
+from haarfrontier.runner import plan_chunks, run_task
 from haarfrontier.stepfun import StepFunction
 
 
@@ -98,11 +99,29 @@ def test_variance_ratio_d1_comparator() -> None:
 
 
 def test_variance_halves_twice_when_n_doubles() -> None:
-    task_a = ReplicateTask("fhat_at", "constant:a=1.0", 2000, 4, 2, 1.0, (0.5,))
-    task_b = ReplicateTask("fhat_at", "constant:a=1.0", 4000, 4, 2, 1.0, (0.5,))
+    task_a = ReplicateTask("fhat_zn_at", "constant:a=1.0", 2000, 4, 2, 1.0, (0.5,))
+    task_b = ReplicateTask("fhat_zn_at", "constant:a=1.0", 4000, 4, 2, 1.0, (0.5,))
     var_a = float(run_task(task_a, 1500, 5, workers=1)[:, 0].var(ddof=1))
     var_b = float(run_task(task_b, 1500, 6, workers=1)[:, 0].var(ddof=1))
     assert 3.2 <= var_a / var_b <= 4.8
+
+
+def test_plan_chunks_bounds_the_pool() -> None:
+    # far more workers than CPUs: the pool is clamped to the CPUs
+    pool, bounds = plan_chunks(60, 10**6, 2)
+    assert pool == 2
+    assert bounds[0] == 0 and bounds[-1] == 60 and bounds == sorted(set(bounds))
+    # more CPUs than replicates: one process per chunk at most
+    pool, bounds = plan_chunks(3, 8, 16)
+    assert (pool, bounds) == (3, [0, 1, 2, 3])
+    # the usual case: four chunks per worker
+    pool, bounds = plan_chunks(64, 2, 4)
+    assert (pool, len(bounds) - 1) == (2, 8)
+    # one worker, zero, negative or a single replicate all mean serial
+    assert plan_chunks(100, 1, 8)[0] == 1
+    assert plan_chunks(100, 0, 8)[0] == 1
+    assert plan_chunks(100, -3, 8)[0] == 1
+    assert plan_chunks(1, 4, 4)[0] == 1
 
 
 def test_mise_flat_frontier_has_zero_systematic_part() -> None:
@@ -232,8 +251,8 @@ def test_gaussian_variants_agree_and_center() -> None:
         xs=(0.3,),
         regimes=GAUSS_REGIMES + ("n=o(kn^(1/2+alpha)*hn^(1/2))",),
     )
-    rows_z = gaussian_experiment(cfg, variant="z_corrected")
-    rows_c = gaussian_experiment(cfg, variant="centered")
+    rows_z = gaussian_experiment(replace(cfg, variant="z_corrected"))
+    rows_c = gaussian_experiment(replace(cfg, variant="centered"))
     ks_z = next(r for r in rows_z if r.statistic.startswith("ks_gaussian"))
     ks_c = next(r for r in rows_c if r.statistic.startswith("ks_gaussian"))
     assert ks_z.estimate < 0.07
@@ -250,7 +269,7 @@ def test_gaussian_uncorrected_mean_diverges_like_sqrt_d() -> None:
         xs=(0.3,),
         regimes=GAUSS_REGIMES,
     )
-    rows = gaussian_experiment(cfg, variant="z_corrected")
+    rows = gaussian_experiment(replace(cfg, variant="z_corrected"))
     raw = next(r for r in rows if r.statistic == "uncorrected_mean")
     assert raw.estimate < -2.0
     assert raw.estimate == pytest.approx(-8.0, abs=0.5)

@@ -6,7 +6,6 @@ import pytest
 from haarfrontier.frontiers import (
     FrontierSpec,
     affine_frontier,
-    area,
     constant_frontier,
     parse_frontier,
     sine_frontier,
@@ -16,9 +15,9 @@ from haarfrontier.quadrature import adaptive_simpson
 
 
 def test_area_examples() -> None:
-    assert area(constant_frontier(1.0)) == pytest.approx(1.0, abs=1e-14)
-    assert area(affine_frontier(0.5, 1.0)) == pytest.approx(1.0, abs=1e-14)
-    assert area(sine_frontier(1.0, 0.25)) == pytest.approx(1.0, abs=1e-12)
+    assert constant_frontier(1.0).integral(0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert affine_frontier(0.5, 1.0).integral(0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert sine_frontier(1.0, 0.25).integral(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_integrals_match_quadrature() -> None:

@@ -11,7 +11,6 @@ from haarfrontier.oracles import (
     ks_statistic,
     limit_cdf,
     limit_law,
-    normalizations,
 )
 from haarfrontier.process import PartitionConfig, cell_stats, simulate
 
@@ -171,17 +170,3 @@ def test_ks_statistic_accepts_scalar_cdf() -> None:
     # uniform reference; the largest gap sits just after the top sample
     got = ks_statistic([0.25, 0.5, 0.75], lambda u: float(np.clip(u, 0.0, 1.0)))
     assert got == pytest.approx(0.25, abs=1e-12)
-
-
-def test_normalizations_examples() -> None:
-    f = constant_frontier(1.0)
-    cfg = PartitionConfig(n=100, h_prime=0, d_n=10)  # d_n = 10, k_n = 10
-    norm = normalizations(f, cfg, 1.0, 0.55)
-    assert norm.cell == 6
-    assert norm.weibull_center == pytest.approx(1.0)
-    assert norm.mean_center == pytest.approx(1.0 - 0.1)
-    assert norm.gumbel_shift == pytest.approx(math.log(10.0))
-    d1 = PartitionConfig(n=100, h_prime=3, d_n=1)
-    assert normalizations(f, d1, 1.0, 0.5).sigma_n == pytest.approx(8.0 / 100.0)
-    big = PartitionConfig(n=4096, h_prime=4, d_n=16)
-    assert normalizations(f, big, 1.0, 0.5).sigma_n == pytest.approx(1.0 / 64.0)

@@ -114,6 +114,28 @@ def test_point_sample_csv_round_trip(tmp_path) -> None:
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_point_sample_sorts_rows_by_x() -> None:
+    xs = np.array([0.6, 0.1, 0.9, 0.3])
+    ys = np.array([0.8, 0.5, 0.3, 0.2])
+    sample = PointSample(xs, ys, n=4, c=1.0, seed=0, frontier_label="constant:a=1.0")
+    np.testing.assert_array_equal(sample.xs, [0.1, 0.3, 0.6, 0.9])
+    np.testing.assert_array_equal(sample.ys, [0.5, 0.2, 0.8, 0.3])
+    assert xs[0] == 0.6  # the caller's arrays are left as they were
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [(math.nan, 0.5), (0.5, math.nan), (0.5, math.inf), (1.5, 0.8), (-0.1, 0.8), (0.5, -0.2)],
+    ids=["nan-x", "nan-y", "inf-y", "x-above-1", "x-below-0", "negative-y"],
+)
+def test_point_sample_rejects_invalid_values(x, y) -> None:
+    with pytest.raises(ValueError, match="must be finite"):
+        PointSample(
+            np.array([0.2, x]), np.array([0.1, y]), n=2, c=1.0, seed=0,
+            frontier_label="constant:a=1.0",
+        )
+
+
 def test_cell_stats_direct_examples() -> None:
     f = constant_frontier(1.0)
     sample = PointSample(
