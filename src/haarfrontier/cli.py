@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
@@ -51,17 +51,9 @@ def _build_parser() -> _Parser:
     exp = sub.add_parser("experiment", help="run a named experiment preset")
     exp.add_argument("name", help="preset name; see list-presets")
     exp.add_argument("--config", help="flat key=value config file; flags override it")
-    exp.add_argument("--frontier")
-    exp.add_argument("--c", type=float)
-    exp.add_argument("--n", type=int)
-    exp.add_argument("--hprime", type=int)
-    exp.add_argument("--dn", type=int)
-    exp.add_argument("--schedule", help="semicolon-separated n:hprime:dn triples")
-    exp.add_argument("--replicates", type=int)
-    exp.add_argument("--seed", type=int)
-    exp.add_argument("--x", type=float, action="append")
-    exp.add_argument("--variant")
-    exp.add_argument("--workers", type=int)
+    # the config-file keys, as text; _apply_config parses flags and file alike
+    for key in (*_CONFIG_KEYS, *_ENTRY_KEYS):
+        exp.add_argument(f"--{key}", action="append" if key == "x" else "store")
     exp.add_argument("--out", default=".")
     exp.add_argument("--strict", action="store_true", help="exit 2 on any tolerance failure")
 
@@ -96,8 +88,8 @@ def _floats(value) -> tuple:
     return tuple(float(v) for v in (value.split(",") if isinstance(value, str) else value))
 
 
-# config-file key and flag name -> (ExperimentConfig field, parser); a file
-# value arrives as text, a flag value already typed by argparse
+# config-file key and flag name -> (ExperimentConfig field, parser of its
+# text); --x may be given more than once and arrives as a list
 _CONFIG_KEYS = {
     "frontier": ("frontier", str),
     "c": ("c", float),
@@ -111,6 +103,13 @@ _CONFIG_KEYS = {
 _ENTRY_KEYS = ("n", "hprime", "dn")  # one schedule entry, given whole or not at all
 
 
+def _parse(key: str, parse, value):
+    try:
+        return parse(value)
+    except ValueError as exc:
+        raise ValueError(f"bad value {value!r} for {key}: {exc}") from None
+
+
 def _apply_config(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
     unknown = sorted(values.keys() - _CONFIG_KEYS.keys() - set(_ENTRY_KEYS))
     if unknown:
@@ -120,10 +119,10 @@ def _apply_config(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
     if given:
         if len(given) != len(_ENTRY_KEYS):
             raise ValueError("n, hprime and dn must be given together")
-        changes["schedule"] = (tuple(int(values[key]) for key in _ENTRY_KEYS),)
+        changes["schedule"] = (tuple(_parse(key, int, values[key]) for key in _ENTRY_KEYS),)
     for key, (field, parse) in _CONFIG_KEYS.items():
         if key in values:
-            changes[field] = parse(values[key])
+            changes[field] = _parse(key, parse, values[key])
     return replace(cfg, **changes)
 
 
@@ -135,19 +134,10 @@ def _merge_experiment_config(base: ExperimentConfig, file_vals: dict, args) -> E
 
 
 def _config_payload(name: str, kind: str, cfg: ExperimentConfig) -> dict:
-    return {
-        "preset": name,
-        "experiment": kind,
-        "frontier": cfg.frontier,
-        "schedule": [list(entry) for entry in cfg.schedule],
-        "c": cfg.c,
-        "replicates": cfg.replicates,
-        "base_seed": cfg.base_seed,
-        "xs": list(cfg.xs),
-        "regimes": list(cfg.regimes),
-        "variant": cfg.variant,
-        "sup_eps": list(cfg.sup_eps),
-    }
+    """The manifest's config echo: every field but workers, which never changes the output."""
+    payload = {"preset": name, "experiment": kind, **asdict(cfg)}
+    del payload["workers"]
+    return payload
 
 
 def _cmd_simulate(args) -> int:

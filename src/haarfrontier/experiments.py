@@ -66,6 +66,9 @@ class ExperimentConfig:
             raise ValueError("schedule must contain at least one (n, h_prime, d_n) entry")
         if self.variant not in GAUSSIAN_VARIANTS:
             raise ValueError(f"variant must be one of {GAUSSIAN_VARIANTS}")
+        # NaN fails the comparison, so this rejects it too
+        if not all(0.0 <= x <= 1.0 for x in self.xs):
+            raise ValueError("evaluation points x must lie in [0, 1]")
 
     def partition(self, entry) -> PartitionConfig:
         n, h_prime, d_n = entry
@@ -88,7 +91,10 @@ def _mean_se(col: np.ndarray) -> tuple:
     return float(col.mean()), float(col.std(ddof=1) / math.sqrt(len(col)))
 
 
-def _row(name, cfg, pc, **kw) -> ReportRow:
+def _row(name, cfg, pc, *, estimate, comparator, tolerance, passed=None, **kw) -> ReportRow:
+    """One report row; unless a one-sided verdict is given, |estimate - comparator| <= tolerance."""
+    if passed is None:
+        passed = abs(estimate - comparator) <= tolerance
     return ReportRow(
         experiment=name,
         frontier=cfg.frontier,
@@ -97,6 +103,10 @@ def _row(name, cfg, pc, **kw) -> ReportRow:
         h_n=pc.h_n,
         d_n=pc.d_n,
         k_n=pc.k_n,
+        estimate=estimate,
+        comparator=comparator,
+        tolerance=tolerance,
+        passed=passed,
         **kw,
     )
 
@@ -106,8 +116,26 @@ def _ks_row(name, cfg, pc, x, statistic, sample, law, tol) -> ReportRow:
     ks = ks_statistic(sample, law)
     return _row(
         name, cfg, pc, x=x, statistic=statistic,
-        estimate=ks, std_err=_KS_SD / math.sqrt(cfg.replicates),
-        comparator=0.0, tolerance=tol, passed=ks <= tol,
+        estimate=ks, std_err=_KS_SD / math.sqrt(cfg.replicates), comparator=0.0, tolerance=tol,
+    )
+
+
+def _var_ratio_row(name, cfg, pc, x, statistic, sample, comparator_var) -> ReportRow:
+    """Sample variance over its comparator, within 0.2 of 1."""
+    ratio = float(sample.var(ddof=1)) / comparator_var
+    se = ratio * math.sqrt(2.0 / (cfg.replicates - 1))
+    return _row(
+        name, cfg, pc, x=x, statistic=statistic,
+        estimate=ratio, std_err=se, comparator=1.0, tolerance=0.2,
+    )
+
+
+def _nonneg_row(name, cfg, pc, statistic, sample) -> ReportRow:
+    """The smallest replicate value, which must not be negative."""
+    low = float(sample.min())
+    return _row(
+        name, cfg, pc, x=None, statistic=statistic,
+        estimate=low, std_err=0.0, comparator=0.0, tolerance=0.0, passed=low >= 0.0,
     )
 
 
@@ -129,11 +157,8 @@ def local_bias_experiment(cfg: ExperimentConfig) -> list:
             tol = pc.k_n ** (-f.alpha) + 3.0 * se
             rows.append(
                 _row(
-                    "local_bias", cfg, pc,
-                    x=x, statistic="bias_residual",
-                    estimate=residual, std_err=se,
-                    comparator=0.0, tolerance=tol,
-                    passed=abs(residual) <= tol,
+                    "local_bias", cfg, pc, x=x, statistic="bias_residual",
+                    estimate=residual, std_err=se, comparator=0.0, tolerance=tol,
                 )
             )
     return rows
@@ -156,16 +181,8 @@ def variance_experiment(cfg: ExperimentConfig) -> list:
             comparator_var = pc.k_n * pc.h_n / nc**2
         data = _replicates("fhat_zn_at", cfg, e, pc, cfg.xs)
         for j, x in enumerate(cfg.xs):
-            ratio = float(data[:, j].var(ddof=1)) / comparator_var
-            se = ratio * math.sqrt(2.0 / (cfg.replicates - 1))
             rows.append(
-                _row(
-                    "variance", cfg, pc,
-                    x=x, statistic="variance_ratio",
-                    estimate=ratio, std_err=se,
-                    comparator=1.0, tolerance=0.2,
-                    passed=abs(ratio - 1.0) <= 0.2,
-                )
+                _var_ratio_row("variance", cfg, pc, x, "variance_ratio", data[:, j], comparator_var)
             )
     return rows
 
@@ -193,22 +210,18 @@ def mise_experiment(cfg: ExperimentConfig) -> list:
                 "mise", cfg, pc, x=None, statistic="mise_total",
                 estimate=total_mean, std_err=total_se,
                 comparator=stoch_mean + systematic, tolerance=3.0 * total_se,
-                passed=abs(total_mean - stoch_mean - systematic) <= 3.0 * total_se,
             )
         )
         rows.append(
             _row(
                 "mise", cfg, pc, x=None, statistic="mise_stochastic",
-                estimate=stoch_mean, std_err=stoch_se,
-                comparator=stoch_comp, tolerance=stoch_comp,
-                passed=abs(stoch_mean - stoch_comp) <= stoch_comp,
+                estimate=stoch_mean, std_err=stoch_se, comparator=stoch_comp, tolerance=stoch_comp,
             )
         )
         rows.append(
             _row(
                 "mise", cfg, pc, x=None, statistic="mise_systematic",
-                estimate=systematic, std_err=0.0,
-                comparator=sys_bound, tolerance=sys_bound,
+                estimate=systematic, std_err=0.0, comparator=sys_bound, tolerance=sys_bound,
                 passed=systematic <= 2.0 * sys_bound,
             )
         )
@@ -219,9 +232,7 @@ def mise_experiment(cfg: ExperimentConfig) -> list:
             rows.append(
                 _row(
                     "mise", cfg, pc_b, x=None, statistic="mise_systematic_ratio",
-                    estimate=ratio, std_err=0.0,
-                    comparator=comp, tolerance=0.5,
-                    passed=abs(ratio - comp) <= 0.5,
+                    estimate=ratio, std_err=0.0, comparator=comp, tolerance=0.5,
                 )
             )
     rows.extend(_rate_slope_rows("mise", cfg, f, per_entry))
@@ -234,29 +245,22 @@ def _rate_slope_rows(name, cfg, f, per_entry) -> list:
     Small-sample slopes are contaminated by second-order terms, so these
     rows carry an infinite tolerance and never fail a run.
     """
+    pcs, systematic, total = zip(*per_entry)
+    fits = (  # statistic, scale, values, comparator
+        ("systematic_rate_slope", [pc.h_n + 1 for pc in pcs], systematic, -2.0 * f.alpha),
+        ("total_rate_slope", [pc.n for pc in pcs], total, -2.0),
+    )
     rows = []
-    hs = np.array([pc.h_n + 1 for pc, _, _ in per_entry], dtype=float)
-    sys_vals = np.array([s for _, s, _ in per_entry])
-    if len(set(hs)) >= 2 and np.all(sys_vals > 0.0):
-        slope = float(np.polyfit(np.log(hs), np.log(sys_vals), 1)[0])
-        rows.append(
-            _row(
-                name, cfg, per_entry[-1][0], x=None, statistic="systematic_rate_slope",
-                estimate=slope, std_err=0.0,
-                comparator=-2.0 * f.alpha, tolerance=math.inf, passed=True,
+    for statistic, scale, values, comparator in fits:
+        scale, values = np.array(scale, dtype=float), np.array(values)
+        if len(set(scale)) >= 2 and np.all(values > 0.0):
+            slope = float(np.polyfit(np.log(scale), np.log(values), 1)[0])
+            rows.append(
+                _row(
+                    name, cfg, pcs[-1], x=None, statistic=statistic,
+                    estimate=slope, std_err=0.0, comparator=comparator, tolerance=math.inf,
+                )
             )
-        )
-    ns = np.array([pc.n for pc, _, _ in per_entry], dtype=float)
-    totals = np.array([t for _, _, t in per_entry])
-    if len(set(ns)) >= 2 and np.all(totals > 0.0):
-        slope = float(np.polyfit(np.log(ns), np.log(totals), 1)[0])
-        rows.append(
-            _row(
-                name, cfg, per_entry[-1][0], x=None, statistic="total_rate_slope",
-                estimate=slope, std_err=0.0,
-                comparator=-2.0, tolerance=math.inf, passed=True,
-            )
-        )
     return rows
 
 
@@ -283,8 +287,7 @@ def supnorm_experiment(cfg: ExperimentConfig) -> list:
             rows.append(
                 _row(
                     "supnorm", cfg, pc, x=None, statistic=f"p_sup_gt_{eps}",
-                    estimate=p_hat, std_err=se,
-                    comparator=bound, tolerance=3.0 * se,
+                    estimate=p_hat, std_err=se, comparator=bound, tolerance=3.0 * se,
                     passed=p_hat <= bound + 3.0 * se,
                 )
             )
@@ -294,8 +297,8 @@ def supnorm_experiment(cfg: ExperimentConfig) -> list:
 def weibull_experiment(cfg: ExperimentConfig) -> list:
     """Local statistic at the first x against the Weibull extreme-value law (d_n = 1 regime)."""
     _require_regimes(cfg, (REGIME_KN_SUBLINEAR, REGIME_N_VS_KN))
-    if not cfg.xs:
-        raise ValueError("weibull experiment needs an evaluation point")
+    if len(cfg.xs) != 1:
+        raise ValueError("weibull experiment needs exactly one evaluation point")
     x = cfg.xs[0]
     law = limit_law("weibull_evd")
     rows = []
@@ -308,8 +311,7 @@ def weibull_experiment(cfg: ExperimentConfig) -> list:
         rows.append(
             _row(
                 "weibull", cfg, pc, x=x, statistic="form_agreement",
-                estimate=gap, std_err=0.0,
-                comparator=0.0, tolerance=1e-12, passed=gap <= 1e-12,
+                estimate=gap, std_err=0.0, comparator=0.0, tolerance=1e-12,
             )
         )
         rows.append(_ks_row("weibull", cfg, pc, x, "ks_weibull", data[:, 0], law, KS_TOL_WEIBULL))
@@ -328,13 +330,7 @@ def gumbel_experiment(cfg: ExperimentConfig) -> list:
         raw = _replicates("gumbel", cfg, e, pc)[:, 0]
         rate = pc.n * cfg.c / pc.k_n
         normalized = rate * raw - math.log(pc.k_n)
-        rows.append(
-            _row(
-                "gumbel", cfg, pc, x=None, statistic="gumbel_nonneg",
-                estimate=float(raw.min()), std_err=0.0,
-                comparator=0.0, tolerance=0.0, passed=bool(raw.min() >= 0.0),
-            )
-        )
+        rows.append(_nonneg_row("gumbel", cfg, pc, "gumbel_nonneg", raw))
         rows.append(_ks_row("gumbel", cfg, pc, None, "ks_gumbel", normalized, law, KS_TOL_GUMBEL))
         if entry == cfg.schedule[-1]:
             med = float(np.median(normalized))
@@ -344,7 +340,6 @@ def gumbel_experiment(cfg: ExperimentConfig) -> list:
                     "gumbel", cfg, pc, x=None, statistic="gumbel_median",
                     estimate=med, std_err=_KS_SD / math.sqrt(cfg.replicates),
                     comparator=med_target, tolerance=0.1,
-                    passed=abs(med - med_target) <= 0.1,
                 )
             )
     return rows
@@ -355,8 +350,8 @@ def gaussian_experiment(cfg: ExperimentConfig) -> list:
     needed = [REGIME_HN_SMALL, REGIME_KN_SMALL]
     needed.append(REGIME_N_CENTERED if cfg.variant == "centered" else REGIME_N_CORRECTED)
     _require_regimes(cfg, needed)
-    if not cfg.xs:
-        raise ValueError("gaussian experiment needs an evaluation point")
+    if len(cfg.xs) != 1:
+        raise ValueError("gaussian experiment needs exactly one evaluation point")
     x = cfg.xs[0]
     f = parse_frontier(cfg.frontier)
     f_true = f(x)
@@ -384,8 +379,7 @@ def gaussian_experiment(cfg: ExperimentConfig) -> list:
         rows.append(
             _row(
                 "gaussian", cfg, pc, x=x, statistic="v_mean",
-                estimate=v_mean, std_err=v_se,
-                comparator=0.0, tolerance=mean_tol, passed=abs(v_mean) <= mean_tol,
+                estimate=v_mean, std_err=v_se, comparator=0.0, tolerance=mean_tol,
             )
         )
         raw_mean, raw_se = _mean_se((fhat - f_true) / sigma)
@@ -393,9 +387,7 @@ def gaussian_experiment(cfg: ExperimentConfig) -> list:
         rows.append(
             _row(
                 "gaussian", cfg, pc, x=x, statistic="uncorrected_mean",
-                estimate=raw_mean, std_err=raw_se,
-                comparator=-root_d, tolerance=0.5 * root_d,
-                passed=abs(raw_mean + root_d) <= 0.5 * root_d,
+                estimate=raw_mean, std_err=raw_se, comparator=-root_d, tolerance=0.5 * root_d,
             )
         )
     return rows
@@ -414,27 +406,11 @@ def zn_moments_experiment(cfg: ExperimentConfig) -> list:
         rows.append(
             _row(
                 "zn_moments", cfg, pc, x=None, statistic="zn_mean",
-                estimate=mean, std_err=se,
-                comparator=target, tolerance=3.0 * se,
-                passed=abs(mean - target) <= 3.0 * se,
+                estimate=mean, std_err=se, comparator=target, tolerance=3.0 * se,
             )
         )
-        ratio = float(zn.var(ddof=1)) / (pc.k_n / nc**2)
-        ratio_se = ratio * math.sqrt(2.0 / (cfg.replicates - 1))
-        rows.append(
-            _row(
-                "zn_moments", cfg, pc, x=None, statistic="zn_var_ratio",
-                estimate=ratio, std_err=ratio_se,
-                comparator=1.0, tolerance=0.2, passed=abs(ratio - 1.0) <= 0.2,
-            )
-        )
-        rows.append(
-            _row(
-                "zn_moments", cfg, pc, x=None, statistic="zn_nonneg",
-                estimate=float(zn.min()), std_err=0.0,
-                comparator=0.0, tolerance=0.0, passed=bool(zn.min() >= 0.0),
-            )
-        )
+        rows.append(_var_ratio_row("zn_moments", cfg, pc, None, "zn_var_ratio", zn, pc.k_n / nc**2))
+        rows.append(_nonneg_row("zn_moments", cfg, pc, "zn_nonneg", zn))
     return rows
 
 

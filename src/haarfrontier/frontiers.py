@@ -196,7 +196,7 @@ def affine_frontier(a: float = 1.0, b: float = 0.5) -> FrontierSpec:
 
 
 def sine_frontier(a: float = 1.0, b: float = 0.25) -> FrontierSpec:
-    """Frontier f(x) = a + b*sin(2*pi*x); exceedance areas fall back to quadrature."""
+    """Frontier f(x) = a + b*sin(2*pi*x)."""
     a, b = float(a), float(b)
     w = 2.0 * math.pi
 
@@ -215,6 +215,19 @@ def sine_frontier(a: float = 1.0, b: float = 0.25) -> FrontierSpec:
                 cand.append(a + b * math.sin(w * crit))
         return (min(cand), max(cand))
 
+    def above(lo: float, hi: float, u: float) -> float:
+        if b == 0.0:
+            return max(a - u, 0.0) * (hi - lo)
+        # f > u on (t, 1/2 - t) + shift, mod 1, where sin(2*pi*t) = (u - a)/|b|
+        t = math.asin(min(max((u - a) / abs(b), -1.0), 1.0)) / w
+        shift = 0.5 if b < 0.0 else 0.0
+        area = 0.0
+        for k in (-1.0, 0.0, 1.0):
+            s0, s1 = max(lo, t + shift + k), min(hi, 0.5 - t + shift + k)
+            if s0 < s1:
+                area += (a - u) * (s1 - s0) - b * (math.cos(w * s1) - math.cos(w * s0)) / w
+        return max(area, 0.0)
+
     return FrontierSpec(
         f=lambda x: a + b * np.sin(w * np.asarray(x, dtype=float)),
         m=a - abs(b),
@@ -225,6 +238,7 @@ def sine_frontier(a: float = 1.0, b: float = 0.25) -> FrontierSpec:
         exact_integral=integ,
         exact_integral_sq=integ_sq,
         exact_range=rng,
+        exact_area_above=above,
     )
 
 
@@ -295,4 +309,7 @@ def parse_frontier(label: str) -> FrontierSpec:
             if not _:
                 raise ValueError(f"malformed frontier parameter {item!r}")
             kwargs[key.strip()] = float(value)
-    return _FAMILY[name](**kwargs)
+    try:
+        return _FAMILY[name](**kwargs)
+    except TypeError as exc:  # a parameter the family does not take
+        raise ValueError(f"malformed frontier {label!r}: {exc}") from None

@@ -56,6 +56,15 @@ class PartitionConfig:
         return ((r - 1) / self.k_n, r / self.k_n)
 
 
+# the first line of a sample file: (key, PointSample attribute, parser of its text)
+_SAMPLE_HEADER = (
+    ("n", "n", int),
+    ("c", "c", float),
+    ("seed", "seed", int),
+    ("frontier", "frontier_label", str),
+)
+
+
 @dataclass(frozen=True, eq=False)
 class PointSample:
     xs: np.ndarray
@@ -86,8 +95,9 @@ class PointSample:
         return len(self.xs)
 
     def to_csv(self, path) -> None:
+        meta = {key: getattr(self, attr) for key, attr, _ in _SAMPLE_HEADER}
         lines = [
-            f"n={self.n},c={self.c!r},seed={self.seed},frontier={self.frontier_label}",
+            ",".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}" for k, v in meta.items()),
             "x,y",
         ]
         lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in zip(self.xs, self.ys))
@@ -96,10 +106,16 @@ class PointSample:
 
     @classmethod
     def from_csv(cls, path) -> "PointSample":
+        keys = [key for key, _, _ in _SAMPLE_HEADER]
         with open(path) as fh:
             header = fh.readline().strip()
-            fields = header.split(",", 3)
-            meta = dict(item.split("=", 1) for item in fields)
+            # the frontier label has commas of its own, so it comes last
+            items = [item.partition("=") for item in header.split(",", len(keys) - 1)]
+            if [key for key, _, _ in items] != keys:
+                raise ValueError(f"malformed sample header {header!r}; expected keys {keys}")
+            meta = {
+                attr: parse(text) for (_, attr, parse), (_, _, text) in zip(_SAMPLE_HEADER, items)
+            }
             if fh.readline().strip() != "x,y":
                 raise ValueError("malformed sample file: expected 'x,y' column header")
             xs, ys = [], []
@@ -107,17 +123,13 @@ class PointSample:
                 line = line.strip()
                 if not line:
                     continue
-                sx, sy = line.split(",")
+                try:
+                    sx, sy = line.split(",")
+                except ValueError:
+                    raise ValueError(f"malformed sample row {line!r}; expected x,y") from None
                 xs.append(float(sx))
                 ys.append(float(sy))
-        return cls(
-            xs=np.array(xs, dtype=float),
-            ys=np.array(ys, dtype=float),
-            n=int(meta["n"]),
-            c=float(meta["c"]),
-            seed=int(meta["seed"]),
-            frontier_label=meta["frontier"],
-        )
+        return cls(xs=np.array(xs, dtype=float), ys=np.array(ys, dtype=float), **meta)
 
 
 def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
@@ -195,7 +207,7 @@ class CellStats:
             raise ValueError("cell areas inconsistent with frontier bounds")
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=2)
 def _cell_geometry(f: FrontierSpec, k_n: int) -> tuple:
     lam = np.empty(k_n)
     f_min = np.empty(k_n)

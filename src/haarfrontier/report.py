@@ -11,25 +11,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
-
-CSV_COLUMNS = [
-    "experiment",
-    "frontier",
-    "n",
-    "c",
-    "h_n",
-    "d_n",
-    "k_n",
-    "x",
-    "statistic",
-    "estimate",
-    "std_err",
-    "comparator",
-    "tolerance",
-    "pass",
-]
 
 
 @dataclass(frozen=True)
@@ -60,55 +43,35 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# text of a CSV cell -> field value, by the field's annotation
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "Optional[float]": lambda text: float(text) if text else None,
+    "bool": lambda text: text == "true",
+}
+# (field, CSV column, parser) in column order; the one rename is passed -> pass
+_COLUMNS = tuple(
+    (f.name, "pass" if f.name == "passed" else f.name, _PARSERS[f.type]) for f in fields(ReportRow)
+)
+CSV_COLUMNS = [column for _, column, _ in _COLUMNS]
+
+
 def write_report_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow(
-                [
-                    row.experiment,
-                    row.frontier,
-                    _fmt(row.n),
-                    _fmt(row.c),
-                    _fmt(row.h_n),
-                    _fmt(row.d_n),
-                    _fmt(row.k_n),
-                    _fmt(row.x),
-                    row.statistic,
-                    _fmt(row.estimate),
-                    _fmt(row.std_err),
-                    _fmt(row.comparator),
-                    _fmt(row.tolerance),
-                    _fmt(row.passed),
-                ]
-            )
+            writer.writerow([_fmt(getattr(row, name)) for name, _, _ in _COLUMNS])
 
 
 def read_report_csv(path) -> list:
-    rows = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for rec in reader:
-            rows.append(
-                ReportRow(
-                    experiment=rec["experiment"],
-                    frontier=rec["frontier"],
-                    n=int(rec["n"]),
-                    c=float(rec["c"]),
-                    h_n=int(rec["h_n"]),
-                    d_n=int(rec["d_n"]),
-                    k_n=int(rec["k_n"]),
-                    x=float(rec["x"]) if rec["x"] else None,
-                    statistic=rec["statistic"],
-                    estimate=float(rec["estimate"]),
-                    std_err=float(rec["std_err"]),
-                    comparator=float(rec["comparator"]),
-                    tolerance=float(rec["tolerance"]),
-                    passed=rec["pass"] == "true",
-                )
-            )
-    return rows
+        return [
+            ReportRow(**{name: parse(rec[column]) for name, column, parse in _COLUMNS})
+            for rec in csv.DictReader(fh)
+        ]
 
 
 def config_hash(payload: dict) -> str:

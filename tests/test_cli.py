@@ -101,6 +101,33 @@ def test_estimate_rejects_invalid_values(tmp_path, capsys) -> None:
     assert not (out / "estimate.json").exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n=4,c=1.0\nx,y\n0.1,0.5\n", "malformed sample header"),
+        ("n=4,c=1.0,seed=0,run=3,frontier=constant:a=1.0\nx,y\n0.1,0.5\n", "sample header"),
+        # after the frontier, an extra key reads as a frontier parameter
+        ("n=4,c=1.0,seed=0,frontier=constant:a=1.0,run=3\nx,y\n0.1,0.5\n", "malformed frontier"),
+        ("n=4,c=1.0,seed=0,frontier=constant:a=1.0\nx,y\n0.1,0.5,0.2\n", "malformed sample row"),
+    ],
+    ids=["missing-header-key", "extra-header-key", "extra-key-after-frontier", "three-field-row"],
+)
+def test_estimate_rejects_malformed_sample_file(tmp_path, capsys, text, message) -> None:
+    sample = tmp_path / "sample.csv"
+    sample.write_text(text)
+    out = tmp_path / "est"
+    assert main(["estimate", str(sample), "--hprime", "1", "--dn", "1", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not (out / "estimate.json").exists()
+
+
+def test_experiment_bad_flag_value_names_its_key(tmp_path, capsys) -> None:
+    out = tmp_path / "reports"
+    assert main(["experiment", "zn-moments", "--replicates", "many", "--out", str(out)]) == 1
+    assert "for replicates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_workers_byte_identical(tmp_path) -> None:
     out1, out2 = tmp_path / "w1", tmp_path / "w2"
     run_cli("experiment", "zn-moments", "--replicates", "60", "--workers", "1", "--out", str(out1))
@@ -128,6 +155,9 @@ def test_usage_errors_exit_1() -> None:
     assert run_cli("simulate", "--frontier", "constant:a=1.0", check=False).returncode == 1
     assert run_cli("bogus-subcommand", check=False).returncode == 1
     assert run_cli("experiment", "zn-moments", "--n", "5000", check=False).returncode == 1
+    for name in ("weibull", "gaussian"):  # each takes exactly one evaluation point
+        proc = run_cli("experiment", name, "--x", "0.3", "--x", "0.7", check=False)
+        assert proc.returncode == 1
     proc = run_cli("simulate", "--frontier", "mystery:a=1", "--n", "10", check=False)
     assert proc.returncode == 1
 

@@ -52,6 +52,9 @@ def test_config_validation() -> None:
         _cfg(schedule=())
     with pytest.raises(ValueError):
         _cfg(variant="magic")
+    for x in (math.nan, 1.5):
+        with pytest.raises(ValueError, match="must lie in"):
+            _cfg(xs=(0.5, x))
 
 
 def test_regime_flags_are_enforced() -> None:

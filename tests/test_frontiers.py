@@ -71,6 +71,32 @@ def test_area_above_matches_quadrature() -> None:
     assert got == pytest.approx(quad, abs=1e-9)
 
 
+@pytest.mark.parametrize("b", [0.25, -0.25, 0.7])
+def test_generic_area_above_matches_sine_closed_form(b) -> None:
+    exact = sine_frontier(1.0, b)
+    w = 2.0 * math.pi
+    generic = FrontierSpec(  # no exact capabilities: quadrature and Lipschitz enclosure
+        f=lambda x: 1.0 + b * np.sin(w * np.asarray(x, dtype=float)),
+        m=exact.m,
+        M=exact.M,
+        alpha=1.0,
+        lip=w * abs(b),
+        label="generic-sine",
+    )
+    crest = 0.25 if b > 0.0 else 0.75
+    bump = exact.area_above(crest - 0.05, crest + 0.05, exact.M - 0.01)
+    assert bump > 1e-5
+    for lo, hi, u in (
+        (crest - 0.05, crest + 0.05, exact.M - 0.01),  # interior bump at the crest
+        (0.1, 0.6, exact.m),  # u <= m: the whole strip above u
+        (0.1, 0.6, exact.m - 0.1),
+        (0.1, 0.6, exact.M),  # u >= M: nothing above u
+        (0.1, 0.6, exact.M + 0.1),
+    ):
+        want = exact.area_above(lo, hi, u)
+        assert generic.area_above(lo, hi, u) == pytest.approx(want, abs=1e-9)
+
+
 def test_bounds_are_enforced() -> None:
     with pytest.raises(ValueError):
         FrontierSpec(f=lambda x: np.asarray(x, dtype=float), m=0.0, M=1.0, alpha=1.0, lip=1.0, label="bad")
@@ -120,6 +146,8 @@ def test_parse_frontier_rejects_unknown() -> None:
         parse_frontier("parabola:a=1")
     with pytest.raises(ValueError):
         parse_frontier("affine:a")
+    with pytest.raises(ValueError, match="unexpected keyword"):
+        parse_frontier("constant:b=1")
 
 
 def test_two_level_requires_interior_split() -> None:
