@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -27,17 +28,11 @@ class EstimateBundle:
     cfg: PartitionConfig
 
     def to_json(self) -> str:
-        payload = {
-            "n": self.cfg.n,
-            "h_prime": self.cfg.h_prime,
-            "d_n": self.cfg.d_n,
-            "h_n": self.cfg.h_n,
-            "k_n": self.cfg.k_n,
-            "z_n": self.z_n,
-            "coefficients": list(self.coefficients),
-            "f_hat_values": list(self.f_hat.values),
-        }
-        return json.dumps(payload, indent=2)
+        return json.dumps(self._payload(), indent=2)
+
+    def _payload(self) -> dict:
+        values = {key: attrgetter(attr)(self) for key, attr in _JSON_KEYS}
+        return {k: list(v) if isinstance(v, np.ndarray) else v for k, v in values.items()}
 
     @classmethod
     def from_json(cls, text: str) -> "EstimateBundle":
@@ -45,13 +40,25 @@ class EstimateBundle:
         cfg = PartitionConfig(n=payload["n"], h_prime=payload["h_prime"], d_n=payload["d_n"])
         f_hat = StepFunction.uniform(payload["f_hat_values"])
         z_n = float(payload["z_n"])
-        return cls(
-            f_hat=f_hat,
-            f_tilde=f_hat + z_n,
-            z_n=z_n,
-            coefficients=np.array(payload["coefficients"], dtype=float),
-            cfg=cfg,
-        )
+        coefficients = np.array(payload["coefficients"], dtype=float)
+        bundle = cls(f_hat, f_hat + z_n, z_n, coefficients, cfg)
+        # every key, the derived h_n and k_n included, must read back as it would be written
+        if bundle._payload() != payload:
+            raise ValueError("estimate JSON: a missing or unknown key, or h_n or k_n off its partition")
+        return bundle
+
+
+# the keys of estimate.json, in order, and the bundle attribute each one holds
+_JSON_KEYS = (
+    ("n", "cfg.n"),
+    ("h_prime", "cfg.h_prime"),
+    ("d_n", "cfg.d_n"),
+    ("h_n", "cfg.h_n"),
+    ("k_n", "cfg.k_n"),
+    ("z_n", "z_n"),
+    ("coefficients", "coefficients"),
+    ("f_hat_values", "f_hat.values"),
+)
 
 
 def _check_cfg(stats: CellStats, cfg: PartitionConfig) -> None:

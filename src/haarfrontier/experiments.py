@@ -17,7 +17,7 @@ import numpy as np
 
 from .frontiers import FrontierSpec, parse_frontier
 from .haar import truncated_expansion
-from .kernels import ReplicateTask, sup_grid, systematic_l2_sq
+from .kernels import ReplicateTask, l2_error_sq, require_sup_resolution, sup_error
 from .oracles import ks_statistic, limit_law
 from .process import PartitionConfig
 from .report import ReportRow
@@ -70,15 +70,19 @@ class ExperimentConfig:
         if not all(0.0 <= x <= 1.0 for x in self.xs):
             raise ValueError("evaluation points x must lie in [0, 1]")
 
-    def partition(self, entry) -> PartitionConfig:
-        n, h_prime, d_n = entry
-        return PartitionConfig(n=n, h_prime=h_prime, d_n=d_n)
-
 
 def _require_regimes(cfg: ExperimentConfig, needed) -> None:
     missing = [r for r in needed if r not in cfg.regimes]
     if missing:
         raise ValueError(f"schedule must declare regime flags {missing}")
+
+
+def _partitions(cfg: ExperimentConfig, ok=lambda pc: True, message="") -> list:
+    """The partition of every schedule entry, each checked before any replicate runs."""
+    pcs = [PartitionConfig(n, h_prime, d_n) for n, h_prime, d_n in cfg.schedule]
+    if not all(ok(pc) for pc in pcs):
+        raise ValueError(message)
+    return pcs
 
 
 def _replicates(kind: str, cfg: ExperimentConfig, e: int, pc: PartitionConfig, xs=()):
@@ -146,8 +150,7 @@ def local_bias_experiment(cfg: ExperimentConfig) -> list:
         raise ValueError("local bias experiment needs evaluation points")
     f = parse_frontier(cfg.frontier)
     rows = []
-    for e, entry in enumerate(cfg.schedule):
-        pc = cfg.partition(entry)
+    for e, pc in enumerate(_partitions(cfg)):
         data = _replicates("fhat_zn_at", cfg, e, pc, cfg.xs)
         proj = truncated_expansion(f, pc.h_n)
         shift = pc.k_n / (pc.n * cfg.c)
@@ -169,16 +172,14 @@ def variance_experiment(cfg: ExperimentConfig) -> list:
     _require_regimes(cfg, (REGIME_KN_SMALL, REGIME_N_VS_KN))
     if not cfg.xs:
         raise ValueError("variance experiment needs evaluation points")
+    pcs = _partitions(
+        cfg, lambda pc: pc.d_n == 1 or pc.h_n >= 1,
+        "variance comparator needs h_n >= 1 when d_n > 1",
+    )
     rows = []
-    for e, entry in enumerate(cfg.schedule):
-        pc = cfg.partition(entry)
+    for e, pc in enumerate(pcs):
         nc = pc.n * cfg.c
-        if pc.d_n == 1:
-            comparator_var = pc.k_n**2 / nc**2
-        else:
-            if pc.h_n == 0:
-                raise ValueError("variance comparator needs h_n >= 1 when d_n > 1")
-            comparator_var = pc.k_n * pc.h_n / nc**2
+        comparator_var = (pc.k_n**2 if pc.d_n == 1 else pc.k_n * pc.h_n) / nc**2
         data = _replicates("fhat_zn_at", cfg, e, pc, cfg.xs)
         for j, x in enumerate(cfg.xs):
             rows.append(
@@ -193,12 +194,11 @@ def mise_experiment(cfg: ExperimentConfig) -> list:
     f = parse_frontier(cfg.frontier)
     rows = []
     per_entry = []
-    for e, entry in enumerate(cfg.schedule):
-        pc = cfg.partition(entry)
+    for e, pc in enumerate(_partitions(cfg)):
         data = _replicates("mise", cfg, e, pc)
         stoch_mean, stoch_se = _mean_se(data[:, 0])
         total_mean, total_se = _mean_se(data[:, 1])
-        systematic = systematic_l2_sq(f, pc.h_n)
+        systematic = l2_error_sq(truncated_expansion(f, pc.h_n), f)
         per_entry.append((pc, systematic, total_mean))
         nc = pc.n * cfg.c
         stoch_comp = (pc.k_n**2 + pc.k_n * pc.h_n) / nc**2
@@ -268,13 +268,13 @@ def supnorm_experiment(cfg: ExperimentConfig) -> list:
     """Tail probabilities of the uniform error across the schedule."""
     _require_regimes(cfg, (REGIME_KN_SMALL,))
     f = parse_frontier(cfg.frontier)
+    pcs = _partitions(cfg)
+    for pc in pcs:
+        require_sup_resolution(pc.h_n + 1)
     rows = []
-    for e, entry in enumerate(cfg.schedule):
-        pc = cfg.partition(entry)
+    for e, pc in enumerate(pcs):
         sups = _replicates("sup", cfg, e, pc)[:, 0]
-        grid, fvals, pad = sup_grid(f)
-        proj = truncated_expansion(f, pc.h_n)
-        sys_sup = float(np.max(np.abs(proj(grid) - fvals))) + pad
+        sys_sup = sup_error(truncated_expansion(f, pc.h_n), f)
         nc = pc.n * cfg.c
         for eps in cfg.sup_eps:
             p_hat = float(np.mean(sups > eps))
@@ -301,11 +301,9 @@ def weibull_experiment(cfg: ExperimentConfig) -> list:
         raise ValueError("weibull experiment needs exactly one evaluation point")
     x = cfg.xs[0]
     law = limit_law("weibull_evd")
+    pcs = _partitions(cfg, lambda pc: pc.d_n == 1, "the extreme-value local limit requires d_n = 1")
     rows = []
-    for e, entry in enumerate(cfg.schedule):
-        pc = cfg.partition(entry)
-        if pc.d_n != 1:
-            raise ValueError("the extreme-value local limit requires d_n = 1")
+    for e, pc in enumerate(pcs):
         data = _replicates("weibull", cfg, e, pc, (x,))
         gap = float(np.max(np.abs(data[:, 0] - data[:, 1])))
         rows.append(
@@ -322,17 +320,15 @@ def gumbel_experiment(cfg: ExperimentConfig) -> list:
     """Normalized worst-cell deviation against the Gumbel law (d_n = 1 regime)."""
     _require_regimes(cfg, (REGIME_KN_LOG,))
     law = limit_law("gumbel")
+    pcs = _partitions(cfg, lambda pc: pc.d_n == 1, "the worst-cell limit requires d_n = 1")
     rows = []
-    for e, entry in enumerate(cfg.schedule):
-        pc = cfg.partition(entry)
-        if pc.d_n != 1:
-            raise ValueError("the worst-cell limit requires d_n = 1")
+    for e, pc in enumerate(pcs):
         raw = _replicates("gumbel", cfg, e, pc)[:, 0]
         rate = pc.n * cfg.c / pc.k_n
         normalized = rate * raw - math.log(pc.k_n)
         rows.append(_nonneg_row("gumbel", cfg, pc, "gumbel_nonneg", raw))
         rows.append(_ks_row("gumbel", cfg, pc, None, "ks_gumbel", normalized, law, KS_TOL_GUMBEL))
-        if entry == cfg.schedule[-1]:
+        if pc == pcs[-1]:
             med = float(np.median(normalized))
             med_target = -math.log(math.log(2.0))
             rows.append(
@@ -356,11 +352,9 @@ def gaussian_experiment(cfg: ExperimentConfig) -> list:
     f = parse_frontier(cfg.frontier)
     f_true = f(x)
     law = limit_law("std_normal")
+    pcs = _partitions(cfg, lambda pc: pc.d_n > 1, "the Gaussian normalization presumes d_n > 1")
     rows = []
-    for e, entry in enumerate(cfg.schedule):
-        pc = cfg.partition(entry)
-        if pc.d_n == 1:
-            raise ValueError("the Gaussian normalization presumes d_n > 1")
+    for e, pc in enumerate(pcs):
         data = _replicates("fhat_zn_at", cfg, e, pc, (x,))
         fhat, zn = data[:, 0], data[:, 1]
         nc = pc.n * cfg.c
@@ -397,8 +391,7 @@ def zn_moments_experiment(cfg: ExperimentConfig) -> list:
     """Mean and variance of the minima mean against k_n/(nc) and k_n/(nc)^2."""
     _require_regimes(cfg, (REGIME_KN_SMALL,))
     rows = []
-    for e, entry in enumerate(cfg.schedule):
-        pc = cfg.partition(entry)
+    for e, pc in enumerate(_partitions(cfg)):
         zn = _replicates("fhat_zn_at", cfg, e, pc)[:, -1]
         nc = pc.n * cfg.c
         mean, se = _mean_se(zn)
@@ -424,23 +417,12 @@ class ErrorMetrics:
 def error_metrics(estimate: StepFunction, f: FrontierSpec, xs=()) -> ErrorMetrics:
     """L2, sup, and pointwise distances between a step estimate and the frontier.
 
-    The L2 part is exact piecewise arithmetic against the frontier's
-    integrals; the sup is taken on the 2^-14 grid (plus frontier knots and
-    estimate breakpoints) with the usual Lipschitz padding.
+    The estimate must be a step on 2^j equal blocks, with j <= 14 for the
+    sup; both distances come from the error layer in `kernels`.
     """
-    l2_sq = 0.0
-    bp, vals = estimate.breakpoints, estimate.values
-    for lo, hi, v in zip(bp, bp[1:], vals):
-        l2_sq += v * v * (hi - lo) - 2.0 * v * f.integral(lo, hi) + f.integral_sq(lo, hi)
-    grid, fvals, pad = sup_grid(f)
-    full = np.union1d(grid, bp)
-    if len(full) != len(grid):
-        fv = f(full)
-    else:
-        full, fv = grid, fvals
-    sup = float(np.max(np.abs(estimate(full) - fv))) + pad
     at_points = tuple(abs(estimate(x) - f(x)) for x in xs)
-    return ErrorMetrics(l2=math.sqrt(max(l2_sq, 0.0)), sup=sup, at_points=at_points)
+    l2 = math.sqrt(max(l2_error_sq(estimate, f), 0.0))
+    return ErrorMetrics(l2=l2, sup=sup_error(estimate, f), at_points=at_points)
 
 
 EXPERIMENTS = {

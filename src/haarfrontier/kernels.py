@@ -4,6 +4,10 @@ Each kernel maps one seed to a small vector of replicate statistics. Tasks
 carry only picklable primitives (the frontier travels as its label), so
 chunks of replicates can run in worker processes; per-frontier geometry is
 cached per process.
+
+The error layer is here too: the L2 and sup distances from a step on 2^j
+equal blocks to the frontier, for the kernels, the experiments and
+`error_metrics`.
 """
 
 from __future__ import annotations
@@ -16,8 +20,9 @@ import numpy as np
 
 from .estimators import haar_ev_estimate, minima_mean
 from .frontiers import FrontierSpec, parse_frontier
-from .haar import uniform_cell_index
+from .haar import truncated_expansion, uniform_cell_index
 from .process import PartitionConfig, cell_stats, simulate
+from .stepfun import StepFunction
 
 SUP_GRID_STEP = 2.0**-14
 
@@ -40,22 +45,12 @@ class ReplicateTask:
 def block_moments(f: FrontierSpec, h_n: int) -> tuple:
     """Per-block integrals of f and f^2 on the h_n + 1 dyadic blocks."""
     blocks = h_n + 1
-    integ = np.empty(blocks)
-    integ_sq = np.empty(blocks)
-    for b in range(blocks):
-        lo, hi = b / blocks, (b + 1) / blocks
-        integ[b] = f.integral(lo, hi)
-        integ_sq[b] = f.integral_sq(lo, hi)
+    # the projection's values are blocks * integral, and blocks is a power of two
+    integ = truncated_expansion(f, h_n).values / blocks
+    integ_sq = np.array([f.integral_sq(b / blocks, (b + 1) / blocks) for b in range(blocks)])
     integ.flags.writeable = False
     integ_sq.flags.writeable = False
     return integ, integ_sq
-
-
-def systematic_l2_sq(f: FrontierSpec, h_n: int) -> float:
-    """Exact squared L2 distance between f and its blockwise-mean projection."""
-    integ, integ_sq = block_moments(f, h_n)
-    blocks = h_n + 1
-    return float(np.sum(integ_sq - blocks * integ**2))
 
 
 @functools.lru_cache(maxsize=32)
@@ -70,6 +65,36 @@ def sup_grid(f: FrontierSpec) -> tuple:
     return grid, fvals, pad
 
 
+def _dyadic_blocks(step: StepFunction) -> int:
+    """The number of pieces of a step on 2^j equal blocks; any other step raises."""
+    blocks = len(step.values)
+    equal = np.array_equal(step.breakpoints, np.arange(blocks + 1) / blocks)
+    if blocks & (blocks - 1) or not equal:
+        raise ValueError("the error layer needs a step function on 2^j equal blocks")
+    return blocks
+
+
+def require_sup_resolution(blocks: int) -> None:
+    """Raise unless the sup grid resolves a step on this many equal blocks: at most 2^14."""
+    if blocks * SUP_GRID_STEP > 1.0:
+        raise ValueError("sup grid at step 2^-14 cannot resolve blocks finer than 2^14")
+
+
+def l2_error_sq(step: StepFunction, f: FrontierSpec) -> float:
+    """Exact squared L2 distance between a step on 2^j equal blocks and f."""
+    blocks = _dyadic_blocks(step)
+    integ, integ_sq = block_moments(f, blocks - 1)
+    vals = step.values
+    return float(np.sum(vals**2 / blocks - 2.0 * vals * integ + integ_sq))
+
+
+def sup_error(step: StepFunction, f: FrontierSpec) -> float:
+    """Sup distance between a step on 2^j <= 2^14 equal blocks and f: grid max plus pad."""
+    require_sup_resolution(_dyadic_blocks(step))
+    grid, fvals, pad = sup_grid(f)
+    return float(np.max(np.abs(step(grid) - fvals))) + pad
+
+
 def _stats(f: FrontierSpec, cfg: PartitionConfig, c: float, seed: int):
     return cell_stats(simulate(f, cfg.n, c, seed), cfg, f)
 
@@ -82,23 +107,16 @@ def _kernel_fhat_zn_at(f, cfg, c, xs, seed):
 
 
 def _kernel_mise(f, cfg, c, xs, seed):
-    stats = _stats(f, cfg, c, seed)
+    """Squared L2 distances of the estimate from the projection and from f."""
+    est = haar_ev_estimate(_stats(f, cfg, c, seed), cfg)
     blocks = cfg.h_n + 1
-    vals = haar_ev_estimate(stats, cfg).values
-    integ, integ_sq = block_moments(f, cfg.h_n)
-    proj = blocks * integ
-    stoch_sq = float(np.sum((vals - proj) ** 2)) / blocks
-    total_sq = float(np.sum(vals**2 / blocks - 2.0 * vals * integ + integ_sq))
-    return np.array([stoch_sq, total_sq])
+    proj = blocks * block_moments(f, cfg.h_n)[0]
+    stoch_sq = float(np.sum((est.values - proj) ** 2)) / blocks
+    return np.array([stoch_sq, l2_error_sq(est, f)])
 
 
 def _kernel_sup(f, cfg, c, xs, seed):
-    if cfg.h_prime > 14:
-        raise ValueError("sup grid at step 2^-14 cannot resolve blocks finer than 2^14")
-    stats = _stats(f, cfg, c, seed)
-    est = haar_ev_estimate(stats, cfg)
-    grid, fvals, pad = sup_grid(f)
-    return np.array([float(np.max(np.abs(est(grid) - fvals))) + pad])
+    return np.array([sup_error(haar_ev_estimate(_stats(f, cfg, c, seed), cfg), f)])
 
 
 def _kernel_weibull(f, cfg, c, xs, seed):

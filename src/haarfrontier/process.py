@@ -12,7 +12,8 @@ any resolution.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -118,18 +119,17 @@ class PointSample:
             }
             if fh.readline().strip() != "x,y":
                 raise ValueError("malformed sample file: expected 'x,y' column header")
-            xs, ys = [], []
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
+            with warnings.catch_warnings():
+                # an empty data section is a sample of 0 points, not a warning
+                warnings.simplefilter("ignore", UserWarning)
                 try:
-                    sx, sy = line.split(",")
-                except ValueError:
-                    raise ValueError(f"malformed sample row {line!r}; expected x,y") from None
-                xs.append(float(sx))
-                ys.append(float(sy))
-        return cls(xs=np.array(xs, dtype=float), ys=np.array(ys, dtype=float), **meta)
+                    rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                except ValueError as err:
+                    raise ValueError(f"malformed sample row: {err}; expected x,y") from None
+        if len(rows) and rows.shape[1] != 2:
+            raise ValueError(f"malformed sample row: {rows.shape[1]} fields; expected x,y")
+        xs, ys = rows.reshape(-1, 2).T
+        return cls(xs=xs, ys=ys, **meta)
 
 
 def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
@@ -190,7 +190,7 @@ class CellStats:
 
     def __post_init__(self):
         k = self.cfg.k_n
-        for name in ("counts", "x_star", "z_star", "cell_areas", "f_min", "f_max"):
+        for name in (field.name for field in fields(self) if field.name != "cfg"):
             arr = np.asarray(getattr(self, name))
             if arr.shape != (k,):
                 raise ValueError(f"{name} must have one entry per cell")
@@ -227,7 +227,7 @@ def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> Ce
     if sample.n != cfg.n:
         raise ValueError("sample and partition disagree on n")
     k = cfg.k_n
-    lam, f_min, f_max = _cell_geometry(f, k)
+    cell_areas, f_min, f_max = _cell_geometry(f, k)
     xs, ys = sample.xs, sample.ys
     total = len(xs)
     edges = np.arange(1, k) / k
@@ -245,12 +245,4 @@ def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> Ce
         occupied = counts > 0
         x_star[occupied] = maxs[occupied]
         z_star[occupied] = mins[occupied]
-    return CellStats(
-        counts=counts,
-        x_star=x_star,
-        z_star=z_star,
-        cell_areas=lam.copy(),
-        f_min=f_min.copy(),
-        f_max=f_max.copy(),
-        cfg=cfg,
-    )
+    return CellStats(counts, x_star, z_star, cell_areas, f_min, f_max, cfg)

@@ -109,8 +109,16 @@ def test_estimate_rejects_invalid_values(tmp_path, capsys) -> None:
         # after the frontier, an extra key reads as a frontier parameter
         ("n=4,c=1.0,seed=0,frontier=constant:a=1.0,run=3\nx,y\n0.1,0.5\n", "malformed frontier"),
         ("n=4,c=1.0,seed=0,frontier=constant:a=1.0\nx,y\n0.1,0.5,0.2\n", "malformed sample row"),
+        # well formed, but a point lies above the frontier the header names
+        (
+            "n=4,c=1.0,seed=0,frontier=constant:a=1.0\nx,y\n0.1,0.5\n0.6,1.5\n",
+            "escape the frontier enclosure",
+        ),
     ],
-    ids=["missing-header-key", "extra-header-key", "extra-key-after-frontier", "three-field-row"],
+    ids=[
+        "missing-header-key", "extra-header-key", "extra-key-after-frontier", "three-field-row",
+        "point-above-frontier",
+    ],
 )
 def test_estimate_rejects_malformed_sample_file(tmp_path, capsys, text, message) -> None:
     sample = tmp_path / "sample.csv"

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -197,6 +198,19 @@ def test_bundle_json_round_trip() -> None:
     np.testing.assert_array_equal(back.f_hat.values, bundle.f_hat.values)
     np.testing.assert_array_equal(back.coefficients, bundle.coefficients)
     np.testing.assert_array_equal(back.f_tilde.values, bundle.f_tilde.values)
+
+
+@pytest.mark.parametrize(
+    "key, value", [("k_n", 99), ("h_n", 7), ("extra", 1)], ids=["k_n", "h_n", "extra-key"]
+)
+def test_bundle_json_rejects_what_it_would_not_write(key, value) -> None:
+    cfg = PartitionConfig(n=150, h_prime=2, d_n=2)
+    f = constant_frontier(1.0)
+    stats = cell_stats(simulate(f, 150, 1.0, 8), cfg, f)
+    payload = json.loads(corrected_estimate(stats, cfg).to_json())
+    payload[key] = value
+    with pytest.raises(ValueError, match="unknown key, or h_n or k_n off"):
+        EstimateBundle.from_json(json.dumps(payload))
 
 
 @settings(max_examples=40, deadline=None)

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from haarfrontier import experiments
 from haarfrontier.experiments import (
     REGIME_HN_SMALL,
     REGIME_KN_LOG,
@@ -282,6 +283,38 @@ def test_gaussian_rejects_single_cell_blocks() -> None:
     cfg = _cfg(schedule=((4096, 4, 1),), regimes=GAUSS_REGIMES)
     with pytest.raises(ValueError):
         gaussian_experiment(cfg)
+
+
+WEIBULL_REGIMES = (REGIME_KN_SUBLINEAR, REGIME_N_VS_KN)
+VARIANCE_REGIMES = (REGIME_KN_SMALL, REGIME_N_VS_KN)
+
+
+@pytest.mark.parametrize(
+    "experiment, good, bad, regimes, message",
+    [
+        (weibull_experiment, (500, 7, 1), (500, 4, 2), WEIBULL_REGIMES, "d_n = 1"),
+        (gumbel_experiment, (500, 6, 1), (500, 3, 2), (REGIME_KN_LOG,), "d_n = 1"),
+        (gaussian_experiment, (4096, 4, 64), (4096, 4, 1), GAUSS_REGIMES, "d_n > 1"),
+        (variance_experiment, (500, 4, 4), (500, 0, 4), VARIANCE_REGIMES, "h_n >= 1"),
+        (supnorm_experiment, (500, 3, 2), (500, 15, 1), (REGIME_KN_SMALL,), "2\\^14"),
+        (zn_moments_experiment, (500, 4, 1), (0, 4, 1), (REGIME_KN_SMALL,), "n must be"),
+    ],
+    ids=["weibull", "gumbel", "gaussian", "variance", "supnorm", "zn_moments"],
+)
+def test_bad_schedule_entry_raises_before_any_replicate(
+    monkeypatch, experiment, good, bad, regimes, message
+) -> None:
+    calls = []
+
+    def fake_run_task(task, replicates, seed, workers):
+        calls.append(task)
+        return np.zeros((replicates, 4))
+
+    monkeypatch.setattr(experiments, "run_task", fake_run_task)
+    cfg = _cfg(schedule=(good, bad), regimes=regimes, replicates=10)
+    with pytest.raises(ValueError, match=message):
+        experiment(cfg)
+    assert calls == []
 
 
 def test_zn_moments_small() -> None:

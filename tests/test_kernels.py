@@ -1,0 +1,43 @@
+import numpy as np
+import pytest
+
+from haarfrontier.experiments import error_metrics
+from haarfrontier.frontiers import constant_frontier, parse_frontier
+from haarfrontier.haar import truncated_expansion
+from haarfrontier.kernels import l2_error_sq, sup_error
+from haarfrontier.stepfun import StepFunction
+
+OFF_DYADIC = {
+    "three-equal-blocks": StepFunction.uniform([1.0, 1.0, 1.0]),
+    "two-unequal-blocks": StepFunction(np.array([0.0, 0.3, 1.0]), np.array([1.0, 1.0])),
+}
+
+
+@pytest.mark.parametrize("step", OFF_DYADIC.values(), ids=OFF_DYADIC.keys())
+def test_error_layer_rejects_steps_off_dyadic_blocks(step) -> None:
+    f = constant_frontier(1.0)
+    for distance in (l2_error_sq, sup_error, error_metrics):
+        with pytest.raises(ValueError, match="2\\^j equal blocks"):
+            distance(step, f)
+
+
+def test_sup_error_resolves_at_most_2_to_the_14_blocks() -> None:
+    f = constant_frontier(1.0)
+    assert sup_error(StepFunction.uniform(np.full(2**14, 0.75)), f) == 0.25
+    with pytest.raises(ValueError, match="2\\^14"):
+        sup_error(StepFunction.uniform(np.ones(2**15)), f)
+
+
+@pytest.mark.parametrize(
+    "label", ["constant:a=1.0", "affine:a=1.0,b=0.5", "sine:a=1.0,b=0.25", "two_level"]
+)
+@pytest.mark.parametrize("h_prime", [0, 3, 7])
+def test_projection_l2_error_is_the_block_moment_identity(label, h_prime) -> None:
+    # reference: f minus its block means, squared, is sum over blocks of I2_b - B * I_b^2
+    f = parse_frontier(label)
+    blocks = 2**h_prime
+    lo, hi = np.arange(blocks) / blocks, np.arange(1, blocks + 1) / blocks
+    integ = np.array([f.integral(a, b) for a, b in zip(lo, hi)])
+    integ_sq = np.array([f.integral_sq(a, b) for a, b in zip(lo, hi)])
+    reference = float(np.sum(integ_sq - blocks * integ**2))
+    assert l2_error_sq(truncated_expansion(f, blocks - 1), f) == reference

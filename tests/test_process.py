@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from haarfrontier.frontiers import FrontierSpec, constant_frontier, sine_frontier
-from haarfrontier.process import PartitionConfig, PointSample, cell_stats, simulate
+from haarfrontier.process import CellStats, PartitionConfig, PointSample, cell_stats, simulate
 
 # 99.9th percentile of chi-squared with 15 degrees of freedom
 _CHI2_15_999 = 37.6973
@@ -114,6 +115,32 @@ def test_point_sample_csv_round_trip(tmp_path) -> None:
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_point_sample_csv_reads_shortest_repr_floats_exactly(tmp_path) -> None:
+    xs = np.array([0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 1.0 - 2.0**-53, 1.0])
+    ys = np.array([1e-300, 3.0, 0.30000000000000004, 5e-324, 1.7976931348623157e308, 0.0, 7.0])
+    path = tmp_path / "sample.csv"
+    PointSample(xs, ys, n=7, c=1.0, seed=0, frontier_label="constant:a=1.0").to_csv(path)
+    # reference: one float() per field, as the reader did before it was vectorised
+    rows = [line.split(",") for line in path.read_text().splitlines()[2:]]
+    expected = np.array([[float(field) for field in row] for row in rows])
+    back = PointSample.from_csv(path)
+    got = np.column_stack([back.xs, back.ys])
+    assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def test_point_sample_csv_empty_data_and_one_field_rows(tmp_path) -> None:
+    path = tmp_path / "sample.csv"
+    header = "n=4,c=1.0,seed=0,frontier=constant:a=1.0\nx,y\n"
+    path.write_text(header + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(PointSample.from_csv(path)) == 0
+    # every row one field short is as malformed as one row a field too long
+    path.write_text(header + "0.1\n0.2\n")
+    with pytest.raises(ValueError, match="malformed sample row"):
+        PointSample.from_csv(path)
+
+
 def test_point_sample_sorts_rows_by_x() -> None:
     xs = np.array([0.6, 0.1, 0.9, 0.3])
     ys = np.array([0.8, 0.5, 0.3, 0.2])
@@ -170,6 +197,49 @@ def test_cell_stats_oracle_fields_flat_frontier() -> None:
     np.testing.assert_allclose(stats.cell_areas, 0.25, atol=1e-14)
     np.testing.assert_allclose(stats.f_min, 1.0, atol=1e-14)
     np.testing.assert_allclose(stats.f_max, 1.0, atol=1e-14)
+
+
+def _cell_record(**changes) -> dict:
+    """A valid two-cell CellStats record under the flat frontier at height 1, then changes."""
+    record = dict(
+        counts=np.array([1, 2]),
+        x_star=np.array([0.5, 0.9]),
+        z_star=np.array([0.5, 0.2]),
+        cell_areas=np.array([0.5, 0.5]),
+        f_min=np.ones(2),
+        f_max=np.ones(2),
+        cfg=PartitionConfig(n=4, h_prime=1, d_n=1),
+    )
+    record.update(changes)
+    return record
+
+
+def test_cell_stats_rejects_inconsistent_records() -> None:
+    CellStats(**_cell_record())
+    with pytest.raises(ValueError, match="z_star <= x_star"):
+        CellStats(**_cell_record(z_star=np.array([0.6, 0.2])))
+    with pytest.raises(ValueError, match="cell areas inconsistent"):
+        CellStats(**_cell_record(cell_areas=np.array([0.5, 0.6])))
+    with pytest.raises(ValueError, match="escape the frontier enclosure"):
+        CellStats(**_cell_record(x_star=np.array([0.5, 1.1])))
+
+
+@pytest.mark.parametrize("name", ["counts", "x_star", "z_star", "cell_areas", "f_min", "f_max"])
+def test_cell_stats_checks_every_array_field(name) -> None:
+    record = _cell_record()
+    record[name] = np.append(record[name], record[name][-1])
+    with pytest.raises(ValueError, match=f"{name} must have one entry per cell"):
+        CellStats(**record)
+
+
+def test_cell_stats_shares_the_cached_read_only_geometry() -> None:
+    f = constant_frontier(1.0)
+    cfg = PartitionConfig(n=16, h_prime=2, d_n=1)
+    a = cell_stats(simulate(f, 16, 1.0, 1), cfg, f)
+    b = cell_stats(simulate(f, 16, 1.0, 2), cfg, f)
+    for name in ("cell_areas", "f_min", "f_max"):
+        assert getattr(a, name) is getattr(b, name)
+        assert not getattr(a, name).flags.writeable
 
 
 def test_cell_stats_requires_matching_n() -> None:
