@@ -328,7 +328,7 @@ def gumbel_experiment(cfg: ExperimentConfig) -> list:
         normalized = rate * raw - math.log(pc.k_n)
         rows.append(_nonneg_row("gumbel", cfg, pc, "gumbel_nonneg", raw))
         rows.append(_ks_row("gumbel", cfg, pc, None, "ks_gumbel", normalized, law, KS_TOL_GUMBEL))
-        if pc == pcs[-1]:
+        if e == len(pcs) - 1:
             med = float(np.median(normalized))
             med_target = -math.log(math.log(2.0))
             rows.append(

@@ -46,10 +46,6 @@ class PartitionConfig:
     def k_n(self) -> int:
         return self.d_n * (self.h_n + 1)
 
-    def cell_centers(self) -> np.ndarray:
-        k = self.k_n
-        return (2.0 * np.arange(1, k + 1) - 1.0) / (2.0 * k)
-
     def cell_bounds(self, r: int) -> tuple:
         """Bounds of cell r (1-based)."""
         if not 1 <= r <= self.k_n:

@@ -9,10 +9,16 @@ import numpy as np
 from haarfrontier.haar import dirichlet_kernel, haar_eval
 
 
+def cell_centers(cfg):
+    """Midpoints of the k_n cells of the partition."""
+    k = cfg.k_n
+    return (2.0 * np.arange(1, k + 1) - 1.0) / (2.0 * k)
+
+
 def haar_ev_estimate_at(stats, cfg, x):
     """Kernel-sum form of the block-mean estimator, evaluated at x."""
     assert stats.cfg == cfg, "statistics were not produced under this partition"
-    centers = cfg.cell_centers()
+    centers = cell_centers(cfg)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty(len(x_arr))
     for j, xv in enumerate(x_arr):
@@ -21,6 +27,16 @@ def haar_ev_estimate_at(stats, cfg, x):
     if np.ndim(x) == 0:
         return float(out[0])
     return out
+
+
+def coefficient_estimates_riemann(stats, cfg):
+    """Riemann-sum estimates of the first h_n + 1 Haar coefficients, one Haar function at a time."""
+    assert stats.cfg == cfg, "statistics were not produced under this partition"
+    centers = cell_centers(cfg)
+    coeffs = np.empty(cfg.h_n + 1)
+    for i in range(cfg.h_n + 1):
+        coeffs[i] = float(np.dot(haar_eval(i, centers), stats.x_star)) / cfg.k_n
+    return coeffs
 
 
 def dirichlet_kernel_sum(h_n: int, x: float, y: float) -> float:

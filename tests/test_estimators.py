@@ -15,11 +15,16 @@ from haarfrontier.estimators import (
     minima_mean,
     oracle_corrected_estimate,
 )
-from haarfrontier.frontiers import affine_frontier, constant_frontier
-from haarfrontier.haar import haar_eval, truncated_expansion, uniform_cell_index
+from haarfrontier.frontiers import (
+    affine_frontier,
+    constant_frontier,
+    sine_frontier,
+    two_level_frontier,
+)
+from haarfrontier.haar import haar_coefficient, haar_eval, truncated_expansion, uniform_cell_index
 from haarfrontier.process import CellStats, PartitionConfig, PointSample, cell_stats, simulate
 
-from crosschecks import haar_ev_estimate_at
+from crosschecks import coefficient_estimates_riemann, haar_ev_estimate_at
 
 
 def synthetic_stats(cfg: PartitionConfig, maxima, minima=None) -> CellStats:
@@ -98,6 +103,14 @@ def test_geffroy_rejects_grouped_cells() -> None:
         geffroy_estimate(stats, cfg)
 
 
+@pytest.mark.parametrize("estimate", [haar_ev_estimate, coefficient_estimates, corrected_estimate])
+def test_estimates_reject_stats_of_another_partition(estimate) -> None:
+    # same k_n, so only the partition check tells the two apart
+    stats = synthetic_stats(PartitionConfig(n=10, h_prime=1, d_n=2), [0.5, 0.9, 0.7, 0.1])
+    with pytest.raises(ValueError, match="not produced under this partition"):
+        estimate(stats, PartitionConfig(n=10, h_prime=2, d_n=1))
+
+
 def test_coefficient_estimates_two_cells() -> None:
     cfg = PartitionConfig(n=10, h_prime=1, d_n=1)  # k_n = 2
     u, v = 0.8, 0.3
@@ -123,6 +136,34 @@ def test_coefficient_reconstruction_identity() -> None:
     for x in rng.random(1000):
         series = sum(coeffs[i] * haar_eval(i, x) for i in range(len(coeffs)))
         assert abs(series - est(x)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "f", [sine_frontier(1.0, 0.25), two_level_frontier()], ids=["sine", "two_level"]
+)
+@pytest.mark.parametrize("h_prime,d_n", [(0, 1), (0, 5), (1, 1), (2, 3), (5, 4), (10, 1)])
+def test_coefficient_pyramid_matches_riemann_sum(f, h_prime, d_n) -> None:
+    cfg = PartitionConfig(n=2000, h_prime=h_prime, d_n=d_n)
+    stats = cell_stats(simulate(f, cfg.n, 1.0, 31 + h_prime + d_n), cfg, f)
+    fast = coefficient_estimates(stats, cfg)
+    slow = coefficient_estimates_riemann(stats, cfg)
+    assert fast.shape == slow.shape == (cfg.h_n + 1,)
+    assert np.max(np.abs(fast - slow)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "f",
+    [affine_frontier(1.0, 0.5), sine_frontier(1.0, 0.25), two_level_frontier()],
+    ids=["affine", "sine", "two_level"],
+)
+@pytest.mark.parametrize("h_prime,d_n", [(0, 2), (3, 1), (6, 3)])
+def test_coefficients_of_block_means_are_haar_coefficients(f, h_prime, d_n) -> None:
+    cfg = PartitionConfig(n=100, h_prime=h_prime, d_n=d_n)
+    # every cell of a block holds the block mean of f, so the block means are the projection
+    maxima = np.repeat(truncated_expansion(f, cfg.h_n).values, d_n)
+    coeffs = coefficient_estimates(synthetic_stats(cfg, maxima), cfg)
+    exact = [haar_coefficient(f, i) for i in range(cfg.h_n + 1)]
+    np.testing.assert_allclose(coeffs, exact, rtol=0, atol=1e-12)
 
 
 def test_minima_mean_examples() -> None:

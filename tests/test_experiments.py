@@ -238,6 +238,14 @@ def test_gumbel_small_schedule() -> None:
     assert abs(by_stat["gumbel_median"].estimate + math.log(math.log(2.0))) <= 0.15
 
 
+def test_gumbel_median_row_once_for_a_repeated_entry() -> None:
+    cfg = _cfg(schedule=((2000, 5, 1), (2000, 5, 1)), replicates=20, regimes=(REGIME_KN_LOG,))
+    stats = [r.statistic for r in gumbel_experiment(cfg)]
+    assert stats.count("gumbel_median") == 1
+    assert stats.count("ks_gumbel") == 2
+    assert stats[-1] == "gumbel_median"
+
+
 def test_gumbel_rejects_grouped_cells() -> None:
     cfg = _cfg(schedule=((500, 3, 2),), regimes=(REGIME_KN_LOG,))
     with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ import pytest
 from haarfrontier.frontiers import FrontierSpec, constant_frontier, sine_frontier
 from haarfrontier.process import CellStats, PartitionConfig, PointSample, cell_stats, simulate
 
+from crosschecks import cell_centers
+
 # 99.9th percentile of chi-squared with 15 degrees of freedom
 _CHI2_15_999 = 37.6973
 
@@ -15,7 +17,7 @@ def test_partition_config_fields() -> None:
     pc = PartitionConfig(n=4096, h_prime=4, d_n=16)
     assert pc.h_n == 15
     assert pc.k_n == 256
-    centers = pc.cell_centers()
+    centers = cell_centers(pc)
     assert centers[0] == pytest.approx(1.0 / 512.0)
     assert centers[-1] == pytest.approx(511.0 / 512.0)
     assert pc.cell_bounds(1) == (0.0, 1.0 / 256.0)
