@@ -219,8 +219,8 @@ def main(argv=None) -> int:
             return _cmd_experiment(args)
         if args.command == "list-presets":
             return _cmd_list_presets()
-    except (ValueError, OSError) as exc:
-        print(f"haarfrontier: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"haarfrontier: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return USAGE_ERROR
     return USAGE_ERROR
 

@@ -22,17 +22,34 @@ from .quadrature import adaptive_simpson
 _CHECK_KEY = 0xF2011EA5EED
 
 
+def _float_or_array(v):
+    """A float for a 0-d result, else a float array."""
+    out = np.asarray(v, dtype=float)
+    return float(out) if out.ndim == 0 else out
+
+
+def _at_ends(g, lo, hi):
+    """(g(lo), g(hi)), with one call of g per edge when the ends tile a partition."""
+    if getattr(lo, "ndim", 0) == getattr(hi, "ndim", 0) == 1 and np.array_equal(lo[1:], hi[:-1]):
+        at = g(np.append(lo, hi[-1:]))
+        return at[:-1], at[1:]
+    return g(lo), g(hi)
+
+
 @dataclass(frozen=True, eq=False)
 class FrontierSpec:
+    """exact_integral, exact_integral_sq and exact_range are elementwise in the interval ends:
+    scalar ends give a scalar (a pair for the range), ends of shape (k,) arrays of shape (k,)."""
+
     f: Callable[[np.ndarray], np.ndarray]
     m: float
     M: float
     alpha: float
     lip: float
     label: str
-    exact_integral: Optional[Callable[[float, float], float]] = None
-    exact_integral_sq: Optional[Callable[[float, float], float]] = None
-    exact_range: Optional[Callable[[float, float], tuple]] = None
+    exact_integral: Optional[Callable] = None
+    exact_integral_sq: Optional[Callable] = None
+    exact_range: Optional[Callable] = None
     exact_area_above: Optional[Callable[[float, float, float], float]] = None
     knots: tuple = field(default=())
 
@@ -65,36 +82,37 @@ class FrontierSpec:
             return float(out)
         return out
 
-    def integral(self, lo: float, hi: float) -> float:
-        """Integral of f over [lo, hi], exact when available."""
-        if self.exact_integral is not None:
-            return float(self.exact_integral(lo, hi))
-        return adaptive_simpson(lambda t: float(self.f(t)), lo, hi)
+    def integral(self, lo, hi):
+        """Integral of f over [lo, hi], exact when available; elementwise over arrays of ends."""
+        return _float_or_array((self.exact_integral or self._quadrature(1))(lo, hi))
 
-    def integral_sq(self, lo: float, hi: float) -> float:
-        """Integral of f^2 over [lo, hi], exact when available."""
-        if self.exact_integral_sq is not None:
-            return float(self.exact_integral_sq(lo, hi))
-        return adaptive_simpson(lambda t: float(self.f(t)) ** 2, lo, hi)
+    def integral_sq(self, lo, hi):
+        """Integral of f^2 over [lo, hi], exact when available; elementwise over arrays of ends."""
+        return _float_or_array((self.exact_integral_sq or self._quadrature(2))(lo, hi))
 
-    def range_on(self, lo: float, hi: float, tol: float = 1e-8) -> tuple:
-        """Enclosure (min, max) of f over [lo, hi], tight to within tol.
+    def _quadrature(self, power: int):
+        """Adaptive Simpson for the integral of f**power, looped over arrays of ends."""
+        return np.vectorize(
+            lambda lo, hi: adaptive_simpson(lambda t: float(self.f(t)) ** power, lo, hi), otypes="d"
+        )
+
+    def range_on(self, lo, hi, tol: float = 1e-8) -> tuple:
+        """Enclosure (min, max) of f over [lo, hi], tight to within tol; elementwise over arrays.
 
         Exact when the frontier declares a range capability; otherwise a
         Lipschitz branch-and-bound seeded on a 64-point grid, which reaches
         the tolerance in logarithmically many splits per local extremum.
         """
         if self.exact_range is not None:
-            mn, mx = self.exact_range(lo, hi)
-            return float(mn), float(mx)
+            return tuple(map(_float_or_array, self.exact_range(lo, hi)))
         if not math.isfinite(self.lip):
             raise ValueError(
                 f"frontier {self.label!r} has no exact range and an unbounded "
                 "Lipschitz constant; cannot enclose cell extrema"
             )
-        hi_bound = self._lipschitz_extreme(lo, hi, tol, sign=1.0)
-        lo_bound = -self._lipschitz_extreme(lo, hi, tol, sign=-1.0)
-        return lo_bound, hi_bound
+        ub = self._lipschitz_extreme
+        enclose = np.vectorize(lambda a, b: (-ub(a, b, tol, -1.0), ub(a, b, tol, 1.0)), otypes="dd")
+        return tuple(map(_float_or_array, enclose(lo, hi)))
 
     def _lipschitz_extreme(self, lo: float, hi: float, tol: float, sign: float) -> float:
         """Upper bound on max of sign*f over [lo, hi], within tol of the true max."""
@@ -151,7 +169,7 @@ def constant_frontier(a: float = 1.0) -> FrontierSpec:
         label=f"constant:a={a!r}",
         exact_integral=lambda lo, hi: a * (hi - lo),
         exact_integral_sq=lambda lo, hi: a * a * (hi - lo),
-        exact_range=lambda lo, hi: (a, a),
+        exact_range=lambda lo, hi: (np.full(np.shape(hi - lo), a), np.full(np.shape(hi - lo), a)),
         exact_area_above=lambda lo, hi, u: max(a - u, 0.0) * (hi - lo),
     )
 
@@ -160,17 +178,18 @@ def affine_frontier(a: float = 1.0, b: float = 0.5) -> FrontierSpec:
     """Frontier f(x) = a + b*x."""
     a, b = float(a), float(b)
 
-    def integ(lo: float, hi: float) -> float:
+    def integ(lo, hi):
         return a * (hi - lo) + 0.5 * b * (hi * hi - lo * lo)
 
-    def integ_sq(lo: float, hi: float) -> float:
+    def integ_sq(lo, hi):
         if b == 0.0:
             return a * a * (hi - lo)
-        return ((a + b * hi) ** 3 - (a + b * lo) ** 3) / (3.0 * b)
+        # float_power is libm's pow, as for Python floats, on arrays too
+        return (np.float_power(a + b * hi, 3) - np.float_power(a + b * lo, 3)) / (3.0 * b)
 
-    def rng(lo: float, hi: float) -> tuple:
+    def rng(lo, hi) -> tuple:
         va, vb = a + b * lo, a + b * hi
-        return (min(va, vb), max(va, vb))
+        return (np.minimum(va, vb), np.maximum(va, vb))
 
     def above(lo: float, hi: float, u: float) -> float:
         fl, fh = a + b * lo - u, a + b * hi - u
@@ -200,20 +219,24 @@ def sine_frontier(a: float = 1.0, b: float = 0.25) -> FrontierSpec:
     a, b = float(a), float(b)
     w = 2.0 * math.pi
 
-    def integ(lo: float, hi: float) -> float:
-        return a * (hi - lo) - b * (math.cos(w * hi) - math.cos(w * lo)) / w
+    def integ(lo, hi):
+        cos_lo, cos_hi = _at_ends(lambda x: np.cos(w * x), lo, hi)
+        return a * (hi - lo) - b * (cos_hi - cos_lo) / w
 
-    def integ_sq(lo: float, hi: float) -> float:
-        lin = -2.0 * a * b * (math.cos(w * hi) - math.cos(w * lo)) / w
-        sq = 0.5 * (hi - lo) - (math.sin(2 * w * hi) - math.sin(2 * w * lo)) / (4.0 * w)
+    def integ_sq(lo, hi):
+        cos_lo, cos_hi = _at_ends(lambda x: np.cos(w * x), lo, hi)
+        sin_lo, sin_hi = _at_ends(lambda x: np.sin(2 * w * x), lo, hi)
+        lin = -2.0 * a * b * (cos_hi - cos_lo) / w
+        sq = 0.5 * (hi - lo) - (sin_hi - sin_lo) / (4.0 * w)
         return a * a * (hi - lo) + lin + b * b * sq
 
-    def rng(lo: float, hi: float) -> tuple:
-        cand = [a + b * math.sin(w * lo), a + b * math.sin(w * hi)]
-        for crit in (0.25, 0.75):
-            if lo < crit < hi:
-                cand.append(a + b * math.sin(w * crit))
-        return (min(cand), max(cand))
+    def rng(lo, hi) -> tuple:
+        f_lo, f_hi = _at_ends(lambda x: a + b * np.sin(w * x), lo, hi)
+        mn, mx = np.asarray(np.minimum(f_lo, f_hi)), np.asarray(np.maximum(f_lo, f_hi))
+        peak, dip = (0.25, 0.75) if b >= 0.0 else (0.75, 0.25)  # where f is largest, smallest
+        np.putmask(mx, (lo < peak) & (peak < hi), a + abs(b))
+        np.putmask(mn, (lo < dip) & (dip < hi), a - abs(b))
+        return (mn, mx)
 
     def above(lo: float, hi: float, u: float) -> float:
         if b == 0.0:
@@ -252,22 +275,19 @@ def two_level_frontier(lo: float = 0.8, hi: float = 1.2, split: float = 0.5) -> 
     if not 0.0 < split < 1.0:
         raise ValueError("split must be interior to (0, 1)")
 
-    def piece_overlap(seg_lo: float, seg_hi: float, a: float, b: float) -> float:
-        return max(min(b, seg_hi) - max(a, seg_lo), 0.0)
+    def piece_overlap(seg_lo, seg_hi, a, b):
+        return np.maximum(np.minimum(b, seg_hi) - np.maximum(a, seg_lo), 0.0)
 
-    def integ(a: float, b: float) -> float:
+    def integ(a, b):
         return lo_val * piece_overlap(0.0, split, a, b) + hi_val * piece_overlap(split, 1.0, a, b)
 
-    def integ_sq(a: float, b: float) -> float:
+    def integ_sq(a, b):
         return lo_val**2 * piece_overlap(0.0, split, a, b) + hi_val**2 * piece_overlap(split, 1.0, a, b)
 
-    def rng(a: float, b: float) -> tuple:
-        vals = []
-        if a < split:
-            vals.append(lo_val)
-        if b > split or b == 1.0 or a >= split:
-            vals.append(hi_val)
-        return (min(vals), max(vals))
+    def rng(a, b) -> tuple:
+        one = np.where(a < split, lo_val, hi_val)
+        other = np.where((b > split) | (b == 1.0) | (a >= split), hi_val, lo_val)
+        return (np.minimum(one, other), np.maximum(one, other))
 
     def above(a: float, b: float, u: float) -> float:
         return max(lo_val - u, 0.0) * piece_overlap(0.0, split, a, b) + max(

@@ -118,10 +118,8 @@ def dirichlet_kernel(h_n: int, x, y):
 def truncated_expansion(f: FrontierSpec, h_n: int) -> StepFunction:
     """Projection of f onto the first h_n + 1 Haar functions: blockwise means."""
     blocks = _require_dyadic(h_n)
-    vals = np.empty(blocks)
-    for b in range(blocks):
-        vals[b] = blocks * f.integral(b / blocks, (b + 1) / blocks)
-    return StepFunction.uniform(vals)
+    edges = np.arange(blocks + 1) / blocks
+    return StepFunction.uniform(blocks * f.integral(edges[:-1], edges[1:]))
 
 
 def haar_coefficient(f: FrontierSpec, i: int) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .estimators import haar_ev_estimate, minima_mean
 from .frontiers import FrontierSpec, parse_frontier
-from .haar import truncated_expansion, uniform_cell_index
+from .haar import uniform_cell_index
 from .process import PartitionConfig, cell_stats, simulate
 from .stepfun import StepFunction
 
@@ -44,10 +44,8 @@ class ReplicateTask:
 @functools.lru_cache(maxsize=64)
 def block_moments(f: FrontierSpec, h_n: int) -> tuple:
     """Per-block integrals of f and f^2 on the h_n + 1 dyadic blocks."""
-    blocks = h_n + 1
-    # the projection's values are blocks * integral, and blocks is a power of two
-    integ = truncated_expansion(f, h_n).values / blocks
-    integ_sq = np.array([f.integral_sq(b / blocks, (b + 1) / blocks) for b in range(blocks)])
+    edges = np.arange(h_n + 2) / (h_n + 1)
+    integ, integ_sq = f.integral(edges[:-1], edges[1:]), f.integral_sq(edges[:-1], edges[1:])
     integ.flags.writeable = False
     integ_sq.flags.writeable = False
     return integ, integ_sq

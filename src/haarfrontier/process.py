@@ -205,17 +205,11 @@ class CellStats:
 
 @functools.lru_cache(maxsize=2)
 def _cell_geometry(f: FrontierSpec, k_n: int) -> tuple:
-    lam = np.empty(k_n)
-    f_min = np.empty(k_n)
-    f_max = np.empty(k_n)
-    for r in range(k_n):
-        lo, hi = r / k_n, (r + 1) / k_n
-        lam[r] = f.integral(lo, hi)
-        f_min[r], f_max[r] = f.range_on(lo, hi)
-    lam.flags.writeable = False
-    f_min.flags.writeable = False
-    f_max.flags.writeable = False
-    return lam, f_min, f_max
+    edges = np.arange(k_n + 1) / k_n
+    geometry = (f.integral(edges[:-1], edges[1:]), *f.range_on(edges[:-1], edges[1:]))
+    for arr in geometry:
+        arr.flags.writeable = False
+    return geometry
 
 
 def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> CellStats:

@@ -1,12 +1,43 @@
 """Independent reference forms that the tests compare the package against.
 
 Each one computes a quantity the package computes in closed or block form,
-but by its defining sum, so agreement checks the faster form.
+but by its defining sum, so agreement checks the faster form. The frontiers
+those comparisons run on are listed here too.
 """
 
 import numpy as np
 
+from haarfrontier.frontiers import FrontierSpec, parse_frontier
 from haarfrontier.haar import dirichlet_kernel, haar_eval
+
+# each shipped family; the sine with both signs of b, and a second two-level
+# frontier with lo > hi and its split off the dyadic grid
+SHIPPED_LABELS = (
+    "constant:a=1.3",
+    "affine:a=1.0,b=0.5",
+    "sine:a=1.0,b=0.25",
+    "sine:a=1.0,b=-0.25",
+    "two_level:lo=0.8,hi=1.2,split=0.5",
+    "two_level:lo=1.2,hi=0.8,split=0.3",
+)
+
+
+def frontier(label):
+    """A shipped frontier by label, or "custom-cos": 1 + cos(3x)/4 with no exact capabilities.
+
+    Without capabilities, integrals come from adaptive Simpson and ranges from
+    the Lipschitz enclosure, looped over the ends inside FrontierSpec.
+    """
+    if label != "custom-cos":
+        return parse_frontier(label)
+    return FrontierSpec(
+        f=lambda x: 1.0 + 0.25 * np.cos(3.0 * np.asarray(x, dtype=float)),
+        m=0.7,
+        M=1.25,
+        alpha=1.0,
+        lip=0.75,
+        label=label,
+    )
 
 
 def cell_centers(cfg):
@@ -42,3 +73,23 @@ def coefficient_estimates_riemann(stats, cfg):
 def dirichlet_kernel_sum(h_n: int, x: float, y: float) -> float:
     """Summed form of the Dirichlet kernel: sum of haar_eval(i, x) haar_eval(i, y), i <= h_n."""
     return float(sum(haar_eval(i, x) * haar_eval(i, y) for i in range(h_n + 1)))
+
+
+def cell_geometry_loop(f, k_n):
+    """Per-cell form of the partition geometry: one integral and one range call per cell."""
+    lam = np.empty(k_n)
+    f_min = np.empty(k_n)
+    f_max = np.empty(k_n)
+    for r in range(k_n):
+        lo, hi = r / k_n, (r + 1) / k_n
+        lam[r] = f.integral(lo, hi)
+        f_min[r], f_max[r] = f.range_on(lo, hi)
+    return lam, f_min, f_max
+
+
+def block_integrals_loop(f, h_n):
+    """Per-block integrals of f and f^2 on the h_n + 1 dyadic blocks, one call per block."""
+    blocks = h_n + 1
+    integ = np.array([f.integral(b / blocks, (b + 1) / blocks) for b in range(blocks)])
+    integ_sq = np.array([f.integral_sq(b / blocks, (b + 1) / blocks) for b in range(blocks)])
+    return integ, integ_sq

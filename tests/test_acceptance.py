@@ -194,6 +194,8 @@ def test_criterion_07_gumbel_limit() -> None:
         replicates=5000,
         base_seed=707,
         regimes=(REGIME_KN_LOG,),
+        # replicate seeds do not depend on the pool size, so the rows are those of workers=1
+        workers=os.cpu_count() or 1,
     )
     rows = gumbel_experiment(cfg)
     ks = next(r for r in rows if r.statistic == "ks_gumbel")

@@ -102,6 +102,34 @@ def test_estimate_rejects_invalid_values(tmp_path, capsys) -> None:
 
 
 @pytest.mark.parametrize(
+    "error, message",
+    [
+        (
+            MemoryError("Unable to allocate 8.00 TiB for an array with shape (2199023255552,)"),
+            "haarfrontier: error: Unable to allocate 8.00 TiB",
+        ),
+        (MemoryError(), "haarfrontier: error: MemoryError"),
+    ],
+    ids=["numpy-allocation", "bare"],
+)
+def test_estimate_reports_memory_error_as_usage_error(
+    tmp_path, capsys, monkeypatch, error, message
+) -> None:
+    # stands in for the geometry of a huge partition; nothing large is allocated
+    def no_memory(f, k_n):
+        raise error
+
+    monkeypatch.setattr("haarfrontier.process._cell_geometry", no_memory)
+    sample = tmp_path / "sample.csv"
+    sample.write_text("n=4,c=1.0,seed=0,frontier=constant:a=1.0\nx,y\n0.1,0.5\n")
+    out = tmp_path / "est"
+    assert main(["estimate", str(sample), "--hprime", "40", "--dn", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(message) and "Traceback" not in err
+    assert not (out / "estimate.json").exists()
+
+
+@pytest.mark.parametrize(
     "text, message",
     [
         ("n=4,c=1.0\nx,y\n0.1,0.5\n", "malformed sample header"),

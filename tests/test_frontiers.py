@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +13,8 @@ from haarfrontier.frontiers import (
     two_level_frontier,
 )
 from haarfrontier.quadrature import adaptive_simpson
+
+from crosschecks import SHIPPED_LABELS, frontier
 
 
 def test_area_examples() -> None:
@@ -36,10 +39,16 @@ def test_exact_ranges() -> None:
     mn, mx = s.range_on(0.2, 0.8)  # straddles both critical points
     assert mx == pytest.approx(1.25)
     assert mn == pytest.approx(0.75)
+    neg = sine_frontier(1.0, -0.25)  # the trough at 1/4 and the crest at 3/4
+    assert neg.range_on(0.2, 0.3) == (0.75, pytest.approx(1.0 - 0.25 * math.sin(0.4 * math.pi)))
+    assert neg.range_on(0.7, 0.8) == (pytest.approx(1.0 + 0.25 * math.sin(0.4 * math.pi)), 1.25)
     t = two_level_frontier(0.8, 1.2, 0.5)
     assert t.range_on(0.0, 0.25) == (0.8, 0.8)
     assert t.range_on(0.25, 0.75) == (0.8, 1.2)
     assert t.range_on(0.75, 1.0) == (1.2, 1.2)
+    # cells are half-open at the split: one ending there sees lo only, one starting there hi only
+    assert t.range_on(0.25, 0.5) == (0.8, 0.8)
+    assert t.range_on(0.5, 0.75) == (1.2, 1.2)
 
 
 def test_range_enclosure_without_exact_capability() -> None:
@@ -153,3 +162,23 @@ def test_parse_frontier_rejects_unknown() -> None:
 def test_two_level_requires_interior_split() -> None:
     with pytest.raises(ValueError):
         two_level_frontier(0.8, 1.2, 1.0)
+
+
+@pytest.mark.parametrize("label", SHIPPED_LABELS + ("custom-cos", "user-integral"))
+def test_integral_and_range_take_scalar_or_array_ends(label) -> None:
+    if label == "user-integral":  # written for scalars, and elementwise as it stands
+        f = dataclasses.replace(frontier("custom-cos"), exact_integral=lambda lo, hi: 1e-4 * (hi - lo))
+    else:
+        f = frontier(label)
+    assert type(f.integral(0.1, 0.4)) is float
+    assert type(f.integral_sq(0.1, 0.4)) is float
+    mn, mx = f.range_on(0.1, 0.4)
+    assert type(mn) is float and type(mx) is float
+    # ends off the dyadic grid, where pow and the transcendentals round
+    lo, hi = np.sort(np.random.default_rng(6).random((2, 40)), axis=0)
+    integ, integ_sq, (mins, maxs) = f.integral(lo, hi), f.integral_sq(lo, hi), f.range_on(lo, hi)
+    for got in (integ, integ_sq, mins, maxs):
+        assert isinstance(got, np.ndarray) and got.shape == (40,) and got.dtype == float
+    for j in range(40):
+        assert f.integral(lo[j], hi[j]) == integ[j] and f.integral_sq(lo[j], hi[j]) == integ_sq[j]
+        assert f.range_on(lo[j], hi[j]) == (mins[j], maxs[j])

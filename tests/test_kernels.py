@@ -4,8 +4,10 @@ import pytest
 from haarfrontier.experiments import error_metrics
 from haarfrontier.frontiers import constant_frontier, parse_frontier
 from haarfrontier.haar import truncated_expansion
-from haarfrontier.kernels import l2_error_sq, sup_error
+from haarfrontier.kernels import block_moments, l2_error_sq, sup_error
 from haarfrontier.stepfun import StepFunction
+
+from crosschecks import SHIPPED_LABELS, block_integrals_loop, frontier
 
 OFF_DYADIC = {
     "three-equal-blocks": StepFunction.uniform([1.0, 1.0, 1.0]),
@@ -36,8 +38,19 @@ def test_projection_l2_error_is_the_block_moment_identity(label, h_prime) -> Non
     # reference: f minus its block means, squared, is sum over blocks of I2_b - B * I_b^2
     f = parse_frontier(label)
     blocks = 2**h_prime
-    lo, hi = np.arange(blocks) / blocks, np.arange(1, blocks + 1) / blocks
-    integ = np.array([f.integral(a, b) for a, b in zip(lo, hi)])
-    integ_sq = np.array([f.integral_sq(a, b) for a, b in zip(lo, hi)])
+    integ, integ_sq = block_integrals_loop(f, blocks - 1)
     reference = float(np.sum(integ_sq - blocks * integ**2))
     assert l2_error_sq(truncated_expansion(f, blocks - 1), f) == reference
+
+
+@pytest.mark.parametrize(
+    "label, h_n",
+    [(label, h_n) for label in SHIPPED_LABELS for h_n in (0, 7, 4095)]
+    + [("custom-cos", h_n) for h_n in (0, 7)],
+)
+def test_block_moments_and_projection_match_per_block_loop(label, h_n) -> None:
+    f = frontier(label)
+    integ, integ_sq = block_integrals_loop(f, h_n)
+    got, got_sq = block_moments(f, h_n)
+    assert np.array_equal(got, integ) and np.array_equal(got_sq, integ_sq)
+    assert np.array_equal(truncated_expansion(f, h_n).values, (h_n + 1) * integ)

@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from haarfrontier.frontiers import FrontierSpec, constant_frontier, sine_frontier
-from haarfrontier.process import CellStats, PartitionConfig, PointSample, cell_stats, simulate
+from haarfrontier.process import (
+    CellStats,
+    PartitionConfig,
+    PointSample,
+    _cell_geometry,
+    cell_stats,
+    simulate,
+)
 
-from crosschecks import cell_centers
+from crosschecks import SHIPPED_LABELS, cell_centers, cell_geometry_loop, frontier
 
 # 99.9th percentile of chi-squared with 15 degrees of freedom
 _CHI2_15_999 = 37.6973
@@ -284,3 +291,15 @@ def test_cell_stats_matches_bruteforce_binning() -> None:
         if mask.any():
             assert stats.x_star[r] == sample.ys[mask].max()
             assert stats.z_star[r] == sample.ys[mask].min()
+
+
+@pytest.mark.parametrize(
+    "label, k_n",
+    [(label, k_n) for label in SHIPPED_LABELS for k_n in (1, 3 * 64, 4096, 65536)]
+    + [("custom-cos", k_n) for k_n in (1, 3, 16)],
+)
+def test_cell_geometry_matches_per_cell_loop(label, k_n) -> None:
+    f = frontier(label)
+    for got, want in zip(_cell_geometry(f, k_n), cell_geometry_loop(f, k_n)):
+        assert got.shape == (k_n,) and not got.flags.writeable
+        assert np.array_equal(got, want)
