@@ -50,7 +50,6 @@ from .haar import (
     haar_interval,
     haar_step,
     truncated_expansion,
-    uniform_cell_index,
 )
 from .oracles import (
     LimitLaw,
@@ -63,7 +62,7 @@ from .oracles import (
 )
 from .process import CellStats, PartitionConfig, PointSample, cell_stats, simulate
 from .quadrature import QuadratureError, adaptive_simpson
-from .stepfun import StepFunction
+from .stepfun import StepFunction, uniform_cell_index
 
 __all__ = [
     "__version__",

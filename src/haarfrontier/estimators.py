@@ -39,9 +39,11 @@ class EstimateBundle:
     def from_json(cls, text: str) -> "EstimateBundle":
         payload = json.loads(text)
         cfg = PartitionConfig(n=payload["n"], h_prime=payload["h_prime"], d_n=payload["d_n"])
-        f_hat = StepFunction.uniform(payload["f_hat_values"])
+        f_hat = StepFunction(payload["f_hat_values"])
         z_n = float(payload["z_n"])
         coefficients = np.array(payload["coefficients"], dtype=float)
+        if not len(f_hat.values) == len(coefficients) == cfg.h_n + 1:
+            raise ValueError("estimate JSON: f_hat_values and coefficients need h_n + 1 entries each")
         bundle = cls(f_hat, f_hat + z_n, z_n, coefficients, cfg)
         # every key, the derived h_n and k_n included, must read back as it would be written
         if bundle._payload() != payload:
@@ -68,7 +70,7 @@ def haar_ev_estimate(stats: CellStats, cfg: PartitionConfig) -> StepFunction:
         raise ValueError("statistics were not produced under this partition")
     blocks = cfg.h_n + 1
     values = stats.x_star.reshape(blocks, cfg.d_n).mean(axis=1)
-    return StepFunction.uniform(values)
+    return StepFunction(values)
 
 
 def geffroy_estimate(stats: CellStats, cfg: PartitionConfig) -> StepFunction:

@@ -417,8 +417,8 @@ class ErrorMetrics:
 def error_metrics(estimate: StepFunction, f: FrontierSpec, xs=()) -> ErrorMetrics:
     """L2, sup, and pointwise distances between a step estimate and the frontier.
 
-    The estimate must be a step on 2^j equal blocks, with j <= 14 for the
-    sup; both distances come from the error layer in `kernels`.
+    The sup needs a step on at most 2^14 blocks; both distances come from
+    the error layer in `kernels`.
     """
     at_points = tuple(abs(estimate(x) - f(x)) for x in xs)
     l2 = math.sqrt(max(l2_error_sq(estimate, f), 0.0))

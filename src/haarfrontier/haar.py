@@ -2,9 +2,10 @@
 
 Index i >= 1 decomposes uniquely as i = 2^(q-1) + p with 0 <= p < 2^(q-1);
 the associated dyadic interval is [p/2^(q-1), (p+1)/2^(q-1)), closed on the
-right when it touches 1. All point-to-cell maps share one left-closed
-convention (x = 1 belongs to the last cell), implemented with the same
-searchsorted rule as StepFunction evaluation.
+right when it touches 1. Every point-to-cell map here is `uniform_cell_index`
+from `stepfun`, the one left-closed rule (x = 1 belongs to the last cell)
+that also evaluates a StepFunction, so each Haar function is a step on its
+2^q equal blocks.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontiers import FrontierSpec
-from .stepfun import StepFunction
+from .stepfun import StepFunction, is_power_of_two, uniform_cell_index
 
 
 @dataclass(frozen=True)
@@ -49,44 +50,16 @@ def haar_interval(i: int) -> DyadicInterval:
     )
 
 
-def uniform_cell_index(x, n_cells: int) -> np.ndarray:
-    """0-based index of the cell of the n_cells-piece uniform partition containing x.
-
-    Left-closed pieces, with x = 1 assigned to the last (right-closed) one.
-    Matches StepFunction evaluation exactly, breakpoint doubles included.
-    """
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
-        raise ValueError("x must lie in [0, 1]")
-    edges = np.arange(n_cells + 1) / n_cells
-    idx = np.searchsorted(edges, x_arr, side="right") - 1
-    return np.minimum(idx, n_cells - 1)
-
-
 def _require_dyadic(h_n: int) -> int:
     blocks = h_n + 1
-    if blocks < 1 or blocks & (blocks - 1):
+    if not is_power_of_two(blocks):
         raise ValueError("h_n + 1 must be a power of two")
     return blocks
 
 
 def haar_eval(i: int, x):
     """Value of the i-th Haar basis function at x (scalar or array)."""
-    if i < 0:
-        raise ValueError("Haar index must be nonnegative")
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
-        raise ValueError("x must lie in [0, 1]")
-    if i == 0:
-        out = np.ones_like(x_arr)
-    else:
-        idx = dyadic_index(i)
-        amp = 2.0 ** (0.5 * (idx.q - 1))
-        half = uniform_cell_index(x_arr, 2**idx.q)
-        out = np.where(half == 2 * idx.p, amp, np.where(half == 2 * idx.p + 1, -amp, 0.0))
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    return haar_step(i)(x)
 
 
 def haar_step(i: int) -> StepFunction:
@@ -94,14 +67,14 @@ def haar_step(i: int) -> StepFunction:
     if i < 0:
         raise ValueError("Haar index must be nonnegative")
     if i == 0:
-        return StepFunction.constant(1.0)
+        return StepFunction(np.ones(1))
     idx = dyadic_index(i)
     cells = 2**idx.q
     amp = 2.0 ** (0.5 * (idx.q - 1))
     values = np.zeros(cells)
     values[2 * idx.p] = amp
     values[2 * idx.p + 1] = -amp
-    return StepFunction.uniform(values)
+    return StepFunction(values)
 
 
 def dirichlet_kernel(h_n: int, x, y):
@@ -119,7 +92,7 @@ def truncated_expansion(f: FrontierSpec, h_n: int) -> StepFunction:
     """Projection of f onto the first h_n + 1 Haar functions: blockwise means."""
     blocks = _require_dyadic(h_n)
     edges = np.arange(blocks + 1) / blocks
-    return StepFunction.uniform(blocks * f.integral(edges[:-1], edges[1:]))
+    return StepFunction(blocks * f.integral(edges[:-1], edges[1:]))
 
 
 def haar_coefficient(f: FrontierSpec, i: int) -> float:

@@ -5,8 +5,8 @@ carry only picklable primitives (the frontier travels as its label), so
 chunks of replicates can run in worker processes; per-frontier geometry is
 cached per process.
 
-The error layer is here too: the L2 and sup distances from a step on 2^j
-equal blocks to the frontier, for the kernels, the experiments and
+The error layer is here too: the L2 and sup distances from a step (on its
+2^j equal blocks) to the frontier, for the kernels, the experiments and
 `error_metrics`.
 """
 
@@ -20,9 +20,8 @@ import numpy as np
 
 from .estimators import haar_ev_estimate, minima_mean
 from .frontiers import FrontierSpec, parse_frontier
-from .haar import uniform_cell_index
 from .process import PartitionConfig, cell_stats, simulate
-from .stepfun import StepFunction
+from .stepfun import StepFunction, uniform_cell_index
 
 SUP_GRID_STEP = 2.0**-14
 
@@ -63,15 +62,6 @@ def sup_grid(f: FrontierSpec) -> tuple:
     return grid, fvals, pad
 
 
-def _dyadic_blocks(step: StepFunction) -> int:
-    """The number of pieces of a step on 2^j equal blocks; any other step raises."""
-    blocks = len(step.values)
-    equal = np.array_equal(step.breakpoints, np.arange(blocks + 1) / blocks)
-    if blocks & (blocks - 1) or not equal:
-        raise ValueError("the error layer needs a step function on 2^j equal blocks")
-    return blocks
-
-
 def require_sup_resolution(blocks: int) -> None:
     """Raise unless the sup grid resolves a step on this many equal blocks: at most 2^14."""
     if blocks * SUP_GRID_STEP > 1.0:
@@ -79,16 +69,16 @@ def require_sup_resolution(blocks: int) -> None:
 
 
 def l2_error_sq(step: StepFunction, f: FrontierSpec) -> float:
-    """Exact squared L2 distance between a step on 2^j equal blocks and f."""
-    blocks = _dyadic_blocks(step)
-    integ, integ_sq = block_moments(f, blocks - 1)
+    """Exact squared L2 distance between a step and f."""
     vals = step.values
+    blocks = len(vals)
+    integ, integ_sq = block_moments(f, blocks - 1)
     return float(np.sum(vals**2 / blocks - 2.0 * vals * integ + integ_sq))
 
 
 def sup_error(step: StepFunction, f: FrontierSpec) -> float:
-    """Sup distance between a step on 2^j <= 2^14 equal blocks and f: grid max plus pad."""
-    require_sup_resolution(_dyadic_blocks(step))
+    """Sup distance between a step on at most 2^14 blocks and f: grid max plus pad."""
+    require_sup_resolution(len(step.values))
     grid, fvals, pad = sup_grid(f)
     return float(np.max(np.abs(step(grid) - fvals))) + pad
 

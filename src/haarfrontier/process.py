@@ -12,6 +12,7 @@ any resolution.
 from __future__ import annotations
 
 import functools
+import numbers
 import warnings
 from dataclasses import dataclass, fields
 
@@ -31,6 +32,13 @@ class PartitionConfig:
     d_n: int
 
     def __post_init__(self):
+        for name in ("n", "h_prime", "d_n"):
+            value = getattr(self, name)
+            # bool is an Integral too, and a float would make h_n or k_n a float
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
+            # a numpy integer would carry its width into h_n and k_n
+            object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.h_prime < 0:

@@ -1,9 +1,11 @@
-"""Piecewise-constant functions on [0, 1] with exact arithmetic.
+"""Step functions on 2^j equal dyadic blocks of [0, 1], with exact arithmetic.
 
-Pieces are left-closed/right-open except the last, which is closed, so
-evaluation is defined for every x in [0, 1]. Sums, differences and scalar
-shifts are computed on the common refinement of the two breakpoint grids,
-which keeps L2 norms of step-vs-step differences exact.
+A step holds only its 2^j block values. Blocks are left-closed/right-open
+except the last, which is closed, so evaluation is defined for every x in
+[0, 1]; `uniform_cell_index` is the one point-to-cell rule, shared with the
+Haar basis and the kernels. Sums, differences and inner products of two
+steps work on the finer of their two dyadic grids, which keeps L2 norms of
+step-vs-step differences exact.
 """
 
 from __future__ import annotations
@@ -13,74 +15,64 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def is_power_of_two(m: int) -> bool:
+    """True for m = 1, 2, 4, ...: the block counts of a dyadic partition."""
+    return m >= 1 and not m & (m - 1)
+
+
+def uniform_cell_index(x, n_cells: int) -> np.ndarray:
+    """0-based index of the cell of the n_cells-piece uniform partition containing x.
+
+    Left-closed pieces, with x = 1 assigned to the last (right-closed) one.
+    Any x that is not finite and in [0, 1] raises, NaN included.
+    """
+    x_arr = np.asarray(x, dtype=float)
+    # NaN fails every comparison, so this also rejects non-finite values
+    if x_arr.size and not (0.0 <= x_arr.min() and x_arr.max() <= 1.0):
+        raise ValueError("x must lie in [0, 1]")
+    edges = np.arange(n_cells + 1) / n_cells
+    idx = np.searchsorted(edges, x_arr, side="right") - 1
+    return np.minimum(idx, n_cells - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class StepFunction:
-    breakpoints: np.ndarray  # shape (m+1,), 0 = b[0] < ... < b[m] = 1
-    values: np.ndarray       # shape (m,)
+    values: np.ndarray  # shape (2^j,), the value on each equal block in order
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=float)
         vals = np.asarray(self.values, dtype=float)
-        if bp.ndim != 1 or vals.ndim != 1 or len(vals) != len(bp) - 1:
-            raise ValueError("need m+1 breakpoints and m values")
-        if bp[0] != 0.0 or bp[-1] != 1.0:
-            raise ValueError("breakpoints must start at 0 and end at 1")
-        if np.any(np.diff(bp) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        bp.flags.writeable = False
+        if vals.ndim != 1 or not is_power_of_two(len(vals)):
+            raise ValueError("a step function needs one value per block of 2^j equal blocks")
         vals.flags.writeable = False
-        object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
-    @classmethod
-    def uniform(cls, values) -> "StepFunction":
-        """Step function on m equal pieces of [0, 1]."""
-        vals = np.asarray(values, dtype=float)
-        m = len(vals)
-        if m == 0:
-            raise ValueError("need at least one piece")
-        return cls(np.arange(m + 1) / m, vals)
-
-    @classmethod
-    def constant(cls, value: float) -> "StepFunction":
-        return cls(np.array([0.0, 1.0]), np.array([float(value)]))
-
-    def piece_index(self, x) -> np.ndarray:
-        x_arr = np.asarray(x, dtype=float)
-        if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
-            raise ValueError("x must lie in [0, 1]")
-        idx = np.searchsorted(self.breakpoints, x_arr, side="right") - 1
-        return np.minimum(idx, len(self.values) - 1)
-
     def __call__(self, x):
-        out = self.values[self.piece_index(x)]
+        out = self.values[uniform_cell_index(x, len(self.values))]
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(out)
         return out
 
-    def widths(self) -> np.ndarray:
-        return np.diff(self.breakpoints)
-
     def integral(self) -> float:
-        return float(np.dot(self.values, self.widths()))
+        return _block_integral(self.values)
 
     def l2_norm_sq(self) -> float:
-        return float(np.dot(self.values**2, self.widths()))
+        return _block_integral(self.values**2)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def refine_with(self, other: "StepFunction") -> np.ndarray:
-        """Union of the two breakpoint grids."""
-        return np.union1d(self.breakpoints, other.breakpoints)
+    def _on_finer_grid(self, other: "StepFunction") -> tuple:
+        """Both value arrays on the finer of the two dyadic grids."""
+        m = max(len(self.values), len(other.values))
+        return (
+            np.repeat(self.values, m // len(self.values)),
+            np.repeat(other.values, m // len(other.values)),
+        )
 
     def _binary(self, other, op) -> "StepFunction":
         if isinstance(other, StepFunction):
-            grid = self.refine_with(other)
-            mids = 0.5 * (grid[:-1] + grid[1:])
-            return StepFunction(grid, op(self(mids), other(mids)))
-        val = float(other)
-        return StepFunction(self.breakpoints, op(self.values, val))
+            return StepFunction(op(*self._on_finer_grid(other)))
+        return StepFunction(op(self.values, float(other)))
 
     def __add__(self, other) -> "StepFunction":
         return self._binary(other, lambda u, v: u + v)
@@ -91,7 +83,7 @@ class StepFunction:
         return self._binary(other, lambda u, v: u - v)
 
     def __mul__(self, scalar) -> "StepFunction":
-        return StepFunction(self.breakpoints, self.values * float(scalar))
+        return StepFunction(self.values * float(scalar))
 
     __rmul__ = __mul__
 
@@ -100,6 +92,10 @@ class StepFunction:
 
     def inner(self, other: "StepFunction") -> float:
         """Exact integral of the pointwise product of two step functions."""
-        grid = self.refine_with(other)
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        return float(np.dot(self(mids) * other(mids), np.diff(grid)))
+        u, v = self._on_finer_grid(other)
+        return _block_integral(u * v)
+
+
+def _block_integral(vals: np.ndarray) -> float:
+    """Integral over [0, 1] of the step with these values on equal blocks."""
+    return float(np.dot(vals, np.full(len(vals), 1.0 / len(vals))))

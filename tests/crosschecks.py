@@ -93,3 +93,53 @@ def block_integrals_loop(f, h_n):
     integ = np.array([f.integral(b / blocks, (b + 1) / blocks) for b in range(blocks)])
     integ_sq = np.array([f.integral_sq(b / blocks, (b + 1) / blocks) for b in range(blocks)])
     return integ, integ_sq
+
+
+class BreakpointStep:
+    """A step on arbitrary breakpoints, the general form that StepFunction is compared against.
+
+    Pieces are left-closed/right-open except the last, which is closed. Sums
+    and differences evaluate both steps at the midpoints of the union of the
+    two breakpoint grids, and `inner` integrates the product there.
+    """
+
+    def __init__(self, breakpoints, values):
+        self.breakpoints = np.asarray(breakpoints, dtype=float)
+        self.values = np.asarray(values, dtype=float)
+
+    @classmethod
+    def of(cls, step):
+        """The reference form of a StepFunction: its values on the breakpoints k / 2^j."""
+        m = len(step.values)
+        return cls(np.arange(m + 1) / m, step.values)
+
+    def __call__(self, x):
+        x_arr = np.asarray(x, dtype=float)
+        if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
+            raise ValueError("x must lie in [0, 1]")
+        idx = np.searchsorted(self.breakpoints, x_arr, side="right") - 1
+        out = self.values[np.minimum(idx, len(self.values) - 1)]
+        if np.isscalar(x) or np.ndim(x) == 0:
+            return float(out)
+        return out
+
+    def refine_with(self, other):
+        """Union of the two breakpoint grids."""
+        return np.union1d(self.breakpoints, other.breakpoints)
+
+    def _binary(self, other, op):
+        grid = self.refine_with(other)
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        return BreakpointStep(grid, op(self(mids), other(mids)))
+
+    def __add__(self, other):
+        return self._binary(other, lambda u, v: u + v)
+
+    def __sub__(self, other):
+        return self._binary(other, lambda u, v: u - v)
+
+    def inner(self, other):
+        """Exact integral of the pointwise product of two step functions."""
+        grid = self.refine_with(other)
+        mids = 0.5 * (grid[:-1] + grid[1:])
+        return float(np.dot(self(mids) * other(mids), np.diff(grid)))

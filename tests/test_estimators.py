@@ -241,16 +241,35 @@ def test_bundle_json_round_trip() -> None:
     np.testing.assert_array_equal(back.f_tilde.values, bundle.f_tilde.values)
 
 
+OFF_PARTITION = "unknown key, or h_n or k_n off"
+
+
 @pytest.mark.parametrize(
-    "key, value", [("k_n", 99), ("h_n", 7), ("extra", 1)], ids=["k_n", "h_n", "extra-key"]
+    "key, value, message",
+    [
+        ("k_n", 99, OFF_PARTITION),
+        ("h_n", 7, OFF_PARTITION),
+        ("extra", 1, OFF_PARTITION),
+        # equal to the integers written, but not integers
+        ("h_prime", 2.0, "h_prime must be an integer"),
+        ("d_n", 2.0, "d_n must be an integer"),
+        ("n", True, "n must be an integer"),
+        # a whole dyadic grid, but not the partition's h_n + 1 blocks
+        ("f_hat_values", [1.0] * 8, "need h_n \\+ 1 entries"),
+        ("coefficients", [1.0, 0.0], "need h_n \\+ 1 entries"),
+    ],
+    ids=[
+        "k_n", "h_n", "extra-key", "h_prime-float", "d_n-float", "n-bool",
+        "f_hat-8-blocks", "2-coefficients",
+    ],
 )
-def test_bundle_json_rejects_what_it_would_not_write(key, value) -> None:
+def test_bundle_json_rejects_what_it_would_not_write(key, value, message) -> None:
     cfg = PartitionConfig(n=150, h_prime=2, d_n=2)
     f = constant_frontier(1.0)
     stats = cell_stats(simulate(f, 150, 1.0, 8), cfg, f)
     payload = json.loads(corrected_estimate(stats, cfg).to_json())
     payload[key] = value
-    with pytest.raises(ValueError, match="unknown key, or h_n or k_n off"):
+    with pytest.raises(ValueError, match=message):
         EstimateBundle.from_json(json.dumps(payload))
 
 

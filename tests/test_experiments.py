@@ -337,13 +337,13 @@ def test_zn_moments_small() -> None:
 
 def test_error_metrics_examples() -> None:
     flat = constant_frontier(1.0)
-    exact = StepFunction.constant(1.0)
+    exact = StepFunction([1.0])
     m = error_metrics(exact, flat, xs=(0.2, 0.8))
     assert m.l2 == pytest.approx(0.0, abs=1e-12)
     assert m.sup == pytest.approx(0.0, abs=1e-12)
     assert m.at_points == (0.0, 0.0)
 
-    zero = StepFunction.constant(0.0)
+    zero = StepFunction([0.0])
     m = error_metrics(zero, flat, xs=(0.5,))
     assert m.l2 == pytest.approx(1.0, abs=1e-12)
     assert m.sup == pytest.approx(1.0, abs=1e-12)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from haarfrontier.experiments import error_metrics
 from haarfrontier.frontiers import constant_frontier, parse_frontier
 from haarfrontier.haar import truncated_expansion
 from haarfrontier.kernels import block_moments, l2_error_sq, sup_error
@@ -9,25 +8,29 @@ from haarfrontier.stepfun import StepFunction
 
 from crosschecks import SHIPPED_LABELS, block_integrals_loop, frontier
 
+# steps off 2^j equal blocks: the type cannot hold one, so the error layer never sees one
 OFF_DYADIC = {
-    "three-equal-blocks": StepFunction.uniform([1.0, 1.0, 1.0]),
-    "two-unequal-blocks": StepFunction(np.array([0.0, 0.3, 1.0]), np.array([1.0, 1.0])),
+    "three-equal-blocks": (lambda: StepFunction([1.0, 1.0, 1.0]), ValueError, "2\\^j equal blocks"),
+    # a step has no breakpoints field, so unequal blocks cannot even be stated
+    "two-unequal-blocks": (
+        lambda: StepFunction(np.array([0.0, 0.3, 1.0]), np.array([1.0, 1.0])),
+        TypeError,
+        None,
+    ),
 }
 
 
-@pytest.mark.parametrize("step", OFF_DYADIC.values(), ids=OFF_DYADIC.keys())
-def test_error_layer_rejects_steps_off_dyadic_blocks(step) -> None:
-    f = constant_frontier(1.0)
-    for distance in (l2_error_sq, sup_error, error_metrics):
-        with pytest.raises(ValueError, match="2\\^j equal blocks"):
-            distance(step, f)
+@pytest.mark.parametrize("build, error, match", OFF_DYADIC.values(), ids=OFF_DYADIC.keys())
+def test_steps_off_dyadic_blocks_cannot_be_built(build, error, match) -> None:
+    with pytest.raises(error, match=match):
+        build()
 
 
 def test_sup_error_resolves_at_most_2_to_the_14_blocks() -> None:
     f = constant_frontier(1.0)
-    assert sup_error(StepFunction.uniform(np.full(2**14, 0.75)), f) == 0.25
+    assert sup_error(StepFunction(np.full(2**14, 0.75)), f) == 0.25
     with pytest.raises(ValueError, match="2\\^14"):
-        sup_error(StepFunction.uniform(np.ones(2**15)), f)
+        sup_error(StepFunction(np.ones(2**15)), f)
 
 
 @pytest.mark.parametrize(

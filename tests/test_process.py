@@ -42,6 +42,29 @@ def test_partition_config_validation() -> None:
         PartitionConfig(n=10, h_prime=1, d_n=2).cell_bounds(5)
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"n": 10, "h_prime": 2.5, "d_n": 1},
+        {"n": 10, "h_prime": 2.0, "d_n": 1},
+        {"n": 10, "h_prime": 2, "d_n": 2.0},
+        {"n": 10.0, "h_prime": 2, "d_n": 1},
+        {"n": True, "h_prime": 2, "d_n": 1},
+        {"n": 10, "h_prime": False, "d_n": 1},
+    ],
+    ids=["h_prime-2.5", "h_prime-2.0", "d_n-2.0", "n-10.0", "n-True", "h_prime-False"],
+)
+def test_partition_config_requires_integer_fields(fields) -> None:
+    with pytest.raises(ValueError, match="must be an integer"):
+        PartitionConfig(**fields)
+
+
+def test_partition_config_accepts_numpy_integers() -> None:
+    pc = PartitionConfig(n=np.int64(10), h_prime=np.uint8(3), d_n=np.uint8(200))
+    assert pc == PartitionConfig(n=10, h_prime=3, d_n=200)
+    assert type(pc.k_n) is int and pc.k_n == 1600  # not 1600 mod 256, as uint8 arithmetic gives
+
+
 def test_simulate_reproducible_and_contained() -> None:
     f = sine_frontier(1.0, 0.25)
     a = simulate(f, 500, 1.0, 12345)

@@ -3,23 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarfrontier.stepfun import StepFunction
+from haarfrontier.experiments import error_metrics
+from haarfrontier.frontiers import constant_frontier
+from haarfrontier.haar import dirichlet_kernel, haar_eval
+from haarfrontier.stepfun import StepFunction, uniform_cell_index
+
+from crosschecks import BreakpointStep
 
 
 def test_construction_validation() -> None:
-    with pytest.raises(ValueError):
-        StepFunction(np.array([0.0, 0.5]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        StepFunction(np.array([0.1, 1.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        StepFunction(np.array([0.0, 0.5, 0.5, 1.0]), np.array([1.0, 2.0, 3.0]))
+    for values in ([1.0, 2.0, 3.0], [], [[1.0, 2.0], [3.0, 4.0]], 1.0):
+        with pytest.raises(ValueError, match="2\\^j equal blocks"):
+            StepFunction(values)
 
 
 def test_evaluation_conventions() -> None:
-    s = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([2.0, 3.0]))
+    s = StepFunction([2.0, 3.0])
     assert s(0.0) == 2.0
-    assert s(0.5) == 3.0  # interior breakpoints are left-closed on the right piece
-    assert s(1.0) == 3.0  # x = 1 belongs to the last, right-closed piece
+    assert s(0.5) == 3.0  # interior block edges are left-closed on the right block
+    assert s(1.0) == 3.0  # x = 1 belongs to the last, right-closed block
     assert s(0.49999) == 2.0
     with pytest.raises(ValueError):
         s(1.5)
@@ -28,16 +30,17 @@ def test_evaluation_conventions() -> None:
 
 
 def test_uniform_and_integral() -> None:
-    s = StepFunction.uniform([1.0, 2.0, 3.0, 4.0])
+    s = StepFunction([1.0, 2.0, 3.0, 4.0])
     assert s.integral() == pytest.approx(2.5)
     assert s.l2_norm_sq() == pytest.approx((1 + 4 + 9 + 16) / 4)
     assert s.sup_norm() == 4.0
 
 
 def test_arithmetic_on_mismatched_grids() -> None:
-    a = StepFunction(np.array([0.0, 0.25, 1.0]), np.array([1.0, 2.0]))
-    b = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([10.0, 20.0]))
+    a = StepFunction([1.0, 2.0, 2.0, 2.0])
+    b = StepFunction([10.0, 20.0])
     total = a + b
+    np.testing.assert_array_equal(total.values, [11.0, 12.0, 22.0, 22.0])
     assert total(0.1) == 11.0
     assert total(0.3) == 12.0
     assert total(0.7) == 22.0
@@ -46,51 +49,83 @@ def test_arithmetic_on_mismatched_grids() -> None:
 
 
 def test_scalar_operations() -> None:
-    s = StepFunction.uniform([1.0, 3.0])
+    s = StepFunction([1.0, 3.0])
     assert (s + 0.5)(0.1) == 1.5
     assert (2.0 * s)(0.9) == 6.0
     assert (-s).integral() == -s.integral()
 
 
 def test_inner_is_exact_on_refinement() -> None:
-    a = StepFunction(np.array([0.0, 0.25, 1.0]), np.array([2.0, 4.0]))
-    b = StepFunction(np.array([0.0, 0.5, 1.0]), np.array([1.0, -1.0]))
+    a = StepFunction([2.0, 4.0, 4.0, 4.0])
+    b = StepFunction([1.0, -1.0])
     # 2*1*0.25 + 4*1*0.25 + 4*(-1)*0.5
     assert a.inner(b) == pytest.approx(0.5 + 1.0 - 2.0)
 
 
 @st.composite
 def step_functions(draw):
-    m = draw(st.integers(min_value=1, max_value=6))
-    cuts = draw(
+    m = 2 ** draw(st.integers(min_value=0, max_value=6))
+    values = draw(
         st.lists(
-            st.floats(min_value=0.01, max_value=0.99),
-            min_size=m - 1,
-            max_size=m - 1,
-            unique=True,
+            st.floats(min_value=-10, max_value=10, allow_nan=False),
+            min_size=m,
+            max_size=m,
         )
     )
-    breakpoints = np.array(sorted([0.0, *cuts, 1.0]))
-    values = np.array(
-        draw(
-            st.lists(
-                st.floats(min_value=-10, max_value=10, allow_nan=False),
-                min_size=m,
-                max_size=m,
-            )
-        )
-    )
-    return StepFunction(breakpoints, values)
+    return StepFunction(values)
 
 
 @settings(max_examples=60, deadline=None)
 @given(step_functions(), step_functions(), st.floats(min_value=0.0, max_value=1.0))
 def test_binary_ops_agree_pointwise(a, b, x) -> None:
-    assert (a + b)(x) == pytest.approx(a(x) + b(x), abs=1e-12)
-    assert (a - b)(x) == pytest.approx(a(x) - b(x), abs=1e-12)
+    assert (a + b)(x) == a(x) + b(x)
+    assert (a - b)(x) == a(x) - b(x)
 
 
 @settings(max_examples=60, deadline=None)
 @given(step_functions())
 def test_l2_norm_matches_inner(s) -> None:
     assert s.l2_norm_sq() == pytest.approx(s.inner(s), rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_functions(), step_functions(), st.lists(st.floats(0.0, 1.0), max_size=8))
+def test_arithmetic_matches_breakpoint_reference(a, b, xs) -> None:
+    ref_a, ref_b = BreakpointStep.of(a), BreakpointStep.of(b)
+    m = max(len(a.values), len(b.values))
+    # every block edge k / 2^j of the finer grid, then random points
+    points = np.concatenate([np.arange(m + 1) / m, xs])
+    for got, want in ((a + b, ref_a + ref_b), (a - b, ref_a - ref_b)):
+        np.testing.assert_array_equal(want.breakpoints, np.arange(m + 1) / m)
+        np.testing.assert_array_equal(got.values, want.values)
+        np.testing.assert_array_equal(got(points), want(points))
+    for step, ref in ((a, ref_a), (b, ref_b)):
+        np.testing.assert_array_equal(step(points), ref(points))
+        assert all(step(float(x)) == ref(float(x)) for x in points)
+    assert a.inner(b) == ref_a.inner(ref_b)
+
+
+STEP = StepFunction([1.0, 2.0, 3.0, 4.0])
+
+# every caller of the one point-to-cell rule, fed one x
+POINT_TO_CELL_CALLERS = {
+    "uniform_cell_index": lambda x: uniform_cell_index(x, 4),
+    "StepFunction": STEP,
+    "haar_eval-0": lambda x: haar_eval(0, x),
+    "haar_eval-1": lambda x: haar_eval(1, x),
+    "dirichlet_kernel": lambda x: dirichlet_kernel(3, x, 0.9),
+    "error_metrics": lambda x: error_metrics(STEP, constant_frontier(1.0), xs=(x,)),
+}
+
+
+@pytest.mark.parametrize(
+    "x",
+    [np.nan, np.inf, -np.inf, -0.1, 1.5, np.array([0.5, np.nan])],
+    ids=["nan", "inf", "-inf", "-0.1", "1.5", "array-with-nan"],
+)
+@pytest.mark.parametrize(
+    "call", POINT_TO_CELL_CALLERS.values(), ids=POINT_TO_CELL_CALLERS.keys()
+)
+def test_point_to_cell_rule_rejects_x_off_the_unit_interval(call, x) -> None:
+    with pytest.raises(ValueError, match="x must lie in \\[0, 1\\]"):
+        call(x)
