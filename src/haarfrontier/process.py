@@ -4,9 +4,10 @@ The observed process is the superposition of n unit-rate-c Poisson
 processes restricted to the region under the frontier, i.e. a single
 Poisson process with intensity n*c on that region. Sampling is by
 rejection from the bounding box [0,1] x [0,M]; the acceptance rate is
-bounded below by m/M > 0. A PointSample keeps its points sorted by x,
-whatever order they are given in, so cell statistics are a single pass at
-any resolution.
+bounded below by m/M > 0. A PointSample keeps its points in the order
+given: every cell statistic is an order-free reduction (count, max, min)
+over the cells `uniform_cell_index` assigns, so no estimate depends on row
+order, and only the CSV file is written in x order.
 """
 
 from __future__ import annotations
@@ -19,8 +20,20 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .frontiers import FrontierSpec
+from .stepfun import uniform_cell_index
 
 _MASK64 = (1 << 64) - 1
+
+
+def _require_integer(name: str, value) -> int:
+    """value as a Python int; bool and floats raise, though bool is an Integral too.
+
+    A float would make k_n a float or write "n=1000.0" to a sample file, and
+    a numpy integer would carry its width into h_n and k_n.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -33,12 +46,7 @@ class PartitionConfig:
 
     def __post_init__(self):
         for name in ("n", "h_prime", "d_n"):
-            value = getattr(self, name)
-            # bool is an Integral too, and a float would make h_n or k_n a float
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer")
-            # a numpy integer would carry its width into h_n and k_n
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         if self.n < 1:
             raise ValueError("n must be a positive integer")
         if self.h_prime < 0:
@@ -80,8 +88,11 @@ class PointSample:
     frontier_label: str
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
+        for name in ("n", "seed"):
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
+        # copies, so freezing them leaves the caller's arrays writeable
+        xs = np.array(self.xs, dtype=float)
+        ys = np.array(self.ys, dtype=float)
         if xs.shape != ys.shape or xs.ndim != 1:
             raise ValueError("xs and ys must be 1-d arrays of equal length")
         # NaN fails every comparison, so this also rejects non-finite values
@@ -89,8 +100,6 @@ class PointSample:
             0.0 <= xs.min() and xs.max() <= 1.0 and 0.0 <= ys.min() and ys.max() < np.inf
         ):
             raise ValueError("sample values must be finite, with x in [0, 1] and y >= 0")
-        order = np.argsort(xs)
-        xs, ys = xs[order], ys[order]
         xs.flags.writeable = False
         ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
@@ -101,13 +110,13 @@ class PointSample:
 
     def to_csv(self, path) -> None:
         meta = {key: getattr(self, attr) for key, attr, _ in _SAMPLE_HEADER}
-        lines = [
-            ",".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}" for k, v in meta.items()),
-            "x,y",
-        ]
-        lines.extend(f"{float(x)!r},{float(y)!r}" for x, y in zip(self.xs, self.ys))
+        header = ",".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}" for k, v in meta.items())
+        # rows in x order, whatever order the sample holds them in; streamed,
+        # so a large sample never has all its lines in memory at once
+        order = np.argsort(self.xs)
         with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(f"{header}\nx,y\n")
+            fh.writelines(f"{float(x)!r},{float(y)!r}\n" for x, y in zip(self.xs[order], self.ys[order]))
 
     @classmethod
     def from_csv(cls, path) -> "PointSample":
@@ -143,7 +152,8 @@ def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
     of points is Poisson with mean n*c times the area under f and, given the
     count, points are i.i.d. uniform under the frontier.
     """
-    if n < 1:
+    seed = _require_integer("seed", seed)
+    if _require_integer("n", n) < 1:
         raise ValueError("n must be a positive integer")
     if c <= 0.0:
         raise ValueError("intensity rate c must be positive")
@@ -152,7 +162,7 @@ def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
         raise ValueError(
             f"rejection sampling would be pathological: M/mean(f) = {f.M / total_area:.3g} > 1e6"
         )
-    rng = np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
+    rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
     count = int(rng.poisson(n * c * total_area))
     accept_rate = total_area / f.M
     xs_parts, ys_parts = [], []
@@ -160,7 +170,8 @@ def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
     while have < count:
         batch = int((count - have) / accept_rate * 1.2) + 16
         cand_x = rng.random(batch)
-        cand_y = rng.random(batch) * f.M
+        cand_y = rng.random(batch)
+        cand_y *= f.M
         keep = cand_y <= f(cand_x)
         take_x = cand_x[keep]
         take_y = cand_y[keep]
@@ -170,9 +181,13 @@ def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
         xs_parts.append(take_x)
         ys_parts.append(take_y)
         have += len(take_x)
-    xs = np.concatenate(xs_parts) if xs_parts else np.empty(0)
-    ys = np.concatenate(ys_parts) if ys_parts else np.empty(0)
-    return PointSample(xs=xs, ys=ys, n=n, c=float(c), seed=int(seed), frontier_label=f.label)
+    # one batch is the usual case; PointSample copies it, so no concatenate
+    if len(xs_parts) == 1:
+        xs, ys = xs_parts[0], ys_parts[0]
+    else:
+        xs = np.concatenate(xs_parts) if xs_parts else np.empty(0)
+        ys = np.concatenate(ys_parts) if ys_parts else np.empty(0)
+    return PointSample(xs=xs, ys=ys, n=n, c=float(c), seed=seed, frontier_label=f.label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,21 +241,13 @@ def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> Ce
         raise ValueError("sample and partition disagree on n")
     k = cfg.k_n
     cell_areas, f_min, f_max = _cell_geometry(f, k)
-    xs, ys = sample.xs, sample.ys
-    total = len(xs)
-    edges = np.arange(1, k) / k
-    cuts = np.searchsorted(xs, edges, side="left")
-    offsets = np.concatenate(([0], cuts, [total]))
-    counts = np.diff(offsets)
-    x_star = np.zeros(k)
-    z_star = np.zeros(k)
-    if total:
-        # sentinel keeps every reduceat start index valid; empty segments
-        # (start == end) yield garbage that the occupancy mask discards
-        starts = offsets[:-1]
-        maxs = np.maximum.reduceat(np.append(ys, -np.inf), starts)
-        mins = np.minimum.reduceat(np.append(ys, np.inf), starts)
-        occupied = counts > 0
-        x_star[occupied] = maxs[occupied]
-        z_star[occupied] = mins[occupied]
+    idx = uniform_cell_index(sample.xs, k)
+    counts = np.bincount(idx, minlength=k)
+    x_star = np.full(k, -np.inf)
+    z_star = np.full(k, np.inf)
+    np.maximum.at(x_star, idx, sample.ys)
+    np.minimum.at(z_star, idx, sample.ys)
+    empty = counts == 0
+    x_star[empty] = 0.0
+    z_star[empty] = 0.0
     return CellStats(counts, x_star, z_star, cell_areas, f_min, f_max, cfg)

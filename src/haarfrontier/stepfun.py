@@ -23,16 +23,23 @@ def is_power_of_two(m: int) -> bool:
 def uniform_cell_index(x, n_cells: int) -> np.ndarray:
     """0-based index of the cell of the n_cells-piece uniform partition containing x.
 
-    Left-closed pieces, with x = 1 assigned to the last (right-closed) one.
-    Any x that is not finite and in [0, 1] raises, NaN included.
+    Left-closed pieces, with x = 1 assigned to the last (right-closed) one:
+    the index is the number of edges j / n_cells, 0 < j < n_cells, at or
+    below x, for x in any order. Any x that is not finite and in [0, 1]
+    raises, NaN included.
     """
     x_arr = np.asarray(x, dtype=float)
     # NaN fails every comparison, so this also rejects non-finite values
     if x_arr.size and not (0.0 <= x_arr.min() and x_arr.max() <= 1.0):
         raise ValueError("x must lie in [0, 1]")
     edges = np.arange(n_cells + 1) / n_cells
-    idx = np.searchsorted(edges, x_arr, side="right") - 1
-    return np.minimum(idx, n_cells - 1)
+    # floor(x * n_cells) is at most one cell off where rounding meets an
+    # edge; one comparison with each edge of that cell puts x where the
+    # edges themselves say, without a search
+    idx = np.minimum((x_arr * n_cells).astype(np.intp), n_cells - 1)
+    idx -= x_arr < edges[idx]
+    idx += (x_arr >= edges[idx + 1]) & (idx < n_cells - 1)
+    return idx
 
 
 @dataclass(frozen=True, eq=False)

@@ -95,6 +95,41 @@ def block_integrals_loop(f, h_n):
     return integ, integ_sq
 
 
+def searchsorted_cell_index(x, n_cells):
+    """Search form of the point-to-cell rule: how many edges j / n_cells, 0 < j < n_cells, are <= x."""
+    edges = np.arange(n_cells + 1) / n_cells
+    idx = np.searchsorted(edges, np.asarray(x, dtype=float), side="right") - 1
+    return np.minimum(idx, n_cells - 1)
+
+
+def sorted_run_cell_extremes(xs, ys, k_n):
+    """Count, max and min of ys per cell by cutting the x-sorted sample into runs.
+
+    The sort-then-cut form of the binning in `cell_stats`: each cell's points
+    are one run of the sorted sample, and a reduceat over the run starts gives
+    its max and min; empty cells get 0.
+    """
+    order = np.argsort(xs)
+    xs, ys = np.asarray(xs)[order], np.asarray(ys)[order]
+    total = len(xs)
+    edges = np.arange(1, k_n) / k_n
+    cuts = np.searchsorted(xs, edges, side="left")
+    offsets = np.concatenate(([0], cuts, [total]))
+    counts = np.diff(offsets)
+    x_star = np.zeros(k_n)
+    z_star = np.zeros(k_n)
+    if total:
+        # sentinel keeps every reduceat start index valid; empty segments
+        # (start == end) yield garbage that the occupancy mask discards
+        starts = offsets[:-1]
+        maxs = np.maximum.reduceat(np.append(ys, -np.inf), starts)
+        mins = np.minimum.reduceat(np.append(ys, np.inf), starts)
+        occupied = counts > 0
+        x_star[occupied] = maxs[occupied]
+        z_star[occupied] = mins[occupied]
+    return counts, x_star, z_star
+
+
 class BreakpointStep:
     """A step on arbitrary breakpoints, the general form that StepFunction is compared against.
 

@@ -14,7 +14,13 @@ from haarfrontier.process import (
     simulate,
 )
 
-from crosschecks import SHIPPED_LABELS, cell_centers, cell_geometry_loop, frontier
+from crosschecks import (
+    SHIPPED_LABELS,
+    cell_centers,
+    cell_geometry_loop,
+    frontier,
+    sorted_run_cell_extremes,
+)
 
 # 99.9th percentile of chi-squared with 15 degrees of freedom
 _CHI2_15_999 = 37.6973
@@ -65,7 +71,7 @@ def test_partition_config_accepts_numpy_integers() -> None:
     assert type(pc.k_n) is int and pc.k_n == 1600  # not 1600 mod 256, as uint8 arithmetic gives
 
 
-def test_simulate_reproducible_and_contained() -> None:
+def test_simulate_reproducible_and_contained(tmp_path) -> None:
     f = sine_frontier(1.0, 0.25)
     a = simulate(f, 500, 1.0, 12345)
     b = simulate(f, 500, 1.0, 12345)
@@ -74,7 +80,44 @@ def test_simulate_reproducible_and_contained() -> None:
     assert not np.array_equal(a.xs, c.xs)
     assert np.all((a.xs >= 0.0) & (a.xs <= 1.0))
     assert np.all((a.ys >= 0.0) & (a.ys <= f(a.xs)))
-    assert np.all(np.diff(a.xs) >= 0.0)
+    # the sample keeps its draw order; to_csv writes rows in x order
+    path = tmp_path / "sample.csv"
+    a.to_csv(path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=2)
+    assert np.all(np.diff(rows[:, 0]) >= 0.0)
+    assert sorted(map(tuple, rows)) == sorted(zip(a.xs, a.ys))
+
+
+@pytest.mark.parametrize("n", [1e3, 1000.0, True], ids=["1e3", "1000.0", "True"])
+def test_simulate_requires_integer_n(n) -> None:
+    # a float n used to reach the file as "n=1000.0", which from_csv cannot read
+    with pytest.raises(ValueError, match="n must be an integer"):
+        simulate(constant_frontier(1.0), n, 1.0, 1)
+
+
+@pytest.mark.parametrize("seed", [3.7, 3.0, True], ids=["3.7", "3.0", "True"])
+def test_simulate_requires_integer_seed(seed) -> None:
+    # a float seed used to be truncated: 3.7 drew and recorded seed 3
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        simulate(constant_frontier(1.0), 100, 1.0, seed)
+
+
+@pytest.mark.parametrize("n", [1e3, 1000.0, True], ids=["1e3", "1000.0", "True"])
+def test_point_sample_requires_integer_n(n) -> None:
+    with pytest.raises(ValueError, match="n must be an integer"):
+        PointSample(np.array([0.5]), np.array([0.5]), n=n, c=1.0, seed=0, frontier_label="constant:a=1.0")
+
+
+def test_point_sample_stores_numpy_integers_as_int(tmp_path) -> None:
+    f = constant_frontier(1.0)
+    s = simulate(f, np.int64(1000), 1.0, 1)
+    assert type(s.n) is int and s.n == 1000
+    t = PointSample(s.xs, s.ys, n=np.uint16(1000), c=1.0, seed=np.uint64(1), frontier_label=f.label)
+    assert type(t.n) is int and type(t.seed) is int
+    path = tmp_path / "sample.csv"
+    t.to_csv(path)
+    assert path.read_text().splitlines()[0] == "n=1000,c=1.0,seed=1,frontier=constant:a=1.0"
+    assert PointSample.from_csv(path).n == 1000
 
 
 def test_simulate_vanishing_intensity_gives_empty_sample() -> None:
@@ -139,8 +182,10 @@ def test_point_sample_csv_round_trip(tmp_path) -> None:
     back = PointSample.from_csv(path)
     assert back.n == s.n and back.c == s.c and back.seed == s.seed
     assert back.frontier_label == s.frontier_label
-    assert np.array_equal(back.xs, s.xs)
-    assert np.array_equal(back.ys, s.ys)
+    # the file holds the rows in x order; the sample, in draw order
+    order = np.argsort(s.xs)
+    assert np.array_equal(back.xs, s.xs[order])
+    assert np.array_equal(back.ys, s.ys[order])
     # idempotent re-serialization
     path2 = tmp_path / "again.csv"
     back.to_csv(path2)
@@ -173,13 +218,23 @@ def test_point_sample_csv_empty_data_and_one_field_rows(tmp_path) -> None:
         PointSample.from_csv(path)
 
 
-def test_point_sample_sorts_rows_by_x() -> None:
-    xs = np.array([0.6, 0.1, 0.9, 0.3])
-    ys = np.array([0.8, 0.5, 0.3, 0.2])
-    sample = PointSample(xs, ys, n=4, c=1.0, seed=0, frontier_label="constant:a=1.0")
-    np.testing.assert_array_equal(sample.xs, [0.1, 0.3, 0.6, 0.9])
-    np.testing.assert_array_equal(sample.ys, [0.5, 0.2, 0.8, 0.3])
-    assert xs[0] == 0.6  # the caller's arrays are left as they were
+def test_point_sample_row_order_does_not_matter(tmp_path) -> None:
+    f = sine_frontier(1.0, 0.25)
+    s = simulate(f, 2000, 1.0, 2468)
+    xs, ys = (arr[np.random.default_rng(0).permutation(len(s))] for arr in (s.xs, s.ys))
+    given = xs.copy(), ys.copy()
+    shuffled = PointSample(xs, ys, n=s.n, c=s.c, seed=s.seed, frontier_label=s.frontier_label)
+    for cfg in (PartitionConfig(n=2000, h_prime=3, d_n=3), PartitionConfig(n=2000, h_prime=6, d_n=1)):
+        a, b = cell_stats(s, cfg, f), cell_stats(shuffled, cfg, f)
+        for name in ("counts", "x_star", "z_star"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    s.to_csv(tmp_path / "drawn.csv")
+    shuffled.to_csv(tmp_path / "shuffled.csv")
+    assert (tmp_path / "drawn.csv").read_bytes() == (tmp_path / "shuffled.csv").read_bytes()
+    # the caller's arrays are neither reordered nor frozen
+    assert np.array_equal(xs, given[0]) and np.array_equal(ys, given[1])
+    assert xs.flags.writeable and ys.flags.writeable
+    assert not shuffled.xs.flags.writeable and not shuffled.ys.flags.writeable
 
 
 @pytest.mark.parametrize(
@@ -314,6 +369,23 @@ def test_cell_stats_matches_bruteforce_binning() -> None:
         if mask.any():
             assert stats.x_star[r] == sample.ys[mask].max()
             assert stats.z_star[r] == sample.ys[mask].min()
+
+
+@pytest.mark.parametrize("h_prime, d_n", [(0, 1), (3, 3), (4, 16), (10, 3), (12, 3)])
+def test_cell_stats_matches_sorted_run_reference(h_prime, d_n) -> None:
+    f = sine_frontier(1.0, 0.25)
+    cfg = PartitionConfig(n=20_000, h_prime=h_prime, d_n=d_n)
+    sample = simulate(f, cfg.n, 1.0, 1357)
+    # points on and next to every edge, where a rounded x * k_n is off by one
+    edges = np.arange(cfg.k_n + 1) / cfg.k_n
+    xs = np.concatenate((sample.xs, edges, np.nextafter(edges[1:], 0.0), np.nextafter(edges[:-1], 1.0)))
+    ys = np.concatenate((sample.ys, np.full(3 * cfg.k_n + 1, 0.5)))
+    edge_sample = PointSample(xs, ys, n=cfg.n, c=1.0, seed=0, frontier_label=f.label)
+    for s in (sample, edge_sample):
+        stats = cell_stats(s, cfg, f)
+        want = sorted_run_cell_extremes(s.xs, s.ys, cfg.k_n)
+        for got, expected in zip((stats.counts, stats.x_star, stats.z_star), want):
+            assert got.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from haarfrontier.frontiers import constant_frontier
 from haarfrontier.haar import dirichlet_kernel, haar_eval
 from haarfrontier.stepfun import StepFunction, uniform_cell_index
 
-from crosschecks import BreakpointStep
+from crosschecks import BreakpointStep, searchsorted_cell_index
 
 
 def test_construction_validation() -> None:
@@ -103,6 +103,26 @@ def test_arithmetic_matches_breakpoint_reference(a, b, xs) -> None:
         np.testing.assert_array_equal(step(points), ref(points))
         assert all(step(float(x)) == ref(float(x)) for x in points)
     assert a.inner(b) == ref_a.inner(ref_b)
+
+
+@pytest.mark.parametrize("n_cells", [*range(1, 201), 3 * 2**10, 12_288])
+def test_uniform_cell_index_matches_search_reference(n_cells) -> None:
+    # every edge j / n_cells, both of its floating-point neighbours inside
+    # [0, 1], and random x: where a rounded x * n_cells is off by one
+    edges = np.arange(n_cells + 1) / n_cells
+    below, above = np.nextafter(edges[1:], -np.inf), np.nextafter(edges[:-1], np.inf)
+    random = np.random.default_rng(n_cells).random(1000)
+    xs = np.concatenate((edges, below, above, [0.0, 1.0], random))
+    want = searchsorted_cell_index(xs, n_cells)
+    got = uniform_cell_index(xs, n_cells)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert [int(uniform_cell_index(x, n_cells)) for x in xs.tolist()] == want.tolist()
+    # the neighbours just outside [0, 1] still raise
+    for x in (np.nextafter(0.0, -np.inf), np.nextafter(1.0, np.inf), np.nan):
+        with pytest.raises(ValueError, match="x must lie in \\[0, 1\\]"):
+            uniform_cell_index(x, n_cells)
+        with pytest.raises(ValueError, match="x must lie in \\[0, 1\\]"):
+            uniform_cell_index(np.append(xs, x), n_cells)
 
 
 STEP = StepFunction([1.0, 2.0, 3.0, 4.0])
