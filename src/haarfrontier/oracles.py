@@ -72,13 +72,14 @@ def cell_cdf(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float, u):
     return out
 
 
-def _gap_moments(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float) -> tuple:
-    """First two moments of the gap (cell sup - cell max).
+def _gap_quadrature(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float) -> tuple:
+    """The cell supremum, the CDF of the cell-r maximum, and its gap integrator.
 
-    The gap W satisfies P(W > w) = F(top - w), so E W integrates the CDF and
-    E W^2 integrates 2(top - v) F(v). Both integrands are boundary layers of
-    width ~ k_n/(n c) near the cell supremum, which quadrature handles well
-    and which keeps the variance free of large-term cancellation.
+    The gap W = top - max satisfies P(W > w) = F(top - w), so E W
+    integrates the CDF and E W^2 integrates 2(top - v) F(v). Both integrands
+    are boundary layers of width ~ k_n/(n c) near the cell supremum, which
+    quadrature handles well and which keeps the variance free of large-term
+    cancellation. `integrate(g)` is the integral of g over [0, top].
     """
     lo, hi = cfg.cell_bounds(r)
     _, top = f.range_on(lo, hi)
@@ -98,23 +99,24 @@ def _gap_moments(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float) -> tup
         depth *= 2.0
     seeds = sorted(set(seeds))
     tol = 1e-10 / len(seeds)
-    g0 = sum(adaptive_simpson(cdf, a, b, tol) for a, b in zip(seeds, seeds[1:]))
-    g1 = 2.0 * sum(
-        adaptive_simpson(lambda v: (top - v) * cdf(v), a, b, tol)
-        for a, b in zip(seeds, seeds[1:])
-    )
-    return top, g0, g1
+
+    def integrate(g) -> float:
+        return sum(adaptive_simpson(g, a, b, tol) for a, b in zip(seeds, seeds[1:]))
+
+    return top, cdf, integrate
 
 
 def cell_max_mean(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float) -> float:
-    """Exact expectation of the cell-r maximum."""
-    top, g0, _ = _gap_moments(f, cfg, r, c)
-    return top - g0
+    """Exact expectation of the cell-r maximum: the supremum less E W, one quadrature pass."""
+    top, cdf, integrate = _gap_quadrature(f, cfg, r, c)
+    return top - integrate(cdf)
 
 
 def cell_max_variance(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float) -> float:
-    """Exact variance of the cell-r maximum."""
-    _, g0, g1 = _gap_moments(f, cfg, r, c)
+    """Exact variance of the cell-r maximum: E W^2 - (E W)^2."""
+    top, cdf, integrate = _gap_quadrature(f, cfg, r, c)
+    g0 = integrate(cdf)
+    g1 = 2.0 * integrate(lambda v: (top - v) * cdf(v))
     return g1 - g0 * g0
 
 

@@ -7,22 +7,25 @@ rejection from the bounding box [0,1] x [0,M]; the acceptance rate is
 bounded below by m/M > 0. A PointSample keeps its points in the order
 given: every cell statistic is an order-free reduction (count, max, min)
 over the cells `uniform_cell_index` assigns, so no estimate depends on row
-order, and only the CSV file is written in x order.
+order, and only the CSV file is written in x order. A sample is checked
+once, when it is built; `simulate` hands it the arrays it drew, without a
+copy, and `cell_stats` bins its checked x without checking them again.
 """
 
 from __future__ import annotations
 
 import functools
 import numbers
+import threading
 import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .frontiers import FrontierSpec
-from .stepfun import uniform_cell_index
+from .stepfun import _cell_index
 
-_MASK64 = (1 << 64) - 1
+_SEED_LIMIT = 1 << 64
 
 
 def _require_integer(name: str, value) -> int:
@@ -34,6 +37,14 @@ def _require_integer(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer")
     return int(value)
+
+
+def _require_seed(value) -> int:
+    """value as a Python int in [0, 2^64), the keys of the generator: recorded seed = key."""
+    seed = _require_integer("seed", value)
+    if not 0 <= seed < _SEED_LIMIT:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 @dataclass(frozen=True)
@@ -88,11 +99,21 @@ class PointSample:
     frontier_label: str
 
     def __post_init__(self):
-        for name in ("n", "seed"):
-            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         # copies, so freezing them leaves the caller's arrays writeable
-        xs = np.array(self.xs, dtype=float)
-        ys = np.array(self.ys, dtype=float)
+        self._check_and_freeze(np.array(self.xs, dtype=float), np.array(self.ys, dtype=float))
+
+    @classmethod
+    def _owning(cls, xs: np.ndarray, ys: np.ndarray, **meta) -> "PointSample":
+        """A sample of float arrays no one else holds: checked and frozen like any other, not copied."""
+        sample = object.__new__(cls)
+        for name, value in meta.items():
+            object.__setattr__(sample, name, value)
+        sample._check_and_freeze(xs, ys)
+        return sample
+
+    def _check_and_freeze(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        object.__setattr__(self, "n", _require_integer("n", self.n))
+        object.__setattr__(self, "seed", _require_seed(self.seed))
         if xs.shape != ys.shape or xs.ndim != 1:
             raise ValueError("xs and ys must be 1-d arrays of equal length")
         # NaN fails every comparison, so this also rejects non-finite values
@@ -145,14 +166,41 @@ class PointSample:
         return cls(xs=xs, ys=ys, **meta)
 
 
+_THREAD = threading.local()
+
+
+def _generator(seed: int) -> np.random.Generator:
+    """This thread's Philox generator, re-keyed to draw what Philox(key=seed) draws.
+
+    Philox(key=seed) has key [seed, 0], counter 0 and an empty output
+    buffer; setting that state on a generator this thread already has
+    skips the fresh SeedSequence (OS entropy) each new Philox builds.
+    """
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox(key=0))
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, 0], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
 def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
     """Draw one realization of the superposed process restricted to the frontier region.
 
-    Deterministic in seed (counter-based generator keyed by it); the number
-    of points is Poisson with mean n*c times the area under f and, given the
-    count, points are i.i.d. uniform under the frontier.
+    Deterministic in seed, an integer in [0, 2^64): the stream is that of
+    a counter-based Philox generator keyed by it, and the calling thread's
+    generator is re-keyed for each call. The number of points is Poisson
+    with mean n*c times the area under f and, given the count, points are
+    i.i.d. uniform under the frontier. The sample is checked once and owns
+    the drawn arrays, read-only, without a copy.
     """
-    seed = _require_integer("seed", seed)
+    seed = _require_seed(seed)
     if _require_integer("n", n) < 1:
         raise ValueError("n must be a positive integer")
     if c <= 0.0:
@@ -162,32 +210,33 @@ def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
         raise ValueError(
             f"rejection sampling would be pathological: M/mean(f) = {f.M / total_area:.3g} > 1e6"
         )
-    rng = np.random.Generator(np.random.Philox(key=seed & _MASK64))
+    rng = _generator(seed)
     count = int(rng.poisson(n * c * total_area))
     accept_rate = total_area / f.M
     xs_parts, ys_parts = [], []
     have = 0
     while have < count:
-        batch = int((count - have) / accept_rate * 1.2) + 16
+        need = count - have
+        batch = int(need / accept_rate * 1.2) + 16
         cand_x = rng.random(batch)
         cand_y = rng.random(batch)
         cand_y *= f.M
         keep = cand_y <= f(cand_x)
-        take_x = cand_x[keep]
-        take_y = cand_y[keep]
-        if have + len(take_x) > count:
-            take_x = take_x[: count - have]
-            take_y = take_y[: count - have]
+        if keep[:need].all():
+            # the first `need` candidates are the ones a gather would take
+            take_x, take_y = cand_x[:need], cand_y[:need]
+        else:
+            take_x, take_y = cand_x[keep][:need], cand_y[keep][:need]
         xs_parts.append(take_x)
         ys_parts.append(take_y)
         have += len(take_x)
-    # one batch is the usual case; PointSample copies it, so no concatenate
+    # one batch is the usual case, and its arrays need no concatenate
     if len(xs_parts) == 1:
         xs, ys = xs_parts[0], ys_parts[0]
     else:
         xs = np.concatenate(xs_parts) if xs_parts else np.empty(0)
         ys = np.concatenate(ys_parts) if ys_parts else np.empty(0)
-    return PointSample(xs=xs, ys=ys, n=n, c=float(c), seed=seed, frontier_label=f.label)
+    return PointSample._owning(xs, ys, n=n, c=float(c), seed=seed, frontier_label=f.label)
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +290,8 @@ def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> Ce
         raise ValueError("sample and partition disagree on n")
     k = cfg.k_n
     cell_areas, f_min, f_max = _cell_geometry(f, k)
-    idx = uniform_cell_index(sample.xs, k)
+    # the sample's read-only xs were checked to lie in [0, 1] when it was built
+    idx = _cell_index(sample.xs, k)
     counts = np.bincount(idx, minlength=k)
     x_star = np.full(k, -np.inf)
     z_star = np.full(k, np.inf)

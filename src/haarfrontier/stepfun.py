@@ -26,17 +26,27 @@ def uniform_cell_index(x, n_cells: int) -> np.ndarray:
     Left-closed pieces, with x = 1 assigned to the last (right-closed) one:
     the index is the number of edges j / n_cells, 0 < j < n_cells, at or
     below x, for x in any order. Any x that is not finite and in [0, 1]
-    raises, NaN included.
+    raises, NaN included. When n_cells is a power of two (every dyadic
+    partition) the index is floor(x * n_cells), which is exact.
     """
     x_arr = np.asarray(x, dtype=float)
     # NaN fails every comparison, so this also rejects non-finite values
     if x_arr.size and not (0.0 <= x_arr.min() and x_arr.max() <= 1.0):
         raise ValueError("x must lie in [0, 1]")
-    edges = np.arange(n_cells + 1) / n_cells
-    # floor(x * n_cells) is at most one cell off where rounding meets an
-    # edge; one comparison with each edge of that cell puts x where the
-    # edges themselves say, without a search
+    return _cell_index(x_arr, n_cells)
+
+
+def _cell_index(x_arr: np.ndarray, n_cells: int) -> np.ndarray:
+    """`uniform_cell_index` without its check: x_arr is a float array already in [0, 1]."""
     idx = np.minimum((x_arr * n_cells).astype(np.intp), n_cells - 1)
+    if is_power_of_two(n_cells):
+        # x * 2^j and every edge j / 2^j are exact in binary floating point,
+        # so the floor already counts the edges at or below x
+        return idx
+    edges = np.arange(n_cells + 1) / n_cells
+    # otherwise floor(x * n_cells) is at most one cell off where rounding
+    # meets an edge; one comparison with each edge of that cell puts x where
+    # the edges themselves say, without a search
     idx -= x_arr < edges[idx]
     idx += (x_arr >= edges[idx + 1]) & (idx < n_cells - 1)
     return idx

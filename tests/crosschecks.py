@@ -9,6 +9,7 @@ import numpy as np
 
 from haarfrontier.frontiers import FrontierSpec, parse_frontier
 from haarfrontier.haar import dirichlet_kernel, haar_eval
+from haarfrontier.process import PointSample
 
 # each shipped family; the sine with both signs of b, and a second two-level
 # frontier with lo > hi and its split off the dyadic grid
@@ -100,6 +101,31 @@ def searchsorted_cell_index(x, n_cells):
     edges = np.arange(n_cells + 1) / n_cells
     idx = np.searchsorted(edges, np.asarray(x, dtype=float), side="right") - 1
     return np.minimum(idx, n_cells - 1)
+
+
+def simulate_fresh_philox(f, n, c, seed):
+    """Reference form of `process.simulate`: a new Philox(key=seed) per call, every batch gathered.
+
+    Returns the sample, built through the public copying constructor, and
+    the number of candidate batches the rejection loop drew.
+    """
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    total_area = f.integral(0.0, 1.0)
+    count = int(rng.poisson(n * c * total_area))
+    xs, ys = [np.empty(0)], [np.empty(0)]
+    have = 0
+    while have < count:
+        batch = int((count - have) / (total_area / f.M) * 1.2) + 16
+        cand_x = rng.random(batch)
+        cand_y = rng.random(batch) * f.M
+        keep = cand_y <= f(cand_x)
+        xs.append(cand_x[keep][: count - have])
+        ys.append(cand_y[keep][: count - have])
+        have += len(xs[-1])
+    sample = PointSample(
+        np.concatenate(xs), np.concatenate(ys), n=n, c=float(c), seed=seed, frontier_label=f.label
+    )
+    return sample, len(xs) - 1
 
 
 def sorted_run_cell_extremes(xs, ys, k_n):

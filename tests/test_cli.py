@@ -198,6 +198,15 @@ def test_usage_errors_exit_1() -> None:
     assert proc.returncode == 1
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_simulate_seed_off_the_key_range_exits_1(tmp_path, capsys, seed) -> None:
+    out = tmp_path / "sim"
+    argv = ["simulate", "--frontier", "constant:a=1.0", "--n", "50", "--seed", seed, "--out", str(out)]
+    assert main(argv) == 1
+    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_list_presets_names_everything() -> None:
     proc = run_cli("list-presets")
     for name in ("local-bias", "variance", "mise", "supnorm", "weibull", "gumbel", "gaussian", "zn-moments"):

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -19,6 +21,7 @@ from crosschecks import (
     cell_centers,
     cell_geometry_loop,
     frontier,
+    simulate_fresh_philox,
     sorted_run_cell_extremes,
 )
 
@@ -100,6 +103,87 @@ def test_simulate_requires_integer_seed(seed) -> None:
     # a float seed used to be truncated: 3.7 drew and recorded seed 3
     with pytest.raises(ValueError, match="seed must be an integer"):
         simulate(constant_frontier(1.0), 100, 1.0, seed)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2^64"])
+def test_seed_must_be_a_generator_key(seed) -> None:
+    # -1 used to key the generator as 2^64 - 1 while recording seed=-1
+    f = constant_frontier(1.0)
+    with pytest.raises(ValueError, match="seed must lie in \\[0, 2\\*\\*64\\)"):
+        simulate(f, 100, 1.0, seed)
+    with pytest.raises(ValueError, match="seed must lie in \\[0, 2\\*\\*64\\)"):
+        PointSample(np.array([0.5]), np.array([0.5]), n=1, c=1.0, seed=seed, frontier_label=f.label)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["0", "2^64-1"])
+def test_seed_range_ends_are_keys(seed) -> None:
+    f = constant_frontier(1.0)
+    s = simulate(f, 100, 1.0, seed)
+    assert s.seed == seed
+    t = PointSample(s.xs, s.ys, n=100, c=1.0, seed=np.uint64(seed), frontier_label=f.label)
+    assert t.seed == seed
+
+
+# (label, n, seed, candidate batches the rejection loop draws): the shipped
+# families at the ends of the seed range, and a frontier with acceptance
+# rate about 0.02 whose seed 2 runs out of candidates in the first batch
+FRESH_PHILOX_CASES = [
+    *((label, 2000, seed, 1) for label in SHIPPED_LABELS for seed in (0, 5, 2**64 - 1)),
+    ("two_level:lo=0.01,hi=1.0,split=0.99", 500, 2, 2),
+]
+
+
+@pytest.mark.parametrize("label, n, seed, batches", FRESH_PHILOX_CASES)
+def test_simulate_matches_fresh_philox_reference(label, n, seed, batches) -> None:
+    f = frontier(label)
+    want, drawn = simulate_fresh_philox(f, n, 1.0, seed)
+    assert drawn == batches
+    for _ in range(2):  # the re-keyed generator starts afresh each call
+        got = simulate(f, n, 1.0, seed)
+        assert got.xs.tobytes() == want.xs.tobytes() and got.ys.tobytes() == want.ys.tobytes()
+    assert (got.n, got.c, got.seed, got.frontier_label) == (n, 1.0, seed, f.label)
+
+
+def test_simulate_in_concurrent_threads_matches_serial() -> None:
+    # more threads than cores, switching often: a generator shared between
+    # threads would hand one thread's draws to another
+    f = sine_frontier(1.0, 0.25)
+    seeds = {t: range(100 * t, 100 * t + 30) for t in range(4)}
+    serial = {t: [simulate(f, 500, 1.0, s).xs.tobytes() for s in seeds[t]] for t in seeds}
+    threaded = {t: [] for t in seeds}
+    start = threading.Barrier(len(seeds))
+
+    def draw(t):
+        start.wait()
+        threaded[t].extend(simulate(f, 500, 1.0, s).xs.tobytes() for s in seeds[t])
+
+    workers = [threading.Thread(target=draw, args=(t,)) for t in seeds]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert threaded == serial
+
+
+@pytest.mark.parametrize("label", SHIPPED_LABELS)
+def test_simulated_sample_is_read_only_and_bins_like_a_copy(label) -> None:
+    f = frontier(label)
+    s = simulate(f, 3000, 1.0, 17)
+    assert not s.xs.flags.writeable and not s.ys.flags.writeable
+    with pytest.raises(ValueError):
+        s.xs[0] = 0.5
+    copy = PointSample(s.xs, s.ys, n=s.n, c=s.c, seed=s.seed, frontier_label=s.frontier_label)
+    assert not np.shares_memory(copy.xs, s.xs)
+    for cfg in (PartitionConfig(n=3000, h_prime=3, d_n=3), PartitionConfig(n=3000, h_prime=5, d_n=1)):
+        got, want = cell_stats(s, cfg, f), cell_stats(copy, cfg, f)
+        for name in ("counts", "x_star", "z_star"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
 
 @pytest.mark.parametrize("n", [1e3, 1000.0, True], ids=["1e3", "1000.0", "True"])

@@ -105,10 +105,11 @@ def test_arithmetic_matches_breakpoint_reference(a, b, xs) -> None:
     assert a.inner(b) == ref_a.inner(ref_b)
 
 
-@pytest.mark.parametrize("n_cells", [*range(1, 201), 3 * 2**10, 12_288])
+@pytest.mark.parametrize("n_cells", [*range(1, 201), 3 * 2**10, 12_288, 2**10, 2**14, 2**16])
 def test_uniform_cell_index_matches_search_reference(n_cells) -> None:
     # every edge j / n_cells, both of its floating-point neighbours inside
-    # [0, 1], and random x: where a rounded x * n_cells is off by one
+    # [0, 1], and random x: where a rounded x * n_cells is off by one, and
+    # where a power of two skips the edge comparisons
     edges = np.arange(n_cells + 1) / n_cells
     below, above = np.nextafter(edges[1:], -np.inf), np.nextafter(edges[:-1], np.inf)
     random = np.random.default_rng(n_cells).random(1000)
