@@ -19,7 +19,7 @@ from .frontiers import FrontierSpec, parse_frontier
 from .haar import truncated_expansion
 from .kernels import ReplicateTask, l2_error_sq, require_sup_resolution, sup_error
 from .oracles import ks_statistic, limit_law
-from .process import PartitionConfig
+from .process import PartitionConfig, _require_seed
 from .report import ReportRow
 from .runner import derive_seed, run_task
 from .stepfun import StepFunction
@@ -58,6 +58,9 @@ class ExperimentConfig:
     sup_eps: tuple = (0.05, 0.1, 0.2)
 
     def __post_init__(self):
+        # derive_seed works modulo 2^64, so a seed outside [0, 2^64) would
+        # run the same replicates as its residue under another recorded seed
+        object.__setattr__(self, "base_seed", _require_seed(self.base_seed))
         if self.c <= 0.0:
             raise ValueError("intensity rate c must be positive")
         if self.replicates < 2:

@@ -21,7 +21,7 @@ import numpy as np
 from .estimators import haar_ev_estimate, minima_mean
 from .frontiers import FrontierSpec, parse_frontier
 from .process import PartitionConfig, cell_stats, simulate
-from .stepfun import StepFunction, uniform_cell_index
+from .stepfun import StepFunction, _cell_index, _unit_points
 
 SUP_GRID_STEP = 2.0**-14
 
@@ -35,6 +35,11 @@ class ReplicateTask:
     d_n: int
     c: float
     xs: tuple = ()
+
+    def __post_init__(self):
+        # the check of uniform_cell_index, once per task: the kernels then
+        # locate these points with its unchecked core
+        _unit_points(self.xs)
 
     def partition(self) -> PartitionConfig:
         return PartitionConfig(n=self.n, h_prime=self.h_prime, d_n=self.d_n)
@@ -90,8 +95,8 @@ def _stats(f: FrontierSpec, cfg: PartitionConfig, c: float, seed: int):
 def _kernel_fhat_zn_at(f, cfg, c, xs, seed):
     """The block-mean estimate at each x in xs, then the minima mean z_n."""
     stats = _stats(f, cfg, c, seed)
-    est = haar_ev_estimate(stats, cfg)
-    return np.append(est(np.asarray(xs, dtype=float)), minima_mean(stats))
+    values = haar_ev_estimate(stats, cfg).values
+    return np.append(values[_cell_index(xs, len(values))], minima_mean(stats))
 
 
 def _kernel_mise(f, cfg, c, xs, seed):
@@ -109,11 +114,12 @@ def _kernel_sup(f, cfg, c, xs, seed):
 
 def _kernel_weibull(f, cfg, c, xs, seed):
     stats = _stats(f, cfg, c, seed)
-    x = xs[0]
-    r = int(uniform_cell_index(x, cfg.k_n))
+    x = xs[:1]
+    r = int(_cell_index(x, cfg.k_n)[0])
     center = cfg.k_n * stats.cell_areas[r]
     rate = cfg.n * c / cfg.k_n
-    t_est = rate * (haar_ev_estimate(stats, cfg)(x) - center)
+    values = haar_ev_estimate(stats, cfg).values
+    t_est = rate * (values[_cell_index(x, len(values))[0]] - center)
     t_max = rate * (stats.x_star[r] - center)
     return np.array([t_est, t_max])
 
@@ -137,4 +143,6 @@ def run_chunk(task: ReplicateTask, seeds) -> np.ndarray:
     f = parse_frontier(task.frontier)
     cfg = task.partition()
     kernel = KERNELS[task.kind]
-    return np.array([kernel(f, cfg, task.c, task.xs, int(s)) for s in seeds])
+    # the task checked its points when it was built
+    xs = np.asarray(task.xs, dtype=float)
+    return np.array([kernel(f, cfg, task.c, xs, int(s)) for s in seeds])

@@ -10,6 +10,14 @@ over the cells `uniform_cell_index` assigns, so no estimate depends on row
 order, and only the CSV file is written in x order. A sample is checked
 once, when it is built; `simulate` hands it the arrays it drew, without a
 copy, and `cell_stats` bins its checked x without checking them again.
+
+Each invariant of a CellStats record is established once, where it arises:
+the cell geometry (areas within the frontier's range) when `_cell_geometry`
+fills its cache, the sample when it is built, and the maxima against the
+frontier enclosure on each replicate, the one check that depends on the
+data. Binning a checked sample gives one entry per cell and 0 <= z_star <=
+x_star by construction. A kernel task's evaluation points are checked when
+the task is built (see `kernels.ReplicateTask`).
 """
 
 from __future__ import annotations
@@ -239,6 +247,20 @@ def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
     return PointSample._owning(xs, ys, n=n, c=float(c), seed=seed, frontier_label=f.label)
 
 
+_ESCAPE = "cell maxima escape the frontier enclosure"
+
+
+def _enclosure_slack(f_max: np.ndarray) -> float:
+    """How far above f_max a cell maximum may lie, for rounding: 1e-9 * max(1, max f_max)."""
+    return 1e-9 * max(1.0, float(np.max(f_max, initial=1.0)))
+
+
+def _check_cell_areas(k_n: int, cell_areas, f_min, f_max) -> None:
+    scaled = k_n * cell_areas
+    if np.any(scaled < f_min - 1e-8) or np.any(scaled > f_max + 1e-8):
+        raise ValueError("cell areas inconsistent with frontier bounds")
+
+
 @dataclass(frozen=True, eq=False)
 class CellStats:
     """Per-cell record: point count, extreme y values, and oracle cell geometry.
@@ -246,6 +268,8 @@ class CellStats:
     x_star is the largest y among points in the cell and z_star the smallest,
     both 0 when the cell is empty. cell_areas holds the exact area of the
     frontier region over each cell; f_min and f_max enclose the frontier there.
+    The public constructor checks every invariant; `cell_stats` builds its
+    records through `_binned`, which checks only what binning leaves open.
     """
 
     counts: np.ndarray
@@ -267,21 +291,47 @@ class CellStats:
         occ = self.counts > 0
         if np.any(self.z_star[occ] < 0) or np.any(self.z_star[occ] > self.x_star[occ]):
             raise ValueError("cell minima must satisfy 0 <= z_star <= x_star")
-        slack = 1e-9 * max(1.0, float(np.max(self.f_max, initial=1.0)))
+        slack = _enclosure_slack(self.f_max)
         if np.any(self.x_star[occ] > self.f_max[occ] + slack):
-            raise ValueError("cell maxima escape the frontier enclosure")
-        scaled = self.cfg.k_n * self.cell_areas
-        if np.any(scaled < self.f_min - 1e-8) or np.any(scaled > self.f_max + 1e-8):
-            raise ValueError("cell areas inconsistent with frontier bounds")
+            raise ValueError(_ESCAPE)
+        _check_cell_areas(k, self.cell_areas, self.f_min, self.f_max)
+
+    @classmethod
+    def _binned(cls, counts, x_star, z_star, geometry, cfg) -> "CellStats":
+        """A record of fresh binned arrays over the cached geometry of cfg's partition.
+
+        Binning a checked sample gives one entry per cell and 0 <= z_star <=
+        x_star, and the cached geometry was checked when it was filled, so
+        only the maxima are checked here, against f_max plus the cached
+        slack; an empty cell holds 0, which lies below it.
+        """
+        cell_areas, f_min, f_max, slack = geometry
+        if np.any(x_star > f_max + slack):
+            raise ValueError(_ESCAPE)
+        for arr in (counts, x_star, z_star):
+            arr.flags.writeable = False
+        stats = object.__new__(cls)
+        record = dict(counts=counts, x_star=x_star, z_star=z_star,
+                      cell_areas=cell_areas, f_min=f_min, f_max=f_max, cfg=cfg)
+        for name, value in record.items():
+            object.__setattr__(stats, name, value)
+        return stats
 
 
 @functools.lru_cache(maxsize=2)
 def _cell_geometry(f: FrontierSpec, k_n: int) -> tuple:
+    """(cell_areas, f_min, f_max, enclosure slack) of the k_n-cell partition; arrays read-only.
+
+    Checked when the cache is filled; a geometry that fails raises and is
+    not cached, so every call with it raises.
+    """
     edges = np.arange(k_n + 1) / k_n
-    geometry = (f.integral(edges[:-1], edges[1:]), *f.range_on(edges[:-1], edges[1:]))
-    for arr in geometry:
+    cell_areas = f.integral(edges[:-1], edges[1:])
+    f_min, f_max = f.range_on(edges[:-1], edges[1:])
+    _check_cell_areas(k_n, cell_areas, f_min, f_max)
+    for arr in (cell_areas, f_min, f_max):
         arr.flags.writeable = False
-    return geometry
+    return cell_areas, f_min, f_max, _enclosure_slack(f_max)
 
 
 def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> CellStats:
@@ -289,7 +339,7 @@ def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> Ce
     if sample.n != cfg.n:
         raise ValueError("sample and partition disagree on n")
     k = cfg.k_n
-    cell_areas, f_min, f_max = _cell_geometry(f, k)
+    geometry = _cell_geometry(f, k)
     # the sample's read-only xs were checked to lie in [0, 1] when it was built
     idx = _cell_index(sample.xs, k)
     counts = np.bincount(idx, minlength=k)
@@ -300,4 +350,4 @@ def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> Ce
     empty = counts == 0
     x_star[empty] = 0.0
     z_star[empty] = 0.0
-    return CellStats(counts, x_star, z_star, cell_areas, f_min, f_max, cfg)
+    return CellStats._binned(counts, x_star, z_star, geometry, cfg)

@@ -29,11 +29,16 @@ def uniform_cell_index(x, n_cells: int) -> np.ndarray:
     raises, NaN included. When n_cells is a power of two (every dyadic
     partition) the index is floor(x * n_cells), which is exact.
     """
+    return _cell_index(_unit_points(x), n_cells)
+
+
+def _unit_points(x) -> np.ndarray:
+    """x as a float array, checked to be finite and in [0, 1]: the check of `uniform_cell_index`."""
     x_arr = np.asarray(x, dtype=float)
     # NaN fails every comparison, so this also rejects non-finite values
     if x_arr.size and not (0.0 <= x_arr.min() and x_arr.max() <= 1.0):
         raise ValueError("x must lie in [0, 1]")
-    return _cell_index(x_arr, n_cells)
+    return x_arr
 
 
 def _cell_index(x_arr: np.ndarray, n_cells: int) -> np.ndarray:

@@ -207,6 +207,17 @@ def test_simulate_seed_off_the_key_range_exits_1(tmp_path, capsys, seed) -> None
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_experiment_seed_off_the_key_range_exits_1(tmp_path, capsys, seed) -> None:
+    # -1 would derive the same replicate seeds as 2**64 - 1 under another recorded seed
+    out = tmp_path / "exp"
+    argv = ["experiment", "zn-moments", "--replicates", "20", "--workers", "1", f"--seed={seed}",
+            "--out", str(out)]
+    assert main(argv) == 1
+    assert "seed must lie in [0, 2**64)" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_list_presets_names_everything() -> None:
     proc = run_cli("list-presets")
     for name in ("local-bias", "variance", "mise", "supnorm", "weibull", "gumbel", "gaussian", "zn-moments"):

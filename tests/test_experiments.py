@@ -58,6 +58,30 @@ def test_config_validation() -> None:
             _cfg(xs=(0.5, x))
 
 
+@pytest.mark.parametrize(
+    "seed, message",
+    [(-1, "must lie in"), (2**64, "must lie in"), (True, "must be an integer"), (3.0, "must be an integer")],
+)
+def test_config_rejects_a_base_seed_off_the_key_range(seed, message) -> None:
+    with pytest.raises(ValueError, match=message):
+        _cfg(base_seed=seed)
+
+
+def test_config_stores_the_base_seed_as_a_python_int() -> None:
+    cfg = _cfg(base_seed=np.uint64(2**64 - 1))
+    assert type(cfg.base_seed) is int and cfg.base_seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("xs", [(math.nan,), (0.5, 1.5), (-0.0001,), (math.inf,)])
+def test_replicate_task_checks_its_points_before_any_replicate(monkeypatch, xs) -> None:
+    def no_simulation(*args):
+        raise AssertionError("simulated a replicate")
+
+    monkeypatch.setattr("haarfrontier.kernels.simulate", no_simulation)
+    with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+        run_task(ReplicateTask("fhat_zn_at", "constant:a=1.0", 200, 2, 1, 1.0, xs), 4, 1)
+
+
 def test_regime_flags_are_enforced() -> None:
     with pytest.raises(ValueError, match="regime"):
         local_bias_experiment(_cfg(regimes=()))

@@ -114,6 +114,19 @@ def test_cell_max_variance_flat_asymptote() -> None:
     assert var == pytest.approx(64.0**2 / 1e8, rel=0.01)
 
 
+@pytest.mark.parametrize("a", [1.0, 1.3])
+@pytest.mark.parametrize("n, k_n", [(10_000, 16), (32_000, 16), (2_000, 512), (100, 10)])
+def test_cell_max_variance_flat_closed_form(a, n, k_n) -> None:
+    # the gap W = a - max has P(W > t) = exp(-lam t) on [0, a), lam = n c / k_n
+    f = constant_frontier(a)
+    cfg = PartitionConfig(n=n, h_prime=0, d_n=k_n)
+    lam = n / k_n
+    tail = math.exp(-lam * a)
+    want = 2.0 * (1.0 / lam**2 - tail * (a / lam + 1.0 / lam**2)) - ((1.0 - tail) / lam) ** 2
+    # the adaptive-Simpson error is about 1.2e-6 at n = 1e4, k_n = 16 and 2.1e-6 at n = 32,000
+    assert cell_max_variance(f, cfg, 5, 1.0) == pytest.approx(want, rel=5e-6)
+
+
 def test_mean_gap_rate_across_frontier_family() -> None:
     # max_r |E(max) - (cell min of f - k/(nc))| = O(k^-alpha): fit the constant
     # at the smallest k, verify at two doublings

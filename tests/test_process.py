@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 import threading
@@ -401,6 +402,60 @@ def test_cell_stats_checks_every_array_field(name) -> None:
     record[name] = np.append(record[name], record[name][-1])
     with pytest.raises(ValueError, match=f"{name} must have one entry per cell"):
         CellStats(**record)
+
+
+_RECORD_ARRAYS = ("counts", "x_star", "z_star", "cell_areas", "f_min", "f_max")
+
+
+@pytest.mark.parametrize("label", SHIPPED_LABELS)
+@pytest.mark.parametrize("n, h_prime, d_n", [(200, 6, 4), (20, 3, 3)])  # k_n = 256, then 24
+def test_binned_record_equals_the_publicly_checked_one(label, n, h_prime, d_n) -> None:
+    f = frontier(label)
+    cfg = PartitionConfig(n=n, h_prime=h_prime, d_n=d_n)
+    lean = cell_stats(simulate(f, n, 1.0, 11), cfg, f)
+    assert 0 < int(np.count_nonzero(lean.counts == 0)) < cfg.k_n  # some cells empty, some not
+    public = CellStats(**{name: getattr(lean, name).copy() for name in _RECORD_ARRAYS}, cfg=cfg)
+    assert lean.cfg == public.cfg
+    for name in _RECORD_ARRAYS:
+        got, want = getattr(lean, name), getattr(public, name)
+        assert got.dtype == want.dtype and got.shape == want.shape == (cfg.k_n,)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+
+@pytest.mark.parametrize("excess, escapes", [(5e-10, False), (2e-9, True), (0.5, True)])
+def test_cell_stats_checks_maxima_with_the_public_enclosure_slack(excess, escapes) -> None:
+    # the enclosure has a rounding slack of 1e-9 * max(1, max f_max) above f_max
+    f = constant_frontier(1.0)
+    cfg = PartitionConfig(n=2, h_prime=1, d_n=1)
+    sample = PointSample(
+        xs=np.array([0.2, 0.7]), ys=np.array([0.5, 1.0 + excess]),
+        n=2, c=1.0, seed=0, frontier_label=f.label,
+    )
+    record = _cell_record(x_star=np.array([0.5, 1.0 + excess]), z_star=np.array([0.5, 1.0 + excess]),
+                          counts=np.array([1, 1]), cfg=cfg)
+    if escapes:
+        with pytest.raises(ValueError, match="escape the frontier enclosure"):
+            cell_stats(sample, cfg, f)
+        with pytest.raises(ValueError, match="escape the frontier enclosure"):
+            CellStats(**record)
+    else:
+        assert cell_stats(sample, cfg, f).x_star[1] == 1.0 + excess
+        CellStats(**record)
+
+
+def test_cell_stats_rejects_inconsistent_geometry_on_every_call() -> None:
+    # a declared integral of 1.5 per unit length under a frontier at height 1
+    f = dataclasses.replace(
+        constant_frontier(1.0), exact_integral=lambda lo, hi: 1.5 * (hi - lo), label="wrong-area"
+    )
+    cfg = PartitionConfig(n=16, h_prime=2, d_n=1)
+    sample = simulate(constant_frontier(1.0), 16, 1.0, 4)
+    hits = _cell_geometry.cache_info().hits
+    for _ in range(3):
+        with pytest.raises(ValueError, match="cell areas inconsistent"):
+            cell_stats(sample, cfg, f)
+    assert _cell_geometry.cache_info().hits == hits  # the failure was never cached
 
 
 def test_cell_stats_shares_the_cached_read_only_geometry() -> None:
