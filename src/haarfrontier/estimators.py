@@ -16,7 +16,7 @@ import numpy as np
 
 # unused here, but the traced benchmark counts calls through estimators.haar_eval
 from .haar import haar_eval  # noqa: F401
-from .process import CellStats, PartitionConfig
+from .process import CellStats, PartitionConfig, _require_rate
 from .stepfun import StepFunction
 
 
@@ -121,6 +121,4 @@ def corrected_estimate(stats: CellStats, cfg: PartitionConfig) -> EstimateBundle
 
 def oracle_corrected_estimate(stats: CellStats, cfg: PartitionConfig, c: float) -> StepFunction:
     """Shift by the true k_n/(n c); usable only when c is known (simulation)."""
-    if c <= 0.0:
-        raise ValueError("intensity rate c must be positive")
-    return haar_ev_estimate(stats, cfg) + cfg.k_n / (cfg.n * c)
+    return haar_ev_estimate(stats, cfg) + cfg.k_n / (cfg.n * _require_rate(c))

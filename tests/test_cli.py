@@ -218,6 +218,30 @@ def test_experiment_seed_off_the_key_range_exits_1(tmp_path, capsys, seed) -> No
     assert not out.exists()
 
 
+@pytest.mark.parametrize("c", ["nan", "inf", "-1"])
+def test_rate_that_is_not_finite_and_positive_exits_1(tmp_path, capsys, c) -> None:
+    # checked before any draw: NaN used to reach numpy's "lam < 0 or lam is NaN"
+    out = tmp_path / "out"
+    for argv in (
+        ["experiment", "weibull", "--replicates", "20", "--workers", "1", f"--c={c}"],
+        ["simulate", "--frontier", "constant:a=1.0", "--n", "50", f"--c={c}"],
+    ):
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "intensity rate c must be finite and positive" in err and "lam" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("c", ["nan", "inf", "-1.0", "0.0"])
+def test_estimate_rejects_a_sample_rate_that_is_not_finite_and_positive(tmp_path, capsys, c) -> None:
+    sample = tmp_path / "sample.csv"
+    sample.write_text(f"n=4,c={c},seed=0,frontier=constant:a=1.0\nx,y\n0.1,0.5\n0.6,0.8\n")
+    out = tmp_path / "est"
+    assert main(["estimate", str(sample), "--hprime", "1", "--dn", "1", "--out", str(out)]) == 1
+    assert "intensity rate c must be finite and positive" in capsys.readouterr().err
+    assert not (out / "estimate.json").exists()
+
+
 def test_list_presets_names_everything() -> None:
     proc = run_cli("list-presets")
     for name in ("local-bias", "variance", "mise", "supnorm", "weibull", "gumbel", "gaussian", "zn-moments"):

@@ -193,6 +193,15 @@ def test_shift_identities_are_exact() -> None:
     np.testing.assert_array_equal(checked(xs), bundle.f_hat(xs) + shift)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
+def test_oracle_corrected_requires_a_finite_positive_rate(c) -> None:
+    f = constant_frontier(1.0)
+    cfg = PartitionConfig(n=200, h_prime=2, d_n=2)
+    stats = cell_stats(simulate(f, 200, 1.0, 77), cfg, f)
+    with pytest.raises(ValueError, match="intensity rate c must be finite and positive"):
+        oracle_corrected_estimate(stats, cfg, c)
+
+
 def test_oracle_corrected_reduces_bias_flat_frontier() -> None:
     f = constant_frontier(1.0)
     cfg = PartitionConfig(n=2000, h_prime=3, d_n=4)

@@ -58,6 +58,13 @@ def test_config_validation() -> None:
             _cfg(xs=(0.5, x))
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -1.0, True], ids=["nan", "inf", "-1", "True"])
+def test_config_rejects_a_rate_that_is_not_finite_and_positive(c) -> None:
+    # NaN used to pass `c <= 0.0` and fail inside the first replicate's Poisson draw
+    with pytest.raises(ValueError, match="intensity rate c must be"):
+        _cfg(c=c)
+
+
 @pytest.mark.parametrize(
     "seed, message",
     [(-1, "must lie in"), (2**64, "must lie in"), (True, "must be an integer"), (3.0, "must be an integer")],

@@ -7,12 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
+from haarfrontier import process
 from haarfrontier.frontiers import FrontierSpec, constant_frontier, sine_frontier
 from haarfrontier.process import (
     CellStats,
     PartitionConfig,
     PointSample,
     _cell_geometry,
+    _position,
+    _seek,
     cell_stats,
     simulate,
 )
@@ -106,6 +109,38 @@ def test_simulate_requires_integer_seed(seed) -> None:
         simulate(constant_frontier(1.0), 100, 1.0, seed)
 
 
+@pytest.mark.parametrize(
+    "c, message",
+    [
+        (math.nan, "must be finite and positive, got nan"),
+        (math.inf, "must be finite and positive, got inf"),
+        (-math.inf, "must be finite and positive"),
+        (0.0, "must be finite and positive"),
+        (-1.0, "must be finite and positive"),
+        (True, "must be a real number"),
+        ("1.0", "must be a real number"),
+    ],
+    ids=["nan", "inf", "-inf", "0", "-1", "True", "str"],
+)
+def test_rate_must_be_finite_and_positive(c, message) -> None:
+    # NaN used to pass `c <= 0.0` and fail inside numpy's Poisson draw
+    f = constant_frontier(1.0)
+    with pytest.raises(ValueError, match=f"intensity rate c {message}"):
+        simulate(f, 100, c, 1)
+    with pytest.raises(ValueError, match=f"intensity rate c {message}"):
+        PointSample(np.array([0.5]), np.array([0.5]), n=1, c=c, seed=0, frontier_label=f.label)
+
+
+def test_rate_is_stored_as_a_float(tmp_path) -> None:
+    f = constant_frontier(1.0)
+    assert simulate(f, 100, 2, 1).c == 2.0
+    t = PointSample(np.array([0.5]), np.array([0.5]), n=1, c=np.float32(2), seed=0, frontier_label=f.label)
+    assert type(t.c) is float and t.c == 2.0
+    path = tmp_path / "sample.csv"
+    t.to_csv(path)
+    assert path.read_text().startswith("n=1,c=2.0,seed=0,")
+
+
 @pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2^64"])
 def test_seed_must_be_a_generator_key(seed) -> None:
     # -1 used to key the generator as 2^64 - 1 while recording seed=-1
@@ -143,6 +178,93 @@ def test_simulate_matches_fresh_philox_reference(label, n, seed, batches) -> Non
         got = simulate(f, n, 1.0, seed)
         assert got.xs.tobytes() == want.xs.tobytes() and got.ys.tobytes() == want.ys.tobytes()
     assert (got.n, got.c, got.seed, got.frontier_label) == (n, 1.0, seed, f.label)
+
+
+def _record_seeks(monkeypatch) -> list:
+    """The stream positions `simulate` seeks to, in order, from here on."""
+    seeks = []
+
+    def recording_seek(rng, seed, position):
+        seeks.append(position)
+        _seek(rng, seed, position)
+
+    monkeypatch.setattr(process, "_seek", recording_seek)
+    return seeks
+
+
+# (label, n): each shipped family at an n where one batch's unused tail is
+# longer than _SEEK_MIN_TAIL, so simulate draws only the batch's prefix
+PREFIX_CASES = [("constant:a=1.3", 50_000), *((label, 10_000) for label in SHIPPED_LABELS[1:])]
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["0", "2^64-1"])
+@pytest.mark.parametrize("label, n", PREFIX_CASES)
+def test_prefix_draw_matches_fresh_philox_reference(monkeypatch, label, n, seed) -> None:
+    f = frontier(label)
+    want, drawn = simulate_fresh_philox(f, n, 1.0, seed)
+    assert drawn == 1
+    seeks = _record_seeks(monkeypatch)
+    got = simulate(f, n, 1.0, seed)
+    # keyed at word 0, then one seek to the y-prefix: the prefix held enough
+    assert len(seeks) == 2 and seeks[0] == 0
+    assert got.xs.tobytes() == want.xs.tobytes() and got.ys.tobytes() == want.ys.tobytes()
+
+
+@pytest.mark.parametrize(
+    "label, n, seed, batches",
+    [
+        ("constant:a=1.3", 2000, 5, 1),
+        ("affine:a=1.0,b=0.5", 2000, 0, 1),
+        ("sine:a=1.0,b=-0.25", 500, 2**64 - 1, 1),
+        ("two_level:lo=1.2,hi=0.8,split=0.3", 2000, 7, 1),
+        FRESH_PHILOX_CASES[-1],
+    ],
+)
+def test_prefix_shortfall_draws_the_rest_of_the_batch(monkeypatch, label, n, seed, batches) -> None:
+    # a prefix of half the points still needed always falls short, so each
+    # batch draws its prefix, then seeks back for the rest of its x and
+    # forward for the rest of its y
+    monkeypatch.setattr(process, "_SEEK_MIN_TAIL", 1)
+    monkeypatch.setattr(process, "_usable_prefix", lambda need, accept_rate: need // 2)
+    f = frontier(label)
+    want, drawn = simulate_fresh_philox(f, n, 1.0, seed)
+    assert drawn == batches
+    seeks = _record_seeks(monkeypatch)
+    got = simulate(f, n, 1.0, seed)
+    assert len(seeks) == 1 + 3 * batches
+    assert got.xs.tobytes() == want.xs.tobytes() and got.ys.tobytes() == want.ys.tobytes()
+
+
+def test_seek_matches_one_contiguous_draw() -> None:
+    seed = 2**64 - 3
+    stream = np.random.Philox(key=seed).random_raw(80)
+    rng = np.random.Generator(np.random.Philox(key=0))
+    # forwards through every residue mod 4, then backwards through each again
+    for q in (0, 1, 2, 3, 4, 9, 14, 23, 60, 41, 30, 7, 5, 0):
+        _seek(rng, seed, q)
+        assert _position(rng) == q
+        assert np.array_equal(rng.bit_generator.random_raw(12), stream[q : q + 12])
+        _seek(rng, seed, q)
+        # random() makes one double of each word, from its top 53 bits
+        assert np.array_equal(rng.random(12), (stream[q : q + 12] >> np.uint64(11)) * 2.0**-53)
+        assert _position(rng) == q + 12
+
+
+def test_seek_resumes_the_stream_after_a_poisson_draw() -> None:
+    rng = np.random.Generator(np.random.Philox(key=0))
+    residues = set()
+    # small means draw one uniform per step, large ones two per PTRS trial
+    for lam in (3.0, 5e4):
+        for seed in range(12):
+            ref = np.random.Generator(np.random.Philox(key=seed))
+            ref.poisson(lam)
+            start = _position(ref)
+            residues.add(start % 4)
+            want = ref.random(30)
+            for skip in (0, 7, 2, 0):  # forwards, then back
+                _seek(rng, seed, start + skip)
+                assert rng.random(30 - skip).tobytes() == want[skip:].tobytes()
+    assert residues == {0, 1, 2, 3}
 
 
 def test_simulate_in_concurrent_threads_matches_serial() -> None:
