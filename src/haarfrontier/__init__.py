@@ -42,13 +42,12 @@ from .frontiers import (
 )
 from .haar import (
     DyadicIndex,
-    DyadicInterval,
     dirichlet_kernel,
     dyadic_index,
     haar_coefficient,
     haar_eval,
-    haar_interval,
     haar_step,
+    haar_transform,
     truncated_expansion,
 )
 from .oracles import (
@@ -92,13 +91,12 @@ __all__ = [
     "sine_frontier",
     "two_level_frontier",
     "DyadicIndex",
-    "DyadicInterval",
     "dirichlet_kernel",
     "dyadic_index",
     "haar_coefficient",
     "haar_eval",
-    "haar_interval",
     "haar_step",
+    "haar_transform",
     "truncated_expansion",
     "uniform_cell_index",
     "LimitLaw",

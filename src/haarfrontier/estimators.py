@@ -14,8 +14,8 @@ from operator import attrgetter
 
 import numpy as np
 
-# unused here, but the traced benchmark counts calls through estimators.haar_eval
-from .haar import haar_eval  # noqa: F401
+# haar_eval is unused here, but the traced benchmark counts calls through estimators.haar_eval
+from .haar import haar_eval, haar_transform  # noqa: F401
 from .process import CellStats, PartitionConfig, _require_rate
 from .stepfun import StepFunction
 
@@ -84,16 +84,9 @@ def coefficient_estimates(stats: CellStats, cfg: PartitionConfig) -> np.ndarray:
     """Riemann-sum estimates of the first h_n + 1 Haar coefficients, i = 2^(q-1) + p.
 
     Each psi_i with i <= h_n is constant on every block, so the sums are the
-    orthonormal Haar pyramid of the block integrals (block means / (h_n + 1)).
+    Haar transform of the block means.
     """
-    s = haar_ev_estimate(stats, cfg).values / (cfg.h_n + 1)
-    coeffs = np.empty(len(s))
-    while len(s) > 1:
-        half = len(s) // 2
-        coeffs[half : 2 * half] = (s[0::2] - s[1::2]) * np.sqrt(half)
-        s = s[0::2] + s[1::2]
-    coeffs[0] = s[0]
-    return coeffs
+    return haar_transform(haar_ev_estimate(stats, cfg).values)
 
 
 def minima_mean(stats: CellStats) -> float:

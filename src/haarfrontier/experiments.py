@@ -19,7 +19,7 @@ from .frontiers import FrontierSpec, parse_frontier
 from .haar import truncated_expansion
 from .kernels import ReplicateTask, l2_error_sq, require_sup_resolution, sup_error
 from .oracles import ks_statistic, limit_law
-from .process import PartitionConfig, _require_rate, _require_seed
+from .process import PartitionConfig, _require_integer, _require_rate, _require_seed
 from .report import ReportRow
 from .runner import derive_seed, run_task
 from .stepfun import StepFunction
@@ -62,6 +62,8 @@ class ExperimentConfig:
         # run the same replicates as its residue under another recorded seed
         object.__setattr__(self, "base_seed", _require_seed(self.base_seed))
         object.__setattr__(self, "c", _require_rate(self.c))
+        for name in ("replicates", "workers"):
+            object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         if self.replicates < 2:
             raise ValueError("need at least two replicates")
         if not self.schedule:

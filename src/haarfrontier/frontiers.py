@@ -141,7 +141,7 @@ class FrontierSpec:
     def area_above(self, lo: float, hi: float, u: float) -> float:
         """Area of {(x, y): lo <= x <= hi, u < y <= f(x)}, i.e. the mass above level u."""
         if u <= 0.0:
-            return self.integral(lo, hi) - max(u, 0.0) * (hi - lo)
+            return self.integral(lo, hi)
         if self.exact_area_above is not None:
             return float(self.exact_area_above(lo, hi, u))
         mn, mx = self.range_on(lo, hi)

@@ -1,11 +1,11 @@
-"""Dyadic index arithmetic, the Haar basis, and its Dirichlet kernel.
+"""Dyadic index arithmetic, the Haar basis and transform, and its Dirichlet kernel.
 
 Index i >= 1 decomposes uniquely as i = 2^(q-1) + p with 0 <= p < 2^(q-1);
-the associated dyadic interval is [p/2^(q-1), (p+1)/2^(q-1)), closed on the
-right when it touches 1. Every point-to-cell map here is `uniform_cell_index`
-from `stepfun`, the one left-closed rule (x = 1 belongs to the last cell)
-that also evaluates a StepFunction, so each Haar function is a step on its
-2^q equal blocks.
+psi_i lives on the dyadic interval [p/2^(q-1), (p+1)/2^(q-1)). Every
+point-to-cell map here is `uniform_cell_index` from `stepfun`, the one
+left-closed rule (x = 1 belongs to the last cell) that also evaluates a
+StepFunction, so each Haar function is a step on its 2^q equal blocks.
+`haar_transform` is the one Haar analysis, of the estimate and the frontier.
 """
 
 from __future__ import annotations
@@ -25,29 +25,12 @@ class DyadicIndex:
     q: int
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
-    lo: float
-    hi: float
-    closed_right: bool
-
-
 def dyadic_index(i: int) -> DyadicIndex:
     """Unique decomposition i = 2^(q-1) + p with 0 <= p < 2^(q-1)."""
     if i < 1:
         raise ValueError("dyadic decomposition is defined for i >= 1")
     q = int(i).bit_length()
     return DyadicIndex(i=int(i), p=int(i) - 2 ** (q - 1), q=q)
-
-
-def haar_interval(i: int) -> DyadicInterval:
-    idx = dyadic_index(i)
-    width = 2.0 ** -(idx.q - 1)
-    return DyadicInterval(
-        lo=idx.p * width,
-        hi=(idx.p + 1) * width,
-        closed_right=(i == 2**idx.q - 1),
-    )
 
 
 def _require_dyadic(h_n: int) -> int:
@@ -95,14 +78,27 @@ def truncated_expansion(f: FrontierSpec, h_n: int) -> StepFunction:
     return StepFunction(blocks * f.integral(edges[:-1], edges[1:]))
 
 
+def haar_transform(values) -> np.ndarray:
+    """Coefficients against psi_0 ... psi_{2^j - 1} of the step with these 2^j block values.
+
+    Those psi_i are constant on every block: this is the Haar pyramid of the block integrals.
+    """
+    s = np.asarray(values, dtype=float)
+    if not is_power_of_two(len(s)):
+        raise ValueError("need a power-of-two number of block values")
+    s = s / len(s)
+    coeffs = np.empty(len(s))
+    while len(s) > 1:
+        half = len(s) // 2
+        coeffs[half : 2 * half] = (s[0::2] - s[1::2]) * np.sqrt(half)
+        s = s[0::2] + s[1::2]
+    coeffs[0] = s[0]
+    return coeffs
+
+
 def haar_coefficient(f: FrontierSpec, i: int) -> float:
-    """Coefficient of f against the i-th Haar function."""
+    """Coefficient of f against the i-th Haar function: the transform of its 2^q block means."""
     if i < 0:
         raise ValueError("Haar index must be nonnegative")
-    if i == 0:
-        return f.integral(0.0, 1.0)
-    idx = dyadic_index(i)
-    amp = 2.0 ** (0.5 * (idx.q - 1))
-    pos = haar_interval(2 * i)
-    neg = haar_interval(2 * i + 1)
-    return amp * (f.integral(pos.lo, pos.hi) - f.integral(neg.lo, neg.hi))
+    blocks = 2 ** int(i).bit_length()
+    return float(haar_transform(truncated_expansion(f, blocks - 1).values)[i])

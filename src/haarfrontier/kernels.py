@@ -45,7 +45,9 @@ class ReplicateTask:
         return PartitionConfig(n=self.n, h_prime=self.h_prime, d_n=self.d_n)
 
 
-@functools.lru_cache(maxsize=64)
+# run_chunk parses a fresh FrontierSpec per chunk, so an entry keyed on one is
+# hit only within its chunk and by the experiment's own lookup: two suffice.
+@functools.lru_cache(maxsize=2)
 def block_moments(f: FrontierSpec, h_n: int) -> tuple:
     """Per-block integrals of f and f^2 on the h_n + 1 dyadic blocks."""
     edges = np.arange(h_n + 2) / (h_n + 1)
@@ -55,7 +57,7 @@ def block_moments(f: FrontierSpec, h_n: int) -> tuple:
     return integ, integ_sq
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=2)
 def sup_grid(f: FrontierSpec) -> tuple:
     """Evaluation grid for sup norms: uniform 2^-14 step plus frontier knots."""
     base = np.arange(int(round(1.0 / SUP_GRID_STEP)) + 1) * SUP_GRID_STEP

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -28,17 +28,21 @@ def _std_normal(u: np.ndarray) -> np.ndarray:
     return out.reshape(np.shape(u))
 
 
+def _require_law(kind: str) -> None:
+    if kind not in VALID_LAWS:
+        raise ValueError(f"unknown limit law {kind!r}; choose from {VALID_LAWS}")
+
+
 def limit_cdf(kind: str, u):
     """CDF of one of the three limit laws at u (scalar or array)."""
+    _require_law(kind)
     u_arr = np.asarray(u, dtype=float)
     if kind == "weibull_evd":
         out = np.minimum(np.exp(np.minimum(u_arr, 0.0)), 1.0)
     elif kind == "gumbel":
         out = np.exp(-np.exp(-u_arr))
-    elif kind == "std_normal":
-        out = _std_normal(u_arr)
     else:
-        raise ValueError(f"unknown limit law {kind!r}; choose from {VALID_LAWS}")
+        out = _std_normal(u_arr)
     if np.ndim(u) == 0:
         return float(out)
     return out
@@ -46,27 +50,32 @@ def limit_cdf(kind: str, u):
 
 @dataclass(frozen=True)
 class LimitLaw:
+    """One of the three limit laws, called as its CDF."""
+
     kind: str
-    cdf: Callable[[np.ndarray], np.ndarray]
+
+    def __post_init__(self):
+        _require_law(self.kind)
+
+    def __call__(self, u):
+        return limit_cdf(self.kind, u)
 
 
 def limit_law(kind: str) -> LimitLaw:
-    if kind not in VALID_LAWS:
-        raise ValueError(f"unknown limit law {kind!r}; choose from {VALID_LAWS}")
-    return LimitLaw(kind=kind, cdf=lambda u, _k=kind: limit_cdf(_k, u))
+    return LimitLaw(kind)
+
+
+def _cell_max_cdf(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float) -> Callable:
+    """v -> P(cell-r maximum <= v) = exp(-n*c * area above level v), for v >= 0."""
+    lo, hi = cfg.cell_bounds(r)
+    nc = cfg.n * c
+    return lambda v: math.exp(-nc * f.area_above(lo, hi, v))
 
 
 def cell_cdf(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float, u):
-    """P(cell-r maximum <= u): exp(-n*c * area above level u), 0 below 0."""
-    lo, hi = cfg.cell_bounds(r)
-    nc = cfg.n * c
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    out = np.empty(len(u_arr))
-    for j, uv in enumerate(u_arr):
-        if uv < 0.0:
-            out[j] = 0.0
-        else:
-            out[j] = math.exp(-nc * f.area_above(lo, hi, uv))
+    """P(cell-r maximum <= u): exp(-n*c * area above level u), 0 below 0 (NaN stays NaN)."""
+    cdf = _cell_max_cdf(f, cfg, r, c)
+    out = np.array([0.0 if v < 0.0 else cdf(v) for v in np.atleast_1d(np.asarray(u, dtype=float))])
     if np.ndim(u) == 0:
         return float(out[0])
     return out
@@ -83,15 +92,11 @@ def _gap_quadrature(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float) -> 
     """
     lo, hi = cfg.cell_bounds(r)
     _, top = f.range_on(lo, hi)
-    nc = cfg.n * c
-
-    def cdf(v: float) -> float:
-        return math.exp(-nc * f.area_above(lo, hi, v))
-
-    # Both integrands live in a layer of width ~ 1/(nc (hi-lo)) below the cell
+    cdf = _cell_max_cdf(f, cfg, r, c)
+    # Both integrands live in a layer of width ~ 1/(n c (hi-lo)) below the cell
     # supremum and vanish at 0, so an unseeded adaptive pass can accept a
     # spurious zero. Seed the subdivision dyadically across the layer.
-    layer = 1.0 / (nc * (hi - lo))
+    layer = 1.0 / (cfg.n * c * (hi - lo))
     seeds = [0.0, top]
     depth = layer
     while top - depth > 0.0 and len(seeds) < 64:
@@ -120,15 +125,15 @@ def cell_max_variance(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float) -
     return g1 - g0 * g0
 
 
-def ks_statistic(samples, law: Union[LimitLaw, Callable]) -> float:
+def ks_statistic(samples, cdf: Callable) -> float:
     """Two-sided Kolmogorov distance between the empirical CDF and a reference CDF.
 
-    Evaluated at both one-sided limits of every empirical jump.
+    Evaluated at both one-sided limits of every empirical jump. `cdf` may be
+    a LimitLaw or any callable; one that takes only scalars is called per value.
     """
     arr = np.sort(np.asarray(samples, dtype=float))
     if arr.size == 0:
         raise ValueError("need at least one sample")
-    cdf = law.cdf if isinstance(law, LimitLaw) else law
     try:
         ref = np.asarray(cdf(arr), dtype=float)
         if ref.shape != arr.shape:

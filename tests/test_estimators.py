@@ -21,7 +21,7 @@ from haarfrontier.frontiers import (
     sine_frontier,
     two_level_frontier,
 )
-from haarfrontier.haar import haar_coefficient, haar_eval, truncated_expansion, uniform_cell_index
+from haarfrontier.haar import haar_eval, haar_step, truncated_expansion, uniform_cell_index
 from haarfrontier.process import CellStats, PartitionConfig, PointSample, cell_stats, simulate
 
 from crosschecks import coefficient_estimates_riemann, haar_ev_estimate_at
@@ -162,7 +162,9 @@ def test_coefficients_of_block_means_are_haar_coefficients(f, h_prime, d_n) -> N
     # every cell of a block holds the block mean of f, so the block means are the projection
     maxima = np.repeat(truncated_expansion(f, cfg.h_n).values, d_n)
     coeffs = coefficient_estimates(synthetic_stats(cfg, maxima), cfg)
-    exact = [haar_coefficient(f, i) for i in range(cfg.h_n + 1)]
+    # an independent reference: the inner product of the projection with each Haar step
+    projection = truncated_expansion(f, cfg.h_n)
+    exact = [projection.inner(haar_step(i)) for i in range(cfg.h_n + 1)]
     np.testing.assert_allclose(coeffs, exact, rtol=0, atol=1e-12)
 
 

@@ -58,6 +58,23 @@ def test_config_validation() -> None:
             _cfg(xs=(0.5, x))
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("replicates", 2.5), ("replicates", 3.0), ("replicates", True), ("workers", 1.5), ("workers", True)],
+)
+def test_config_rejects_integer_fields_that_are_not_integers(field, value) -> None:
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        _cfg(**{field: value})
+
+
+def test_config_stores_integer_fields_as_python_ints() -> None:
+    cfg = _cfg(replicates=np.int64(3), workers=np.int32(2))
+    assert type(cfg.replicates) is int and cfg.replicates == 3
+    assert type(cfg.workers) is int and cfg.workers == 2
+    # workers <= 0 still runs serially
+    assert _cfg(workers=0).workers == 0
+
+
 @pytest.mark.parametrize("c", [math.nan, math.inf, -1.0, True], ids=["nan", "inf", "-1", "True"])
 def test_config_rejects_a_rate_that_is_not_finite_and_positive(c) -> None:
     # NaN used to pass `c <= 0.0` and fail inside the first replicate's Poisson draw

@@ -3,19 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from haarfrontier.frontiers import affine_frontier, constant_frontier, sine_frontier
+from haarfrontier.frontiers import affine_frontier, constant_frontier, parse_frontier, sine_frontier
 from haarfrontier.haar import (
     dirichlet_kernel,
     dyadic_index,
     haar_coefficient,
     haar_eval,
-    haar_interval,
     haar_step,
+    haar_transform,
     truncated_expansion,
     uniform_cell_index,
 )
 
-from crosschecks import dirichlet_kernel_sum
+from crosschecks import SHIPPED_LABELS, dirichlet_kernel_sum
 
 
 def test_dyadic_index_examples() -> None:
@@ -41,15 +41,6 @@ def test_dyadic_index_exhaustive_oracle() -> None:
 def test_dyadic_index_rejects_zero() -> None:
     with pytest.raises(ValueError):
         dyadic_index(0)
-
-
-def test_haar_interval_examples() -> None:
-    j1 = haar_interval(1)
-    assert (j1.lo, j1.hi, j1.closed_right) == (0.0, 1.0, True)
-    j2 = haar_interval(2)
-    assert (j2.lo, j2.hi, j2.closed_right) == (0.0, 0.5, False)
-    j7 = haar_interval(7)
-    assert (j7.lo, j7.hi, j7.closed_right) == (0.75, 1.0, True)
 
 
 def test_haar_eval_examples() -> None:
@@ -128,6 +119,27 @@ def test_haar_coefficient_examples() -> None:
     # the slope-1 part contributes -1/4 to the first coefficient; the constant
     # shift contributes nothing for i >= 1
     assert haar_coefficient(affine_frontier(0.5, 1.0), 1) == pytest.approx(-0.25, abs=1e-14)
+
+
+@pytest.mark.parametrize("label", SHIPPED_LABELS)
+def test_haar_coefficient_is_the_inner_product_with_the_projection(label) -> None:
+    f = parse_frontier(label)
+    projection = truncated_expansion(f, 2**8 - 1)
+    for i in range(2**8):
+        assert abs(haar_coefficient(f, i) - projection.inner(haar_step(i))) <= 1e-13, i
+
+
+def test_haar_coefficient_rejects_a_negative_index() -> None:
+    # (-1).bit_length() is 1, so without the check i = -1 would read the last coefficient
+    with pytest.raises(ValueError, match="nonnegative"):
+        haar_coefficient(constant_frontier(1.0), -1)
+
+
+def test_haar_transform_examples() -> None:
+    np.testing.assert_array_equal(haar_transform([0.8]), [0.8])
+    np.testing.assert_allclose(haar_transform([0.8, 0.3]), [0.55, 0.25], atol=1e-15)
+    with pytest.raises(ValueError, match="power-of-two"):
+        haar_transform([1.0, 2.0, 3.0])
 
 
 def test_reconstruction_identity() -> None:

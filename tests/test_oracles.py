@@ -5,6 +5,7 @@ import pytest
 
 from haarfrontier.frontiers import affine_frontier, constant_frontier, sine_frontier
 from haarfrontier.oracles import (
+    LimitLaw,
     cell_cdf,
     cell_max_mean,
     cell_max_variance,
@@ -40,6 +41,31 @@ def test_limit_cdf_monotone_with_limits() -> None:
         limit_cdf("cauchy", 0.0)
     with pytest.raises(ValueError):
         limit_law("cauchy")
+
+
+def test_a_limit_law_is_called_as_its_cdf() -> None:
+    u = np.linspace(-3.0, 3.0, 13)
+    for kind in ("weibull_evd", "gumbel", "std_normal"):
+        law = limit_law(kind)
+        assert law == LimitLaw(kind) and law.kind == kind
+        np.testing.assert_array_equal(law(u), limit_cdf(kind, u))
+        assert law(0.5) == limit_cdf(kind, 0.5) and type(law(0.5)) is float
+    with pytest.raises(ValueError, match="unknown limit law"):
+        LimitLaw("cauchy")
+
+
+@pytest.mark.parametrize(
+    "f", [constant_frontier(1.0), affine_frontier(1.0, 0.5), sine_frontier(1.0, 0.25)],
+    ids=["constant", "affine", "sine"],
+)
+def test_cell_cdf_below_zero_nan_and_shapes(f) -> None:
+    cfg = PartitionConfig(n=100, h_prime=2, d_n=2)
+    assert cell_cdf(f, cfg, 3, 1.0, -0.5) == 0.0
+    assert math.isnan(cell_cdf(f, cfg, 3, 1.0, math.nan))
+    assert type(cell_cdf(f, cfg, 3, 1.0, 0.5)) is float
+    got = cell_cdf(f, cfg, 3, 1.0, np.array([-1.0, 0.0, math.nan, 0.9]))
+    assert isinstance(got, np.ndarray) and got.shape == (4,)
+    assert got[0] == 0.0 and math.isnan(got[2]) and 0.0 < got[1] <= got[3] <= 1.0
 
 
 def test_cell_cdf_flat_frontier_closed_form() -> None:
