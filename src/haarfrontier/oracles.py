@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .frontiers import FrontierSpec
-from .process import PartitionConfig
+from .process import PartitionConfig, _require_rate
 from .quadrature import adaptive_simpson
 
 VALID_LAWS = ("weibull_evd", "gumbel", "std_normal")
@@ -68,17 +68,20 @@ def limit_law(kind: str) -> LimitLaw:
 def _cell_max_cdf(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float) -> Callable:
     """v -> P(cell-r maximum <= v) = exp(-n*c * area above level v), for v >= 0."""
     lo, hi = cfg.cell_bounds(r)
-    nc = cfg.n * c
+    nc = cfg.n * _require_rate(c)
     return lambda v: math.exp(-nc * f.area_above(lo, hi, v))
 
 
 def cell_cdf(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float, u):
-    """P(cell-r maximum <= u): exp(-n*c * area above level u), 0 below 0 (NaN stays NaN)."""
+    """P(cell-r maximum <= u): exp(-n*c * area above level u), 0 below 0 (NaN stays NaN).
+
+    u may have any shape; a scalar gives a float.
+    """
     cdf = _cell_max_cdf(f, cfg, r, c)
-    out = np.array([0.0 if v < 0.0 else cdf(v) for v in np.atleast_1d(np.asarray(u, dtype=float))])
+    out = np.array([0.0 if v < 0.0 else cdf(v) for v in np.ravel(np.asarray(u, dtype=float))])
     if np.ndim(u) == 0:
         return float(out[0])
-    return out
+    return out.reshape(np.shape(u))
 
 
 def _gap_quadrature(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float) -> tuple:

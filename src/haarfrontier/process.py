@@ -6,16 +6,21 @@ Poisson process with intensity n*c on that region. Sampling is by
 rejection from the bounding box [0,1] x [0,M]; the acceptance rate is
 bounded below by m/M > 0. A rejection batch of B candidates that starts at
 word s of the Philox stream takes u[s + j] as candidate j's x and
-M * u[s + B + j] as its y, and the next batch starts at s + 2B; `simulate`
-seeks the stream to draw only the prefix of a batch it can use, so every
-sample is the one whole batches give.
+M * u[s + B + j] as its y, and the next batch starts at s + 2B. Each
+thread draws the stream with two cursors, one at the x half and one at the
+y half of the batch, in fixed-size chunks no longer than the usable rest
+of the batch, so every sample is the one whole batches give. `simulate`
+copies the accepted chunks into its sample; `simulate_cell_stats` bins
+them as they come and never holds the sample, so a Monte Carlo replicate
+holds O(chunk + k_n) values whatever n is.
 
 A PointSample keeps its points in the order given: every cell statistic
 is an order-free reduction (count, max, min) over the cells
 `uniform_cell_index` assigns, so no estimate depends on row order, and
 only the CSV file is written in x order. A sample is checked once, when
-it is built; `simulate` hands it the arrays it drew, without a copy, and
+it is built; `simulate` hands it the arrays it filled, without a copy, and
 `cell_stats` bins its checked x without checking them again.
+`simulate_cell_stats` runs the same check on each chunk it bins.
 
 Each invariant of a CellStats record is established once, where it arises:
 the cell geometry (areas within the frontier's range) when `_cell_geometry`
@@ -117,6 +122,15 @@ _SAMPLE_HEADER = (
 )
 
 
+def _check_values(xs: np.ndarray, ys: np.ndarray) -> None:
+    """Raise unless every point is finite, with x in [0, 1] and y >= 0: the check of a sample."""
+    # NaN fails every comparison, so this also rejects non-finite values
+    if len(xs) and not (
+        0.0 <= xs.min() and xs.max() <= 1.0 and 0.0 <= ys.min() and ys.max() < np.inf
+    ):
+        raise ValueError("sample values must be finite, with x in [0, 1] and y >= 0")
+
+
 @dataclass(frozen=True, eq=False)
 class PointSample:
     xs: np.ndarray
@@ -145,11 +159,7 @@ class PointSample:
         object.__setattr__(self, "seed", _require_seed(self.seed))
         if xs.shape != ys.shape or xs.ndim != 1:
             raise ValueError("xs and ys must be 1-d arrays of equal length")
-        # NaN fails every comparison, so this also rejects non-finite values
-        if len(xs) and not (
-            0.0 <= xs.min() and xs.max() <= 1.0 and 0.0 <= ys.min() and ys.max() < np.inf
-        ):
-            raise ValueError("sample values must be finite, with x in [0, 1] and y >= 0")
+        _check_values(xs, ys)
         xs.flags.writeable = False
         ys.flags.writeable = False
         object.__setattr__(self, "xs", xs)
@@ -197,20 +207,33 @@ class PointSample:
 
 _THREAD = threading.local()
 
-# A batch whose unused tail is shorter than this many candidates is drawn
-# whole. Skipping a tail costs a state read and a seek, about 12-15 us on a
-# 2-vCPU x86-64 host with numpy 2.4.6, and saves about 20-25 ns per skipped
-# candidate (two doubles, f(x) and a compare); on the constant frontier the
-# two broke even at a tail of 600-800 candidates.
-_SEEK_MIN_TAIL = 1024
+# Candidates drawn per chunk. A replicate holds two chunks of candidates and
+# one of cell indices, about 0.75 MB, whatever its point count. On a 2-vCPU
+# x86-64 host with numpy 2.4.6, a replicate of about 5e4 points took 1.69,
+# 1.58, 1.52 and 1.50 ms at chunks of 2^13 to 2^16, against 2.5 ms when each
+# batch was drawn as one array; past 2^15 the memory doubles for about 1%.
+_CHUNK = 1 << 15
 
 
-def _thread_generator() -> np.random.Generator:
-    """This thread's Philox generator; `_seek` keys and positions it before each use."""
-    rng = getattr(_THREAD, "rng", None)
-    if rng is None:
-        rng = _THREAD.rng = np.random.Generator(np.random.Philox(key=0))
-    return rng
+class _Stream:
+    """One thread's candidate stream: x and y Philox cursors and the chunk buffers they fill."""
+
+    __slots__ = ("x_rng", "y_rng", "x", "y", "idx")
+
+    def __init__(self, chunk: int):
+        self.x_rng = np.random.Generator(np.random.Philox(key=0))
+        self.y_rng = np.random.Generator(np.random.Philox(key=0))
+        self.x = np.empty(chunk)
+        self.y = np.empty(chunk)
+        self.idx = np.empty(chunk, np.intp)
+
+
+def _thread_stream() -> _Stream:
+    """This thread's stream, reused from call to call; `_seek` keys and positions its cursors."""
+    stream = getattr(_THREAD, "stream", None)
+    if stream is None or len(stream.x) < _CHUNK:
+        stream = _THREAD.stream = _Stream(_CHUNK)
+    return stream
 
 
 def _seek(rng: np.random.Generator, seed: int, position: int) -> None:
@@ -262,24 +285,12 @@ def _accepted(f: FrontierSpec, cand_x: np.ndarray, cand_y: np.ndarray, need: int
     return cand_x[keep][:need], cand_y[keep][:need]
 
 
-def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
-    """Draw one realization of the superposed process restricted to the frontier region.
+def _point_stream(f: FrontierSpec, n: int, c: float, seed: int) -> tuple:
+    """(count, chunks): the Poisson point count of one realization and its points, chunk by chunk.
 
-    Deterministic in seed, an integer in [0, 2^64): the stream is that of
-    a counter-based Philox generator keyed by it, and the calling thread's
-    generator is re-keyed for each call. The number of points is Poisson
-    with mean n*c times the area under f and, given the count, points are
-    i.i.d. uniform under the frontier, drawn by rejection from [0,1] x [0,M].
-
-    Stream layout: a candidate batch of size B that starts at stream word s
-    takes u[s + j] as candidate j's x and M * u[s + B + j] as its y, keeps
-    the first accepted candidates, and the next batch starts at s + 2B.
-    Only the usable prefix of a batch is drawn: the generator draws the
-    x-prefix, seeks to s + B for the matching y-prefix, and draws the rest
-    of the batch only if the prefix accepts too few. A batch whose unused
-    tail is short is drawn whole. Either way the sample is the one the
-    whole batch gives. It is checked once and owns the drawn arrays,
-    read-only, without a copy.
+    `chunks` yields (x, y) arrays of accepted points in draw order, count
+    in all; they may be views of the thread's buffers, valid until the
+    next chunk is drawn. The arguments are checked here, before any draw.
     """
     seed = _require_seed(seed)
     if _require_integer("n", n) < 1:
@@ -290,44 +301,67 @@ def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
         raise ValueError(
             f"rejection sampling would be pathological: M/mean(f) = {f.M / total_area:.3g} > 1e6"
         )
-    rng = _thread_generator()
-    _seek(rng, seed, 0)
-    count = int(rng.poisson(n * c * total_area))
-    accept_rate = total_area / f.M
-    xs_parts, ys_parts = [], []
+    stream = _thread_stream()
+    _seek(stream.x_rng, seed, 0)
+    mean = n * c * total_area
+    try:
+        count = int(stream.x_rng.poisson(mean))
+    except ValueError:
+        # numpy draws Poisson counts only up to about 9.2e18
+        raise ValueError(
+            f"the mean point count n*c*integral(f) = {mean:.6g} is too large to draw"
+        ) from None
+    return count, _accepted_chunks(f, seed, count, total_area / f.M, stream)
+
+
+def _accepted_chunks(f: FrontierSpec, seed: int, count: int, accept_rate: float, stream: _Stream):
+    """The rejection loop of `_point_stream`, from the x-cursor standing at the first batch."""
+    start = _position(stream.x_rng)
     have = 0
-    # the generator stands at the start of the next batch at the top of each pass
     while have < count:
-        need = count - have
-        batch = int(need / accept_rate * 1.2) + 16
-        prefix = _usable_prefix(need, accept_rate)
-        seeking = batch - prefix >= _SEEK_MIN_TAIL
-        if seeking:
-            # the prefix, then the rest of the batch only if the prefix accepts too few
-            start = _position(rng)
-            pieces = ((0, prefix), (prefix, batch))
-        else:
-            pieces = ((0, batch),)  # drawn whole: a seek would cost more than the tail saves
-        for i, (lo, hi) in enumerate(pieces):
-            if have == count:
-                break
-            if i:
-                _seek(rng, seed, start + lo)
-            cand_x = rng.random(hi - lo)
-            if seeking:
-                _seek(rng, seed, start + batch + lo)
-            cand_y = rng.random(hi - lo)
+        batch = int((count - have) / accept_rate * 1.2) + 16
+        _seek(stream.y_rng, seed, start + batch)
+        drawn = 0
+        while drawn < batch and have < count:
+            m = min(_CHUNK, batch - drawn, _usable_prefix(count - have, accept_rate))
+            cand_x = stream.x_rng.random(out=stream.x[:m])
+            cand_y = stream.y_rng.random(out=stream.y[:m])
             cand_y *= f.M
             take_x, take_y = _accepted(f, cand_x, cand_y, count - have)
-            xs_parts.append(take_x)
-            ys_parts.append(take_y)
+            drawn += m
             have += len(take_x)
-    # one batch is the usual case, and its arrays need no concatenate
-    if len(xs_parts) == 1:
-        xs, ys = xs_parts[0], ys_parts[0]
-    else:
-        xs = np.concatenate(xs_parts) if xs_parts else np.empty(0)
-        ys = np.concatenate(ys_parts) if ys_parts else np.empty(0)
+            yield take_x, take_y
+        start += 2 * batch
+        if have < count:
+            _seek(stream.x_rng, seed, start)
+
+
+def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
+    """Draw one realization of the superposed process restricted to the frontier region.
+
+    Deterministic in seed, an integer in [0, 2^64): the stream is that of
+    a counter-based Philox generator keyed by it, and the calling thread's
+    cursors are re-keyed for each call. The number of points is Poisson
+    with mean n*c times the area under f and, given the count, points are
+    i.i.d. uniform under the frontier, drawn by rejection from [0,1] x [0,M].
+
+    Stream layout: a candidate batch of size B that starts at stream word s
+    takes u[s + j] as candidate j's x and M * u[s + B + j] as its y, keeps
+    the first accepted candidates, and the next batch starts at s + 2B.
+    The x-cursor draws the count from word 0 and then stands at s; the
+    y-cursor is sought to s + B. Both draw the batch chunk by chunk, and
+    no chunk is longer than the usable prefix of what is still needed, so
+    little of a batch past its last kept point is drawn. The sample is the
+    one whole batches give; it is checked once and owns its arrays,
+    read-only.
+    """
+    count, chunks = _point_stream(f, n, c, seed)
+    xs, ys = np.empty(count), np.empty(count)
+    have = 0
+    for x, y in chunks:
+        xs[have : have + len(x)] = x
+        ys[have : have + len(y)] = y
+        have += len(x)
     return PointSample._owning(xs, ys, n=n, c=c, seed=seed, frontier_label=f.label)
 
 
@@ -418,20 +452,52 @@ def _cell_geometry(f: FrontierSpec, k_n: int) -> tuple:
     return cell_areas, f_min, f_max, _enclosure_slack(f_max)
 
 
-def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> CellStats:
-    """Count/max/min of y per cell, plus oracle cell geometry from the frontier."""
-    if sample.n != cfg.n:
-        raise ValueError("sample and partition disagree on n")
+def _bin_cells(chunks, idx_buf: np.ndarray, cfg: PartitionConfig, f: FrontierSpec) -> CellStats:
+    """Count/max/min of y per cell over (x, y) chunks of checked points, plus the cell geometry.
+
+    Each chunk's cell indices are written into idx_buf, which is at least
+    as long as any chunk. Each reduction is order-free and exact, so the
+    record is the same however the points are split into chunks.
+    """
     k = cfg.k_n
     geometry = _cell_geometry(f, k)
-    # the sample's read-only xs were checked to lie in [0, 1] when it was built
-    idx = _cell_index(sample.xs, k)
-    counts = np.bincount(idx, minlength=k)
+    counts = np.zeros(k, np.intp)
     x_star = np.full(k, -np.inf)
     z_star = np.full(k, np.inf)
-    np.maximum.at(x_star, idx, sample.ys)
-    np.minimum.at(z_star, idx, sample.ys)
+    for x, y in chunks:
+        idx = _cell_index(x, k, out=idx_buf[: len(x)])
+        counts += np.bincount(idx, minlength=k)
+        np.maximum.at(x_star, idx, y)
+        np.minimum.at(z_star, idx, y)
     empty = counts == 0
     x_star[empty] = 0.0
     z_star[empty] = 0.0
     return CellStats._binned(counts, x_star, z_star, geometry, cfg)
+
+
+def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> CellStats:
+    """Count/max/min of y per cell, plus oracle cell geometry from the frontier."""
+    if sample.n != cfg.n:
+        raise ValueError("sample and partition disagree on n")
+    # the sample's read-only arrays were checked when it was built
+    xs, ys = sample.xs, sample.ys
+    chunks = ((xs[i : i + _CHUNK], ys[i : i + _CHUNK]) for i in range(0, len(xs), _CHUNK))
+    return _bin_cells(chunks, np.empty(min(len(xs), _CHUNK), np.intp), cfg, f)
+
+
+def _checked(chunks):
+    """The (x, y) chunks, each first checked as a sample is."""
+    for x, y in chunks:
+        _check_values(x, y)
+        yield x, y
+
+
+def simulate_cell_stats(f: FrontierSpec, cfg: PartitionConfig, c: float, seed: int) -> CellStats:
+    """cell_stats(simulate(f, cfg.n, c, seed), cfg, f), bit for bit, without building the sample.
+
+    The points are binned chunk by chunk as the stream accepts them, each
+    chunk checked as a sample is, so a replicate holds O(_CHUNK + k_n)
+    values whatever n is.
+    """
+    _, chunks = _point_stream(f, cfg.n, c, seed)
+    return _bin_cells(_checked(chunks), _thread_stream().idx, cfg, f)

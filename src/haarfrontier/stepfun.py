@@ -41,9 +41,17 @@ def _unit_points(x) -> np.ndarray:
     return x_arr
 
 
-def _cell_index(x_arr: np.ndarray, n_cells: int) -> np.ndarray:
-    """`uniform_cell_index` without its check: x_arr is a float array already in [0, 1]."""
-    idx = np.minimum((x_arr * n_cells).astype(np.intp), n_cells - 1)
+def _cell_index(x_arr: np.ndarray, n_cells: int, out: np.ndarray | None = None) -> np.ndarray:
+    """`uniform_cell_index` without its check: x_arr is a float array already in [0, 1].
+
+    The index is written into `out`, an intp array of x_arr's shape, when
+    one is given, and into one new array otherwise.
+    """
+    if out is None:
+        out = np.empty(np.shape(x_arr), np.intp)
+    # the product is a double, truncated toward zero as it is stored
+    idx = np.multiply(x_arr, n_cells, out=out, casting="unsafe")
+    np.minimum(idx, n_cells - 1, out=idx)
     if is_power_of_two(n_cells):
         # x * 2^j and every edge j / 2^j are exact in binary floating point,
         # so the floor already counts the edges at or below x

@@ -232,6 +232,15 @@ def test_rate_that_is_not_finite_and_positive_exits_1(tmp_path, capsys, c) -> No
     assert not out.exists()
 
 
+def test_simulate_mean_count_too_large_to_draw_exits_1(tmp_path, capsys) -> None:
+    out = tmp_path / "sim"
+    argv = ["simulate", "--frontier", "constant:a=1.0", "--n", "10", "--c", "1e300", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "mean point count n*c*integral(f) = 1e+301 is too large to draw" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("c", ["nan", "inf", "-1.0", "0.0"])
 def test_estimate_rejects_a_sample_rate_that_is_not_finite_and_positive(tmp_path, capsys, c) -> None:
     sample = tmp_path / "sample.csv"

@@ -66,6 +66,26 @@ def test_cell_cdf_below_zero_nan_and_shapes(f) -> None:
     got = cell_cdf(f, cfg, 3, 1.0, np.array([-1.0, 0.0, math.nan, 0.9]))
     assert isinstance(got, np.ndarray) and got.shape == (4,)
     assert got[0] == 0.0 and math.isnan(got[2]) and 0.0 < got[1] <= got[3] <= 1.0
+    grid = np.array([[-1.0, 0.0, math.nan], [0.9, 0.5, 0.7]])
+    got = cell_cdf(f, cfg, 3, 1.0, grid)
+    assert isinstance(got, np.ndarray) and got.shape == (2, 3)
+    np.testing.assert_array_equal(got.ravel(), cell_cdf(f, cfg, 3, 1.0, grid.ravel()))
+    assert cell_cdf(f, cfg, 3, 1.0, np.array(0.5)) == cell_cdf(f, cfg, 3, 1.0, 0.5)
+    assert cell_cdf(f, cfg, 3, 1.0, np.empty((0, 2))).shape == (0, 2)
+
+
+@pytest.mark.parametrize("c", [math.nan, 0.0, -1.0, math.inf], ids=["nan", "0", "-1", "inf"])
+@pytest.mark.parametrize(
+    "oracle",
+    [lambda f, cfg, c: cell_cdf(f, cfg, 3, c, 0.5), lambda f, cfg, c: cell_max_mean(f, cfg, 3, c),
+     lambda f, cfg, c: cell_max_variance(f, cfg, 3, c)],
+    ids=["cell_cdf", "cell_max_mean", "cell_max_variance"],
+)
+def test_cell_oracles_reject_a_rate_that_is_not_finite_and_positive(oracle, c) -> None:
+    # NaN used to come back as a NaN probability, and -1 ran the quadrature
+    # to its cap before it raised
+    with pytest.raises(ValueError, match="intensity rate c must be finite and positive"):
+        oracle(constant_frontier(1.0), PartitionConfig(n=100, h_prime=2, d_n=2), c)
 
 
 def test_cell_cdf_flat_frontier_closed_form() -> None:

@@ -2,10 +2,13 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from haarfrontier import process
 from haarfrontier.frontiers import FrontierSpec, constant_frontier, sine_frontier
@@ -18,6 +21,7 @@ from haarfrontier.process import (
     _seek,
     cell_stats,
     simulate,
+    simulate_cell_stats,
 )
 
 from crosschecks import (
@@ -181,7 +185,7 @@ def test_simulate_matches_fresh_philox_reference(label, n, seed, batches) -> Non
 
 
 def _record_seeks(monkeypatch) -> list:
-    """The stream positions `simulate` seeks to, in order, from here on."""
+    """The stream positions `simulate` seeks its cursors to, in order, from here on."""
     seeks = []
 
     def recording_seek(rng, seed, position):
@@ -192,8 +196,16 @@ def _record_seeks(monkeypatch) -> list:
     return seeks
 
 
-# (label, n): each shipped family at an n where one batch's unused tail is
-# longer than _SEEK_MIN_TAIL, so simulate draws only the batch's prefix
+def _first_batch(f, n, seed) -> tuple:
+    """(s, B): the stream word where the first rejection batch starts, and its size."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    area = f.integral(0.0, 1.0)
+    count = int(rng.poisson(n * area))
+    return _position(rng), int(count / (area / f.M) * 1.2) + 16
+
+
+# (label, n): each shipped family at an n where the usable prefix of one
+# batch is shorter than the batch, and longer than a chunk for the constant
 PREFIX_CASES = [("constant:a=1.3", 50_000), *((label, 10_000) for label in SHIPPED_LABELS[1:])]
 
 
@@ -203,10 +215,16 @@ def test_prefix_draw_matches_fresh_philox_reference(monkeypatch, label, n, seed)
     f = frontier(label)
     want, drawn = simulate_fresh_philox(f, n, 1.0, seed)
     assert drawn == 1
+    start, batch = _first_batch(f, n, seed)
     seeks = _record_seeks(monkeypatch)
     got = simulate(f, n, 1.0, seed)
-    # keyed at word 0, then one seek to the y-prefix: the prefix held enough
-    assert len(seeks) == 2 and seeks[0] == 0
+    # the x-cursor keyed at word 0 and the y-cursor sought to s + B: one batch held enough
+    assert seeks == [0, start + batch]
+    # both cursors stopped at the same candidate, short of the end of the batch
+    stream = process._thread_stream()
+    used = _position(stream.x_rng) - start
+    assert _position(stream.y_rng) == start + batch + used
+    assert used < batch
     assert got.xs.tobytes() == want.xs.tobytes() and got.ys.tobytes() == want.ys.tobytes()
 
 
@@ -221,18 +239,76 @@ def test_prefix_draw_matches_fresh_philox_reference(monkeypatch, label, n, seed)
     ],
 )
 def test_prefix_shortfall_draws_the_rest_of_the_batch(monkeypatch, label, n, seed, batches) -> None:
-    # a prefix of half the points still needed always falls short, so each
-    # batch draws its prefix, then seeks back for the rest of its x and
-    # forward for the rest of its y
-    monkeypatch.setattr(process, "_SEEK_MIN_TAIL", 1)
-    monkeypatch.setattr(process, "_usable_prefix", lambda need, accept_rate: need // 2)
+    # a prefix of about half the points still needed always falls short, so
+    # each batch is drawn in many chunks, to its end when it runs out
+    monkeypatch.setattr(process, "_usable_prefix", lambda need, accept_rate: need // 2 + 1)
     f = frontier(label)
     want, drawn = simulate_fresh_philox(f, n, 1.0, seed)
     assert drawn == batches
     seeks = _record_seeks(monkeypatch)
     got = simulate(f, n, 1.0, seed)
-    assert len(seeks) == 1 + 3 * batches
+    # x keyed at word 0, y sought to each batch's y half, x to each later batch's start
+    assert len(seeks) == 2 * batches
     assert got.xs.tobytes() == want.xs.tobytes() and got.ys.tobytes() == want.ys.tobytes()
+
+
+@pytest.mark.parametrize("label, n, seed, batches", FRESH_PHILOX_CASES)
+def test_small_chunks_match_fresh_philox_reference(monkeypatch, label, n, seed, batches) -> None:
+    monkeypatch.setattr(process, "_CHUNK", 7)
+    f = frontier(label)
+    want, _ = simulate_fresh_philox(f, n, 1.0, seed)
+    got = simulate(f, n, 1.0, seed)
+    assert got.xs.tobytes() == want.xs.tobytes() and got.ys.tobytes() == want.ys.tobytes()
+
+
+_MULTI_BATCH = FRESH_PHILOX_CASES[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    label=st.sampled_from([*SHIPPED_LABELS, _MULTI_BATCH[0]]),
+    n=st.integers(1, 3000),
+    h_prime=st.integers(0, 6),
+    d_n=st.sampled_from([1, 3]),
+    seed=st.integers(0, 2**64 - 1),
+    chunk=st.sampled_from([7, process._CHUNK]),
+)
+# seed 0 draws no point at all; the low-acceptance frontier runs out of its first batch
+@example(label="constant:a=1.3", n=1, h_prime=2, d_n=1, seed=0, chunk=7)
+@example(label=_MULTI_BATCH[0], n=_MULTI_BATCH[1], h_prime=3, d_n=3, seed=_MULTI_BATCH[2], chunk=7)
+def test_replicate_stats_match_binning_the_simulated_sample(label, n, h_prime, d_n, seed, chunk) -> None:
+    f = frontier(label)
+    cfg = PartitionConfig(n=n, h_prime=h_prime, d_n=d_n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(process, "_CHUNK", chunk)
+        got = simulate_cell_stats(f, cfg, 1.0, seed)
+        want = cell_stats(simulate(f, n, 1.0, seed), cfg, f)
+    for name in ("counts", "x_star", "z_star"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+    for name in ("cell_areas", "f_min", "f_max"):
+        assert getattr(got, name) is getattr(want, name)  # the cached geometry
+    assert got.cfg == cfg
+
+
+def test_replicate_memory_does_not_grow_with_n() -> None:
+    # numpy reports its buffers to tracemalloc; a sample of about 10^6
+    # points holds 16 MB, and a replicate holds a few chunks and k_n cells
+    f = constant_frontier(1.0)
+    n = 10**6
+    cfg = PartitionConfig(n=n, h_prime=4, d_n=1)
+
+    def peak_bytes(replicate) -> int:
+        tracemalloc.start()
+        try:
+            replicate()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(lambda: simulate_cell_stats(f, cfg, 1.0, 3)) < 4 * 2**20
+    assert peak_bytes(lambda: cell_stats(simulate(f, n, 1.0, 3), cfg, f)) > 15 * 10**6
 
 
 def test_seek_matches_one_contiguous_draw() -> None:
@@ -267,18 +343,18 @@ def test_seek_resumes_the_stream_after_a_poisson_draw() -> None:
     assert residues == {0, 1, 2, 3}
 
 
-def test_simulate_in_concurrent_threads_matches_serial() -> None:
-    # more threads than cores, switching often: a generator shared between
-    # threads would hand one thread's draws to another
-    f = sine_frontier(1.0, 0.25)
+def _threads_match_serial(replicate) -> None:
+    """replicate(seed) -> bytes gives the same in four concurrent threads as serially."""
+    # more threads than cores, switching often: a generator or buffer shared
+    # between threads would hand one thread's draws to another
     seeds = {t: range(100 * t, 100 * t + 30) for t in range(4)}
-    serial = {t: [simulate(f, 500, 1.0, s).xs.tobytes() for s in seeds[t]] for t in seeds}
+    serial = {t: [replicate(s) for s in seeds[t]] for t in seeds}
     threaded = {t: [] for t in seeds}
     start = threading.Barrier(len(seeds))
 
     def draw(t):
         start.wait()
-        threaded[t].extend(simulate(f, 500, 1.0, s).xs.tobytes() for s in seeds[t])
+        threaded[t].extend(replicate(s) for s in seeds[t])
 
     workers = [threading.Thread(target=draw, args=(t,)) for t in seeds]
     interval = sys.getswitchinterval()
@@ -292,6 +368,24 @@ def test_simulate_in_concurrent_threads_matches_serial() -> None:
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert threaded == serial
+
+
+def test_simulate_in_concurrent_threads_matches_serial() -> None:
+    f = sine_frontier(1.0, 0.25)
+    _threads_match_serial(lambda s: simulate(f, 500, 1.0, s).xs.tobytes())
+
+
+def test_replicate_stats_in_concurrent_threads_match_serial(monkeypatch) -> None:
+    # small chunks, so each replicate switches threads between its chunks
+    monkeypatch.setattr(process, "_CHUNK", 64)
+    f = sine_frontier(1.0, 0.25)
+    cfg = PartitionConfig(n=500, h_prime=3, d_n=3)
+
+    def replicate(seed):
+        stats = simulate_cell_stats(f, cfg, 1.0, seed)
+        return stats.counts.tobytes() + stats.x_star.tobytes() + stats.z_star.tobytes()
+
+    _threads_match_serial(replicate)
 
 
 @pytest.mark.parametrize("label", SHIPPED_LABELS)
