@@ -20,9 +20,7 @@ import numpy as np
 
 from .estimators import haar_ev_estimate, minima_mean
 from .frontiers import FrontierSpec, parse_frontier
-# cell_stats and simulate are unused here, but the traced benchmark wraps
-# kernels.cell_stats and kernels.simulate by name
-from .process import PartitionConfig, cell_stats, simulate, simulate_cell_stats  # noqa: F401
+from .process import PartitionConfig, cell_stats, simulate
 from .stepfun import StepFunction, _cell_index, _unit_points
 
 SUP_GRID_STEP = 2.0**-14
@@ -92,16 +90,20 @@ def sup_error(step: StepFunction, f: FrontierSpec) -> float:
     return float(np.max(np.abs(step(grid) - fvals))) + pad
 
 
+def _stats(f: FrontierSpec, cfg: PartitionConfig, c: float, seed: int):
+    return cell_stats(simulate(f, cfg.n, c, seed), cfg, f)
+
+
 def _kernel_fhat_zn_at(f, cfg, c, xs, seed):
     """The block-mean estimate at each x in xs, then the minima mean z_n."""
-    stats = simulate_cell_stats(f, cfg, c, seed)
+    stats = _stats(f, cfg, c, seed)
     values = haar_ev_estimate(stats, cfg).values
     return np.append(values[_cell_index(xs, len(values))], minima_mean(stats))
 
 
 def _kernel_mise(f, cfg, c, xs, seed):
     """Squared L2 distances of the estimate from the projection and from f."""
-    est = haar_ev_estimate(simulate_cell_stats(f, cfg, c, seed), cfg)
+    est = haar_ev_estimate(_stats(f, cfg, c, seed), cfg)
     blocks = cfg.h_n + 1
     proj = blocks * block_moments(f, cfg.h_n)[0]
     stoch_sq = float(np.sum((est.values - proj) ** 2)) / blocks
@@ -109,11 +111,11 @@ def _kernel_mise(f, cfg, c, xs, seed):
 
 
 def _kernel_sup(f, cfg, c, xs, seed):
-    return np.array([sup_error(haar_ev_estimate(simulate_cell_stats(f, cfg, c, seed), cfg), f)])
+    return np.array([sup_error(haar_ev_estimate(_stats(f, cfg, c, seed), cfg), f)])
 
 
 def _kernel_weibull(f, cfg, c, xs, seed):
-    stats = simulate_cell_stats(f, cfg, c, seed)
+    stats = _stats(f, cfg, c, seed)
     x = xs[:1]
     r = int(_cell_index(x, cfg.k_n)[0])
     center = cfg.k_n * stats.cell_areas[r]
@@ -125,7 +127,7 @@ def _kernel_weibull(f, cfg, c, xs, seed):
 
 
 def _kernel_gumbel(f, cfg, c, xs, seed):
-    stats = simulate_cell_stats(f, cfg, c, seed)
+    stats = _stats(f, cfg, c, seed)
     return np.array([float(np.max(stats.f_max - stats.x_star))])
 
 

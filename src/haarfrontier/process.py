@@ -9,22 +9,26 @@ word s of the Philox stream takes u[s + j] as candidate j's x and
 M * u[s + B + j] as its y, and the next batch starts at s + 2B. Each
 thread draws the stream with two cursors, one at the x half and one at the
 y half of the batch, in fixed-size chunks no longer than the usable rest
-of the batch, so every sample is the one whole batches give. `simulate`
-copies the accepted chunks into its sample; `simulate_cell_stats` bins
-them as they come and never holds the sample, so a Monte Carlo replicate
-holds O(chunk + k_n) values whatever n is.
+of the batch, so every sample is the one whole batches give.
+
+`simulate` checks its arguments and draws the point count; the points are
+drawn when the sample is first used. Its xs and ys are filled on their
+first use, and until then `cell_stats` bins the accepted chunks as they
+come, so `cell_stats(simulate(...))`, a Monte Carlo replicate, holds
+O(chunk + k_n) values whatever n is.
 
 A PointSample keeps its points in the order given: every cell statistic
 is an order-free reduction (count, max, min) over the cells
 `uniform_cell_index` assigns, so no estimate depends on row order, and
-only the CSV file is written in x order. A sample is checked once, when
-it is built; `simulate` hands it the arrays it filled, without a copy, and
-`cell_stats` bins its checked x without checking them again.
-`simulate_cell_stats` runs the same check on each chunk it bins.
+only the CSV file is written in x order. A sample is checked once: when
+it is built, or for a sample from `simulate` when its arrays are filled,
+without a copy; `cell_stats` bins checked x without checking them again,
+and checks each chunk it bins straight from the stream.
 
 Each invariant of a CellStats record is established once, where it arises:
 the cell geometry (areas within the frontier's range) when `_cell_geometry`
-fills its cache, the sample when it is built, and the maxima against the
+fills its cache, the sample when it is built or filled (or each chunk as it
+is binned from the stream), and the maxima against the
 frontier enclosure on each replicate, the one check that depends on the
 data. Binning a checked sample gives one entry per cell and 0 <= z_star <=
 x_star by construction. A kernel task's evaluation points are checked when
@@ -39,6 +43,7 @@ import numbers
 import threading
 import warnings
 from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -133,6 +138,14 @@ def _check_values(xs: np.ndarray, ys: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class PointSample:
+    """The points (xs[i], ys[i]) of one realization and the parameters that drew it.
+
+    A sample from `simulate` is drawn on demand: its xs and ys are filled,
+    and checked, on their first use, and until then `cell_stats` bins its
+    points straight from the stream. Any other sample is checked when it is
+    built.
+    """
+
     xs: np.ndarray
     ys: np.ndarray
     n: int
@@ -145,13 +158,28 @@ class PointSample:
         self._check_and_freeze(np.array(self.xs, dtype=float), np.array(self.ys, dtype=float))
 
     @classmethod
-    def _owning(cls, xs: np.ndarray, ys: np.ndarray, **meta) -> "PointSample":
-        """A sample of float arrays no one else holds: checked and frozen like any other, not copied."""
+    def _drawn(cls, draw: "_Draw", **meta) -> "PointSample":
+        """The sample of draw's points, with checked meta; xs and ys are left for first use."""
         sample = object.__new__(cls)
         for name, value in meta.items():
             object.__setattr__(sample, name, value)
-        sample._check_and_freeze(xs, ys)
+        object.__setattr__(sample, "_draw", draw)
         return sample
+
+    def __getattr__(self, name):
+        # reached only for attributes never set: a drawn sample's xs and ys before first use
+        draw = vars(self).get("_draw")
+        if draw is None or name not in ("xs", "ys"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        xs, ys = np.empty(draw.count), np.empty(draw.count)
+        have = 0
+        for x, y in draw.chunks():
+            xs[have : have + len(x)] = x
+            ys[have : have + len(y)] = y
+            have += len(x)
+        # arrays no one else holds: checked and frozen like any other, not copied
+        self._check_and_freeze(xs, ys)
+        return vars(self)[name]
 
     def _check_and_freeze(self, xs: np.ndarray, ys: np.ndarray) -> None:
         object.__setattr__(self, "n", _require_integer("n", self.n))
@@ -165,8 +193,24 @@ class PointSample:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
+    def _chunks(self, size: int):
+        """The checked points in order, as (x, y) chunks of at most `size`.
+
+        A drawn sample whose arrays are unfilled gives them straight from
+        the stream, in chunks no longer than the stream's buffers, and
+        checks each as a sample is checked; a chunk is valid until the next.
+        """
+        if "xs" in vars(self):
+            xs, ys = self.xs, self.ys
+            yield from ((xs[i : i + size], ys[i : i + size]) for i in range(0, len(xs), size))
+            return
+        for x, y in self._draw.chunks():
+            _check_values(x, y)
+            yield x, y
+
     def __len__(self) -> int:
-        return len(self.xs)
+        draw = vars(self).get("_draw")
+        return len(self.xs) if draw is None else draw.count
 
     def to_csv(self, path) -> None:
         meta = {key: getattr(self, attr) for key, attr, _ in _SAMPLE_HEADER}
@@ -216,23 +260,29 @@ _CHUNK = 1 << 15
 
 
 class _Stream:
-    """One thread's candidate stream: x and y Philox cursors and the chunk buffers they fill."""
+    """One thread's candidate stream: x and y Philox cursors and the chunk buffers they fill.
 
-    __slots__ = ("x_rng", "y_rng", "x", "y", "idx")
+    `counted` is the draw whose count the x-cursor drew last, while the
+    cursor still stands at that draw's first batch; `idx` holds the cell
+    indices of a chunk when the thread bins.
+    """
 
-    def __init__(self, chunk: int):
+    __slots__ = ("x_rng", "y_rng", "x", "y", "idx", "counted")
+
+    def __init__(self):
         self.x_rng = np.random.Generator(np.random.Philox(key=0))
         self.y_rng = np.random.Generator(np.random.Philox(key=0))
-        self.x = np.empty(chunk)
-        self.y = np.empty(chunk)
-        self.idx = np.empty(chunk, np.intp)
+        self.x = np.empty(_CHUNK)
+        self.y = np.empty(_CHUNK)
+        self.idx = np.empty(_CHUNK, np.intp)
+        self.counted = None
 
 
 def _thread_stream() -> _Stream:
     """This thread's stream, reused from call to call; `_seek` keys and positions its cursors."""
     stream = getattr(_THREAD, "stream", None)
-    if stream is None or len(stream.x) < _CHUNK:
-        stream = _THREAD.stream = _Stream(_CHUNK)
+    if stream is None:
+        stream = _THREAD.stream = _Stream()
     return stream
 
 
@@ -243,15 +293,14 @@ def _seek(rng: np.random.Generator, seed: int, position: int) -> None:
     buffer; each refill first increments the counter and then yields the
     four words of its block, so word q is word q % 4 of the block at
     counter q // 4 + 1. The state is set absolutely, so the move may go
-    backwards, and no fresh SeedSequence (OS entropy) is read.
+    backwards, and no fresh SeedSequence (OS entropy) is read. The setter
+    reads the words one by one, so plain lists of ints make it about three
+    times faster than numpy arrays would.
     """
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {
-            "counter": np.array([position // 4, 0, 0, 0], np.uint64),
-            "key": np.array([seed, 0], np.uint64),
-        },
-        "buffer": np.zeros(4, np.uint64),
+        "state": {"counter": [position // 4, 0, 0, 0], "key": [seed, 0]},
+        "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
@@ -285,55 +334,47 @@ def _accepted(f: FrontierSpec, cand_x: np.ndarray, cand_y: np.ndarray, need: int
     return cand_x[keep][:need], cand_y[keep][:need]
 
 
-def _point_stream(f: FrontierSpec, n: int, c: float, seed: int) -> tuple:
-    """(count, chunks): the Poisson point count of one realization and its points, chunk by chunk.
+class _Draw(NamedTuple):
+    """The rejection draw of one realization, from its counted points on.
 
-    `chunks` yields (x, y) arrays of accepted points in draw order, count
-    in all; they may be views of the thread's buffers, valid until the
-    next chunk is drawn. The arguments are checked here, before any draw.
+    The batches start at stream word `start`, where the count's draw left
+    the x-cursor; accept_rate is the area under f over M.
     """
-    seed = _require_seed(seed)
-    if _require_integer("n", n) < 1:
-        raise ValueError("n must be a positive integer")
-    c = _require_rate(c)
-    total_area = f.integral(0.0, 1.0)
-    if f.M / total_area > 1e6:
-        raise ValueError(
-            f"rejection sampling would be pathological: M/mean(f) = {f.M / total_area:.3g} > 1e6"
-        )
-    stream = _thread_stream()
-    _seek(stream.x_rng, seed, 0)
-    mean = n * c * total_area
-    try:
-        count = int(stream.x_rng.poisson(mean))
-    except ValueError:
-        # numpy draws Poisson counts only up to about 9.2e18
-        raise ValueError(
-            f"the mean point count n*c*integral(f) = {mean:.6g} is too large to draw"
-        ) from None
-    return count, _accepted_chunks(f, seed, count, total_area / f.M, stream)
 
+    f: FrontierSpec
+    seed: int
+    count: int
+    start: int
+    accept_rate: float
 
-def _accepted_chunks(f: FrontierSpec, seed: int, count: int, accept_rate: float, stream: _Stream):
-    """The rejection loop of `_point_stream`, from the x-cursor standing at the first batch."""
-    start = _position(stream.x_rng)
-    have = 0
-    while have < count:
-        batch = int((count - have) / accept_rate * 1.2) + 16
-        _seek(stream.y_rng, seed, start + batch)
-        drawn = 0
-        while drawn < batch and have < count:
-            m = min(_CHUNK, batch - drawn, _usable_prefix(count - have, accept_rate))
-            cand_x = stream.x_rng.random(out=stream.x[:m])
-            cand_y = stream.y_rng.random(out=stream.y[:m])
-            cand_y *= f.M
-            take_x, take_y = _accepted(f, cand_x, cand_y, count - have)
-            drawn += m
-            have += len(take_x)
-            yield take_x, take_y
-        start += 2 * batch
-        if have < count:
+    def chunks(self):
+        """The accepted points in draw order, `count` in all, as (x, y) chunks.
+
+        A chunk may be a view of the thread's buffers, valid until the next
+        chunk is drawn. Every call gives the same points, on any thread.
+        """
+        f, seed, count, start, accept_rate = self
+        stream = _thread_stream()
+        if stream.counted is not self:
             _seek(stream.x_rng, seed, start)
+        stream.counted = None
+        have = 0
+        while have < count:
+            batch = int((count - have) / accept_rate * 1.2) + 16
+            _seek(stream.y_rng, seed, start + batch)
+            drawn = 0
+            while drawn < batch and have < count:
+                m = min(len(stream.x), batch - drawn, _usable_prefix(count - have, accept_rate))
+                cand_x = stream.x_rng.random(out=stream.x[:m])
+                cand_y = stream.y_rng.random(out=stream.y[:m])
+                cand_y *= f.M
+                take_x, take_y = _accepted(f, cand_x, cand_y, count - have)
+                drawn += m
+                have += len(take_x)
+                yield take_x, take_y
+            start += 2 * batch
+            if have < count:
+                _seek(stream.x_rng, seed, start)
 
 
 def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
@@ -352,17 +393,33 @@ def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
     y-cursor is sought to s + B. Both draw the batch chunk by chunk, and
     no chunk is longer than the usable prefix of what is still needed, so
     little of a batch past its last kept point is drawn. The sample is the
-    one whole batches give; it is checked once and owns its arrays,
-    read-only.
+    one whole batches give.
+
+    The arguments are checked and the count is drawn here; the points are
+    drawn when the sample is first used (see `PointSample`), and its
+    arrays, once filled, are read-only.
     """
-    count, chunks = _point_stream(f, n, c, seed)
-    xs, ys = np.empty(count), np.empty(count)
-    have = 0
-    for x, y in chunks:
-        xs[have : have + len(x)] = x
-        ys[have : have + len(y)] = y
-        have += len(x)
-    return PointSample._owning(xs, ys, n=n, c=c, seed=seed, frontier_label=f.label)
+    seed, n, c = _require_seed(seed), _require_integer("n", n), _require_rate(c)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    total_area = f.integral(0.0, 1.0)
+    if f.M / total_area > 1e6:
+        raise ValueError(
+            f"rejection sampling would be pathological: M/mean(f) = {f.M / total_area:.3g} > 1e6"
+        )
+    stream = _thread_stream()
+    stream.counted = None  # the x-cursor moves on, even if the count fails
+    _seek(stream.x_rng, seed, 0)
+    mean = n * c * total_area
+    try:
+        count = int(stream.x_rng.poisson(mean))
+    except ValueError:
+        # numpy draws Poisson counts only up to about 9.2e18
+        raise ValueError(
+            f"the mean point count n*c*integral(f) = {mean:.6g} is too large to draw"
+        ) from None
+    draw = stream.counted = _Draw(f, seed, count, _position(stream.x_rng), total_area / f.M)
+    return PointSample._drawn(draw, n=n, c=c, seed=seed, frontier_label=f.label)
 
 
 _ESCAPE = "cell maxima escape the frontier enclosure"
@@ -452,19 +509,24 @@ def _cell_geometry(f: FrontierSpec, k_n: int) -> tuple:
     return cell_areas, f_min, f_max, _enclosure_slack(f_max)
 
 
-def _bin_cells(chunks, idx_buf: np.ndarray, cfg: PartitionConfig, f: FrontierSpec) -> CellStats:
-    """Count/max/min of y per cell over (x, y) chunks of checked points, plus the cell geometry.
+def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> CellStats:
+    """Count/max/min of y per cell, plus oracle cell geometry from the frontier.
 
-    Each chunk's cell indices are written into idx_buf, which is at least
-    as long as any chunk. Each reduction is order-free and exact, so the
-    record is the same however the points are split into chunks.
+    The points are binned chunk by chunk, so a sample from `simulate` that
+    was not used before is binned straight from its stream, and the record
+    takes O(chunk + k_n) memory whatever the point count. Each reduction is
+    order-free and exact, so the record is the same however the points are
+    split into chunks.
     """
+    if sample.n != cfg.n:
+        raise ValueError("sample and partition disagree on n")
     k = cfg.k_n
     geometry = _cell_geometry(f, k)
+    idx_buf = _thread_stream().idx
     counts = np.zeros(k, np.intp)
     x_star = np.full(k, -np.inf)
     z_star = np.full(k, np.inf)
-    for x, y in chunks:
+    for x, y in sample._chunks(len(idx_buf)):
         idx = _cell_index(x, k, out=idx_buf[: len(x)])
         counts += np.bincount(idx, minlength=k)
         np.maximum.at(x_star, idx, y)
@@ -473,31 +535,3 @@ def _bin_cells(chunks, idx_buf: np.ndarray, cfg: PartitionConfig, f: FrontierSpe
     x_star[empty] = 0.0
     z_star[empty] = 0.0
     return CellStats._binned(counts, x_star, z_star, geometry, cfg)
-
-
-def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> CellStats:
-    """Count/max/min of y per cell, plus oracle cell geometry from the frontier."""
-    if sample.n != cfg.n:
-        raise ValueError("sample and partition disagree on n")
-    # the sample's read-only arrays were checked when it was built
-    xs, ys = sample.xs, sample.ys
-    chunks = ((xs[i : i + _CHUNK], ys[i : i + _CHUNK]) for i in range(0, len(xs), _CHUNK))
-    return _bin_cells(chunks, np.empty(min(len(xs), _CHUNK), np.intp), cfg, f)
-
-
-def _checked(chunks):
-    """The (x, y) chunks, each first checked as a sample is."""
-    for x, y in chunks:
-        _check_values(x, y)
-        yield x, y
-
-
-def simulate_cell_stats(f: FrontierSpec, cfg: PartitionConfig, c: float, seed: int) -> CellStats:
-    """cell_stats(simulate(f, cfg.n, c, seed), cfg, f), bit for bit, without building the sample.
-
-    The points are binned chunk by chunk as the stream accepts them, each
-    chunk checked as a sample is, so a replicate holds O(_CHUNK + k_n)
-    values whatever n is.
-    """
-    _, chunks = _point_stream(f, cfg.n, c, seed)
-    return _bin_cells(_checked(chunks), _thread_stream().idx, cfg, f)

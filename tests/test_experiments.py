@@ -101,7 +101,7 @@ def test_replicate_task_checks_its_points_before_any_replicate(monkeypatch, xs) 
     def no_simulation(*args):
         raise AssertionError("simulated a replicate")
 
-    monkeypatch.setattr("haarfrontier.kernels.simulate_cell_stats", no_simulation)
+    monkeypatch.setattr("haarfrontier.kernels.simulate", no_simulation)
     with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
         run_task(ReplicateTask("fhat_zn_at", "constant:a=1.0", 200, 2, 1, 1.0, xs), 4, 1)
 

@@ -21,7 +21,6 @@ from haarfrontier.process import (
     _seek,
     cell_stats,
     simulate,
-    simulate_cell_stats,
 )
 
 from crosschecks import (
@@ -184,6 +183,12 @@ def test_simulate_matches_fresh_philox_reference(label, n, seed, batches) -> Non
     assert (got.n, got.c, got.seed, got.frontier_label) == (n, 1.0, seed, f.label)
 
 
+def _small_chunks(mp, size) -> None:
+    """Draw and bin in chunks of `size` from here on, on fresh thread streams of that size."""
+    mp.setattr(process, "_CHUNK", size)
+    mp.setattr(process, "_THREAD", threading.local())
+
+
 def _record_seeks(monkeypatch) -> list:
     """The stream positions `simulate` seeks its cursors to, in order, from here on."""
     seeks = []
@@ -218,7 +223,9 @@ def test_prefix_draw_matches_fresh_philox_reference(monkeypatch, label, n, seed)
     start, batch = _first_batch(f, n, seed)
     seeks = _record_seeks(monkeypatch)
     got = simulate(f, n, 1.0, seed)
-    # the x-cursor keyed at word 0 and the y-cursor sought to s + B: one batch held enough
+    assert seeks == [0]  # the count is drawn, the points are left for first use
+    got.xs
+    # the x-cursor left at s by the count, and the y-cursor sought to s + B: one batch held enough
     assert seeks == [0, start + batch]
     # both cursors stopped at the same candidate, short of the end of the batch
     stream = process._thread_stream()
@@ -247,14 +254,14 @@ def test_prefix_shortfall_draws_the_rest_of_the_batch(monkeypatch, label, n, see
     assert drawn == batches
     seeks = _record_seeks(monkeypatch)
     got = simulate(f, n, 1.0, seed)
+    assert got.xs.tobytes() == want.xs.tobytes() and got.ys.tobytes() == want.ys.tobytes()
     # x keyed at word 0, y sought to each batch's y half, x to each later batch's start
     assert len(seeks) == 2 * batches
-    assert got.xs.tobytes() == want.xs.tobytes() and got.ys.tobytes() == want.ys.tobytes()
 
 
 @pytest.mark.parametrize("label, n, seed, batches", FRESH_PHILOX_CASES)
 def test_small_chunks_match_fresh_philox_reference(monkeypatch, label, n, seed, batches) -> None:
-    monkeypatch.setattr(process, "_CHUNK", 7)
+    _small_chunks(monkeypatch, 7)
     f = frontier(label)
     want, _ = simulate_fresh_philox(f, n, 1.0, seed)
     got = simulate(f, n, 1.0, seed)
@@ -262,6 +269,12 @@ def test_small_chunks_match_fresh_philox_reference(monkeypatch, label, n, seed, 
 
 
 _MULTI_BATCH = FRESH_PHILOX_CASES[-1]
+
+
+def _filled(sample: PointSample) -> PointSample:
+    """The sample, its arrays filled: `cell_stats` then bins them, not the stream."""
+    sample.xs
+    return sample
 
 
 @settings(max_examples=60, deadline=None)
@@ -272,17 +285,27 @@ _MULTI_BATCH = FRESH_PHILOX_CASES[-1]
     d_n=st.sampled_from([1, 3]),
     seed=st.integers(0, 2**64 - 1),
     chunk=st.sampled_from([7, process._CHUNK]),
+    interleaved=st.booleans(),
 )
 # seed 0 draws no point at all; the low-acceptance frontier runs out of its first batch
-@example(label="constant:a=1.3", n=1, h_prime=2, d_n=1, seed=0, chunk=7)
-@example(label=_MULTI_BATCH[0], n=_MULTI_BATCH[1], h_prime=3, d_n=3, seed=_MULTI_BATCH[2], chunk=7)
-def test_replicate_stats_match_binning_the_simulated_sample(label, n, h_prime, d_n, seed, chunk) -> None:
+@example(label="constant:a=1.3", n=1, h_prime=2, d_n=1, seed=0, chunk=7, interleaved=False)
+@example(
+    label=_MULTI_BATCH[0], n=_MULTI_BATCH[1], h_prime=3, d_n=3, seed=_MULTI_BATCH[2], chunk=7,
+    interleaved=True,
+)
+def test_stats_binned_from_the_stream_match_the_filled_sample(
+    label, n, h_prime, d_n, seed, chunk, interleaved
+) -> None:
     f = frontier(label)
     cfg = PartitionConfig(n=n, h_prime=h_prime, d_n=d_n)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(process, "_CHUNK", chunk)
-        got = simulate_cell_stats(f, cfg, 1.0, seed)
-        want = cell_stats(simulate(f, n, 1.0, seed), cfg, f)
+        _small_chunks(mp, chunk)
+        sample = simulate(f, n, 1.0, seed)
+        if interleaved:
+            # another draw moves the cursors away from where the count left them
+            _filled(simulate(f, n, 1.0, seed ^ 1))
+        got = cell_stats(sample, cfg, f)
+        want = cell_stats(_filled(simulate(f, n, 1.0, seed)), cfg, f)
     for name in ("counts", "x_star", "z_star"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
@@ -290,6 +313,33 @@ def test_replicate_stats_match_binning_the_simulated_sample(label, n, h_prime, d
     for name in ("cell_areas", "f_min", "f_max"):
         assert getattr(got, name) is getattr(want, name)  # the cached geometry
     assert got.cfg == cfg
+
+
+def test_drawn_sample_fills_the_same_points_wherever_it_is_first_used() -> None:
+    f = sine_frontier(1.0, 0.25)
+    want, _ = simulate_fresh_philox(f, 2000, 1.0, 11)
+    here, there = simulate(f, 2000, 1.0, 11), simulate(f, 2000, 1.0, 11)
+    assert len(here) == len(want)  # the count is known before the points are drawn
+    simulate(f, 300, 1.0, 12).xs
+    filled = []
+    worker = threading.Thread(target=lambda: filled.append(there.ys.tobytes()))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert here.xs.tobytes() == want.xs.tobytes() and here.ys.tobytes() == want.ys.tobytes()
+    assert filled == [want.ys.tobytes()]
+    assert not here.xs.flags.writeable and not there.ys.flags.writeable
+    with pytest.raises(AttributeError, match="no attribute 'zs'"):
+        here.zs
+
+
+def test_drawn_sample_survives_a_draw_that_fails_after_moving_the_cursor() -> None:
+    f = constant_frontier(1.0)
+    want, _ = simulate_fresh_philox(f, 500, 1.0, 4)
+    sample = simulate(f, 500, 1.0, 4)
+    with pytest.raises(ValueError, match="too large to draw"):
+        simulate(f, 10, 1e300, 5)
+    assert sample.xs.tobytes() == want.xs.tobytes()
 
 
 def test_replicate_memory_does_not_grow_with_n() -> None:
@@ -307,8 +357,8 @@ def test_replicate_memory_does_not_grow_with_n() -> None:
         finally:
             tracemalloc.stop()
 
-    assert peak_bytes(lambda: simulate_cell_stats(f, cfg, 1.0, 3)) < 4 * 2**20
-    assert peak_bytes(lambda: cell_stats(simulate(f, n, 1.0, 3), cfg, f)) > 15 * 10**6
+    assert peak_bytes(lambda: cell_stats(simulate(f, n, 1.0, 3), cfg, f)) < 4 * 2**20
+    assert peak_bytes(lambda: cell_stats(_filled(simulate(f, n, 1.0, 3)), cfg, f)) > 15 * 10**6
 
 
 def test_seek_matches_one_contiguous_draw() -> None:
@@ -377,12 +427,12 @@ def test_simulate_in_concurrent_threads_matches_serial() -> None:
 
 def test_replicate_stats_in_concurrent_threads_match_serial(monkeypatch) -> None:
     # small chunks, so each replicate switches threads between its chunks
-    monkeypatch.setattr(process, "_CHUNK", 64)
+    _small_chunks(monkeypatch, 64)
     f = sine_frontier(1.0, 0.25)
     cfg = PartitionConfig(n=500, h_prime=3, d_n=3)
 
     def replicate(seed):
-        stats = simulate_cell_stats(f, cfg, 1.0, seed)
+        stats = cell_stats(simulate(f, 500, 1.0, seed), cfg, f)
         return stats.counts.tobytes() + stats.x_star.tobytes() + stats.z_star.tobytes()
 
     _threads_match_serial(replicate)
