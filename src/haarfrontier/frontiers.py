@@ -77,6 +77,9 @@ class FrontierSpec:
                 raise ValueError(f"frontier {self.label!r} violates its Lipschitz declaration")
 
     def __call__(self, x):
+        if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim:
+            # the rejection sampler's case: a float array, used as it is, and an array back
+            return np.asarray(self.f(x), dtype=float)
         out = np.asarray(self.f(np.asarray(x, dtype=float)), dtype=float)
         if np.isscalar(x) or np.ndim(x) == 0:
             return float(out)

@@ -1,9 +1,11 @@
 """Per-replicate simulation kernels for the experiment driver.
 
-Each kernel maps one seed to a small vector of replicate statistics. Tasks
-carry only picklable primitives (the frontier travels as its label), so
-chunks of replicates can run in worker processes; per-frontier geometry is
-cached per process.
+Each kernel maps one seed to a small vector of replicate statistics. The
+cell and block of each evaluation point depend only on the task, so
+`run_chunk` locates them once per chunk and hands them to every replicate as
+`at`, a pair of index arrays (cells, blocks). Tasks carry only picklable
+primitives (the frontier travels as its label), so chunks of replicates can
+run in worker processes; per-frontier geometry is cached per process.
 
 The error layer is here too: the L2 and sup distances from a step (on its
 2^j equal blocks) to the frontier, for the kernels, the experiments and
@@ -94,14 +96,13 @@ def _stats(f: FrontierSpec, cfg: PartitionConfig, c: float, seed: int):
     return cell_stats(simulate(f, cfg.n, c, seed), cfg, f)
 
 
-def _kernel_fhat_zn_at(f, cfg, c, xs, seed):
-    """The block-mean estimate at each x in xs, then the minima mean z_n."""
+def _kernel_fhat_zn_at(f, cfg, c, at, seed):
+    """The block-mean estimate at each evaluation point, then the minima mean z_n."""
     stats = _stats(f, cfg, c, seed)
-    values = haar_ev_estimate(stats, cfg).values
-    return np.append(values[_cell_index(xs, len(values))], minima_mean(stats))
+    return np.append(haar_ev_estimate(stats, cfg).values[at[1]], minima_mean(stats))
 
 
-def _kernel_mise(f, cfg, c, xs, seed):
+def _kernel_mise(f, cfg, c, at, seed):
     """Squared L2 distances of the estimate from the projection and from f."""
     est = haar_ev_estimate(_stats(f, cfg, c, seed), cfg)
     blocks = cfg.h_n + 1
@@ -110,23 +111,21 @@ def _kernel_mise(f, cfg, c, xs, seed):
     return np.array([stoch_sq, l2_error_sq(est, f)])
 
 
-def _kernel_sup(f, cfg, c, xs, seed):
+def _kernel_sup(f, cfg, c, at, seed):
     return np.array([sup_error(haar_ev_estimate(_stats(f, cfg, c, seed), cfg), f)])
 
 
-def _kernel_weibull(f, cfg, c, xs, seed):
+def _kernel_weibull(f, cfg, c, at, seed):
     stats = _stats(f, cfg, c, seed)
-    x = xs[:1]
-    r = int(_cell_index(x, cfg.k_n)[0])
-    center = cfg.k_n * stats.cell_areas[r]
-    rate = cfg.n * c / cfg.k_n
-    values = haar_ev_estimate(stats, cfg).values
-    t_est = rate * (values[_cell_index(x, len(values))[0]] - center)
+    r, k_n = at[0][0], cfg.k_n
+    center = k_n * stats.cell_areas[r]
+    rate = cfg.n * c / k_n
+    t_est = rate * (haar_ev_estimate(stats, cfg).values[at[1][0]] - center)
     t_max = rate * (stats.x_star[r] - center)
     return np.array([t_est, t_max])
 
 
-def _kernel_gumbel(f, cfg, c, xs, seed):
+def _kernel_gumbel(f, cfg, c, at, seed):
     stats = _stats(f, cfg, c, seed)
     return np.array([float(np.max(stats.f_max - stats.x_star))])
 
@@ -145,6 +144,8 @@ def run_chunk(task: ReplicateTask, seeds) -> np.ndarray:
     f = parse_frontier(task.frontier)
     cfg = task.partition()
     kernel = KERNELS[task.kind]
-    # the task checked its points when it was built
+    # the task checked its points when it was built; each point's cell and
+    # block are the same on every replicate, so they are located once here
     xs = np.asarray(task.xs, dtype=float)
-    return np.array([kernel(f, cfg, task.c, xs, int(s)) for s in seeds])
+    at = (_cell_index(xs, cfg.k_n), _cell_index(xs, cfg.h_n + 1))
+    return np.array([kernel(f, cfg, task.c, at, int(s)) for s in seeds])

@@ -23,9 +23,10 @@ VALID_LAWS = ("weibull_evd", "gumbel", "std_normal")
 
 
 def _std_normal(u: np.ndarray) -> np.ndarray:
-    flat = np.atleast_1d(np.asarray(u, dtype=float))
-    out = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in flat])
-    return out.reshape(np.shape(u))
+    """0.5 * erfc(-u / sqrt(2)) elementwise, in one pass of math.erfc over the scaled values."""
+    flat = np.ravel(np.asarray(u, dtype=float))
+    erfc = np.fromiter(map(math.erfc, (-flat / math.sqrt(2.0)).tolist()), float, flat.size)
+    return (0.5 * erfc).reshape(np.shape(u))
 
 
 def _require_law(kind: str) -> None:
@@ -131,12 +132,16 @@ def cell_max_variance(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float) -
 def ks_statistic(samples, cdf: Callable) -> float:
     """Two-sided Kolmogorov distance between the empirical CDF and a reference CDF.
 
-    Evaluated at both one-sided limits of every empirical jump. `cdf` may be
+    Evaluated at both one-sided limits of every empirical jump. The samples
+    may have any shape and are taken flat; a NaN sample raises. `cdf` may be
     a LimitLaw or any callable; one that takes only scalars is called per value.
     """
-    arr = np.sort(np.asarray(samples, dtype=float))
+    arr = np.sort(np.ravel(np.asarray(samples, dtype=float)))
     if arr.size == 0:
         raise ValueError("need at least one sample")
+    # NaN sorts last, so the top sample shows whether there is one
+    if math.isnan(arr[-1]):
+        raise ValueError("samples must not be NaN")
     try:
         ref = np.asarray(cdf(arr), dtype=float)
         if ref.shape != arr.shape:

@@ -161,9 +161,7 @@ class PointSample:
     def _drawn(cls, draw: "_Draw", **meta) -> "PointSample":
         """The sample of draw's points, with checked meta; xs and ys are left for first use."""
         sample = object.__new__(cls)
-        for name, value in meta.items():
-            object.__setattr__(sample, name, value)
-        object.__setattr__(sample, "_draw", draw)
+        vars(sample).update(meta, _draw=draw)
         return sample
 
     def __getattr__(self, name):
@@ -481,15 +479,13 @@ class CellStats:
         slack; an empty cell holds 0, which lies below it.
         """
         cell_areas, f_min, f_max, slack = geometry
-        if np.any(x_star > f_max + slack):
+        if (x_star > f_max + slack).any():
             raise ValueError(_ESCAPE)
         for arr in (counts, x_star, z_star):
             arr.flags.writeable = False
         stats = object.__new__(cls)
-        record = dict(counts=counts, x_star=x_star, z_star=z_star,
-                      cell_areas=cell_areas, f_min=f_min, f_max=f_max, cfg=cfg)
-        for name, value in record.items():
-            object.__setattr__(stats, name, value)
+        vars(stats).update(counts=counts, x_star=x_star, z_star=z_star,
+                           cell_areas=cell_areas, f_min=f_min, f_max=f_max, cfg=cfg)
         return stats
 
 
@@ -524,8 +520,9 @@ def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> Ce
     geometry = _cell_geometry(f, k)
     idx_buf = _thread_stream().idx
     counts = np.zeros(k, np.intp)
-    x_star = np.full(k, -np.inf)
-    z_star = np.full(k, np.inf)
+    x_star, z_star = np.empty(k), np.empty(k)
+    x_star.fill(-np.inf)
+    z_star.fill(np.inf)
     for x, y in sample._chunks(len(idx_buf)):
         idx = _cell_index(x, k, out=idx_buf[: len(x)])
         counts += np.bincount(idx, minlength=k)

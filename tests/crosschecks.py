@@ -5,11 +5,15 @@ but by its defining sum, so agreement checks the faster form. The frontiers
 those comparisons run on are listed here too.
 """
 
+import math
+
 import numpy as np
 
+from haarfrontier.estimators import haar_ev_estimate, minima_mean
 from haarfrontier.frontiers import FrontierSpec, parse_frontier
 from haarfrontier.haar import dirichlet_kernel, haar_eval
-from haarfrontier.process import PointSample
+from haarfrontier.process import PointSample, cell_stats, simulate
+from haarfrontier.stepfun import uniform_cell_index
 
 # each shipped family; the sine with both signs of b, and a second two-level
 # frontier with lo > hi and its split off the dyadic grid
@@ -59,6 +63,42 @@ def haar_ev_estimate_at(stats, cfg, x):
     if np.ndim(x) == 0:
         return float(out[0])
     return out
+
+
+def block_means_by_mean(stats, cfg):
+    """The block means of the cell maxima as `ndarray.mean` gives them."""
+    return stats.x_star.reshape(cfg.h_n + 1, cfg.d_n).mean(axis=1)
+
+
+def minima_mean_by_mean(stats):
+    """The mean of the cell minima as `ndarray.mean` gives it."""
+    return float(stats.z_star.mean())
+
+
+def std_normal_loop(u):
+    """Per-value form of the standard normal CDF, 0.5 * erfc(-v / sqrt(2)) one value at a time."""
+    flat = np.ravel(np.asarray(u, dtype=float))
+    out = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in flat])
+    return out.reshape(np.shape(u))
+
+
+def replicate_reference(task, seed):
+    """One kernel replicate of `task`, its evaluation points located on the replicate itself.
+
+    Built from the public point-to-cell rule and the estimate called at x;
+    covers the kernels that read the estimate at points, fhat_zn_at and weibull.
+    """
+    f, cfg = parse_frontier(task.frontier), task.partition()
+    stats = cell_stats(simulate(f, cfg.n, task.c, seed), cfg, f)
+    est = haar_ev_estimate(stats, cfg)
+    if task.kind == "fhat_zn_at":
+        return np.array([est(x) for x in task.xs] + [minima_mean(stats)])
+    assert task.kind == "weibull"
+    x = task.xs[0]
+    r = int(uniform_cell_index(x, cfg.k_n))
+    center = cfg.k_n * stats.cell_areas[r]
+    rate = cfg.n * task.c / cfg.k_n
+    return np.array([rate * (est(x) - center), rate * (stats.x_star[r] - center)])
 
 
 def coefficient_estimates_riemann(stats, cfg):

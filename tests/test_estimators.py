@@ -24,7 +24,12 @@ from haarfrontier.frontiers import (
 from haarfrontier.haar import haar_eval, haar_step, truncated_expansion, uniform_cell_index
 from haarfrontier.process import CellStats, PartitionConfig, PointSample, cell_stats, simulate
 
-from crosschecks import coefficient_estimates_riemann, haar_ev_estimate_at
+from crosschecks import (
+    block_means_by_mean,
+    coefficient_estimates_riemann,
+    haar_ev_estimate_at,
+    minima_mean_by_mean,
+)
 
 
 def synthetic_stats(cfg: PartitionConfig, maxima, minima=None) -> CellStats:
@@ -337,3 +342,24 @@ def test_estimate_is_invariant_under_row_permutation(points, h_prime, d_n, data)
     np.testing.assert_array_equal(
         _estimate_from_rows(shuffled, cfg), _estimate_from_rows(points, cfg)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=10),
+    st.sampled_from([1, 2, 3, 64]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_block_means_and_minima_mean_are_those_of_ndarray_mean(h_prime, d_n, empty_frac, seed) -> None:
+    # maxima over several binades, so the sums round; a share of the cells is empty
+    cfg = PartitionConfig(n=10, h_prime=h_prime, d_n=d_n)
+    rng = np.random.default_rng(seed)
+    k = cfg.k_n
+    maxima = 2.0 * rng.random(k) * np.exp2(-rng.integers(0, 30, k))
+    maxima[rng.random(k) < empty_frac] = 0.0
+    stats = synthetic_stats(cfg, maxima, maxima * rng.random(k))
+    assert haar_ev_estimate(stats, cfg).values.tobytes() == block_means_by_mean(stats, cfg).tobytes()
+    z_n = minima_mean(stats)
+    assert type(z_n) is float and z_n.hex() == minima_mean_by_mean(stats).hex()
+

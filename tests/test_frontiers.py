@@ -182,3 +182,20 @@ def test_integral_and_range_take_scalar_or_array_ends(label) -> None:
     for j in range(40):
         assert f.integral(lo[j], hi[j]) == integ[j] and f.integral_sq(lo[j], hi[j]) == integ_sq[j]
         assert f.range_on(lo[j], hi[j]) == (mins[j], maxs[j])
+
+
+@pytest.mark.parametrize("label", SHIPPED_LABELS + ("custom-cos",))
+def test_call_gives_a_float_for_a_scalar_and_a_float_array_for_an_array(label) -> None:
+    f = frontier(label)
+    xs = np.concatenate(([0.0, 0.5, 1.0], np.random.default_rng(8).random(37)))
+    values = f(xs)
+    assert type(values) is np.ndarray and values.dtype == float and values.shape == (40,)
+    for x, value in zip(xs, values):
+        for point in (float(x), np.float64(x), np.array(x)):
+            got = f(point)
+            assert type(got) is float and got == pytest.approx(value, rel=1e-15, abs=0.0)
+    # a 2-D float array keeps its shape; lists and other dtypes are converted first
+    assert np.array_equal(f(xs.reshape(5, 8)), values.reshape(5, 8))
+    assert np.array_equal(f(xs.tolist()), values)
+    as_f32 = xs.astype(np.float32)
+    assert np.array_equal(f(as_f32), f(as_f32.astype(float)))

@@ -3,10 +3,10 @@ import pytest
 
 from haarfrontier.frontiers import constant_frontier, parse_frontier
 from haarfrontier.haar import truncated_expansion
-from haarfrontier.kernels import block_moments, l2_error_sq, sup_error
+from haarfrontier.kernels import ReplicateTask, block_moments, l2_error_sq, run_chunk, sup_error
 from haarfrontier.stepfun import StepFunction
 
-from crosschecks import SHIPPED_LABELS, block_integrals_loop, frontier
+from crosschecks import SHIPPED_LABELS, block_integrals_loop, frontier, replicate_reference
 
 # steps off 2^j equal blocks: the type cannot hold one, so the error layer never sees one
 OFF_DYADIC = {
@@ -57,3 +57,19 @@ def test_block_moments_and_projection_match_per_block_loop(label, h_n) -> None:
     got, got_sq = block_moments(f, h_n)
     assert np.array_equal(got, integ) and np.array_equal(got_sq, integ_sq)
     assert np.array_equal(truncated_expansion(f, h_n).values, (h_n + 1) * integ)
+
+
+# points on the grid's edges (1 lies in the last, closed cell) and one off them;
+# d_n = 3 makes k_n = 3 * 2^h_prime cells, a partition off the dyadic grid
+EVAL_POINTS = (0.0, 0.3, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("label", ["constant:a=1.0", "sine:a=1.0,b=0.25"])
+@pytest.mark.parametrize("h_prime, d_n", [(0, 1), (3, 1), (3, 3), (5, 3)])
+def test_points_located_once_per_chunk_give_the_per_replicate_estimates(label, h_prime, d_n) -> None:
+    seeds = [11, 2**63 + 5, 404]
+    tasks = [ReplicateTask("fhat_zn_at", label, 600, h_prime, d_n, 1.5, EVAL_POINTS)]
+    tasks += [ReplicateTask("weibull", label, 600, h_prime, d_n, 1.5, (x,)) for x in EVAL_POINTS]
+    for task in tasks:
+        want = np.array([replicate_reference(task, seed) for seed in seeds])
+        assert run_chunk(task, seeds).tobytes() == want.tobytes()

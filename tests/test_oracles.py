@@ -15,6 +15,8 @@ from haarfrontier.oracles import (
 )
 from haarfrontier.process import PartitionConfig, cell_stats, simulate
 
+from crosschecks import std_normal_loop
+
 
 def test_limit_cdf_examples() -> None:
     assert limit_cdf("weibull_evd", 0.0) == 1.0
@@ -229,3 +231,47 @@ def test_ks_statistic_accepts_scalar_cdf() -> None:
     # uniform reference; the largest gap sits just after the top sample
     got = ks_statistic([0.25, 0.5, 0.75], lambda u: float(np.clip(u, 0.0, 1.0)))
     assert got == pytest.approx(0.25, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        np.float64(0.3),
+        np.linspace(-9.0, 9.0, 24).reshape(4, 6),
+        np.array([-np.inf, -40.0, -1e-300, -0.0, 0.0, 1e-300, 40.0, np.inf]),
+        np.array([np.nan, 1.0, np.nan]),
+        np.random.default_rng(5).standard_normal(5000),
+    ],
+    ids=["0-d", "2-d", "inf-and-tails", "nan", "normals"],
+)
+def test_std_normal_matches_the_per_value_reference(u) -> None:
+    got = limit_cdf("std_normal", u)
+    want = std_normal_loop(u)
+    if np.ndim(u) == 0:
+        assert type(got) is float
+    assert np.shape(got) == np.shape(u)
+    assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
+
+
+def test_ks_statistic_rejects_nan_samples() -> None:
+    for samples in ([0.1, np.nan], [np.nan], [[0.2, 0.4], [np.nan, 0.1]]):
+        with pytest.raises(ValueError, match="NaN"):
+            ks_statistic(samples, limit_law("gumbel"))
+
+
+def test_ks_statistic_takes_shaped_samples_flat() -> None:
+    samples = np.random.default_rng(3).gumbel(size=(6, 5))
+    for kind in ("gumbel", "std_normal"):
+        law = limit_law(kind)
+        assert ks_statistic(samples, law) == ks_statistic(samples.ravel(), law)
+    assert ks_statistic([[0.3]], lambda u: np.full(np.shape(u), 0.5)) == pytest.approx(0.5)
+
+
+def test_ks_statistic_takes_infinite_samples() -> None:
+    # every law's CDF is 0 at -inf and 1 at +inf: the empirical CDF is 1/3
+    # above -inf and 2/3 above 0, so the distance is at least 1/3
+    for kind in ("weibull_evd", "gumbel", "std_normal"):
+        law = limit_law(kind)
+        want = max(1.0 / 3.0, 2.0 / 3.0 - law(0.0), law(0.0) - 1.0 / 3.0)
+        assert ks_statistic([-np.inf, 0.0, np.inf], law) == pytest.approx(want, abs=1e-15)
+    assert ks_statistic([np.inf, np.inf], limit_law("gumbel")) == 1.0
