@@ -77,13 +77,9 @@ class FrontierSpec:
                 raise ValueError(f"frontier {self.label!r} violates its Lipschitz declaration")
 
     def __call__(self, x):
-        if type(x) is np.ndarray and x.dtype == np.float64 and x.ndim:
-            # the rejection sampler's case: a float array, used as it is, and an array back
-            return np.asarray(self.f(x), dtype=float)
-        out = np.asarray(self.f(np.asarray(x, dtype=float)), dtype=float)
-        if np.isscalar(x) or np.ndim(x) == 0:
-            return float(out)
-        return out
+        x_arr = np.asarray(x, dtype=float)
+        out = np.asarray(self.f(x_arr), dtype=float)
+        return float(out) if x_arr.ndim == 0 else out
 
     def integral(self, lo, hi):
         """Integral of f over [lo, hi], exact when available; elementwise over arrays of ends."""
