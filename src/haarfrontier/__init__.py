@@ -22,15 +22,7 @@ from .experiments import (
     ErrorMetrics,
     ExperimentConfig,
     error_metrics,
-    gaussian_experiment,
-    gumbel_experiment,
-    local_bias_experiment,
-    mise_experiment,
     run_experiment,
-    supnorm_experiment,
-    variance_experiment,
-    weibull_experiment,
-    zn_moments_experiment,
 )
 from .frontiers import (
     FrontierSpec,
@@ -60,7 +52,6 @@ from .oracles import (
     limit_law,
 )
 from .process import CellStats, PartitionConfig, PointSample, cell_stats, simulate
-from .quadrature import QuadratureError, adaptive_simpson
 from .stepfun import StepFunction, uniform_cell_index
 
 __all__ = [
@@ -75,15 +66,7 @@ __all__ = [
     "ErrorMetrics",
     "ExperimentConfig",
     "error_metrics",
-    "gaussian_experiment",
-    "gumbel_experiment",
-    "local_bias_experiment",
-    "mise_experiment",
     "run_experiment",
-    "supnorm_experiment",
-    "variance_experiment",
-    "weibull_experiment",
-    "zn_moments_experiment",
     "FrontierSpec",
     "affine_frontier",
     "constant_frontier",
@@ -111,7 +94,5 @@ __all__ = [
     "PointSample",
     "cell_stats",
     "simulate",
-    "QuadratureError",
-    "adaptive_simpson",
     "StepFunction",
 ]

@@ -43,13 +43,16 @@ class EstimateBundle:
         cfg = PartitionConfig(n=payload["n"], h_prime=payload["h_prime"], d_n=payload["d_n"])
         f_hat = StepFunction(payload["f_hat_values"])
         z_n = float(payload["z_n"])
-        coefficients = np.array(payload["coefficients"], dtype=float)
-        if not len(f_hat.values) == len(coefficients) == cfg.h_n + 1:
+        if not len(f_hat.values) == len(payload["coefficients"]) == cfg.h_n + 1:
             raise ValueError("estimate JSON: f_hat_values and coefficients need h_n + 1 entries each")
-        bundle = cls(f_hat, f_hat + z_n, z_n, coefficients, cfg)
-        # every key, the derived h_n and k_n included, must read back as it would be written
+        bundle = cls(f_hat, f_hat + z_n, z_n, haar_transform(f_hat.values), cfg)
+        # every key, the derived h_n, k_n and coefficients included, must read
+        # back as it would be written
         if bundle._payload() != payload:
-            raise ValueError("estimate JSON: a missing or unknown key, or h_n or k_n off its partition")
+            raise ValueError(
+                "estimate JSON: a missing or unknown key, or h_n or k_n off its partition,"
+                " or coefficients that are not the Haar transform of f_hat_values"
+            )
         return bundle
 
 

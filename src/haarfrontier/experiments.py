@@ -4,14 +4,20 @@ Each experiment simulates replicates under a declared asymptotic-regime
 schedule, compares Monte Carlo summaries against analytic comparators, and
 emits report rows. Desk-scale schedules are an engineering choice the
 presets make explicit; the regime strings record which growth conditions a
-schedule point is intended to satisfy, and each experiment refuses to run
-unless its required regimes are declared.
+schedule point is intended to satisfy.
+
+`run_experiment(kind, cfg)` is the one entry point. Each experiment is
+declared once, by `_experiment` on its row builder: its kernel, required
+regimes, evaluation-point rule and partition check. `run_experiment`
+checks all of them before any replicate runs, then hands each schedule
+entry's replicate data to the row builder.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -75,26 +81,6 @@ class ExperimentConfig:
             raise ValueError("evaluation points x must lie in [0, 1]")
 
 
-def _require_regimes(cfg: ExperimentConfig, needed) -> None:
-    missing = [r for r in needed if r not in cfg.regimes]
-    if missing:
-        raise ValueError(f"schedule must declare regime flags {missing}")
-
-
-def _partitions(cfg: ExperimentConfig, ok=lambda pc: True, message="") -> list:
-    """The partition of every schedule entry, each checked before any replicate runs."""
-    pcs = [PartitionConfig(n, h_prime, d_n) for n, h_prime, d_n in cfg.schedule]
-    if not all(ok(pc) for pc in pcs):
-        raise ValueError(message)
-    return pcs
-
-
-def _replicates(kind: str, cfg: ExperimentConfig, e: int, pc: PartitionConfig, xs=()):
-    """Replicate statistics of one kernel at schedule entry e, whose partition is pc."""
-    task = ReplicateTask(kind, cfg.frontier, pc.n, pc.h_prime, pc.d_n, cfg.c, xs)
-    return run_task(task, cfg.replicates, derive_seed(cfg.base_seed, e), cfg.workers)
-
-
 def _mean_se(col: np.ndarray) -> tuple:
     return float(col.mean()), float(col.std(ddof=1) / math.sqrt(len(col)))
 
@@ -147,59 +133,86 @@ def _nonneg_row(name, cfg, pc, statistic, sample) -> ReportRow:
     )
 
 
-def local_bias_experiment(cfg: ExperimentConfig) -> list:
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment's declaration, checked in full before any replicate runs.
+
+    `regimes(cfg)` names the regime flags the schedule must declare. The
+    point rule is "none" (`cfg.xs` is ignored), "some" (one or more) or
+    "one"; the kernel is handed the points unless it is "none".
+    `partition(pc)` raises ValueError on a schedule entry the experiment
+    cannot take. `rows(cfg, f, entries)` builds the report rows from each
+    entry's (partition, replicate data), in schedule order.
+    """
+
+    kernel: str
+    regimes: Callable
+    points: str
+    partition: Callable
+    rows: Callable
+
+
+EXPERIMENTS = {}
+
+
+def _experiment(kind, kernel, regimes, points="none", partition=lambda pc: None):
+    """Declare experiment `kind`; the function decorated is its row builder."""
+
+    def register(rows):
+        EXPERIMENTS[kind] = Experiment(kernel, regimes, points, partition, rows)
+        return rows
+
+    return register
+
+
+def _partition_check(ok, message):
+    """A partition check that raises ValueError(message) on an entry failing ok."""
+
+    def check(pc: PartitionConfig) -> None:
+        if not ok(pc):
+            raise ValueError(message)
+
+    return check
+
+
+@_experiment("local_bias", "fhat_zn_at", lambda cfg: (REGIME_KN_SMALL,), "some")
+def _local_bias_rows(cfg, f, entries) -> Iterator[ReportRow]:
     """Mean of the raw estimate at each x against its projection, shifted by k_n/(nc)."""
-    _require_regimes(cfg, (REGIME_KN_SMALL,))
-    if not cfg.xs:
-        raise ValueError("local bias experiment needs evaluation points")
-    f = parse_frontier(cfg.frontier)
-    rows = []
-    for e, pc in enumerate(_partitions(cfg)):
-        data = _replicates("fhat_zn_at", cfg, e, pc, cfg.xs)
+    for pc, data in entries:
         proj = truncated_expansion(f, pc.h_n)
         shift = pc.k_n / (pc.n * cfg.c)
         for j, x in enumerate(cfg.xs):
             mean, se = _mean_se(data[:, j])
             residual = mean - proj(x) + shift
             tol = pc.k_n ** (-f.alpha) + 3.0 * se
-            rows.append(
-                _row(
-                    "local_bias", cfg, pc, x=x, statistic="bias_residual",
-                    estimate=residual, std_err=se, comparator=0.0, tolerance=tol,
-                )
+            yield _row(
+                "local_bias", cfg, pc, x=x, statistic="bias_residual",
+                estimate=residual, std_err=se, comparator=0.0, tolerance=tol,
             )
-    return rows
 
 
-def variance_experiment(cfg: ExperimentConfig) -> list:
+@_experiment(
+    "variance", "fhat_zn_at", lambda cfg: (REGIME_KN_SMALL, REGIME_N_VS_KN), "some",
+    _partition_check(
+        lambda pc: pc.d_n == 1 or pc.h_n >= 1, "variance comparator needs h_n >= 1 when d_n > 1"
+    ),
+)
+def _variance_rows(cfg, f, entries) -> Iterator[ReportRow]:
     """Empirical variance of the estimate at x against k_n h_n / (n c)^2."""
-    _require_regimes(cfg, (REGIME_KN_SMALL, REGIME_N_VS_KN))
-    if not cfg.xs:
-        raise ValueError("variance experiment needs evaluation points")
-    pcs = _partitions(
-        cfg, lambda pc: pc.d_n == 1 or pc.h_n >= 1,
-        "variance comparator needs h_n >= 1 when d_n > 1",
-    )
-    rows = []
-    for e, pc in enumerate(pcs):
+    for pc, data in entries:
         nc = pc.n * cfg.c
         comparator_var = (pc.k_n**2 if pc.d_n == 1 else pc.k_n * pc.h_n) / nc**2
-        data = _replicates("fhat_zn_at", cfg, e, pc, cfg.xs)
         for j, x in enumerate(cfg.xs):
-            rows.append(
-                _var_ratio_row("variance", cfg, pc, x, "variance_ratio", data[:, j], comparator_var)
+            yield _var_ratio_row(
+                "variance", cfg, pc, x, "variance_ratio", data[:, j], comparator_var
             )
-    return rows
 
 
-def mise_experiment(cfg: ExperimentConfig) -> list:
+@_experiment("mise", "mise", lambda cfg: (REGIME_KN_SMALL,))
+def _mise_rows(cfg, f, entries) -> Iterator[ReportRow]:
     """Integrated squared error, decomposed into stochastic and systematic parts."""
-    _require_regimes(cfg, (REGIME_KN_SMALL,))
-    f = parse_frontier(cfg.frontier)
-    rows = []
     per_entry = []
-    for e, pc in enumerate(_partitions(cfg)):
-        data = _replicates("mise", cfg, e, pc)
+    for pc, data in entries:
         stoch_mean, stoch_se = _mean_se(data[:, 0])
         total_mean, total_se = _mean_se(data[:, 1])
         systematic = l2_error_sq(truncated_expansion(f, pc.h_n), f)
@@ -209,41 +222,32 @@ def mise_experiment(cfg: ExperimentConfig) -> list:
         sys_bound = (
             f.lip**2 * (pc.h_n + 1) ** (-2.0 * f.alpha) if math.isfinite(f.lip) else math.inf
         )
-        rows.append(
-            _row(
-                "mise", cfg, pc, x=None, statistic="mise_total",
-                estimate=total_mean, std_err=total_se,
-                comparator=stoch_mean + systematic, tolerance=3.0 * total_se,
-            )
+        yield _row(
+            "mise", cfg, pc, x=None, statistic="mise_total",
+            estimate=total_mean, std_err=total_se,
+            comparator=stoch_mean + systematic, tolerance=3.0 * total_se,
         )
-        rows.append(
-            _row(
-                "mise", cfg, pc, x=None, statistic="mise_stochastic",
-                estimate=stoch_mean, std_err=stoch_se, comparator=stoch_comp, tolerance=stoch_comp,
-            )
+        yield _row(
+            "mise", cfg, pc, x=None, statistic="mise_stochastic",
+            estimate=stoch_mean, std_err=stoch_se, comparator=stoch_comp, tolerance=stoch_comp,
         )
-        rows.append(
-            _row(
-                "mise", cfg, pc, x=None, statistic="mise_systematic",
-                estimate=systematic, std_err=0.0, comparator=sys_bound, tolerance=sys_bound,
-                passed=systematic <= 2.0 * sys_bound,
-            )
+        yield _row(
+            "mise", cfg, pc, x=None, statistic="mise_systematic",
+            estimate=systematic, std_err=0.0, comparator=sys_bound, tolerance=sys_bound,
+            passed=systematic <= 2.0 * sys_bound,
         )
     for (pc_a, sys_a, _), (pc_b, sys_b, _) in zip(per_entry, per_entry[1:]):
         if pc_b.h_n + 1 == 2 * (pc_a.h_n + 1) and sys_b > 0.0:
             ratio = sys_a / sys_b
             comp = 2.0 ** (2.0 * f.alpha)
-            rows.append(
-                _row(
-                    "mise", cfg, pc_b, x=None, statistic="mise_systematic_ratio",
-                    estimate=ratio, std_err=0.0, comparator=comp, tolerance=0.5,
-                )
+            yield _row(
+                "mise", cfg, pc_b, x=None, statistic="mise_systematic_ratio",
+                estimate=ratio, std_err=0.0, comparator=comp, tolerance=0.5,
             )
-    rows.extend(_rate_slope_rows("mise", cfg, f, per_entry))
-    return rows
+    yield from _rate_slope_rows("mise", cfg, f, per_entry)
 
 
-def _rate_slope_rows(name, cfg, f, per_entry) -> list:
+def _rate_slope_rows(name, cfg, f, per_entry) -> Iterator[ReportRow]:
     """Fitted log-log decay slopes, reported without assertion.
 
     Small-sample slopes are contaminated by second-order terms, so these
@@ -254,30 +258,24 @@ def _rate_slope_rows(name, cfg, f, per_entry) -> list:
         ("systematic_rate_slope", [pc.h_n + 1 for pc in pcs], systematic, -2.0 * f.alpha),
         ("total_rate_slope", [pc.n for pc in pcs], total, -2.0),
     )
-    rows = []
     for statistic, scale, values, comparator in fits:
         scale, values = np.array(scale, dtype=float), np.array(values)
         if len(set(scale)) >= 2 and np.all(values > 0.0):
             slope = float(np.polyfit(np.log(scale), np.log(values), 1)[0])
-            rows.append(
-                _row(
-                    name, cfg, pcs[-1], x=None, statistic=statistic,
-                    estimate=slope, std_err=0.0, comparator=comparator, tolerance=math.inf,
-                )
+            yield _row(
+                name, cfg, pcs[-1], x=None, statistic=statistic,
+                estimate=slope, std_err=0.0, comparator=comparator, tolerance=math.inf,
             )
-    return rows
 
 
-def supnorm_experiment(cfg: ExperimentConfig) -> list:
+@_experiment(
+    "supnorm", "sup", lambda cfg: (REGIME_KN_SMALL,),
+    partition=lambda pc: require_sup_resolution(pc.h_n + 1),
+)
+def _supnorm_rows(cfg, f, entries) -> Iterator[ReportRow]:
     """Tail probabilities of the uniform error across the schedule."""
-    _require_regimes(cfg, (REGIME_KN_SMALL,))
-    f = parse_frontier(cfg.frontier)
-    pcs = _partitions(cfg)
-    for pc in pcs:
-        require_sup_resolution(pc.h_n + 1)
-    rows = []
-    for e, pc in enumerate(pcs):
-        sups = _replicates("sup", cfg, e, pc)[:, 0]
+    for pc, data in entries:
+        sups = data[:, 0]
         sys_sup = sup_error(truncated_expansion(f, pc.h_n), f)
         nc = pc.n * cfg.c
         for eps in cfg.sup_eps:
@@ -288,78 +286,68 @@ def supnorm_experiment(cfg: ExperimentConfig) -> list:
                 bound = min(1.0, pc.k_n * math.exp(-nc * margin / (2.0 * pc.k_n)))
             else:
                 bound = 1.0
-            rows.append(
-                _row(
-                    "supnorm", cfg, pc, x=None, statistic=f"p_sup_gt_{eps}",
-                    estimate=p_hat, std_err=se, comparator=bound, tolerance=3.0 * se,
-                    passed=p_hat <= bound + 3.0 * se,
-                )
+            yield _row(
+                "supnorm", cfg, pc, x=None, statistic=f"p_sup_gt_{eps}",
+                estimate=p_hat, std_err=se, comparator=bound, tolerance=3.0 * se,
+                passed=p_hat <= bound + 3.0 * se,
             )
-    return rows
 
 
-def weibull_experiment(cfg: ExperimentConfig) -> list:
-    """Local statistic at the first x against the Weibull extreme-value law (d_n = 1 regime)."""
-    _require_regimes(cfg, (REGIME_KN_SUBLINEAR, REGIME_N_VS_KN))
-    if len(cfg.xs) != 1:
-        raise ValueError("weibull experiment needs exactly one evaluation point")
+@_experiment(
+    "weibull", "weibull", lambda cfg: (REGIME_KN_SUBLINEAR, REGIME_N_VS_KN), "one",
+    _partition_check(lambda pc: pc.d_n == 1, "the extreme-value local limit requires d_n = 1"),
+)
+def _weibull_rows(cfg, f, entries) -> Iterator[ReportRow]:
+    """Local statistic at x against the Weibull extreme-value law (d_n = 1 regime)."""
     x = cfg.xs[0]
     law = limit_law("weibull_evd")
-    pcs = _partitions(cfg, lambda pc: pc.d_n == 1, "the extreme-value local limit requires d_n = 1")
-    rows = []
-    for e, pc in enumerate(pcs):
-        data = _replicates("weibull", cfg, e, pc, (x,))
+    for pc, data in entries:
         gap = float(np.max(np.abs(data[:, 0] - data[:, 1])))
-        rows.append(
-            _row(
-                "weibull", cfg, pc, x=x, statistic="form_agreement",
-                estimate=gap, std_err=0.0, comparator=0.0, tolerance=1e-12,
-            )
+        yield _row(
+            "weibull", cfg, pc, x=x, statistic="form_agreement",
+            estimate=gap, std_err=0.0, comparator=0.0, tolerance=1e-12,
         )
-        rows.append(_ks_row("weibull", cfg, pc, x, "ks_weibull", data[:, 0], law, KS_TOL_WEIBULL))
-    return rows
+        yield _ks_row("weibull", cfg, pc, x, "ks_weibull", data[:, 0], law, KS_TOL_WEIBULL)
 
 
-def gumbel_experiment(cfg: ExperimentConfig) -> list:
+@_experiment(
+    "gumbel", "gumbel", lambda cfg: (REGIME_KN_LOG,),
+    partition=_partition_check(lambda pc: pc.d_n == 1, "the worst-cell limit requires d_n = 1"),
+)
+def _gumbel_rows(cfg, f, entries) -> Iterator[ReportRow]:
     """Normalized worst-cell deviation against the Gumbel law (d_n = 1 regime)."""
-    _require_regimes(cfg, (REGIME_KN_LOG,))
     law = limit_law("gumbel")
-    pcs = _partitions(cfg, lambda pc: pc.d_n == 1, "the worst-cell limit requires d_n = 1")
-    rows = []
-    for e, pc in enumerate(pcs):
-        raw = _replicates("gumbel", cfg, e, pc)[:, 0]
+    for pc, data in entries:
+        raw = data[:, 0]
         rate = pc.n * cfg.c / pc.k_n
         normalized = rate * raw - math.log(pc.k_n)
-        rows.append(_nonneg_row("gumbel", cfg, pc, "gumbel_nonneg", raw))
-        rows.append(_ks_row("gumbel", cfg, pc, None, "ks_gumbel", normalized, law, KS_TOL_GUMBEL))
-        if e == len(pcs) - 1:
-            med = float(np.median(normalized))
-            med_target = -math.log(math.log(2.0))
-            rows.append(
-                _row(
-                    "gumbel", cfg, pc, x=None, statistic="gumbel_median",
-                    estimate=med, std_err=_KS_SD / math.sqrt(cfg.replicates),
-                    comparator=med_target, tolerance=0.1,
-                )
-            )
-    return rows
+        yield _nonneg_row("gumbel", cfg, pc, "gumbel_nonneg", raw)
+        yield _ks_row("gumbel", cfg, pc, None, "ks_gumbel", normalized, law, KS_TOL_GUMBEL)
+    # the median is checked once, on the last entry's statistic
+    yield _row(
+        "gumbel", cfg, pc, x=None, statistic="gumbel_median",
+        estimate=float(np.median(normalized)), std_err=_KS_SD / math.sqrt(cfg.replicates),
+        comparator=-math.log(math.log(2.0)), tolerance=0.1,
+    )
 
 
-def gaussian_experiment(cfg: ExperimentConfig) -> list:
-    """Normalized local error at the first x against the standard Gaussian (d_n large regime)."""
-    needed = [REGIME_HN_SMALL, REGIME_KN_SMALL]
-    needed.append(REGIME_N_CENTERED if cfg.variant == "centered" else REGIME_N_CORRECTED)
-    _require_regimes(cfg, needed)
-    if len(cfg.xs) != 1:
-        raise ValueError("gaussian experiment needs exactly one evaluation point")
+@_experiment(
+    "gaussian", "fhat_zn_at",
+    # the bias regime depends on how the statistic is centered
+    lambda cfg: (
+        REGIME_HN_SMALL,
+        REGIME_KN_SMALL,
+        REGIME_N_CENTERED if cfg.variant == "centered" else REGIME_N_CORRECTED,
+    ),
+    "one",
+    _partition_check(lambda pc: pc.d_n > 1, "the Gaussian normalization presumes d_n > 1"),
+)
+def _gaussian_rows(cfg, f, entries) -> Iterator[ReportRow]:
+    """Normalized local error at x against the standard Gaussian (d_n large regime)."""
     x = cfg.xs[0]
-    f = parse_frontier(cfg.frontier)
     f_true = f(x)
     law = limit_law("std_normal")
-    pcs = _partitions(cfg, lambda pc: pc.d_n > 1, "the Gaussian normalization presumes d_n > 1")
-    rows = []
-    for e, pc in enumerate(pcs):
-        data = _replicates("fhat_zn_at", cfg, e, pc, (x,))
+    for pc, data in entries:
         fhat, zn = data[:, 0], data[:, 1]
         nc = pc.n * cfg.c
         sigma = pc.k_n / (nc * math.sqrt(pc.d_n))
@@ -371,44 +359,68 @@ def gaussian_experiment(cfg: ExperimentConfig) -> list:
         else:
             v = (fhat + zn - f_true) / sigma
         statistic = f"ks_gaussian_{cfg.variant}"
-        rows.append(_ks_row("gaussian", cfg, pc, x, statistic, v, law, KS_TOL_GAUSSIAN))
+        yield _ks_row("gaussian", cfg, pc, x, statistic, v, law, KS_TOL_GAUSSIAN)
         v_mean, v_se = _mean_se(v)
         mean_tol = 3.0 / math.sqrt(cfg.replicates)
-        rows.append(
-            _row(
-                "gaussian", cfg, pc, x=x, statistic="v_mean",
-                estimate=v_mean, std_err=v_se, comparator=0.0, tolerance=mean_tol,
-            )
+        yield _row(
+            "gaussian", cfg, pc, x=x, statistic="v_mean",
+            estimate=v_mean, std_err=v_se, comparator=0.0, tolerance=mean_tol,
         )
         raw_mean, raw_se = _mean_se((fhat - f_true) / sigma)
         root_d = math.sqrt(pc.d_n)
-        rows.append(
-            _row(
-                "gaussian", cfg, pc, x=x, statistic="uncorrected_mean",
-                estimate=raw_mean, std_err=raw_se, comparator=-root_d, tolerance=0.5 * root_d,
-            )
+        yield _row(
+            "gaussian", cfg, pc, x=x, statistic="uncorrected_mean",
+            estimate=raw_mean, std_err=raw_se, comparator=-root_d, tolerance=0.5 * root_d,
         )
-    return rows
 
 
-def zn_moments_experiment(cfg: ExperimentConfig) -> list:
+@_experiment("zn_moments", "fhat_zn_at", lambda cfg: (REGIME_KN_SMALL,))
+def _zn_moments_rows(cfg, f, entries) -> Iterator[ReportRow]:
     """Mean and variance of the minima mean against k_n/(nc) and k_n/(nc)^2."""
-    _require_regimes(cfg, (REGIME_KN_SMALL,))
-    rows = []
-    for e, pc in enumerate(_partitions(cfg)):
-        zn = _replicates("fhat_zn_at", cfg, e, pc)[:, -1]
+    for pc, data in entries:
+        zn = data[:, -1]
         nc = pc.n * cfg.c
         mean, se = _mean_se(zn)
         target = pc.k_n / nc
-        rows.append(
-            _row(
-                "zn_moments", cfg, pc, x=None, statistic="zn_mean",
-                estimate=mean, std_err=se, comparator=target, tolerance=3.0 * se,
-            )
+        yield _row(
+            "zn_moments", cfg, pc, x=None, statistic="zn_mean",
+            estimate=mean, std_err=se, comparator=target, tolerance=3.0 * se,
         )
-        rows.append(_var_ratio_row("zn_moments", cfg, pc, None, "zn_var_ratio", zn, pc.k_n / nc**2))
-        rows.append(_nonneg_row("zn_moments", cfg, pc, "zn_nonneg", zn))
-    return rows
+        yield _var_ratio_row("zn_moments", cfg, pc, None, "zn_var_ratio", zn, pc.k_n / nc**2)
+        yield _nonneg_row("zn_moments", cfg, pc, "zn_nonneg", zn)
+
+
+def run_experiment(kind: str, cfg: ExperimentConfig) -> list:
+    """The report rows of experiment `kind` under cfg: the one experiment entry point.
+
+    Everything the experiment declares is checked before any replicate
+    runs: its regimes, then its evaluation points, then the partition of
+    every schedule entry. Each entry's replicates then run in schedule
+    order, and the row builder takes their data entry by entry.
+    """
+    if kind not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {kind!r}; choose from {sorted(EXPERIMENTS)}")
+    spec = EXPERIMENTS[kind]
+    missing = [r for r in spec.regimes(cfg) if r not in cfg.regimes]
+    if missing:
+        raise ValueError(f"schedule must declare regime flags {missing}")
+    name = kind.replace("_", " ")
+    if spec.points == "some" and not cfg.xs:
+        raise ValueError(f"{name} experiment needs evaluation points")
+    if spec.points == "one" and len(cfg.xs) != 1:
+        raise ValueError(f"{name} experiment needs exactly one evaluation point")
+    xs = () if spec.points == "none" else cfg.xs
+    pcs = [PartitionConfig(n, h_prime, d_n) for n, h_prime, d_n in cfg.schedule]
+    for pc in pcs:
+        spec.partition(pc)
+    f = parse_frontier(cfg.frontier)
+
+    def entries():
+        for e, pc in enumerate(pcs):
+            task = ReplicateTask(spec.kernel, cfg.frontier, pc.n, pc.h_prime, pc.d_n, cfg.c, xs)
+            yield pc, run_task(task, cfg.replicates, derive_seed(cfg.base_seed, e), cfg.workers)
+
+    return list(spec.rows(cfg, f, entries()))
 
 
 @dataclass(frozen=True)
@@ -427,18 +439,6 @@ def error_metrics(estimate: StepFunction, f: FrontierSpec, xs=()) -> ErrorMetric
     at_points = tuple(abs(estimate(x) - f(x)) for x in xs)
     l2 = math.sqrt(max(l2_error_sq(estimate, f), 0.0))
     return ErrorMetrics(l2=l2, sup=sup_error(estimate, f), at_points=at_points)
-
-
-EXPERIMENTS = {
-    "local_bias": local_bias_experiment,
-    "variance": variance_experiment,
-    "mise": mise_experiment,
-    "supnorm": supnorm_experiment,
-    "weibull": weibull_experiment,
-    "gumbel": gumbel_experiment,
-    "gaussian": gaussian_experiment,
-    "zn_moments": zn_moments_experiment,
-}
 
 
 @dataclass(frozen=True)
@@ -535,9 +535,3 @@ PRESETS = {
         "moments of the minima mean",
     ),
 }
-
-
-def run_experiment(kind: str, cfg: ExperimentConfig) -> list:
-    if kind not in EXPERIMENTS:
-        raise ValueError(f"unknown experiment {kind!r}; choose from {sorted(EXPERIMENTS)}")
-    return EXPERIMENTS[kind](cfg)

@@ -41,7 +41,8 @@ def limit_cdf(kind: str, u):
     if kind == "weibull_evd":
         out = np.minimum(np.exp(np.minimum(u_arr, 0.0)), 1.0)
     elif kind == "gumbel":
-        out = np.exp(-np.exp(-u_arr))
+        # the CDF is 0.0 in float64 well before u = -700, past which exp(-u) overflows
+        out = np.exp(-np.exp(-np.maximum(u_arr, -700.0)))
     else:
         out = _std_normal(u_arr)
     if np.ndim(u) == 0:

@@ -23,13 +23,7 @@ from haarfrontier.experiments import (
     REGIME_N_CORRECTED,
     REGIME_N_VS_KN,
     ExperimentConfig,
-    gaussian_experiment,
-    gumbel_experiment,
-    local_bias_experiment,
-    mise_experiment,
-    variance_experiment,
-    weibull_experiment,
-    zn_moments_experiment,
+    run_experiment,
 )
 from haarfrontier.frontiers import constant_frontier, parse_frontier
 from haarfrontier.haar import dirichlet_kernel, haar_eval, haar_step
@@ -116,7 +110,7 @@ def test_criterion_03_local_bias() -> None:
         xs=(0.3, 0.7),
         regimes=(REGIME_KN_SMALL,),
     )
-    rows = local_bias_experiment(cfg)
+    rows = run_experiment("local_bias", cfg)
     ok = all(r.passed for r in rows)
     detail = "; ".join(
         f"x={r.x}: |{r.estimate:.2e}| <= 1/64 + 3SE = {r.tolerance:.2e}" for r in rows
@@ -134,7 +128,7 @@ def test_criterion_04_local_variance() -> None:
         xs=(0.5,),
         regimes=(REGIME_KN_SMALL, REGIME_N_VS_KN),
     )
-    row = variance_experiment(cfg)[0]
+    row = run_experiment("variance", cfg)[0]
     ok = 0.8 <= row.estimate <= 1.2
     report(4, "local variance", ok, f"ratio={row.estimate:.4f} in [0.8, 1.2]")
 
@@ -148,7 +142,7 @@ def test_criterion_05_mise_decomposition() -> None:
         base_seed=505,
         regimes=(REGIME_KN_SMALL,),
     )
-    rows = mise_experiment(cfg)
+    rows = run_experiment("mise", cfg)
     totals = [r for r in rows if r.statistic == "mise_total"]
     ok_split = all(r.passed for r in totals)
     resid = max(abs(r.estimate - r.comparator) for r in totals)
@@ -174,7 +168,7 @@ def test_criterion_06_weibull_limit() -> None:
         xs=(0.3,),
         regimes=(REGIME_KN_SUBLINEAR, REGIME_N_VS_KN),
     )
-    rows = weibull_experiment(cfg)
+    rows = run_experiment("weibull", cfg)
     ks = next(r for r in rows if r.statistic == "ks_weibull")
     agree = next(r for r in rows if r.statistic == "form_agreement")
     ok = ks.estimate < 0.03 and agree.passed
@@ -197,7 +191,7 @@ def test_criterion_07_gumbel_limit() -> None:
         # replicate seeds do not depend on the pool size, so the rows are those of workers=1
         workers=os.cpu_count() or 1,
     )
-    rows = gumbel_experiment(cfg)
+    rows = run_experiment("gumbel", cfg)
     ks = next(r for r in rows if r.statistic == "ks_gumbel")
     nonneg = next(r for r in rows if r.statistic == "gumbel_nonneg")
     ok = ks.estimate < 0.03 and nonneg.passed
@@ -218,7 +212,7 @@ def test_criterion_08_gaussian_limit() -> None:
         regimes=(REGIME_HN_SMALL, REGIME_KN_SMALL, REGIME_N_CORRECTED),
         variant="z_corrected",
     )
-    rows = gaussian_experiment(cfg)
+    rows = run_experiment("gaussian", cfg)
     ks = next(r for r in rows if r.statistic == "ks_gaussian_z_corrected")
     raw = next(r for r in rows if r.statistic == "uncorrected_mean")
     ok = ks.estimate < 0.05 and raw.estimate < -2.0
@@ -240,7 +234,7 @@ def test_criterion_09_minima_mean_moments() -> None:
         base_seed=909,
         regimes=(REGIME_KN_SMALL,),
     )
-    rows = zn_moments_experiment(cfg)
+    rows = run_experiment("zn_moments", cfg)
     mean_row = next(r for r in rows if r.statistic == "zn_mean")
     var_row = next(r for r in rows if r.statistic == "zn_var_ratio")
     ok = mean_row.passed and 0.8 <= var_row.estimate <= 1.2

@@ -171,6 +171,18 @@ def test_experiment_workers_byte_identical(tmp_path) -> None:
     assert (out1 / "zn-moments.csv").read_bytes() == (out2 / "zn-moments.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["weibull", "gumbel", "supnorm", "mise"])
+def test_each_kernel_writes_the_same_report_on_one_or_two_workers(tmp_path, name) -> None:
+    # the weibull, gumbel, sup and mise kernels; zn-moments covers fhat_zn_at above
+    reports = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        args = ["experiment", name, "--replicates", "24", "--workers", workers, "--out", str(out)]
+        assert main(args) == 0
+        reports.append((out / f"{name}.csv").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_strict_mode_returns_2_on_failed_tolerance(tmp_path) -> None:
     # c=1 starves the cells (k_n > n c / ln(nc)), so the Gaussian fit fails;
     # strict mode must surface that as exit code 2

@@ -258,6 +258,7 @@ def test_bundle_json_round_trip() -> None:
 
 
 OFF_PARTITION = "unknown key, or h_n or k_n off"
+NOT_THE_TRANSFORM = "coefficients that are not the Haar transform of f_hat_values"
 
 
 @pytest.mark.parametrize(
@@ -363,3 +364,20 @@ def test_block_means_and_minima_mean_are_those_of_ndarray_mean(h_prime, d_n, emp
     z_n = minima_mean(stats)
     assert type(z_n) is float and z_n.hex() == minima_mean_by_mean(stats).hex()
 
+
+
+def test_bundle_json_rejects_coefficients_that_are_not_the_transform_of_its_values() -> None:
+    cfg = PartitionConfig(n=150, h_prime=2, d_n=2)
+    f = constant_frontier(1.0)
+    stats = cell_stats(simulate(f, 150, 1.0, 8), cfg, f)
+    payload = json.loads(corrected_estimate(stats, cfg).to_json())
+    for i in range(cfg.h_n + 1):
+        bad = json.loads(json.dumps(payload))
+        bad["coefficients"][i] += 0.5
+        with pytest.raises(ValueError, match=NOT_THE_TRANSFORM):
+            EstimateBundle.from_json(json.dumps(bad))
+    # the values alone moved: the written coefficients are no longer their transform
+    bad = json.loads(json.dumps(payload))
+    bad["f_hat_values"][0] += 0.5
+    with pytest.raises(ValueError, match=NOT_THE_TRANSFORM):
+        EstimateBundle.from_json(json.dumps(bad))

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -10,19 +11,12 @@ from haarfrontier.experiments import (
     REGIME_KN_LOG,
     REGIME_KN_SMALL,
     REGIME_KN_SUBLINEAR,
+    REGIME_N_CENTERED,
     REGIME_N_CORRECTED,
     REGIME_N_VS_KN,
     ExperimentConfig,
     error_metrics,
-    gaussian_experiment,
-    gumbel_experiment,
-    local_bias_experiment,
-    mise_experiment,
     run_experiment,
-    supnorm_experiment,
-    variance_experiment,
-    weibull_experiment,
-    zn_moments_experiment,
 )
 from haarfrontier.frontiers import affine_frontier, constant_frontier
 from haarfrontier.kernels import ReplicateTask
@@ -108,18 +102,18 @@ def test_replicate_task_checks_its_points_before_any_replicate(monkeypatch, xs) 
 
 def test_regime_flags_are_enforced() -> None:
     with pytest.raises(ValueError, match="regime"):
-        local_bias_experiment(_cfg(regimes=()))
+        run_experiment("local_bias", _cfg(regimes=()))
     with pytest.raises(ValueError, match="regime"):
-        variance_experiment(_cfg(regimes=(REGIME_KN_SMALL,)))
+        run_experiment("variance", _cfg(regimes=(REGIME_KN_SMALL,)))
     with pytest.raises(ValueError, match="regime"):
-        gumbel_experiment(_cfg(regimes=()))
+        run_experiment("gumbel", _cfg(regimes=()))
 
 
 def test_local_bias_flat_frontier_matches_closed_form() -> None:
     # for a flat frontier the shifted residual has the exact value
     # (k/(nc)) * exp(-nc/k); the Monte Carlo mean must sit within 3 SE of it
     cfg = _cfg(schedule=((500, 4, 4),), replicates=800, xs=(0.3, 0.7))
-    rows = local_bias_experiment(cfg)
+    rows = run_experiment("local_bias", cfg)
     k, n = 64, 500
     exact = (k / n) * math.exp(-n / k)
     for row in rows:
@@ -130,7 +124,7 @@ def test_local_bias_flat_frontier_matches_closed_form() -> None:
 
 def test_local_bias_raw_bias_is_negative() -> None:
     cfg = _cfg(schedule=((500, 4, 4),), replicates=400)
-    rows = local_bias_experiment(cfg)
+    rows = run_experiment("local_bias", cfg)
     shift = 64 / 500
     for row in rows:
         raw_bias = row.estimate - shift
@@ -144,7 +138,7 @@ def test_variance_ratio_d1_comparator() -> None:
         xs=(0.5,),
         regimes=(REGIME_KN_SMALL, REGIME_N_VS_KN),
     )
-    rows = variance_experiment(cfg)
+    rows = run_experiment("variance", cfg)
     assert len(rows) == 1
     assert rows[0].passed
     assert abs(rows[0].estimate - 1.0) <= 0.2
@@ -178,7 +172,7 @@ def test_plan_chunks_bounds_the_pool() -> None:
 
 def test_mise_flat_frontier_has_zero_systematic_part() -> None:
     cfg = _cfg(schedule=((2000, 3, 4),), replicates=150)
-    rows = mise_experiment(cfg)
+    rows = run_experiment("mise", cfg)
     by_stat = {r.statistic: r for r in rows}
     assert by_stat["mise_systematic"].estimate == 0.0
     assert by_stat["mise_total"].passed
@@ -190,7 +184,7 @@ def test_mise_affine_systematic_quarters_under_doubling() -> None:
         schedule=((2000, 3, 4), (2000, 4, 2)),
         replicates=150,
     )
-    rows = mise_experiment(cfg)
+    rows = run_experiment("mise", cfg)
     ratio_rows = [r for r in rows if r.statistic == "mise_systematic_ratio"]
     assert len(ratio_rows) == 1
     assert ratio_rows[0].estimate == pytest.approx(4.0, abs=1e-9)
@@ -203,7 +197,7 @@ def test_mise_affine_systematic_quarters_under_doubling() -> None:
 
 def test_mise_orthogonal_split_residual_is_tiny() -> None:
     cfg = _cfg(frontier="affine:a=1.0,b=0.5", schedule=((1000, 3, 2),), replicates=200)
-    rows = mise_experiment(cfg)
+    rows = run_experiment("mise", cfg)
     total = next(r for r in rows if r.statistic == "mise_total")
     # the split residual is pure float rounding, far below the 3 SE budget
     assert abs(total.estimate - total.comparator) < 1e-12
@@ -215,7 +209,7 @@ def test_supnorm_tail_probabilities_decrease_along_schedule() -> None:
         replicates=150,
         sup_eps=(0.05, 0.1, 0.2),
     )
-    rows = supnorm_experiment(cfg)
+    rows = run_experiment("supnorm", cfg)
     for eps in (0.05, 0.1, 0.2):
         ps = [r.estimate for r in rows if r.statistic == f"p_sup_gt_{eps}"]
         assert len(ps) == 3
@@ -225,7 +219,7 @@ def test_supnorm_tail_probabilities_decrease_along_schedule() -> None:
 
 def test_supnorm_huge_n_tail_vanishes() -> None:
     cfg = _cfg(schedule=((100_000, 7, 1),), replicates=150, sup_eps=(0.1, 1.5))
-    rows = supnorm_experiment(cfg)
+    rows = run_experiment("supnorm", cfg)
     by_stat = {r.statistic: r for r in rows}
     assert by_stat["p_sup_gt_0.1"].estimate < 0.01
     # the error can never exceed the frontier bound itself
@@ -239,7 +233,7 @@ def test_weibull_small_schedule() -> None:
         xs=(0.3,),
         regimes=(REGIME_KN_SUBLINEAR, REGIME_N_VS_KN),
     )
-    rows = weibull_experiment(cfg)
+    rows = run_experiment("weibull", cfg)
     by_stat = {r.statistic: r for r in rows}
     assert by_stat["form_agreement"].estimate <= 1e-12
     assert by_stat["ks_weibull"].estimate < 0.07
@@ -260,7 +254,7 @@ def test_weibull_ks_shrinks_with_the_cell_to_mass_ratio() -> None:
         xs=(0.3,),
         regimes=(REGIME_KN_SUBLINEAR, REGIME_N_VS_KN),
     )
-    ks = [r.estimate for r in weibull_experiment(cfg) if r.statistic == "ks_weibull"]
+    ks = [r.estimate for r in run_experiment("weibull", cfg) if r.statistic == "ks_weibull"]
     assert ks[0] > ks[1] > ks[2]
 
 
@@ -270,7 +264,7 @@ def test_weibull_rejects_grouped_cells() -> None:
         regimes=(REGIME_KN_SUBLINEAR, REGIME_N_VS_KN),
     )
     with pytest.raises(ValueError):
-        weibull_experiment(cfg)
+        run_experiment("weibull", cfg)
 
 
 def test_gumbel_small_schedule() -> None:
@@ -279,7 +273,7 @@ def test_gumbel_small_schedule() -> None:
         replicates=1000,
         regimes=(REGIME_KN_LOG,),
     )
-    rows = gumbel_experiment(cfg)
+    rows = run_experiment("gumbel", cfg)
     by_stat = {r.statistic: r for r in rows}
     assert by_stat["gumbel_nonneg"].estimate >= 0.0
     assert by_stat["ks_gumbel"].estimate < 0.08
@@ -288,7 +282,7 @@ def test_gumbel_small_schedule() -> None:
 
 def test_gumbel_median_row_once_for_a_repeated_entry() -> None:
     cfg = _cfg(schedule=((2000, 5, 1), (2000, 5, 1)), replicates=20, regimes=(REGIME_KN_LOG,))
-    stats = [r.statistic for r in gumbel_experiment(cfg)]
+    stats = [r.statistic for r in run_experiment("gumbel", cfg)]
     assert stats.count("gumbel_median") == 1
     assert stats.count("ks_gumbel") == 2
     assert stats[-1] == "gumbel_median"
@@ -297,7 +291,7 @@ def test_gumbel_median_row_once_for_a_repeated_entry() -> None:
 def test_gumbel_rejects_grouped_cells() -> None:
     cfg = _cfg(schedule=((500, 3, 2),), regimes=(REGIME_KN_LOG,))
     with pytest.raises(ValueError):
-        gumbel_experiment(cfg)
+        run_experiment("gumbel", cfg)
 
 
 GAUSS_REGIMES = (REGIME_HN_SMALL, REGIME_KN_SMALL, REGIME_N_CORRECTED)
@@ -311,8 +305,8 @@ def test_gaussian_variants_agree_and_center() -> None:
         xs=(0.3,),
         regimes=GAUSS_REGIMES + ("n=o(kn^(1/2+alpha)*hn^(1/2))",),
     )
-    rows_z = gaussian_experiment(replace(cfg, variant="z_corrected"))
-    rows_c = gaussian_experiment(replace(cfg, variant="centered"))
+    rows_z = run_experiment("gaussian", replace(cfg, variant="z_corrected"))
+    rows_c = run_experiment("gaussian", replace(cfg, variant="centered"))
     ks_z = next(r for r in rows_z if r.statistic.startswith("ks_gaussian"))
     ks_c = next(r for r in rows_c if r.statistic.startswith("ks_gaussian"))
     assert ks_z.estimate < 0.07
@@ -329,7 +323,7 @@ def test_gaussian_uncorrected_mean_diverges_like_sqrt_d() -> None:
         xs=(0.3,),
         regimes=GAUSS_REGIMES,
     )
-    rows = gaussian_experiment(replace(cfg, variant="z_corrected"))
+    rows = run_experiment("gaussian", replace(cfg, variant="z_corrected"))
     raw = next(r for r in rows if r.statistic == "uncorrected_mean")
     assert raw.estimate < -2.0
     assert raw.estimate == pytest.approx(-8.0, abs=0.5)
@@ -338,28 +332,47 @@ def test_gaussian_uncorrected_mean_diverges_like_sqrt_d() -> None:
 def test_gaussian_rejects_single_cell_blocks() -> None:
     cfg = _cfg(schedule=((4096, 4, 1),), regimes=GAUSS_REGIMES)
     with pytest.raises(ValueError):
-        gaussian_experiment(cfg)
+        run_experiment("gaussian", cfg)
 
 
 WEIBULL_REGIMES = (REGIME_KN_SUBLINEAR, REGIME_N_VS_KN)
 VARIANCE_REGIMES = (REGIME_KN_SMALL, REGIME_N_VS_KN)
 
 
+LOCAL_BIAS = dict(regimes=(REGIME_KN_SMALL,))
+VARIANCE = dict(regimes=VARIANCE_REGIMES, xs=(0.5,))
+WEIBULL = dict(schedule=((500, 7, 1),), regimes=WEIBULL_REGIMES)
+GAUSSIAN = dict(schedule=((4096, 4, 64),), regimes=GAUSS_REGIMES)
+
+
 @pytest.mark.parametrize(
-    "experiment, good, bad, regimes, message",
+    "kind, changes, message",
     [
-        (weibull_experiment, (500, 7, 1), (500, 4, 2), WEIBULL_REGIMES, "d_n = 1"),
-        (gumbel_experiment, (500, 6, 1), (500, 3, 2), (REGIME_KN_LOG,), "d_n = 1"),
-        (gaussian_experiment, (4096, 4, 64), (4096, 4, 1), GAUSS_REGIMES, "d_n > 1"),
-        (variance_experiment, (500, 4, 4), (500, 0, 4), VARIANCE_REGIMES, "h_n >= 1"),
-        (supnorm_experiment, (500, 3, 2), (500, 15, 1), (REGIME_KN_SMALL,), "2\\^14"),
-        (zn_moments_experiment, (500, 4, 1), (0, 4, 1), (REGIME_KN_SMALL,), "n must be"),
+        # a bad partition after a good one
+        ("weibull", dict(WEIBULL, schedule=((500, 7, 1), (500, 4, 2))), "d_n = 1"),
+        ("gumbel", dict(schedule=((500, 6, 1), (500, 3, 2)), regimes=(REGIME_KN_LOG,)), "d_n = 1"),
+        ("gaussian", dict(GAUSSIAN, schedule=((4096, 4, 64), (4096, 4, 1))), "d_n > 1"),
+        ("variance", dict(VARIANCE, schedule=((500, 4, 4), (500, 0, 4))), "h_n >= 1"),
+        ("supnorm", dict(schedule=((500, 3, 2), (500, 15, 1))), "2\\^14"),
+        ("zn_moments", dict(schedule=((500, 4, 1), (0, 4, 1))), "n must be"),
+        ("local_bias", dict(LOCAL_BIAS, schedule=((500, 4, 4), (500, -1, 4))), "h_prime must be"),
+        ("mise", dict(schedule=((500, 3, 2), (500, 4, 0))), "d_n must be"),
+        # the evaluation-point rules
+        ("local_bias", dict(LOCAL_BIAS, xs=()), "^local bias experiment needs evaluation points$"),
+        ("variance", dict(VARIANCE, xs=()), "^variance experiment needs evaluation points$"),
+        ("weibull", dict(WEIBULL, xs=(0.3, 0.7)), "^weibull experiment needs exactly one"),
+        ("gaussian", dict(GAUSSIAN, xs=(0.3, 0.7)), "^gaussian experiment needs exactly one"),
+        ("gaussian", dict(GAUSSIAN, xs=()), "^gaussian experiment needs exactly one"),
+        # the centered variant's own regime
+        ("gaussian", dict(GAUSSIAN, variant="centered"), re.escape(repr([REGIME_N_CENTERED]))),
     ],
-    ids=["weibull", "gumbel", "gaussian", "variance", "supnorm", "zn_moments"],
+    ids=[
+        "weibull", "gumbel", "gaussian", "variance", "supnorm", "zn_moments", "local_bias", "mise",
+        "local_bias-no-x", "variance-no-x", "weibull-two-x", "gaussian-two-x", "gaussian-no-x",
+        "gaussian-centered-regime",
+    ],
 )
-def test_bad_schedule_entry_raises_before_any_replicate(
-    monkeypatch, experiment, good, bad, regimes, message
-) -> None:
+def test_bad_schedule_entry_raises_before_any_replicate(monkeypatch, kind, changes, message) -> None:
     calls = []
 
     def fake_run_task(task, replicates, seed, workers):
@@ -367,15 +380,36 @@ def test_bad_schedule_entry_raises_before_any_replicate(
         return np.zeros((replicates, 4))
 
     monkeypatch.setattr(experiments, "run_task", fake_run_task)
-    cfg = _cfg(schedule=(good, bad), regimes=regimes, replicates=10)
+    cfg = _cfg(replicates=10, **changes)
     with pytest.raises(ValueError, match=message):
-        experiment(cfg)
+        run_experiment(kind, cfg)
     assert calls == []
+
+
+def test_requirements_are_checked_regimes_then_points_then_partitions() -> None:
+    every_fault = _cfg(schedule=((500, 4, 2),), regimes=(), xs=(0.3, 0.7))
+    with pytest.raises(ValueError, match="regime flags"):
+        run_experiment("weibull", every_fault)
+    with pytest.raises(ValueError, match="exactly one evaluation point"):
+        run_experiment("weibull", replace(every_fault, regimes=WEIBULL_REGIMES))
+
+
+def test_an_experiment_without_points_ignores_them(monkeypatch) -> None:
+    tasks = []
+
+    def fake_run_task(task, replicates, seed, workers):
+        tasks.append(task)
+        return np.ones((replicates, 2))
+
+    monkeypatch.setattr(experiments, "run_task", fake_run_task)
+    rows = run_experiment("zn_moments", _cfg(xs=(0.1, 0.2, 0.9), replicates=10))
+    assert [t.xs for t in tasks] == [()]
+    assert all(r.x is None for r in rows)
 
 
 def test_zn_moments_small() -> None:
     cfg = _cfg(schedule=((10_000, 6, 1),), replicates=500)
-    rows = zn_moments_experiment(cfg)
+    rows = run_experiment("zn_moments", cfg)
     by_stat = {r.statistic: r for r in rows}
     assert by_stat["zn_mean"].comparator == pytest.approx(6.4e-3)
     assert by_stat["zn_mean"].passed
@@ -418,11 +452,11 @@ def test_run_experiment_dispatch() -> None:
 def test_workers_do_not_change_results() -> None:
     cfg1 = _cfg(schedule=((1000, 4, 2),), replicates=64, workers=1)
     cfg2 = _cfg(schedule=((1000, 4, 2),), replicates=64, workers=3)
-    rows1 = zn_moments_experiment(cfg1)
-    rows2 = zn_moments_experiment(cfg2)
+    rows1 = run_experiment("zn_moments", cfg1)
+    rows2 = run_experiment("zn_moments", cfg2)
     assert rows1 == rows2
 
 
 def test_rerun_is_deterministic() -> None:
     cfg = _cfg(schedule=((1000, 4, 2),), replicates=64)
-    assert zn_moments_experiment(cfg) == zn_moments_experiment(cfg)
+    assert run_experiment("zn_moments", cfg) == run_experiment("zn_moments", cfg)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -275,3 +276,17 @@ def test_ks_statistic_takes_infinite_samples() -> None:
         want = max(1.0 / 3.0, 2.0 / 3.0 - law(0.0), law(0.0) - 1.0 / 3.0)
         assert ks_statistic([-np.inf, 0.0, np.inf], law) == pytest.approx(want, abs=1e-15)
     assert ks_statistic([np.inf, np.inf], limit_law("gumbel")) == 1.0
+
+
+def test_gumbel_cdf_far_below_its_support_is_zero_without_overflow() -> None:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert limit_cdf("gumbel", -1000.0) == 0.0
+        assert limit_cdf("gumbel", -np.inf) == 0.0
+        assert math.isnan(limit_cdf("gumbel", np.nan))
+        got = limit_cdf("gumbel", np.array([-1000.0, -710.0, -700.0, -np.inf, np.nan, 0.0]))
+        assert got[:4].tolist() == [0.0] * 4 and math.isnan(got[4])
+        assert got[5] == math.exp(-1.0)
+        # one outlier far below the rest: its empirical step is the whole KS gap
+        sample = np.append(np.random.default_rng(8).gumbel(size=99), -800.0)
+        assert ks_statistic(sample, limit_law("gumbel")) >= 0.01
