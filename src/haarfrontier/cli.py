@@ -9,6 +9,7 @@ carries the config echo, a content hash, and the wall time.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import asdict, replace
@@ -31,7 +32,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of this process; parsing leaves no state in it."""
     parser = _Parser(prog="haarfrontier", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

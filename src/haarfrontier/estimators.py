@@ -40,6 +40,9 @@ class EstimateBundle:
     @classmethod
     def from_json(cls, text: str) -> "EstimateBundle":
         payload = json.loads(text)
+        # the key set first, so that no read below can meet a missing key
+        if not isinstance(payload, dict) or payload.keys() != {key for key, _ in _JSON_KEYS}:
+            raise ValueError(_BAD_JSON)
         cfg = PartitionConfig(n=payload["n"], h_prime=payload["h_prime"], d_n=payload["d_n"])
         f_hat = StepFunction(payload["f_hat_values"])
         z_n = float(payload["z_n"])
@@ -49,11 +52,14 @@ class EstimateBundle:
         # every key, the derived h_n, k_n and coefficients included, must read
         # back as it would be written
         if bundle._payload() != payload:
-            raise ValueError(
-                "estimate JSON: a missing or unknown key, or h_n or k_n off its partition,"
-                " or coefficients that are not the Haar transform of f_hat_values"
-            )
+            raise ValueError(_BAD_JSON)
         return bundle
+
+
+_BAD_JSON = (
+    "estimate JSON: a missing or unknown key, or h_n or k_n off its partition,"
+    " or coefficients that are not the Haar transform of f_hat_values"
+)
 
 
 # the keys of estimate.json, in order, and the bundle attribute each one holds

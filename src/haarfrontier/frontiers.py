@@ -138,7 +138,11 @@ class FrontierSpec:
         return best
 
     def area_above(self, lo: float, hi: float, u: float) -> float:
-        """Area of {(x, y): lo <= x <= hi, u < y <= f(x)}, i.e. the mass above level u."""
+        """Area of {(x, y): lo <= x <= hi, u < y <= f(x)}, i.e. the mass above level u.
+
+        The interval lies in the frontier's domain, 0 <= lo <= hi <= 1. On a
+        shipped frontier a NaN level gives NaN.
+        """
         if u <= 0.0:
             return self.integral(lo, hi)
         if self.exact_area_above is not None:
@@ -237,18 +241,27 @@ def sine_frontier(a: float = 1.0, b: float = 0.25) -> FrontierSpec:
         np.putmask(mn, (lo < dip) & (dip < hi), a - abs(b))
         return (mn, mx)
 
+    # f > u on (t, 1/2 - t) + shift + k, where sin(2*pi*t) = (u - a)/|b| and
+    # |t| <= 1/4; on [lo, hi] within [0, 1] only two periods k can meet it
+    abs_b, shift = abs(b), (0.5 if b < 0.0 else 0.0)
+    periods = (-1.0, 0.0) if b < 0.0 else (0.0, 1.0)
+    asin, cos = math.asin, math.cos
+
     def above(lo: float, hi: float, u: float) -> float:
         if b == 0.0:
             return max(a - u, 0.0) * (hi - lo)
-        # f > u on (t, 1/2 - t) + shift, mod 1, where sin(2*pi*t) = (u - a)/|b|
-        t = math.asin(min(max((u - a) / abs(b), -1.0), 1.0)) / w
-        shift = 0.5 if b < 0.0 else 0.0
+        # each conditional returns what the builtin min or max would, NaN included
+        z = (u - a) / abs_b
+        t = asin(1.0 if z > 1.0 else -1.0 if z < -1.0 else z) / w
+        start, end, lift = t + shift, 0.5 - t + shift, a - u
         area = 0.0
-        for k in (-1.0, 0.0, 1.0):
-            s0, s1 = max(lo, t + shift + k), min(hi, 0.5 - t + shift + k)
+        for k in periods:
+            s0, s1 = start + k, end + k
+            s0 = s0 if s0 > lo else lo
+            s1 = s1 if s1 < hi else hi
             if s0 < s1:
-                area += (a - u) * (s1 - s0) - b * (math.cos(w * s1) - math.cos(w * s0)) / w
-        return max(area, 0.0)
+                area += lift * (s1 - s0) - b * (cos(w * s1) - cos(w * s0)) / w
+        return 0.0 if area < 0.0 else area
 
     return FrontierSpec(
         f=lambda x: a + b * np.sin(w * np.asarray(x, dtype=float)),

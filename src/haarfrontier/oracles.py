@@ -9,6 +9,7 @@ free of catastrophic cancellation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -123,8 +124,14 @@ def cell_max_mean(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float) -> fl
 
 
 def cell_max_variance(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float) -> float:
-    """Exact variance of the cell-r maximum: E W^2 - (E W)^2."""
+    """Exact variance of the cell-r maximum: E W^2 - (E W)^2.
+
+    Both passes run over the same seeds at the same tolerance, so they meet
+    the same levels: the CDF at each level is computed once, into a table
+    that lives only for this call.
+    """
     top, cdf, integrate = _gap_quadrature(f, cfg, r, c)
+    cdf = functools.cache(cdf)
     g0 = integrate(cdf)
     g1 = 2.0 * integrate(lambda v: (top - v) * cdf(v))
     return g1 - g0 * g0

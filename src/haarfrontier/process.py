@@ -489,7 +489,7 @@ class CellStats:
         return stats
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _cell_geometry(f: FrontierSpec, k_n: int) -> tuple:
     """(cell_areas, f_min, f_max, enclosure slack) of the k_n-cell partition; arrays read-only.
 

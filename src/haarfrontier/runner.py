@@ -9,7 +9,6 @@ worker count (including one) produces bit-identical output.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -51,6 +50,9 @@ def run_task(task: ReplicateTask, replicates: int, base_seed: int, workers: int 
     pool_size, bounds = plan_chunks(replicates, workers, os.cpu_count() or 1)
     if pool_size == 1:
         return run_chunk(task, seeds)
+    # imported here: it pulls in multiprocessing, which a serial run never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
         futures = [
             pool.submit(run_chunk, task, seeds[a:b]) for a, b in zip(bounds, bounds[1:])

@@ -12,6 +12,7 @@ import numpy as np
 from haarfrontier.estimators import haar_ev_estimate, minima_mean
 from haarfrontier.frontiers import FrontierSpec, parse_frontier
 from haarfrontier.haar import dirichlet_kernel, haar_eval
+from haarfrontier.oracles import _gap_quadrature
 from haarfrontier.process import PointSample, cell_stats, simulate
 from haarfrontier.stepfun import uniform_cell_index
 
@@ -166,6 +167,34 @@ def simulate_fresh_philox(f, n, c, seed):
         np.concatenate(xs), np.concatenate(ys), n=n, c=float(c), seed=seed, frontier_label=f.label
     )
     return sample, len(xs) - 1
+
+
+def sine_area_above_three_periods(a, b, lo, hi, u):
+    """Area of the sine frontier a + b sin(2 pi x) above level u on [lo, hi], three periods wide.
+
+    The form that scans the periods k = -1, 0, 1 of the window where f > u,
+    with the builtin min and max.
+    """
+    w = 2.0 * math.pi
+    if b == 0.0:
+        return max(a - u, 0.0) * (hi - lo)
+    # f > u on (t, 1/2 - t) + shift, mod 1, where sin(2*pi*t) = (u - a)/|b|
+    t = math.asin(min(max((u - a) / abs(b), -1.0), 1.0)) / w
+    shift = 0.5 if b < 0.0 else 0.0
+    area = 0.0
+    for k in (-1.0, 0.0, 1.0):
+        s0, s1 = max(lo, t + shift + k), min(hi, 0.5 - t + shift + k)
+        if s0 < s1:
+            area += (a - u) * (s1 - s0) - b * (math.cos(w * s1) - math.cos(w * s0)) / w
+    return max(area, 0.0)
+
+
+def cell_max_variance_two_pass(f, cfg, r, c):
+    """The cell-maximum variance with each pass computing the CDF at every node it meets."""
+    top, cdf, integrate = _gap_quadrature(f, cfg, r, c)
+    g0 = integrate(cdf)
+    g1 = 2.0 * integrate(lambda v: (top - v) * cdf(v))
+    return g1 - g0 * g0
 
 
 def sorted_run_cell_extremes(xs, ys, k_n):

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haarfrontier.cli import main
+from haarfrontier.cli import _build_parser, main
 from haarfrontier.estimators import EstimateBundle
+from haarfrontier.experiments import PRESETS
 from haarfrontier.process import PointSample
 from haarfrontier.report import ReportRow, read_report_csv, write_report_csv
 
@@ -276,6 +277,56 @@ def test_main_callable_in_process(tmp_path) -> None:
     )
     assert rc == 0
     assert (out / "sample.csv").exists()
+
+
+def test_back_to_back_calls_share_no_parsed_values(tmp_path, monkeypatch) -> None:
+    # one parser serves every call in a process: an appended --x must not
+    # carry over into the next call
+    xs = ["--x", "0.2", "--x", "0.6"]
+    for run, flags in (("two", xs), ("again", xs), ("none", [])):
+        args = ["experiment", "local-bias", "--replicates", "2", *flags, "--out", str(tmp_path / run)]
+        assert main(args) == 0
+    echoed = {
+        run: json.loads((tmp_path / run / "local-bias_manifest.json").read_text())["config"]["xs"]
+        for run in ("two", "again", "none")
+    }
+    assert echoed["two"] == echoed["again"] == [0.2, 0.6]
+    assert echoed["none"] == list(PRESETS["local-bias"].config.xs) != [0.2, 0.6]
+    # simulate, then estimate with its default --out: the simulate call's --out stays behind
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--frontier", "constant:a=1.0", "--n", "200", "--seed", "3",
+                 "--out", str(sim)]) == 0
+    assert main(["estimate", str(sim / "sample.csv"), "--hprime", "2", "--dn", "2"]) == 0
+    assert (cwd / "estimate.json").exists() and not (sim / "estimate.json").exists()
+
+
+def test_usage_error_after_a_good_call_exits_1_with_usage_on_stderr(capsys) -> None:
+    # the parser outlives the stream that was sys.stderr when it was built
+    with capsys.disabled():
+        _build_parser()
+    assert main(["list-presets"]) == 0
+    capsys.readouterr()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["simulate", "--frontier", "constant:a=1.0"])
+        assert exit_info.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("usage: haarfrontier simulate")
+        assert "the following arguments are required: --n" in captured.err
+        assert captured.out == ""
+
+
+def test_importing_the_package_and_its_cli_leaves_out_multiprocessing() -> None:
+    # the process pool is imported only by a run that forks
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    code = "import sys, haarfrontier, haarfrontier.cli; print('multiprocessing' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_report_csv_round_trip(tmp_path) -> None:

@@ -381,3 +381,24 @@ def test_bundle_json_rejects_coefficients_that_are_not_the_transform_of_its_valu
     bad["f_hat_values"][0] += 0.5
     with pytest.raises(ValueError, match=NOT_THE_TRANSFORM):
         EstimateBundle.from_json(json.dumps(bad))
+
+
+ESTIMATE_KEYS = ("n", "h_prime", "d_n", "h_n", "k_n", "z_n", "coefficients", "f_hat_values")
+
+
+@pytest.mark.parametrize("key", ESTIMATE_KEYS)
+def test_bundle_json_rejects_a_missing_key_as_a_bad_file(key) -> None:
+    cfg = PartitionConfig(n=150, h_prime=2, d_n=2)
+    f = constant_frontier(1.0)
+    stats = cell_stats(simulate(f, 150, 1.0, 8), cfg, f)
+    payload = json.loads(corrected_estimate(stats, cfg).to_json())
+    assert tuple(payload) == ESTIMATE_KEYS
+    del payload[key]
+    with pytest.raises(ValueError, match="a missing or unknown key"):
+        EstimateBundle.from_json(json.dumps(payload))
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "1", '"estimate"', "null"])
+def test_bundle_json_rejects_a_file_that_is_not_an_object(text) -> None:
+    with pytest.raises(ValueError, match="a missing or unknown key"):
+        EstimateBundle.from_json(text)

@@ -14,7 +14,7 @@ from haarfrontier.frontiers import (
 )
 from haarfrontier.quadrature import adaptive_simpson
 
-from crosschecks import SHIPPED_LABELS, frontier
+from crosschecks import SHIPPED_LABELS, frontier, sine_area_above_three_periods
 
 
 def test_area_examples() -> None:
@@ -104,6 +104,27 @@ def test_generic_area_above_matches_sine_closed_form(b) -> None:
     ):
         want = exact.area_above(lo, hi, u)
         assert generic.area_above(lo, hi, u) == pytest.approx(want, abs=1e-9)
+
+
+@pytest.mark.parametrize("a", [1.0, 1.3])
+@pytest.mark.parametrize("b", [0.25, -0.25, 0.7, -0.7, 0.0])
+def test_sine_area_above_is_the_three_period_scan_bit_for_bit(a, b) -> None:
+    f = sine_frontier(a, b)
+    levels = [
+        -0.5, 0.0,  # at or below 0
+        *np.linspace(f.m, f.M, 23)[1:-1].tolist(),  # inside (m, M)
+        f.m, f.M, f.M + 0.25,  # the ends of the range, and above it
+        math.nan,
+    ]
+    cells = [(i / k, (i + 1) / k) for k in (16, 64) for i in range(k)]
+    # [0, 1] itself, and cells that touch 0 or 1, where the wrapped periods meet
+    ends = [(0.0, 1.0), (0.0, 1e-3), (0.0, 0.6), (0.4, 1.0), (1.0 - 1e-3, 1.0), (0.3, 0.3)]
+    for lo, hi in cells + ends:
+        for u in levels:
+            got = f.exact_area_above(lo, hi, u)
+            want = sine_area_above_three_periods(a, b, lo, hi, u)
+            # equal with the sign of zero, or both NaN
+            assert got.hex() == want.hex(), (lo, hi, u, got, want)
 
 
 def test_bounds_are_enforced() -> None:

@@ -4,7 +4,13 @@ import warnings
 import numpy as np
 import pytest
 
-from haarfrontier.frontiers import affine_frontier, constant_frontier, sine_frontier
+from haarfrontier.frontiers import (
+    FrontierSpec,
+    affine_frontier,
+    constant_frontier,
+    parse_frontier,
+    sine_frontier,
+)
 from haarfrontier.oracles import (
     LimitLaw,
     cell_cdf,
@@ -16,7 +22,7 @@ from haarfrontier.oracles import (
 )
 from haarfrontier.process import PartitionConfig, cell_stats, simulate
 
-from crosschecks import std_normal_loop
+from crosschecks import SHIPPED_LABELS, cell_max_variance_two_pass, std_normal_loop
 
 
 def test_limit_cdf_examples() -> None:
@@ -174,6 +180,37 @@ def test_cell_max_variance_flat_closed_form(a, n, k_n) -> None:
     want = 2.0 * (1.0 / lam**2 - tail * (a / lam + 1.0 / lam**2)) - ((1.0 - tail) / lam) ** 2
     # the adaptive-Simpson error is about 1.2e-6 at n = 1e4, k_n = 16 and 2.1e-6 at n = 32,000
     assert cell_max_variance(f, cfg, 5, 1.0) == pytest.approx(want, rel=5e-6)
+
+
+@pytest.mark.parametrize("label", SHIPPED_LABELS)
+@pytest.mark.parametrize("n, h_prime, d_n", [(10_000, 4, 1), (2000, 3, 2), (100, 0, 10)])
+def test_cell_max_variance_is_the_two_pass_form_bit_for_bit(label, n, h_prime, d_n) -> None:
+    f = parse_frontier(label)
+    cfg = PartitionConfig(n=n, h_prime=h_prime, d_n=d_n)
+    for r in range(1, cfg.k_n + 1):
+        got = cell_max_variance(f, cfg, r, 1.0)
+        assert got.hex() == cell_max_variance_two_pass(f, cfg, r, 1.0).hex(), r
+
+
+@pytest.mark.parametrize("label", SHIPPED_LABELS)
+def test_cell_max_variance_computes_the_area_once_per_level(label, monkeypatch) -> None:
+    f = parse_frontier(label)
+    cfg = PartitionConfig(n=10_000, h_prime=4, d_n=1)
+    area_above = FrontierSpec.area_above
+    levels = []
+
+    def counted(self, lo, hi, u):
+        levels.append(u)
+        return area_above(self, lo, hi, u)
+
+    monkeypatch.setattr(FrontierSpec, "area_above", counted)
+    cell_max_variance_two_pass(f, cfg, 3, 1.0)
+    two_pass = list(levels)
+    levels.clear()
+    cell_max_variance(f, cfg, 3, 1.0)
+    # one call per level that the two passes meet, and no other
+    assert sorted(levels) == sorted(set(two_pass))
+    assert len(levels) < len(two_pass)
 
 
 def test_mean_gap_rate_across_frontier_family() -> None:
