@@ -43,10 +43,14 @@ class EstimateBundle:
         # the key set first, so that no read below can meet a missing key
         if not isinstance(payload, dict) or payload.keys() != {key for key, _ in _JSON_KEYS}:
             raise ValueError(_BAD_JSON)
-        cfg = PartitionConfig(n=payload["n"], h_prime=payload["h_prime"], d_n=payload["d_n"])
-        f_hat = StepFunction(payload["f_hat_values"])
-        z_n = float(payload["z_n"])
-        if not len(f_hat.values) == len(payload["coefficients"]) == cfg.h_n + 1:
+        try:
+            cfg = PartitionConfig(n=payload["n"], h_prime=payload["h_prime"], d_n=payload["d_n"])
+            f_hat = StepFunction(payload["f_hat_values"])
+            z_n = float(payload["z_n"])
+            n_coefficients = len(payload["coefficients"])
+        except TypeError as exc:  # a list, object or null where a number goes, or the reverse
+            raise ValueError(f"estimate JSON: a value of the wrong type ({exc})") from exc
+        if not len(f_hat.values) == n_coefficients == cfg.h_n + 1:
             raise ValueError("estimate JSON: f_hat_values and coefficients need h_n + 1 entries each")
         bundle = cls(f_hat, f_hat + z_n, z_n, haar_transform(f_hat.values), cfg)
         # every key, the derived h_n, k_n and coefficients included, must read

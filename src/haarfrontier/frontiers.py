@@ -140,13 +140,15 @@ class FrontierSpec:
     def area_above(self, lo: float, hi: float, u: float) -> float:
         """Area of {(x, y): lo <= x <= hi, u < y <= f(x)}, i.e. the mass above level u.
 
-        The interval lies in the frontier's domain, 0 <= lo <= hi <= 1. On a
-        shipped frontier a NaN level gives NaN.
+        The interval lies in the frontier's domain, 0 <= lo <= hi <= 1. A NaN
+        level gives NaN.
         """
         if u <= 0.0:
             return self.integral(lo, hi)
         if self.exact_area_above is not None:
             return float(self.exact_area_above(lo, hi, u))
+        if math.isnan(u):
+            return math.nan
         mn, mx = self.range_on(lo, hi)
         if u >= mx:
             return 0.0
@@ -155,10 +157,10 @@ class FrontierSpec:
         # The positive part of f - u may be supported on a small interior bump;
         # a fixed 4-way split keeps the adaptive pass from accepting zero.
         cuts = np.linspace(lo, hi, 5)
-        return sum(
-            adaptive_simpson(lambda t: max(float(self.f(t)) - u, 0.0), a, b, 2.5e-11)
-            for a, b in zip(cuts, cuts[1:])
-        )
+        area = 0.0  # a running sum, as builtin sum() is compensated from Python 3.12 on
+        for a, b in zip(cuts, cuts[1:]):
+            area += adaptive_simpson(lambda t: max(float(self.f(t)) - u, 0.0), a, b, 2.5e-11)
+        return area
 
 
 def constant_frontier(a: float = 1.0) -> FrontierSpec:

@@ -189,6 +189,84 @@ def sine_area_above_three_periods(a, b, lo, hi, u):
     return max(area, 0.0)
 
 
+def _simpson(fa, fm, fb, width):
+    return width * (fa + 4.0 * fm + fb) / 6.0
+
+
+def adaptive_simpson_with_helper(f, a, b, tol):
+    """Adaptive Simpson with Simpson's rule behind a helper call, uncapped.
+
+    The form `quadrature.adaptive_simpson` is compared against: the same
+    nodes, in the same order, through the same floating-point operations.
+    """
+    if b == a:
+        return 0.0
+    fa, fb = f(a), f(b)
+    m = 0.5 * (a + b)
+    fm = f(m)
+    stack = [(a, fa, m, fm, b, fb, _simpson(fa, fm, fb, b - a), tol)]
+    total = 0.0
+    while stack:
+        xa, ya, xm, ym, xb, yb, coarse, loc_tol = stack.pop()
+        lm = 0.5 * (xa + xm)
+        rm = 0.5 * (xm + xb)
+        ylm, yrm = f(lm), f(rm)
+        left = _simpson(ya, ylm, ym, xm - xa)
+        right = _simpson(ym, yrm, yb, xb - xm)
+        delta = left + right - coarse
+        if abs(delta) <= 15.0 * loc_tol:
+            total += left + right + delta / 15.0
+            continue
+        half = 0.5 * loc_tol
+        stack.append((xa, ya, lm, ylm, xm, ym, left, half))
+        stack.append((xm, ym, rm, yrm, xb, yb, right, half))
+    return total
+
+
+def cell_max_cdf_per_node(f, cfg, r, c):
+    """v -> exp(-n c * f.area_above(cell, v)): the cell-maximum CDF through the spec's method."""
+    lo, hi = cfg.cell_bounds(r)
+    nc = cfg.n * c
+    return lambda v: math.exp(-nc * f.area_above(lo, hi, v))
+
+
+def cell_cdf_per_node(f, cfg, r, c, u):
+    """`oracles.cell_cdf` over numpy scalars, each level through `cell_max_cdf_per_node`."""
+    cdf = cell_max_cdf_per_node(f, cfg, r, c)
+    out = np.array([0.0 if v < 0.0 else cdf(v) for v in np.ravel(np.asarray(u, dtype=float))])
+    return out.reshape(np.shape(u))
+
+
+def cell_max_moments_per_node(f, cfg, r, c):
+    """(mean, variance) of the cell-r maximum, every node through the per-node reference path.
+
+    The dyadic seeds of `oracles._gap_quadrature`, `adaptive_simpson_with_helper`
+    over each gap, the gaps summed in order, and two passes that each compute
+    the CDF at every node they meet.
+    """
+    lo, hi = cfg.cell_bounds(r)
+    _, top = f.range_on(lo, hi)
+    cdf = cell_max_cdf_per_node(f, cfg, r, c)
+    layer = 1.0 / (cfg.n * c * (hi - lo))
+    seeds = [0.0, top]
+    depth = layer
+    while top - depth > 0.0 and len(seeds) < 64:
+        seeds.append(top - depth)
+        depth *= 2.0
+    seeds = sorted(set(seeds))
+    tol = 1e-10 / len(seeds)
+
+    def integrate(g):
+        total = 0.0
+        for a, b in zip(seeds, seeds[1:]):
+            total += adaptive_simpson_with_helper(g, a, b, tol)
+        return total
+
+    g0 = integrate(cdf)
+    g1 = 2.0 * integrate(lambda v: (top - v) * cdf(v))
+    return top - g0, g1 - g0 * g0
+
+
 def cell_max_variance_two_pass(f, cfg, r, c):
     """The cell-maximum variance with each pass computing the CDF at every node it meets."""
     top, cdf, integrate = _gap_quadrature(f, cfg, r, c)

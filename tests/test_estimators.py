@@ -383,6 +383,21 @@ def test_bundle_json_rejects_coefficients_that_are_not_the_transform_of_its_valu
         EstimateBundle.from_json(json.dumps(bad))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("coefficients", 5), ("z_n", [1]), ("z_n", None), ("f_hat_values", {"a": 1.0})],
+    ids=["coefficients-number", "z_n-list", "z_n-null", "f_hat-object"],
+)
+def test_bundle_json_rejects_a_value_of_the_wrong_type_as_a_bad_file(key, value) -> None:
+    cfg = PartitionConfig(n=150, h_prime=2, d_n=2)
+    f = constant_frontier(1.0)
+    stats = cell_stats(simulate(f, 150, 1.0, 8), cfg, f)
+    payload = json.loads(corrected_estimate(stats, cfg).to_json())
+    payload[key] = value
+    with pytest.raises(ValueError, match="a value of the wrong type"):
+        EstimateBundle.from_json(json.dumps(payload))
+
+
 ESTIMATE_KEYS = ("n", "h_prime", "d_n", "h_n", "k_n", "z_n", "coefficients", "f_hat_values")
 
 

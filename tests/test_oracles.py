@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -5,7 +6,6 @@ import numpy as np
 import pytest
 
 from haarfrontier.frontiers import (
-    FrontierSpec,
     affine_frontier,
     constant_frontier,
     parse_frontier,
@@ -22,7 +22,14 @@ from haarfrontier.oracles import (
 )
 from haarfrontier.process import PartitionConfig, cell_stats, simulate
 
-from crosschecks import SHIPPED_LABELS, cell_max_variance_two_pass, std_normal_loop
+from crosschecks import (
+    SHIPPED_LABELS,
+    cell_cdf_per_node,
+    cell_max_moments_per_node,
+    cell_max_variance_two_pass,
+    frontier,
+    std_normal_loop,
+)
 
 
 def test_limit_cdf_examples() -> None:
@@ -193,17 +200,16 @@ def test_cell_max_variance_is_the_two_pass_form_bit_for_bit(label, n, h_prime, d
 
 
 @pytest.mark.parametrize("label", SHIPPED_LABELS)
-def test_cell_max_variance_computes_the_area_once_per_level(label, monkeypatch) -> None:
-    f = parse_frontier(label)
+def test_cell_max_variance_computes_the_area_once_per_level(label) -> None:
+    shipped = parse_frontier(label)
     cfg = PartitionConfig(n=10_000, h_prime=4, d_n=1)
-    area_above = FrontierSpec.area_above
     levels = []
 
-    def counted(self, lo, hi, u):
+    def counted(lo, hi, u):
         levels.append(u)
-        return area_above(self, lo, hi, u)
+        return shipped.exact_area_above(lo, hi, u)
 
-    monkeypatch.setattr(FrontierSpec, "area_above", counted)
+    f = dataclasses.replace(shipped, exact_area_above=counted)
     cell_max_variance_two_pass(f, cfg, 3, 1.0)
     two_pass = list(levels)
     levels.clear()
@@ -211,6 +217,35 @@ def test_cell_max_variance_computes_the_area_once_per_level(label, monkeypatch) 
     # one call per level that the two passes meet, and no other
     assert sorted(levels) == sorted(set(two_pass))
     assert len(levels) < len(two_pass)
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@pytest.mark.parametrize("label", SHIPPED_LABELS)
+@pytest.mark.parametrize("n, h_prime, d_n", [(10_000, 4, 1), (1000, 0, 3), (50_000, 2, 2)])
+def test_oracles_are_the_per_node_reference_bit_for_bit(label, n, h_prime, d_n) -> None:
+    # the reference calls f.area_above at every node and Simpson's rule through a helper
+    f = parse_frontier(label)
+    cfg = PartitionConfig(n=n, h_prime=h_prime, d_n=d_n)
+    for r in range(1, cfg.k_n + 1):
+        mean, var = cell_max_moments_per_node(f, cfg, r, 1.0)
+        assert cell_max_mean(f, cfg, r, 1.0).hex() == mean.hex(), r
+        assert cell_max_variance(f, cfg, r, 1.0).hex() == var.hex(), r
+        low, top = f.range_on(*cfg.cell_bounds(r))
+        inside = top - cfg.k_n / n * np.linspace(8.0, 0.0, 17)
+        levels = np.array([-1.0, 0.0, math.nan, low, 0.5 * (low + top), *inside, top + 0.1])
+        want = cell_cdf_per_node(f, cfg, r, 1.0, levels)
+        assert _hex(cell_cdf(f, cfg, r, 1.0, levels)) == _hex(want), r
+        assert [cell_cdf(f, cfg, r, 1.0, v).hex() for v in levels.tolist()] == _hex(want), r
+
+
+def test_nan_level_on_a_frontier_without_exact_area_is_nan() -> None:
+    f = frontier("custom-cos")
+    assert f.exact_area_above is None
+    assert math.isnan(f.area_above(0.25, 0.5, math.nan))
+    assert math.isnan(cell_cdf(f, PartitionConfig(n=100, h_prime=2, d_n=2), 3, 1.0, math.nan))
 
 
 def test_mean_gap_rate_across_frontier_family() -> None:
