@@ -6,6 +6,7 @@ those comparisons run on are listed here too.
 """
 
 import math
+import warnings
 
 import numpy as np
 
@@ -13,7 +14,7 @@ from haarfrontier.estimators import haar_ev_estimate, minima_mean
 from haarfrontier.frontiers import FrontierSpec, parse_frontier
 from haarfrontier.haar import dirichlet_kernel, haar_eval
 from haarfrontier.oracles import _gap_quadrature
-from haarfrontier.process import PointSample, cell_stats, simulate
+from haarfrontier.process import _SAMPLE_HEADER, PointSample, cell_stats, simulate
 from haarfrontier.stepfun import uniform_cell_index
 
 # each shipped family; the sine with both signs of b, and a second two-level
@@ -167,6 +168,45 @@ def simulate_fresh_philox(f, n, c, seed):
         np.concatenate(xs), np.concatenate(ys), n=n, c=float(c), seed=seed, frontier_label=f.label
     )
     return sample, len(xs) - 1
+
+
+def sample_to_csv_per_row(sample, path):
+    """Per-row form of `PointSample.to_csv`: one f-string per row, over the x-ordered copies.
+
+    The file must be byte-identical to the blocked writer's.
+    """
+    meta = {key: getattr(sample, attr) for key, attr, _ in _SAMPLE_HEADER}
+    header = ",".join(f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}" for k, v in meta.items())
+    order = np.argsort(sample.xs)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"{header}\nx,y\n")
+        fh.writelines(f"{float(x)!r},{float(y)!r}\n" for x, y in zip(sample.xs[order], sample.ys[order]))
+
+
+def sample_from_csv_through_handle(path):
+    """Handle-fed form of `PointSample.from_csv`: np.loadtxt reads the rows through the open handle.
+
+    Its samples and error messages are what the package's reader must give.
+    """
+    keys = [key for key, _, _ in _SAMPLE_HEADER]
+    with open(path) as fh:
+        header = fh.readline().strip()
+        items = [item.partition("=") for item in header.split(",", len(keys) - 1)]
+        if [key for key, _, _ in items] != keys:
+            raise ValueError(f"malformed sample header {header!r}; expected keys {keys}")
+        meta = {attr: parse(text) for (_, attr, parse), (_, _, text) in zip(_SAMPLE_HEADER, items)}
+        if fh.readline().strip() != "x,y":
+            raise ValueError("malformed sample file: expected 'x,y' column header")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError as err:
+                raise ValueError(f"malformed sample row: {err}; expected x,y") from None
+    if len(rows) and rows.shape[1] != 2:
+        raise ValueError(f"malformed sample row: {rows.shape[1]} fields; expected x,y")
+    xs, ys = rows.reshape(-1, 2).T
+    return PointSample(xs=xs, ys=ys, **meta)
 
 
 def sine_area_above_three_periods(a, b, lo, hi, u):

@@ -1,5 +1,7 @@
 import dataclasses
+import itertools
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -28,6 +30,8 @@ from crosschecks import (
     cell_centers,
     cell_geometry_loop,
     frontier,
+    sample_from_csv_through_handle,
+    sample_to_csv_per_row,
     simulate_fresh_philox,
     sorted_run_cell_extremes,
 )
@@ -586,6 +590,176 @@ def test_point_sample_row_order_does_not_matter(tmp_path) -> None:
     assert np.array_equal(xs, given[0]) and np.array_equal(ys, given[1])
     assert xs.flags.writeable and ys.flags.writeable
     assert not shuffled.xs.flags.writeable and not shuffled.ys.flags.writeable
+
+
+_BLOCK = process._CSV_BLOCK
+
+
+def _edge_sample(rows: int) -> PointSample:
+    """A sample of `rows` points, every 7th of them an edge pair.
+
+    The pairs are x in {0, -0, 5e-324, 1e-5, 1e-4, 1} by y in {0, 1e-300,
+    1e16, 1e300}, so edge values, repr's switch to exponent form and ties
+    in x fall in every block.
+    """
+    edge_x, edge_y = np.array(
+        list(itertools.product([0.0, -0.0, 5e-324, 1e-5, 1e-4, 1.0], [0.0, 1e-300, 1e16, 1e300]))
+    ).T
+    rng = np.random.default_rng(rows)
+    xs, ys = rng.random(rows), rng.random(rows) * 3.0
+    xs[::7] = np.resize(edge_x, len(xs[::7]))
+    ys[::7] = np.resize(edge_y, len(ys[::7]))
+    return PointSample(xs, ys, n=rows + 1, c=0.5, seed=rows, frontier_label="constant:a=1e300")
+
+
+def _assert_same_sample(got: PointSample, want: PointSample) -> None:
+    assert (got.n, got.c, got.seed, got.frontier_label) == (want.n, want.c, want.seed, want.frontier_label)
+    assert got.xs.tobytes() == want.xs.tobytes() and got.ys.tobytes() == want.ys.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda label=label: simulate(frontier(label), 5000, 1.0, 2024) for label in SHIPPED_LABELS]
+    + [lambda rows=rows: _edge_sample(rows) for rows in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7)],
+    ids=list(SHIPPED_LABELS) + ["0-rows", "1-row", "block-1", "block", "block+1", "3block+7"],
+)
+def test_csv_round_trip_is_the_per_row_writer_and_handle_reader_byte_for_byte(tmp_path, make) -> None:
+    sample = make()
+    path, reference = tmp_path / "sample.csv", tmp_path / "reference.csv"
+    sample.to_csv(path)
+    sample_to_csv_per_row(sample, reference)
+    assert path.read_bytes() == reference.read_bytes()
+    _assert_same_sample(PointSample.from_csv(path), sample_from_csv_through_handle(path))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "",
+        "0.5,0.25\r\n1e-5,1E+2\r\n",
+        "0.5,0.25\n\n\n0.25,0.5\n",
+        " 0.5 , 0.25 \n-0,+1\n",
+        "0.5,0.25",
+        "0.1,0.2\n" * (2 * _BLOCK) + "0.30000000000000004,5e-324\n",
+    ],
+    ids=["empty", "crlf", "blank-lines", "spaces-and-signs", "no-final-newline", "many-rows"],
+)
+def test_from_csv_reads_hand_written_rows_as_the_handle_reader(tmp_path, rows) -> None:
+    path = tmp_path / "sample.csv"
+    path.write_bytes(b"n=4,c=1.0,seed=0,frontier=constant:a=1.0\nx,y\n" + rows.encode())
+    _assert_same_sample(PointSample.from_csv(path), sample_from_csv_through_handle(path))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["0.1,0.2,0.3\n", "0.1\n", "0.1,abc\n", "nan,0.5\n", "0.5,0.25\n" * (2 * _BLOCK) + "0.1,abc\n"],
+    ids=["3-fields", "1-field", "non-number", "nan", "non-number-after-many-rows"],
+)
+def test_from_csv_raises_the_handle_readers_messages(tmp_path, rows) -> None:
+    path = tmp_path / "sample.csv"
+    path.write_text("n=4,c=1.0,seed=0,frontier=constant:a=1.0\nx,y\n0.5,0.25\n" + rows)
+    with pytest.raises(ValueError) as want:
+        sample_from_csv_through_handle(path)
+    with pytest.raises(ValueError) as got:
+        PointSample.from_csv(path)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="named pipes are POSIX")
+def test_from_csv_reads_every_row_from_a_named_pipe(tmp_path) -> None:
+    # the header read buffers rows past it; a reader that reopened the pipe
+    # by name would lose them, or wait for a writer that never comes
+    sample = _edge_sample(3 * _BLOCK + 7)
+    sample.to_csv(tmp_path / "sample.csv")
+    data = (tmp_path / "sample.csv").read_bytes()
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    result = {}
+
+    def write():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:
+            pass  # the reader failed; its own thread reports it
+
+    def read():
+        try:
+            result["sample"] = PointSample.from_csv(fifo)
+        except Exception as err:  # reported by the assertion below
+            result["error"] = err
+
+    threads = [threading.Thread(target=write, daemon=True), threading.Thread(target=read, daemon=True)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30.0)
+    hung = [t for t in threads if t.is_alive()]
+    if hung:
+        # release a reader still waiting on the pipe, so its thread ends
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    assert not hung and "error" not in result, result.get("error")
+    _assert_same_sample(result["sample"], sample_from_csv_through_handle(tmp_path / "sample.csv"))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "sample.csv.gz",
+        "sample.csv.xz",
+        pytest.param(
+            "http://localhost:1/sample.csv",
+            marks=pytest.mark.skipif(os.name != "posix", reason="a POSIX path with a colon and '//'"),
+        ),
+    ],
+    ids=["gz-suffix", "xz-suffix", "url-like"],
+)
+def test_from_csv_reads_a_plain_file_whatever_its_name(tmp_path, monkeypatch, name) -> None:
+    # np.loadtxt, given a name, decompresses by suffix and fetches a URL
+    monkeypatch.chdir(tmp_path)
+    os.makedirs(os.path.dirname(name) or ".", exist_ok=True)
+    sample = _edge_sample(50)
+    sample.to_csv(name)
+    _assert_same_sample(PointSample.from_csv(name), sample_from_csv_through_handle(name))
+    _assert_same_sample(PointSample.from_csv(os.fsencode(name)), sample_from_csv_through_handle(name))
+
+
+def test_to_csv_holds_the_order_and_one_block_at_a_time(tmp_path) -> None:
+    # numpy reports its buffers to tracemalloc; the x-ordered copies of the
+    # per-row writer hold 16 bytes a row, and all lines joined about 140
+    # (3.0 and 17.9 MiB here, against 1.6 MiB and a bound of 2.0 MiB)
+    rows = 1 << 17
+    rng = np.random.default_rng(18)
+    sample = PointSample(rng.random(rows), rng.random(rows), n=rows, c=1.0, seed=0, frontier_label="constant:a=1.0")
+    tracemalloc.start()
+    try:
+        sample.to_csv(tmp_path / "sample.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * rows + 2**20
+
+
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        (5, "must be a str, got int"),
+        ("constant:a=1.0\nx", "must be one line"),
+        ("constant:a=1.0\rx", "must be one line"),
+        (" constant:a=1.0 ", "must be one line without surrounding whitespace"),
+        ("constant:a=1.0\t", "must be one line without surrounding whitespace"),
+    ],
+    ids=["not-a-str", "newline", "carriage-return", "surrounding-spaces", "trailing-tab"],
+)
+def test_point_sample_rejects_a_label_the_header_cannot_give_back(tmp_path, label, message) -> None:
+    # each used to be written, and read back changed (5 as "5", spaces stripped) or not at all
+    with pytest.raises(ValueError, match=f"frontier_label {message}"):
+        PointSample(np.array([0.5]), np.array([0.5]), n=1, c=1.0, seed=0, frontier_label=label)
+    spec = dataclasses.replace(constant_frontier(1.0), label=label)
+    path = tmp_path / "sample.csv"
+    with pytest.raises(ValueError, match=f"frontier_label {message}"):
+        simulate(spec, 10, 1.0, 0).to_csv(path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize(
