@@ -2,24 +2,26 @@
 
 A FrontierSpec wraps the boundary function together with everything the
 simulator and the analytic oracles need: global bounds, a Lipschitz
-declaration, and optional exact-integration capabilities. The shipped
-family (constant, affine, sine, two-level) provides exact integrals,
-exact per-interval ranges and exact level-exceedance areas, so oracle
-errors stay far below Monte Carlo noise.
+declaration, and four exact capabilities, all required: the integral of f,
+the integral of f^2, the range of f over an interval and the area above a
+level. Each is the one path to its quantity. The shipped family (constant,
+affine, sine, two-level) gives all four in closed form, so oracle errors
+stay far below Monte Carlo noise.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .quadrature import adaptive_simpson
+# unused here, but the traced benchmark counts calls through frontiers.adaptive_simpson
+from .quadrature import adaptive_simpson  # noqa: F401
 
 _CHECK_KEY = 0xF2011EA5EED
+_EXACT = ("exact_integral", "exact_integral_sq", "exact_range", "exact_area_above")
 
 
 def _float_or_array(v):
@@ -39,7 +41,10 @@ def _at_ends(g, lo, hi):
 @dataclass(frozen=True, eq=False)
 class FrontierSpec:
     """exact_integral, exact_integral_sq and exact_range are elementwise in the interval ends:
-    scalar ends give a scalar (a pair for the range), ends of shape (k,) arrays of shape (k,)."""
+    scalar ends give a scalar (a pair for the range), ends of shape (k,) arrays of shape (k,).
+
+    All four exact capabilities are required; their None defaults only let a
+    missing one raise ValueError, as a None or non-callable one does."""
 
     f: Callable[[np.ndarray], np.ndarray]
     m: float
@@ -47,10 +52,10 @@ class FrontierSpec:
     alpha: float
     lip: float
     label: str
-    exact_integral: Optional[Callable] = None
-    exact_integral_sq: Optional[Callable] = None
-    exact_range: Optional[Callable] = None
-    exact_area_above: Optional[Callable[[float, float, float], float]] = None
+    exact_integral: Callable = None
+    exact_integral_sq: Callable = None
+    exact_range: Callable = None
+    exact_area_above: Callable[[float, float, float], float] = None
     knots: tuple = field(default=())
 
     def __post_init__(self):
@@ -58,6 +63,11 @@ class FrontierSpec:
             raise ValueError("need 0 < m <= M < inf")
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError("Lipschitz order must lie in (0, 1]")
+        if not self.lip >= 0.0:  # inf declares no bound; NaN is not allowed
+            raise ValueError(f"frontier {self.label!r} needs a Lipschitz constant >= 0")
+        for name in _EXACT:
+            if not callable(getattr(self, name)):
+                raise ValueError(f"frontier {self.label!r} needs a callable {name}")
         self._spot_check()
 
     def _spot_check(self, n_pairs: int = 256) -> None:
@@ -66,6 +76,8 @@ class FrontierSpec:
         xs = rng.random(2 * n_pairs)
         xs[0], xs[1] = 0.0, 1.0
         vals = np.asarray(self.f(xs), dtype=float)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"frontier {self.label!r} takes a value that is not finite")
         slack = 1e-12 * max(1.0, abs(self.M))
         if np.any(vals < self.m - slack) or np.any(vals > self.M + slack):
             raise ValueError(f"frontier {self.label!r} escapes its declared bounds [m, M]")
@@ -82,85 +94,27 @@ class FrontierSpec:
         return float(out) if x_arr.ndim == 0 else out
 
     def integral(self, lo, hi):
-        """Integral of f over [lo, hi], exact when available; elementwise over arrays of ends."""
-        return _float_or_array((self.exact_integral or self._quadrature(1))(lo, hi))
+        """Integral of f over [lo, hi]; elementwise over arrays of ends."""
+        return _float_or_array(self.exact_integral(lo, hi))
 
     def integral_sq(self, lo, hi):
-        """Integral of f^2 over [lo, hi], exact when available; elementwise over arrays of ends."""
-        return _float_or_array((self.exact_integral_sq or self._quadrature(2))(lo, hi))
+        """Integral of f^2 over [lo, hi]; elementwise over arrays of ends."""
+        return _float_or_array(self.exact_integral_sq(lo, hi))
 
-    def _quadrature(self, power: int):
-        """Adaptive Simpson for the integral of f**power, looped over arrays of ends."""
-        return np.vectorize(
-            lambda lo, hi: adaptive_simpson(lambda t: float(self.f(t)) ** power, lo, hi), otypes="d"
-        )
-
-    def range_on(self, lo, hi, tol: float = 1e-8) -> tuple:
-        """Enclosure (min, max) of f over [lo, hi], tight to within tol; elementwise over arrays.
-
-        Exact when the frontier declares a range capability; otherwise a
-        Lipschitz branch-and-bound seeded on a 64-point grid, which reaches
-        the tolerance in logarithmically many splits per local extremum.
-        """
-        if self.exact_range is not None:
-            return tuple(map(_float_or_array, self.exact_range(lo, hi)))
-        if not math.isfinite(self.lip):
-            raise ValueError(
-                f"frontier {self.label!r} has no exact range and an unbounded "
-                "Lipschitz constant; cannot enclose cell extrema"
-            )
-        ub = self._lipschitz_extreme
-        enclose = np.vectorize(lambda a, b: (-ub(a, b, tol, -1.0), ub(a, b, tol, 1.0)), otypes="dd")
-        return tuple(map(_float_or_array, enclose(lo, hi)))
-
-    def _lipschitz_extreme(self, lo: float, hi: float, tol: float, sign: float) -> float:
-        """Upper bound on max of sign*f over [lo, hi], within tol of the true max."""
-        grid = np.linspace(lo, hi, 65)
-        vals = sign * np.asarray(self.f(grid), dtype=float)
-        best = float(vals.max())
-        width = (hi - lo) / 64.0
-        pad = self.lip * (0.5 * width) ** self.alpha
-        heap = []
-        for j in range(64):
-            ub = max(vals[j], vals[j + 1]) + pad
-            heapq.heappush(heap, (-ub, grid[j], grid[j + 1], vals[j], vals[j + 1]))
-        while heap:
-            neg_ub, a, b, fa, fb = heapq.heappop(heap)
-            ub = -neg_ub
-            if ub <= best + tol:
-                return min(ub, best + tol)
-            m = 0.5 * (a + b)
-            fm = sign * float(self.f(m))
-            best = max(best, fm)
-            half_pad = self.lip * (0.25 * (b - a)) ** self.alpha
-            heapq.heappush(heap, (-(max(fa, fm) + half_pad), a, m, fa, fm))
-            heapq.heappush(heap, (-(max(fm, fb) + half_pad), m, b, fm, fb))
-        return best
+    def range_on(self, lo, hi) -> tuple:
+        """(min, max) of f over [lo, hi], from the exact range; elementwise over arrays of ends."""
+        return tuple(map(_float_or_array, self.exact_range(lo, hi)))
 
     def area_above(self, lo: float, hi: float, u: float) -> float:
         """Area of {(x, y): lo <= x <= hi, u < y <= f(x)}, i.e. the mass above level u.
 
-        The interval lies in the frontier's domain, 0 <= lo <= hi <= 1. A NaN
-        level gives NaN.
+        The interval lies in the frontier's domain, 0 <= lo <= hi <= 1. A
+        level <= 0 gives the integral; any other level, NaN included, goes
+        to the exact area, which gives NaN for NaN on every shipped family.
         """
         if u <= 0.0:
             return self.integral(lo, hi)
-        if self.exact_area_above is not None:
-            return float(self.exact_area_above(lo, hi, u))
-        if math.isnan(u):
-            return math.nan
-        mn, mx = self.range_on(lo, hi)
-        if u >= mx:
-            return 0.0
-        if u <= mn:
-            return self.integral(lo, hi) - u * (hi - lo)
-        # The positive part of f - u may be supported on a small interior bump;
-        # a fixed 4-way split keeps the adaptive pass from accepting zero.
-        cuts = np.linspace(lo, hi, 5)
-        area = 0.0  # a running sum, as builtin sum() is compensated from Python 3.12 on
-        for a, b in zip(cuts, cuts[1:]):
-            area += adaptive_simpson(lambda t: max(float(self.f(t)) - u, 0.0), a, b, 2.5e-11)
-        return area
+        return float(self.exact_area_above(lo, hi, u))
 
 
 def constant_frontier(a: float = 1.0) -> FrontierSpec:
@@ -340,9 +294,12 @@ def parse_frontier(label: str) -> FrontierSpec:
     if params:
         for item in params.split(","):
             key, _, value = item.partition("=")
+            key = key.strip()
             if not _:
                 raise ValueError(f"malformed frontier parameter {item!r}")
-            kwargs[key.strip()] = float(value)
+            if key in kwargs:
+                raise ValueError(f"frontier parameter {key!r} given twice in {label!r}")
+            kwargs[key] = float(value)
     try:
         return _FAMILY[name](**kwargs)
     except TypeError as exc:  # a parameter the family does not take

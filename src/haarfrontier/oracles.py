@@ -71,17 +71,14 @@ def limit_law(kind: str) -> LimitLaw:
 def _cell_max_cdf(f: FrontierSpec, cfg: PartitionConfig, r: int, c: float) -> Callable:
     """v -> P(cell-r maximum <= v) = exp(-n*c * area above level v), for v >= 0.
 
-    On a frontier with an exact area, the closure computes what
-    `FrontierSpec.area_above` returns without calling the method at each
-    quadrature node: the integral of f over the cell at a level <= 0, else
-    the exact area above the level (NaN for NaN).
+    The closure computes what `FrontierSpec.area_above` returns without
+    calling the method at each quadrature node: the integral of f over the
+    cell at a level <= 0, else the spec's exact area above the level (NaN
+    for NaN on every shipped family).
     """
     lo, hi = cfg.cell_bounds(r)
     nc = cfg.n * _require_rate(c)
-    above, exp = f.exact_area_above, math.exp
-    if above is None:
-        return lambda v: exp(-nc * f.area_above(lo, hi, v))
-    integral = f.integral
+    above, integral, exp = f.exact_area_above, f.integral, math.exp
     return lambda v: exp(-nc * (integral(lo, hi) if v <= 0.0 else above(lo, hi, v)))
 
 

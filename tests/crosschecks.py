@@ -30,20 +30,46 @@ SHIPPED_LABELS = (
 
 
 def frontier(label):
-    """A shipped frontier by label, or "custom-cos": 1 + cos(3x)/4 with no exact capabilities.
+    """A shipped frontier by label, or "custom-cos": 1 + cos(3x)/4, built by hand with closed forms.
 
-    Without capabilities, integrals come from adaptive Simpson and ranges from
-    the Lipschitz enclosure, looped over the ends inside FrontierSpec.
+    The cosine is decreasing on [0, 1] (3x stays within [0, pi]), so its
+    range is (f(hi), f(lo)) and the area above a level u is the integral of
+    f - u from lo up to the level's crossing t, where cos(3t) = 4(u - 1).
     """
     if label != "custom-cos":
         return parse_frontier(label)
+
+    def f(x):
+        return 1.0 + 0.25 * np.cos(3.0 * np.asarray(x, dtype=float))
+
+    def integ(lo, hi):
+        return (hi - lo) + (np.sin(3.0 * hi) - np.sin(3.0 * lo)) / 12.0
+
+    def integ_sq(lo, hi):
+        # f^2 = 1 + cos(3x)/2 + (1 + cos(6x))/32
+        sin3 = (np.sin(3.0 * hi) - np.sin(3.0 * lo)) / 6.0
+        sin6 = (np.sin(6.0 * hi) - np.sin(6.0 * lo)) / 192.0
+        return (1.0 + 1.0 / 32.0) * (hi - lo) + sin3 + sin6
+
+    def above(lo, hi, u):
+        # the builtin min and max keep NaN for a NaN level, so the area is NaN
+        t = math.acos(min(max(4.0 * (u - 1.0), -1.0), 1.0)) / 3.0
+        end = min(hi, t)
+        if not end > lo:
+            return 0.0
+        return (1.0 - u) * (end - lo) + (math.sin(3.0 * end) - math.sin(3.0 * lo)) / 12.0
+
     return FrontierSpec(
-        f=lambda x: 1.0 + 0.25 * np.cos(3.0 * np.asarray(x, dtype=float)),
+        f=f,
         m=0.7,
         M=1.25,
         alpha=1.0,
         lip=0.75,
         label=label,
+        exact_integral=integ,
+        exact_integral_sq=integ_sq,
+        exact_range=lambda lo, hi: (f(hi), f(lo)),
+        exact_area_above=above,
     )
 
 

@@ -254,6 +254,35 @@ def test_simulate_mean_count_too_large_to_draw_exits_1(tmp_path, capsys) -> None
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        ("affine:a=1.0,b=nan", "needs a Lipschitz constant >= 0"),
+        ("two_level:lo=0.8,hi=nan,split=0.5", "takes a value that is not finite"),
+        ("affine:a=1.0,a=2.0,b=0.5", "frontier parameter 'a' given twice"),
+    ],
+)
+def test_simulate_rejects_a_frontier_that_is_not_finite_or_repeats_a_parameter(
+    tmp_path, capsys, label, message
+) -> None:
+    out = tmp_path / "sim"
+    assert main(["simulate", "--frontier", label, "--n", "10", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err and "too large to draw" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("label", ["affine:a=1.0,b=nan", "two_level:lo=0.8,hi=nan,split=0.5"])
+def test_estimate_rejects_a_sample_frontier_that_is_not_finite(tmp_path, capsys, label) -> None:
+    # points far above any finite frontier of the family, which a NaN one would let through
+    sample = tmp_path / "sample.csv"
+    sample.write_text(f"n=2,c=1.0,seed=0,frontier={label}\nx,y\n0.25,50.0\n0.75,70.0\n")
+    out = tmp_path / "est"
+    assert main(["estimate", str(sample), "--hprime", "0", "--dn", "1", "--out", str(out)]) == 1
+    assert f"frontier {label!r}" in capsys.readouterr().err
+    assert not (out / "estimate.json").exists()
+
+
 @pytest.mark.parametrize("c", ["nan", "inf", "-1.0", "0.0"])
 def test_estimate_rejects_a_sample_rate_that_is_not_finite_and_positive(tmp_path, capsys, c) -> None:
     sample = tmp_path / "sample.csv"

@@ -16,6 +16,13 @@ from haarfrontier.quadrature import adaptive_simpson
 
 from crosschecks import SHIPPED_LABELS, frontier, sine_area_above_three_periods
 
+EXACT = ("exact_integral", "exact_integral_sq", "exact_range", "exact_area_above")
+
+
+def _exact_of(spec) -> dict:
+    """The four exact capabilities of a spec, as keyword arguments for another one."""
+    return {name: getattr(spec, name) for name in EXACT}
+
 
 def test_area_examples() -> None:
     assert constant_frontier(1.0).integral(0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
@@ -24,7 +31,8 @@ def test_area_examples() -> None:
 
 
 def test_exact_integrals_match_quadrature() -> None:
-    for f in (affine_frontier(1.0, 0.5), sine_frontier(1.2, 0.3), two_level_frontier()):
+    shipped = (affine_frontier(1.0, 0.5), sine_frontier(1.2, 0.3), two_level_frontier())
+    for f in shipped + (frontier("custom-cos"),):
         for lo, hi in ((0.0, 1.0), (0.1, 0.35), (0.4, 0.9)):
             quad = adaptive_simpson(lambda t: float(f(t)), lo, hi)
             assert f.integral(lo, hi) == pytest.approx(quad, abs=1e-8)
@@ -51,18 +59,15 @@ def test_exact_ranges() -> None:
     assert t.range_on(0.5, 0.75) == (1.2, 1.2)
 
 
-def test_range_enclosure_without_exact_capability() -> None:
-    f = FrontierSpec(
-        f=lambda x: 1.0 + 0.25 * np.cos(3.0 * np.asarray(x, dtype=float)),
-        m=0.7,
-        M=1.25,
-        alpha=1.0,
-        lip=0.75,
-        label="custom-cos",
-    )
-    mn, mx = f.range_on(0.0, 1.0)
-    assert mx == pytest.approx(1.25, abs=1e-7)
-    assert mn == pytest.approx(1.0 + 0.25 * math.cos(3.0), abs=1e-7)
+def test_custom_cos_range_and_area_match_grid_and_quadrature() -> None:
+    f = frontier("custom-cos")
+    assert f.range_on(0.0, 1.0) == (1.0 + 0.25 * math.cos(3.0), 1.25)
+    for lo, hi in ((0.0, 1.0), (0.1, 0.35), (0.4, 0.9)):
+        grid = f(np.linspace(lo, hi, 1001))
+        assert f.range_on(lo, hi) == (grid.min(), grid.max())
+        for u in (0.5, f.m, 0.9, 1.0, 1.2, f.M, 1.3):
+            quad = adaptive_simpson(lambda t: max(float(f(t)) - u, 0.0), lo, hi)
+            assert f.area_above(lo, hi, u) == pytest.approx(quad, abs=1e-9)
 
 
 def test_area_above_matches_quadrature() -> None:
@@ -81,29 +86,24 @@ def test_area_above_matches_quadrature() -> None:
 
 
 @pytest.mark.parametrize("b", [0.25, -0.25, 0.7])
-def test_generic_area_above_matches_sine_closed_form(b) -> None:
-    exact = sine_frontier(1.0, b)
-    w = 2.0 * math.pi
-    generic = FrontierSpec(  # no exact capabilities: quadrature and Lipschitz enclosure
-        f=lambda x: 1.0 + b * np.sin(w * np.asarray(x, dtype=float)),
-        m=exact.m,
-        M=exact.M,
-        alpha=1.0,
-        lip=w * abs(b),
-        label="generic-sine",
-    )
+def test_sine_area_above_matches_quadrature(b) -> None:
+    f = sine_frontier(1.0, b)
     crest = 0.25 if b > 0.0 else 0.75
-    bump = exact.area_above(crest - 0.05, crest + 0.05, exact.M - 0.01)
+    bump = f.area_above(crest - 0.05, crest + 0.05, f.M - 0.01)
     assert bump > 1e-5
     for lo, hi, u in (
-        (crest - 0.05, crest + 0.05, exact.M - 0.01),  # interior bump at the crest
-        (0.1, 0.6, exact.m),  # u <= m: the whole strip above u
-        (0.1, 0.6, exact.m - 0.1),
-        (0.1, 0.6, exact.M),  # u >= M: nothing above u
-        (0.1, 0.6, exact.M + 0.1),
+        (crest - 0.05, crest + 0.05, f.M - 0.01),  # interior bump at the crest
+        (0.1, 0.6, f.m),  # u <= m: the whole strip above u
+        (0.1, 0.6, f.m - 0.1),
+        (0.1, 0.6, f.M),  # u >= M: nothing above u
+        (0.1, 0.6, f.M + 0.1),
     ):
-        want = exact.area_above(lo, hi, u)
-        assert generic.area_above(lo, hi, u) == pytest.approx(want, abs=1e-9)
+        # split at the crest, so no pass accepts a zero beside an interior bump
+        cuts = sorted({lo, hi, min(max(crest, lo), hi)})
+        quad = sum(
+            adaptive_simpson(lambda t: max(float(f(t)) - u, 0.0), a, c) for a, c in zip(cuts, cuts[1:])
+        )
+        assert f.area_above(lo, hi, u) == pytest.approx(quad, abs=1e-9)
 
 
 @pytest.mark.parametrize("a", [1.0, 1.3])
@@ -128,14 +128,22 @@ def test_sine_area_above_is_the_three_period_scan_bit_for_bit(a, b) -> None:
 
 
 def test_bounds_are_enforced() -> None:
-    with pytest.raises(ValueError):
-        FrontierSpec(f=lambda x: np.asarray(x, dtype=float), m=0.0, M=1.0, alpha=1.0, lip=1.0, label="bad")
+    with pytest.raises(ValueError, match="0 < m <= M"):
+        FrontierSpec(
+            f=lambda x: np.asarray(x, dtype=float),
+            m=0.0,
+            M=1.0,
+            alpha=1.0,
+            lip=1.0,
+            label="bad",
+            **_exact_of(affine_frontier(1.0, 1.0)),
+        )
     with pytest.raises(ValueError):
         constant_frontier(-1.0)
 
 
 def test_lipschitz_spot_check_catches_lies() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="violates its Lipschitz declaration"):
         FrontierSpec(
             f=lambda x: 1.0 + 0.5 * np.sin(40.0 * np.asarray(x, dtype=float)),
             m=0.5,
@@ -143,11 +151,12 @@ def test_lipschitz_spot_check_catches_lies() -> None:
             alpha=1.0,
             lip=0.1,  # true constant is 20
             label="liar",
+            **_exact_of(sine_frontier(1.0, 0.5)),
         )
 
 
 def test_declared_bounds_spot_check() -> None:
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="escapes its declared bounds"):
         FrontierSpec(
             f=lambda x: 1.0 + np.asarray(x, dtype=float),
             m=0.9,
@@ -155,7 +164,51 @@ def test_declared_bounds_spot_check() -> None:
             alpha=1.0,
             lip=1.0,
             label="escapes",
+            **_exact_of(affine_frontier(1.0, 1.0)),
         )
+
+
+@pytest.mark.parametrize("name", EXACT)
+def test_each_exact_capability_is_required(name) -> None:
+    shipped = affine_frontier(1.0, 0.5)
+    kwargs = {field.name: getattr(shipped, field.name) for field in dataclasses.fields(shipped)}
+    del kwargs[name]
+    with pytest.raises(ValueError, match=name):
+        FrontierSpec(**kwargs)
+    for bad in (None, 1.5, "integral"):
+        with pytest.raises(ValueError, match=name):
+            FrontierSpec(**kwargs, **{name: bad})
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(shipped, **{name: bad})
+
+
+@pytest.mark.parametrize(
+    "label",
+    [
+        "affine:a=1.0,b=nan",
+        "two_level:lo=0.8,hi=nan,split=0.5",
+        "two_level:lo=nan,hi=1.2,split=0.5",
+        "two_level:lo=0.8,hi=1.2,split=nan",
+        "constant:a=nan",
+        "sine:a=1.0,b=nan",
+        "sine:a=nan,b=0.25",
+        "affine:a=1.0,b=inf",
+    ],
+)
+def test_parse_frontier_rejects_values_that_are_not_finite(label) -> None:
+    with pytest.raises(ValueError):
+        parse_frontier(label)
+
+
+def test_spec_rejects_a_nan_value_or_a_nan_or_negative_lipschitz_constant() -> None:
+    shipped = affine_frontier(1.0, 0.5)
+    with pytest.raises(ValueError, match="not finite"):
+        dataclasses.replace(shipped, f=lambda x: np.where(np.asarray(x) < 0.5, 1.0, math.nan))
+    for lip in (math.nan, -1.0):
+        with pytest.raises(ValueError, match="needs a Lipschitz constant >= 0"):
+            dataclasses.replace(shipped, lip=lip)
+    # an infinite constant declares no Lipschitz bound, as for the two-level family
+    assert dataclasses.replace(shipped, lip=math.inf).lip == math.inf
 
 
 def test_parse_frontier_round_trip() -> None:
@@ -178,6 +231,12 @@ def test_parse_frontier_rejects_unknown() -> None:
         parse_frontier("affine:a")
     with pytest.raises(ValueError, match="unexpected keyword"):
         parse_frontier("constant:b=1")
+
+
+def test_parse_frontier_rejects_a_repeated_parameter() -> None:
+    for label in ("affine:a=1.0,a=2.0,b=0.5", "affine:a=1.0,b=0.5, a =2.0"):
+        with pytest.raises(ValueError, match="parameter 'a' given twice"):
+            parse_frontier(label)
 
 
 def test_two_level_requires_interior_split() -> None:

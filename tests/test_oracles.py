@@ -241,9 +241,9 @@ def test_oracles_are_the_per_node_reference_bit_for_bit(label, n, h_prime, d_n) 
         assert [cell_cdf(f, cfg, r, 1.0, v).hex() for v in levels.tolist()] == _hex(want), r
 
 
-def test_nan_level_on_a_frontier_without_exact_area_is_nan() -> None:
-    f = frontier("custom-cos")
-    assert f.exact_area_above is None
+@pytest.mark.parametrize("label", SHIPPED_LABELS + ("custom-cos",))
+def test_nan_level_is_nan_through_the_exact_area(label) -> None:
+    f = frontier(label)
     assert math.isnan(f.area_above(0.25, 0.5, math.nan))
     assert math.isnan(cell_cdf(f, PartitionConfig(n=100, h_prime=2, d_n=2), 3, 1.0, math.nan))
 

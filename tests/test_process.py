@@ -523,7 +523,11 @@ def test_simulate_rejects_pathological_rejection_rate() -> None:
         alpha=1.0,
         lip=math.inf,
         label="spike",
-        exact_integral=lambda lo, hi: 1e-4 * (hi - lo),  # spike carries ~1e-7 mass
+        # the closed forms of the floor: the spike carries ~1e-7 mass
+        exact_integral=lambda lo, hi: 1e-4 * (hi - lo),
+        exact_integral_sq=lambda lo, hi: 1e-8 * (hi - lo),
+        exact_range=lambda lo, hi: (1e-4, 200.0),
+        exact_area_above=lambda lo, hi, u: max(1e-4 - u, 0.0) * (hi - lo),
     )
     with pytest.raises(ValueError, match="pathological"):
         simulate(spike, 10, 1.0, 0)
