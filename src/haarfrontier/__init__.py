@@ -5,94 +5,54 @@ observed in, by averaging per-cell maxima through a Haar expansion, with a
 minima-based correction for the systematic downward bias. Analytic oracles
 for the cell-maximum law and the three limit distributions back a Monte
 Carlo experiment harness.
+
+Importing the package loads none of its submodules. A public name, or a
+submodule such as ``haarfrontier.experiments``, is imported on first use
+(PEP 562), so reaching ``parse_frontier`` does not load the experiment
+harness.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .estimators import (
-    EstimateBundle,
-    coefficient_estimates,
-    corrected_estimate,
-    geffroy_estimate,
-    haar_ev_estimate,
-    minima_mean,
-    oracle_corrected_estimate,
-)
-from .experiments import (
-    ErrorMetrics,
-    ExperimentConfig,
-    error_metrics,
-    run_experiment,
-)
-from .frontiers import (
-    FrontierSpec,
-    affine_frontier,
-    constant_frontier,
-    parse_frontier,
-    sine_frontier,
-    two_level_frontier,
-)
-from .haar import (
-    DyadicIndex,
-    dirichlet_kernel,
-    dyadic_index,
-    haar_coefficient,
-    haar_eval,
-    haar_step,
-    haar_transform,
-    truncated_expansion,
-)
-from .oracles import (
-    LimitLaw,
-    cell_cdf,
-    cell_max_mean,
-    cell_max_variance,
-    ks_statistic,
-    limit_cdf,
-    limit_law,
-)
-from .process import CellStats, PartitionConfig, PointSample, cell_stats, simulate
-from .stepfun import StepFunction, uniform_cell_index
+# submodule -> the public names it defines; a submodule that defines none is
+# listed so that it, too, resolves as an attribute of the package
+_EXPORTS = {
+    "estimators": ("EstimateBundle", "coefficient_estimates", "corrected_estimate",
+                   "geffroy_estimate", "haar_ev_estimate", "minima_mean",
+                   "oracle_corrected_estimate"),
+    "experiments": ("ErrorMetrics", "ExperimentConfig", "error_metrics", "run_experiment"),
+    "frontiers": ("FrontierSpec", "affine_frontier", "constant_frontier", "parse_frontier",
+                  "sine_frontier", "two_level_frontier"),
+    "haar": ("DyadicIndex", "dirichlet_kernel", "dyadic_index", "haar_coefficient", "haar_eval",
+             "haar_step", "haar_transform", "truncated_expansion"),
+    "oracles": ("LimitLaw", "cell_cdf", "cell_max_mean", "cell_max_variance", "ks_statistic",
+                "limit_cdf", "limit_law"),
+    "process": ("CellStats", "PartitionConfig", "PointSample", "cell_stats", "simulate"),
+    "stepfun": ("StepFunction", "uniform_cell_index"),
+    "cli": (),
+    "kernels": (),
+    "quadrature": (),
+    "report": (),
+    "runner": (),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "EstimateBundle",
-    "coefficient_estimates",
-    "corrected_estimate",
-    "geffroy_estimate",
-    "haar_ev_estimate",
-    "minima_mean",
-    "oracle_corrected_estimate",
-    "ErrorMetrics",
-    "ExperimentConfig",
-    "error_metrics",
-    "run_experiment",
-    "FrontierSpec",
-    "affine_frontier",
-    "constant_frontier",
-    "parse_frontier",
-    "sine_frontier",
-    "two_level_frontier",
-    "DyadicIndex",
-    "dirichlet_kernel",
-    "dyadic_index",
-    "haar_coefficient",
-    "haar_eval",
-    "haar_step",
-    "haar_transform",
-    "truncated_expansion",
-    "uniform_cell_index",
-    "LimitLaw",
-    "cell_cdf",
-    "cell_max_mean",
-    "cell_max_variance",
-    "ks_statistic",
-    "limit_cdf",
-    "limit_law",
-    "CellStats",
-    "PartitionConfig",
-    "PointSample",
-    "cell_stats",
-    "simulate",
-    "StepFunction",
-]
+__all__ = ["__version__", *_HOME]
+
+
+def __getattr__(name):
+    """Import the submodule that ``name`` is, or that defines it, and keep the value."""
+    if name in _EXPORTS:
+        # the import binds the submodule in this namespace itself
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

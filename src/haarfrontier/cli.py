@@ -16,6 +16,10 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import __version__
+
+# keep these at module level, not inside the commands: the traced benchmark
+# wraps run_experiment, write_report_csv, simulate, cell_stats and
+# corrected_estimate where this module's namespace holds them
 from .estimators import corrected_estimate
 from .experiments import PRESETS, ExperimentConfig, run_experiment
 from .frontiers import parse_frontier

@@ -151,6 +151,8 @@ def affine_frontier(a: float = 1.0, b: float = 0.5) -> FrontierSpec:
         return (np.minimum(va, vb), np.maximum(va, vb))
 
     def above(lo: float, hi: float, u: float) -> float:
+        if b == 0.0:
+            return max(a - u, 0.0) * (hi - lo)
         fl, fh = a + b * lo - u, a + b * hi - u
         if fl <= 0.0 and fh <= 0.0:
             return 0.0

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -356,6 +357,67 @@ def test_importing_the_package_and_its_cli_leaves_out_multiprocessing() -> None:
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _fresh_interpreter(code):
+    """Run ``code`` in a new interpreter with src/ on its path; give back the JSON it prints."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + code],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_the_package_loads_a_submodule_when_one_of_its_names_is_first_used() -> None:
+    steps = _fresh_interpreter(textwrap.dedent("""
+        def loaded():
+            return sorted(m for m in sys.modules if m.startswith("haarfrontier."))
+        import haarfrontier
+        steps = [loaded()]
+        # the benchmark's set-up path
+        from haarfrontier.frontiers import parse_frontier
+        parse_frontier("sine:a=1.0,b=0.25")
+        steps.append(loaded())
+        haarfrontier.simulate
+        steps.append(loaded())
+        print(json.dumps(steps))
+    """))
+    assert steps[0] == []
+    assert steps[1] == ["haarfrontier.frontiers", "haarfrontier.quadrature"]
+    assert "haarfrontier.process" in steps[2]
+    harness = ("experiments", "kernels", "runner", "oracles", "report")
+    assert not {f"haarfrontier.{m}" for m in harness} & set(steps[2])
+
+
+def test_each_lazy_name_is_its_home_modules_object() -> None:
+    found = _fresh_interpreter(textwrap.dedent("""
+        import haarfrontier
+        experiments = haarfrontier.experiments
+        found = {"experiments": experiments is sys.modules.get("haarfrontier.experiments")}
+        star = {}
+        exec("from haarfrontier import *", star)
+        found["star"] = sorted(set(star) - {"__builtins__"})
+        found["all"] = sorted(haarfrontier.__all__)
+        found["foreign"] = []
+        for name in set(haarfrontier.__all__) - {"__version__"}:
+            home = star[name].__module__
+            if not home.startswith("haarfrontier.") or getattr(
+                sys.modules[home], name
+            ) is not getattr(haarfrontier, name):
+                found["foreign"].append(name)
+        try:
+            haarfrontier.no_such_name
+        except AttributeError as exc:
+            found["unknown"] = str(exc)
+        print(json.dumps(found))
+    """))
+    assert found["experiments"] is True
+    assert found["star"] == found["all"] and len(found["all"]) == 40
+    assert found["foreign"] == []
+    assert found["unknown"] == "module 'haarfrontier' has no attribute 'no_such_name'"
 
 
 def test_report_csv_round_trip(tmp_path) -> None:

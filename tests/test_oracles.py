@@ -241,7 +241,7 @@ def test_oracles_are_the_per_node_reference_bit_for_bit(label, n, h_prime, d_n) 
         assert [cell_cdf(f, cfg, r, 1.0, v).hex() for v in levels.tolist()] == _hex(want), r
 
 
-@pytest.mark.parametrize("label", SHIPPED_LABELS + ("custom-cos",))
+@pytest.mark.parametrize("label", SHIPPED_LABELS + ("custom-cos", "affine:a=2.0,b=0.0"))
 def test_nan_level_is_nan_through_the_exact_area(label) -> None:
     f = frontier(label)
     assert math.isnan(f.area_above(0.25, 0.5, math.nan))
