@@ -20,15 +20,14 @@ __version__ = "0.1.0"
 # listed so that it, too, resolves as an attribute of the package
 _EXPORTS = {
     "estimators": ("EstimateBundle", "coefficient_estimates", "corrected_estimate",
-                   "geffroy_estimate", "haar_ev_estimate", "minima_mean",
-                   "oracle_corrected_estimate"),
-    "experiments": ("ErrorMetrics", "ExperimentConfig", "error_metrics", "run_experiment"),
+                   "haar_ev_estimate", "minima_mean"),
+    "experiments": ("ExperimentConfig", "run_experiment"),
     "frontiers": ("FrontierSpec", "affine_frontier", "constant_frontier", "parse_frontier",
                   "sine_frontier", "two_level_frontier"),
-    "haar": ("DyadicIndex", "dirichlet_kernel", "dyadic_index", "haar_coefficient", "haar_eval",
-             "haar_step", "haar_transform", "truncated_expansion"),
+    "haar": ("DyadicIndex", "dyadic_index", "haar_eval", "haar_step", "haar_transform",
+             "truncated_expansion"),
     "oracles": ("LimitLaw", "cell_cdf", "cell_max_mean", "cell_max_variance", "ks_statistic",
-                "limit_cdf", "limit_law"),
+                "limit_law"),
     "process": ("CellStats", "PartitionConfig", "PointSample", "cell_stats", "simulate"),
     "stepfun": ("StepFunction", "uniform_cell_index"),
     "cli": (),

@@ -77,7 +77,10 @@ def _read_config_file(path: str) -> dict:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"malformed config line {raw!r}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in values:
+            raise ValueError(f"config key {key!r} given twice in {path}")
+        values[key] = value.strip()
     return values
 
 

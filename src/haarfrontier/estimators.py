@@ -18,7 +18,7 @@ import numpy as np
 
 # haar_eval is unused here, but the traced benchmark counts calls through estimators.haar_eval
 from .haar import haar_eval, haar_transform  # noqa: F401
-from .process import CellStats, PartitionConfig, _require_rate
+from .process import CellStats, PartitionConfig
 from .stepfun import StepFunction
 
 
@@ -88,13 +88,6 @@ def haar_ev_estimate(stats: CellStats, cfg: PartitionConfig) -> StepFunction:
     return StepFunction(np.add.reduce(stats.x_star.reshape(-1, d_n), axis=1) / d_n)
 
 
-def geffroy_estimate(stats: CellStats, cfg: PartitionConfig) -> StepFunction:
-    """The d_n = 1 special case: the cellwise-maximum histogram."""
-    if cfg.d_n != 1:
-        raise ValueError("the cellwise-maximum histogram requires d_n = 1")
-    return haar_ev_estimate(stats, cfg)
-
-
 def coefficient_estimates(stats: CellStats, cfg: PartitionConfig) -> np.ndarray:
     """Riemann-sum estimates of the first h_n + 1 Haar coefficients, i = 2^(q-1) + p.
 
@@ -126,7 +119,3 @@ def corrected_estimate(stats: CellStats, cfg: PartitionConfig) -> EstimateBundle
         cfg=cfg,
     )
 
-
-def oracle_corrected_estimate(stats: CellStats, cfg: PartitionConfig, c: float) -> StepFunction:
-    """Shift by the true k_n/(n c); usable only when c is known (simulation)."""
-    return haar_ev_estimate(stats, cfg) + cfg.k_n / (cfg.n * _require_rate(c))

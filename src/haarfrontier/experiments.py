@@ -16,19 +16,20 @@ entry's replicate data to the row builder.
 from __future__ import annotations
 
 import math
+import numbers
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .frontiers import FrontierSpec, parse_frontier
+from .frontiers import parse_frontier
 from .haar import truncated_expansion
 from .kernels import ReplicateTask, l2_error_sq, require_sup_resolution, sup_error
-from .oracles import ks_statistic, limit_law
+from .oracles import LimitLaw, ks_statistic
 from .process import PartitionConfig, _require_integer, _require_rate, _require_seed
 from .report import ReportRow
 from .runner import derive_seed, run_task
-from .stepfun import StepFunction
 
 REGIME_KN_SMALL = "kn=o(n/ln n)"
 REGIME_KN_SUBLINEAR = "kn=o(n)"
@@ -48,6 +49,17 @@ KS_TOL_GUMBEL = 0.03
 KS_TOL_GAUSSIAN = 0.05
 
 _KS_SD = 0.26  # asymptotic standard deviation of sqrt(R) * KS
+
+
+def _real_tuple(name: str, values) -> tuple:
+    """values as a tuple of Python floats; bool, text and other non-numbers raise.
+
+    A numpy float would reach the report CSV as its repr, "np.float64(0.3)".
+    """
+    items = tuple(values) if isinstance(values, Iterable) else None
+    if items is None or any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in items):
+        raise ValueError(f"{name} must be a sequence of numbers")
+    return tuple(map(float, items))
 
 
 @dataclass(frozen=True)
@@ -70,6 +82,8 @@ class ExperimentConfig:
         object.__setattr__(self, "c", _require_rate(self.c))
         for name in ("replicates", "workers"):
             object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
+        for name in ("xs", "sup_eps"):
+            object.__setattr__(self, name, _real_tuple(name, getattr(self, name)))
         if self.replicates < 2:
             raise ValueError("need at least two replicates")
         if not self.schedule:
@@ -300,7 +314,7 @@ def _supnorm_rows(cfg, f, entries) -> Iterator[ReportRow]:
 def _weibull_rows(cfg, f, entries) -> Iterator[ReportRow]:
     """Local statistic at x against the Weibull extreme-value law (d_n = 1 regime)."""
     x = cfg.xs[0]
-    law = limit_law("weibull_evd")
+    law = LimitLaw("weibull_evd")
     for pc, data in entries:
         gap = float(np.max(np.abs(data[:, 0] - data[:, 1])))
         yield _row(
@@ -316,7 +330,7 @@ def _weibull_rows(cfg, f, entries) -> Iterator[ReportRow]:
 )
 def _gumbel_rows(cfg, f, entries) -> Iterator[ReportRow]:
     """Normalized worst-cell deviation against the Gumbel law (d_n = 1 regime)."""
-    law = limit_law("gumbel")
+    law = LimitLaw("gumbel")
     for pc, data in entries:
         raw = data[:, 0]
         rate = pc.n * cfg.c / pc.k_n
@@ -346,7 +360,7 @@ def _gaussian_rows(cfg, f, entries) -> Iterator[ReportRow]:
     """Normalized local error at x against the standard Gaussian (d_n large regime)."""
     x = cfg.xs[0]
     f_true = f(x)
-    law = limit_law("std_normal")
+    law = LimitLaw("std_normal")
     for pc, data in entries:
         fhat, zn = data[:, 0], data[:, 1]
         nc = pc.n * cfg.c
@@ -421,24 +435,6 @@ def run_experiment(kind: str, cfg: ExperimentConfig) -> list:
             yield pc, run_task(task, cfg.replicates, derive_seed(cfg.base_seed, e), cfg.workers)
 
     return list(spec.rows(cfg, f, entries()))
-
-
-@dataclass(frozen=True)
-class ErrorMetrics:
-    l2: float
-    sup: float
-    at_points: tuple
-
-
-def error_metrics(estimate: StepFunction, f: FrontierSpec, xs=()) -> ErrorMetrics:
-    """L2, sup, and pointwise distances between a step estimate and the frontier.
-
-    The sup needs a step on at most 2^14 blocks; both distances come from
-    the error layer in `kernels`.
-    """
-    at_points = tuple(abs(estimate(x) - f(x)) for x in xs)
-    l2 = math.sqrt(max(l2_error_sq(estimate, f), 0.0))
-    return ErrorMetrics(l2=l2, sup=sup_error(estimate, f), at_points=at_points)
 
 
 @dataclass(frozen=True)

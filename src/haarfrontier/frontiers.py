@@ -20,8 +20,16 @@ import numpy as np
 # unused here, but the traced benchmark counts calls through frontiers.adaptive_simpson
 from .quadrature import adaptive_simpson  # noqa: F401
 
-_CHECK_KEY = 0xF2011EA5EED
 _EXACT = ("exact_integral", "exact_integral_sq", "exact_range", "exact_area_above")
+
+# The spot check's pairs (u, v): the 2-D R2 sequence, steps 1/g and 1/g^2 with g the
+# plastic number. Its pairs differ in separation, as the two halves of a 1-D Weyl
+# sequence would not; u_0 and u_1 are moved to the ends 0 and 1.
+_PLASTIC = 1.3247179572447460
+_CHECK_PAIRS = 256
+_CHECK_XS = np.concatenate([(0.5 + np.arange(_CHECK_PAIRS) / _PLASTIC**p) % 1.0 for p in (1, 2)])
+_CHECK_XS[:2] = 0.0, 1.0
+_CHECK_XS.flags.writeable = False
 
 
 def _float_or_array(v):
@@ -70,11 +78,9 @@ class FrontierSpec:
                 raise ValueError(f"frontier {self.label!r} needs a callable {name}")
         self._spot_check()
 
-    def _spot_check(self, n_pairs: int = 256) -> None:
-        """Sample random pairs and verify bounds and the Lipschitz declaration."""
-        rng = np.random.Generator(np.random.Philox(key=_CHECK_KEY))
-        xs = rng.random(2 * n_pairs)
-        xs[0], xs[1] = 0.0, 1.0
+    def _spot_check(self) -> None:
+        """Verify the bounds and the Lipschitz declaration on a fixed set of point pairs."""
+        xs = _CHECK_XS
         vals = np.asarray(self.f(xs), dtype=float)
         if not np.all(np.isfinite(vals)):
             raise ValueError(f"frontier {self.label!r} takes a value that is not finite")
@@ -82,7 +88,7 @@ class FrontierSpec:
         if np.any(vals < self.m - slack) or np.any(vals > self.M + slack):
             raise ValueError(f"frontier {self.label!r} escapes its declared bounds [m, M]")
         if math.isfinite(self.lip):
-            u, v = xs[:n_pairs], xs[n_pairs:]
+            u, v = xs[:_CHECK_PAIRS], xs[_CHECK_PAIRS:]
             gap = np.abs(np.asarray(self.f(u)) - np.asarray(self.f(v)))
             bound = self.lip * np.abs(u - v) ** self.alpha
             if np.any(gap > bound * (1.0 + 1e-9) + 1e-12):

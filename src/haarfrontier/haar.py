@@ -1,11 +1,13 @@
-"""Dyadic index arithmetic, the Haar basis and transform, and its Dirichlet kernel.
+"""Dyadic index arithmetic, the Haar basis, blockwise-mean projections and the Haar transform.
 
 Index i >= 1 decomposes uniquely as i = 2^(q-1) + p with 0 <= p < 2^(q-1);
-psi_i lives on the dyadic interval [p/2^(q-1), (p+1)/2^(q-1)). Every
-point-to-cell map here is `uniform_cell_index` from `stepfun`, the one
-left-closed rule (x = 1 belongs to the last cell) that also evaluates a
-StepFunction, so each Haar function is a step on its 2^q equal blocks.
-`haar_transform` is the one Haar analysis, of the estimate and the frontier.
+psi_i lives on the dyadic interval [p/2^(q-1), (p+1)/2^(q-1)). Each Haar
+function is a StepFunction on its 2^q equal blocks, so it is evaluated by
+`uniform_cell_index`, the one left-closed point-to-cell rule (x = 1 belongs
+to the last cell). `haar_transform` is the one Haar analysis, of the
+estimate and the frontier. The paper's kernel form of the estimator and the
+coefficients of a frontier, which only cross-check these, live with the
+tests.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frontiers import FrontierSpec
-from .stepfun import StepFunction, is_power_of_two, uniform_cell_index
+from .stepfun import StepFunction, is_power_of_two
 
 
 @dataclass(frozen=True)
@@ -31,13 +33,6 @@ def dyadic_index(i: int) -> DyadicIndex:
         raise ValueError("dyadic decomposition is defined for i >= 1")
     q = int(i).bit_length()
     return DyadicIndex(i=int(i), p=int(i) - 2 ** (q - 1), q=q)
-
-
-def _require_dyadic(h_n: int) -> int:
-    blocks = h_n + 1
-    if not is_power_of_two(blocks):
-        raise ValueError("h_n + 1 must be a power of two")
-    return blocks
 
 
 def haar_eval(i: int, x):
@@ -60,20 +55,11 @@ def haar_step(i: int) -> StepFunction:
     return StepFunction(values)
 
 
-def dirichlet_kernel(h_n: int, x, y):
-    """Closed form: (h_n + 1) when x and y share a level block, else 0."""
-    blocks = _require_dyadic(h_n)
-    bx = uniform_cell_index(x, blocks)
-    by = uniform_cell_index(y, blocks)
-    out = np.where(bx == by, float(blocks), 0.0)
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
 def truncated_expansion(f: FrontierSpec, h_n: int) -> StepFunction:
     """Projection of f onto the first h_n + 1 Haar functions: blockwise means."""
-    blocks = _require_dyadic(h_n)
+    blocks = h_n + 1
+    if not is_power_of_two(blocks):
+        raise ValueError("h_n + 1 must be a power of two")
     edges = np.arange(blocks + 1) / blocks
     return StepFunction(blocks * f.integral(edges[:-1], edges[1:]))
 
@@ -95,10 +81,3 @@ def haar_transform(values) -> np.ndarray:
     coeffs[0] = s[0]
     return coeffs
 
-
-def haar_coefficient(f: FrontierSpec, i: int) -> float:
-    """Coefficient of f against the i-th Haar function: the transform of its 2^q block means."""
-    if i < 0:
-        raise ValueError("Haar index must be nonnegative")
-    blocks = 2 ** int(i).bit_length()
-    return float(haar_transform(truncated_expansion(f, blocks - 1).values)[i])

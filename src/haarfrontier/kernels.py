@@ -8,8 +8,7 @@ primitives (the frontier travels as its label), so chunks of replicates can
 run in worker processes; per-frontier geometry is cached per process.
 
 The error layer is here too: the L2 and sup distances from a step (on its
-2^j equal blocks) to the frontier, for the kernels, the experiments and
-`error_metrics`.
+2^j equal blocks) to the frontier, for the kernels and the experiments.
 """
 
 from __future__ import annotations

@@ -43,19 +43,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# text of a CSV cell -> field value, by the field's annotation
-_PARSERS = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "Optional[float]": lambda text: float(text) if text else None,
-    "bool": lambda text: text == "true",
-}
-# (field, CSV column, parser) in column order; the one rename is passed -> pass
-_COLUMNS = tuple(
-    (f.name, "pass" if f.name == "passed" else f.name, _PARSERS[f.type]) for f in fields(ReportRow)
-)
-CSV_COLUMNS = [column for _, column, _ in _COLUMNS]
+# (field, CSV column) in column order; the one rename is passed -> pass
+_COLUMNS = tuple((f.name, "pass" if f.name == "passed" else f.name) for f in fields(ReportRow))
+CSV_COLUMNS = [column for _, column in _COLUMNS]
 
 
 def write_report_csv(rows, path) -> None:
@@ -63,15 +53,7 @@ def write_report_csv(rows, path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow([_fmt(getattr(row, name)) for name, _, _ in _COLUMNS])
-
-
-def read_report_csv(path) -> list:
-    with open(path, newline="") as fh:
-        return [
-            ReportRow(**{name: parse(rec[column]) for name, column, parse in _COLUMNS})
-            for rec in csv.DictReader(fh)
-        ]
+            writer.writerow([_fmt(getattr(row, name)) for name, _ in _COLUMNS])
 
 
 def config_hash(payload: dict) -> str:

@@ -1,11 +1,12 @@
-"""Step functions on 2^j equal dyadic blocks of [0, 1], with exact arithmetic.
+"""Step functions on 2^j equal dyadic blocks of [0, 1].
 
 A step holds only its 2^j block values. Blocks are left-closed/right-open
 except the last, which is closed, so evaluation is defined for every x in
 [0, 1]; `uniform_cell_index` is the one point-to-cell rule, shared with the
-Haar basis and the kernels. Sums, differences and inner products of two
-steps work on the finer of their two dyadic grids, which keeps L2 norms of
-step-vs-step differences exact.
+Haar basis and the kernels. A step plus a scalar shifts every block value,
+which is the one arithmetic the estimators need (the minima-mean
+correction). Step-by-step arithmetic and norms serve only the tests, which
+keep them with their other reference forms.
 """
 
 from __future__ import annotations
@@ -82,50 +83,6 @@ class StepFunction:
             return float(out)
         return out
 
-    def integral(self) -> float:
-        return _block_integral(self.values)
-
-    def l2_norm_sq(self) -> float:
-        return _block_integral(self.values**2)
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-    def _on_finer_grid(self, other: "StepFunction") -> tuple:
-        """Both value arrays on the finer of the two dyadic grids."""
-        m = max(len(self.values), len(other.values))
-        return (
-            np.repeat(self.values, m // len(self.values)),
-            np.repeat(other.values, m // len(other.values)),
-        )
-
-    def _binary(self, other, op) -> "StepFunction":
-        if isinstance(other, StepFunction):
-            return StepFunction(op(*self._on_finer_grid(other)))
-        return StepFunction(op(self.values, float(other)))
-
-    def __add__(self, other) -> "StepFunction":
-        return self._binary(other, lambda u, v: u + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "StepFunction":
-        return self._binary(other, lambda u, v: u - v)
-
-    def __mul__(self, scalar) -> "StepFunction":
-        return StepFunction(self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "StepFunction":
-        return self * -1.0
-
-    def inner(self, other: "StepFunction") -> float:
-        """Exact integral of the pointwise product of two step functions."""
-        u, v = self._on_finer_grid(other)
-        return _block_integral(u * v)
-
-
-def _block_integral(vals: np.ndarray) -> float:
-    """Integral over [0, 1] of the step with these values on equal blocks."""
-    return float(np.dot(vals, np.full(len(vals), 1.0 / len(vals))))
+    def __add__(self, shift) -> "StepFunction":
+        """This step shifted by the scalar `shift` on every block."""
+        return StepFunction(self.values + float(shift))

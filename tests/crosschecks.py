@@ -2,20 +2,28 @@
 
 Each one computes a quantity the package computes in closed or block form,
 but by its defining sum, so agreement checks the faster form. The frontiers
-those comparisons run on are listed here too.
+those comparisons run on are listed here too, and so are the forms of the
+paper that only these checks use: the Dirichlet kernel, the Haar
+coefficients of a frontier, the d_n = 1 histogram, the oracle-shifted
+estimate, the error metrics of a step, step-by-step arithmetic and the
+report CSV reader.
 """
 
+import csv
 import math
 import warnings
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from haarfrontier.estimators import haar_ev_estimate, minima_mean
 from haarfrontier.frontiers import FrontierSpec, parse_frontier
-from haarfrontier.haar import dirichlet_kernel, haar_eval
+from haarfrontier.haar import haar_eval, haar_transform, truncated_expansion
+from haarfrontier.kernels import l2_error_sq, sup_error
 from haarfrontier.oracles import _gap_quadrature
-from haarfrontier.process import _SAMPLE_HEADER, PointSample, cell_stats, simulate
-from haarfrontier.stepfun import uniform_cell_index
+from haarfrontier.process import _SAMPLE_HEADER, PointSample, _require_rate, cell_stats, simulate
+from haarfrontier.report import _COLUMNS, ReportRow
+from haarfrontier.stepfun import StepFunction, is_power_of_two, uniform_cell_index
 
 # each shipped family; the sine with both signs of b, and a second two-level
 # frontier with lo > hi and its split off the dyadic grid
@@ -77,6 +85,37 @@ def cell_centers(cfg):
     """Midpoints of the k_n cells of the partition."""
     k = cfg.k_n
     return (2.0 * np.arange(1, k + 1) - 1.0) / (2.0 * k)
+
+
+def dirichlet_kernel(h_n: int, x, y):
+    """The paper's Dirichlet kernel in closed form: (h_n + 1) when x and y share a level block, else 0."""
+    blocks = h_n + 1
+    if not is_power_of_two(blocks):
+        raise ValueError("h_n + 1 must be a power of two")
+    out = np.where(uniform_cell_index(x, blocks) == uniform_cell_index(y, blocks), float(blocks), 0.0)
+    if np.ndim(out) == 0:
+        return float(out)
+    return out
+
+
+def haar_coefficient(f: FrontierSpec, i: int) -> float:
+    """Coefficient of f against the i-th Haar function: the transform of its 2^q block means."""
+    if i < 0:
+        raise ValueError("Haar index must be nonnegative")
+    blocks = 2 ** int(i).bit_length()
+    return float(haar_transform(truncated_expansion(f, blocks - 1).values)[i])
+
+
+def geffroy_estimate(stats, cfg) -> StepFunction:
+    """The d_n = 1 special case of the block-mean estimator: the cellwise-maximum histogram."""
+    if cfg.d_n != 1:
+        raise ValueError("the cellwise-maximum histogram requires d_n = 1")
+    return haar_ev_estimate(stats, cfg)
+
+
+def oracle_corrected_estimate(stats, cfg, c: float) -> StepFunction:
+    """The block-mean estimate shifted by the true k_n/(n c); usable only when c is known."""
+    return haar_ev_estimate(stats, cfg) + cfg.k_n / (cfg.n * _require_rate(c))
 
 
 def haar_ev_estimate_at(stats, cfg, x):
@@ -417,3 +456,82 @@ class BreakpointStep:
         grid = self.refine_with(other)
         mids = 0.5 * (grid[:-1] + grid[1:])
         return float(np.dot(self(mids) * other(mids), np.diff(grid)))
+
+
+def step_on_finer_grid(a: StepFunction, b: StepFunction) -> tuple:
+    """Both value arrays on the finer of the two dyadic grids."""
+    m = max(len(a.values), len(b.values))
+    return np.repeat(a.values, m // len(a.values)), np.repeat(b.values, m // len(b.values))
+
+
+def block_integral(vals) -> float:
+    """Integral over [0, 1] of the step with these values on equal blocks."""
+    return float(np.dot(vals, np.full(len(vals), 1.0 / len(vals))))
+
+
+def step_integral(s: StepFunction) -> float:
+    return block_integral(s.values)
+
+
+def step_l2_norm_sq(s: StepFunction) -> float:
+    return block_integral(s.values**2)
+
+
+def step_sup_norm(s: StepFunction) -> float:
+    return float(np.max(np.abs(s.values)))
+
+
+def step_inner(a: StepFunction, b: StepFunction) -> float:
+    """Exact integral of the pointwise product of two steps, on the finer grid."""
+    u, v = step_on_finer_grid(a, b)
+    return block_integral(u * v)
+
+
+def step_add(a: StepFunction, b: StepFunction) -> StepFunction:
+    return StepFunction(np.add(*step_on_finer_grid(a, b)))
+
+
+def step_sub(a: StepFunction, b: StepFunction) -> StepFunction:
+    return StepFunction(np.subtract(*step_on_finer_grid(a, b)))
+
+
+def step_scale(s: StepFunction, factor: float) -> StepFunction:
+    return StepFunction(s.values * float(factor))
+
+
+@dataclass(frozen=True)
+class ErrorMetrics:
+    l2: float
+    sup: float
+    at_points: tuple
+
+
+def error_metrics(estimate: StepFunction, f: FrontierSpec, xs=()) -> ErrorMetrics:
+    """L2, sup, and pointwise distances between a step estimate and the frontier.
+
+    The sup needs a step on at most 2^14 blocks; both distances come from
+    the package's error layer in `kernels`.
+    """
+    at_points = tuple(abs(estimate(x) - f(x)) for x in xs)
+    l2 = math.sqrt(max(l2_error_sq(estimate, f), 0.0))
+    return ErrorMetrics(l2=l2, sup=sup_error(estimate, f), at_points=at_points)
+
+
+# text of a report CSV cell -> field value, by the field's annotation
+_REPORT_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "Optional[float]": lambda text: float(text) if text else None,
+    "bool": lambda text: text == "true",
+}
+
+
+def read_report_csv(path) -> list:
+    """The report rows of a CSV that `write_report_csv` wrote, each cell parsed by its field's type."""
+    parsers = {f.name: _REPORT_PARSERS[f.type] for f in fields(ReportRow)}
+    with open(path, newline="") as fh:
+        return [
+            ReportRow(**{name: parsers[name](rec[column]) for name, column in _COLUMNS})
+            for rec in csv.DictReader(fh)
+        ]

@@ -26,13 +26,13 @@ from haarfrontier.experiments import (
     run_experiment,
 )
 from haarfrontier.frontiers import constant_frontier, parse_frontier
-from haarfrontier.haar import dirichlet_kernel, haar_eval, haar_step
+from haarfrontier.haar import haar_eval, haar_step
 from haarfrontier.kernels import ReplicateTask
 from haarfrontier.oracles import cell_cdf, ks_statistic
 from haarfrontier.process import PartitionConfig, cell_stats, simulate
 from haarfrontier.runner import run_task
 
-from crosschecks import dirichlet_kernel_sum
+from crosschecks import dirichlet_kernel, dirichlet_kernel_sum, step_inner
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -47,7 +47,7 @@ def test_criterion_01_haar_algebra() -> None:
     # orthonormality by exact piecewise integration, i, j <= 63
     steps = [haar_step(i) for i in range(64)]
     ortho_err = max(
-        abs(steps[i].inner(steps[j]) - (1.0 if i == j else 0.0))
+        abs(step_inner(steps[i], steps[j]) - (1.0 if i == j else 0.0))
         for i in range(64)
         for j in range(i, 64)
     )

@@ -12,7 +12,9 @@ from haarfrontier.cli import _build_parser, main
 from haarfrontier.estimators import EstimateBundle
 from haarfrontier.experiments import PRESETS
 from haarfrontier.process import PointSample
-from haarfrontier.report import ReportRow, read_report_csv, write_report_csv
+from haarfrontier.report import ReportRow, write_report_csv
+
+from crosschecks import read_report_csv
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -81,8 +83,9 @@ def test_experiment_with_config_file_and_overrides(tmp_path) -> None:
         ("n = 5000\n", "given together"),
         ("n = 5000\nhprime = 4\n", "given together"),
         ("replicate = 10\n", "unknown config keys"),
+        ("replicates = 4\nreplicates = 6\n", "config key 'replicates' given twice"),
     ],
-    ids=["n-only", "n-and-hprime", "unknown-key"],
+    ids=["n-only", "n-and-hprime", "unknown-key", "repeated-key"],
 )
 def test_experiment_config_file_errors_exit_1(tmp_path, capsys, text, message) -> None:
     config = tmp_path / "run.cfg"
@@ -372,7 +375,7 @@ def _fresh_interpreter(code):
 
 
 def test_the_package_loads_a_submodule_when_one_of_its_names_is_first_used() -> None:
-    steps = _fresh_interpreter(textwrap.dedent("""
+    numpy_random, *steps = _fresh_interpreter(textwrap.dedent("""
         def loaded():
             return sorted(m for m in sys.modules if m.startswith("haarfrontier."))
         import haarfrontier
@@ -381,11 +384,13 @@ def test_the_package_loads_a_submodule_when_one_of_its_names_is_first_used() -> 
         from haarfrontier.frontiers import parse_frontier
         parse_frontier("sine:a=1.0,b=0.25")
         steps.append(loaded())
+        numpy_random = "numpy.random" in sys.modules
         haarfrontier.simulate
         steps.append(loaded())
-        print(json.dumps(steps))
+        print(json.dumps([numpy_random, *steps]))
     """))
     assert steps[0] == []
+    assert numpy_random is False
     assert steps[1] == ["haarfrontier.frontiers", "haarfrontier.quadrature"]
     assert "haarfrontier.process" in steps[2]
     harness = ("experiments", "kernels", "runner", "oracles", "report")
@@ -415,7 +420,7 @@ def test_each_lazy_name_is_its_home_modules_object() -> None:
         print(json.dumps(found))
     """))
     assert found["experiments"] is True
-    assert found["star"] == found["all"] and len(found["all"]) == 40
+    assert found["star"] == found["all"] and len(found["all"]) == 33
     assert found["foreign"] == []
     assert found["unknown"] == "module 'haarfrontier' has no attribute 'no_such_name'"
 

@@ -10,10 +10,8 @@ from haarfrontier.estimators import (
     EstimateBundle,
     coefficient_estimates,
     corrected_estimate,
-    geffroy_estimate,
     haar_ev_estimate,
     minima_mean,
-    oracle_corrected_estimate,
 )
 from haarfrontier.frontiers import (
     affine_frontier,
@@ -21,14 +19,19 @@ from haarfrontier.frontiers import (
     sine_frontier,
     two_level_frontier,
 )
-from haarfrontier.haar import haar_eval, haar_step, truncated_expansion, uniform_cell_index
+from haarfrontier.haar import haar_eval, haar_step, truncated_expansion
 from haarfrontier.process import CellStats, PartitionConfig, PointSample, cell_stats, simulate
+from haarfrontier.stepfun import uniform_cell_index
 
 from crosschecks import (
     block_means_by_mean,
     coefficient_estimates_riemann,
+    geffroy_estimate,
     haar_ev_estimate_at,
     minima_mean_by_mean,
+    oracle_corrected_estimate,
+    step_inner,
+    step_sup_norm,
 )
 
 
@@ -58,10 +61,10 @@ def test_blockwise_mean_example() -> None:
 def test_all_empty_gives_zero_estimate() -> None:
     cfg = PartitionConfig(n=10, h_prime=2, d_n=2)
     stats = synthetic_stats(cfg, np.zeros(8))
-    assert haar_ev_estimate(stats, cfg).sup_norm() == 0.0
+    assert step_sup_norm(haar_ev_estimate(stats, cfg)) == 0.0
     bundle = corrected_estimate(stats, cfg)
     assert bundle.z_n == 0.0
-    assert bundle.f_tilde.sup_norm() == 0.0
+    assert step_sup_norm(bundle.f_tilde) == 0.0
 
 
 def test_kernel_form_agrees_with_block_form() -> None:
@@ -169,7 +172,7 @@ def test_coefficients_of_block_means_are_haar_coefficients(f, h_prime, d_n) -> N
     coeffs = coefficient_estimates(synthetic_stats(cfg, maxima), cfg)
     # an independent reference: the inner product of the projection with each Haar step
     projection = truncated_expansion(f, cfg.h_n)
-    exact = [projection.inner(haar_step(i)) for i in range(cfg.h_n + 1)]
+    exact = [step_inner(projection, haar_step(i)) for i in range(cfg.h_n + 1)]
     np.testing.assert_allclose(coeffs, exact, rtol=0, atol=1e-12)
 
 

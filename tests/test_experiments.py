@@ -15,13 +15,15 @@ from haarfrontier.experiments import (
     REGIME_N_CORRECTED,
     REGIME_N_VS_KN,
     ExperimentConfig,
-    error_metrics,
     run_experiment,
 )
 from haarfrontier.frontiers import affine_frontier, constant_frontier
 from haarfrontier.kernels import ReplicateTask
+from haarfrontier.report import write_report_csv
 from haarfrontier.runner import plan_chunks, run_task
 from haarfrontier.stepfun import StepFunction
+
+from crosschecks import error_metrics, read_report_csv
 
 
 def _cfg(**kw) -> ExperimentConfig:
@@ -415,6 +417,24 @@ def test_zn_moments_small() -> None:
     assert by_stat["zn_mean"].passed
     assert 0.8 <= by_stat["zn_var_ratio"].estimate <= 1.2
     assert by_stat["zn_nonneg"].estimate >= 0.0
+
+
+def test_config_holds_points_and_levels_as_python_floats(tmp_path) -> None:
+    # a numpy float reached the report CSV as "np.float64(0.3)", which reads back as no number
+    cfg = replace(experiments.PRESETS["local-bias"].config, xs=(np.float64(0.3),), replicates=4)
+    assert cfg.xs == (0.3,) and type(cfg.xs[0]) is float
+    write_report_csv(run_experiment("local_bias", cfg), tmp_path / "report.csv")
+    assert [row.x for row in read_report_csv(tmp_path / "report.csv")] == [0.3]
+    # an array is copied into the frozen config, not kept as a mutable view
+    points = np.array([0.3, 0.7])
+    cfg = replace(cfg, xs=points, sup_eps=np.array([0.1], dtype=np.float32))
+    points[0] = 0.9
+    assert cfg.xs == (0.3, 0.7) and cfg.sup_eps == (float(np.float32(0.1)),)
+    assert all(type(v) is float for v in cfg.xs + cfg.sup_eps)
+    for bad in (("0.3",), (None,), (True,), 0.3, "0.3"):
+        for field in ("xs", "sup_eps"):
+            with pytest.raises(ValueError, match=f"{field} must be a sequence of numbers"):
+                replace(cfg, **{field: bad})
 
 
 def test_error_metrics_examples() -> None:

@@ -17,7 +17,6 @@ from haarfrontier.oracles import (
     cell_max_mean,
     cell_max_variance,
     ks_statistic,
-    limit_cdf,
     limit_law,
 )
 from haarfrontier.process import PartitionConfig, cell_stats, simulate
@@ -33,28 +32,28 @@ from crosschecks import (
 
 
 def test_limit_cdf_examples() -> None:
-    assert limit_cdf("weibull_evd", 0.0) == 1.0
-    assert limit_cdf("weibull_evd", 1.5) == 1.0
-    assert limit_cdf("weibull_evd", -1.0) == pytest.approx(math.exp(-1.0))
-    assert limit_cdf("gumbel", 0.0) == pytest.approx(math.exp(-1.0))
-    assert limit_cdf("std_normal", 0.0) == 0.5
+    assert LimitLaw("weibull_evd")(0.0) == 1.0
+    assert LimitLaw("weibull_evd")(1.5) == 1.0
+    assert LimitLaw("weibull_evd")(-1.0) == pytest.approx(math.exp(-1.0))
+    assert LimitLaw("gumbel")(0.0) == pytest.approx(math.exp(-1.0))
+    assert LimitLaw("std_normal")(0.0) == 0.5
 
 
 def test_std_normal_accuracy() -> None:
     # reference values from standard normal tables
-    assert limit_cdf("std_normal", 1.96) == pytest.approx(0.9750021048517795, abs=1e-12)
-    assert limit_cdf("std_normal", -3.0) == pytest.approx(0.0013498980316300933, abs=1e-14)
+    assert LimitLaw("std_normal")(1.96) == pytest.approx(0.9750021048517795, abs=1e-12)
+    assert LimitLaw("std_normal")(-3.0) == pytest.approx(0.0013498980316300933, abs=1e-14)
 
 
 def test_limit_cdf_monotone_with_limits() -> None:
     u = np.linspace(-30.0, 30.0, 2001)
     for kind in ("weibull_evd", "gumbel", "std_normal"):
-        vals = limit_cdf(kind, u)
+        vals = LimitLaw(kind)(u)
         assert np.all(np.diff(vals) >= 0.0)
         assert vals[0] < 1e-9 or kind == "weibull_evd"
         assert vals[-1] > 1.0 - 1e-9
     with pytest.raises(ValueError):
-        limit_cdf("cauchy", 0.0)
+        LimitLaw("cauchy")(0.0)
     with pytest.raises(ValueError):
         limit_law("cauchy")
 
@@ -64,8 +63,8 @@ def test_a_limit_law_is_called_as_its_cdf() -> None:
     for kind in ("weibull_evd", "gumbel", "std_normal"):
         law = limit_law(kind)
         assert law == LimitLaw(kind) and law.kind == kind
-        np.testing.assert_array_equal(law(u), limit_cdf(kind, u))
-        assert law(0.5) == limit_cdf(kind, 0.5) and type(law(0.5)) is float
+        np.testing.assert_array_equal(law(u), [law(v) for v in u.tolist()])
+        assert type(law(0.5)) is float and type(law(np.float64(0.5))) is float
     with pytest.raises(ValueError, match="unknown limit law"):
         LimitLaw("cauchy")
 
@@ -300,10 +299,20 @@ def test_ks_statistic_total_mismatch() -> None:
     assert ks > 1.0 - 1e-9
 
 
-def test_ks_statistic_accepts_scalar_cdf() -> None:
+def test_ks_statistic_rejects_a_cdf_of_another_shape() -> None:
     # uniform reference; the largest gap sits just after the top sample
-    got = ks_statistic([0.25, 0.5, 0.75], lambda u: float(np.clip(u, 0.0, 1.0)))
+    got = ks_statistic([0.25, 0.5, 0.75], lambda u: np.clip(u, 0.0, 1.0))
     assert got == pytest.approx(0.25, abs=1e-12)
+    # the CDF is called once, on all the samples, and never again per value:
+    # one that takes only scalars fails on the array, and a result of another
+    # shape than the samples raises
+    with pytest.raises(TypeError):
+        ks_statistic([0.25, 0.5, 0.75], lambda u: float(np.clip(u, 0.0, 1.0)))
+    for cdf in (lambda u: 0.5, lambda u: np.asarray(u)[:-1]):
+        with pytest.raises(ValueError, match="the CDF gave shape"):
+            ks_statistic([0.25, 0.5, 0.75], cdf)
+    with pytest.raises(ValueError, match="the CDF gave shape"):
+        ks_statistic([[0.25, 0.5], [0.75, 1.0]], lambda u: np.reshape(u, (2, 2)))
 
 
 @pytest.mark.parametrize(
@@ -318,7 +327,7 @@ def test_ks_statistic_accepts_scalar_cdf() -> None:
     ids=["0-d", "2-d", "inf-and-tails", "nan", "normals"],
 )
 def test_std_normal_matches_the_per_value_reference(u) -> None:
-    got = limit_cdf("std_normal", u)
+    got = LimitLaw("std_normal")(u)
     want = std_normal_loop(u)
     if np.ndim(u) == 0:
         assert type(got) is float
@@ -353,10 +362,10 @@ def test_ks_statistic_takes_infinite_samples() -> None:
 def test_gumbel_cdf_far_below_its_support_is_zero_without_overflow() -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert limit_cdf("gumbel", -1000.0) == 0.0
-        assert limit_cdf("gumbel", -np.inf) == 0.0
-        assert math.isnan(limit_cdf("gumbel", np.nan))
-        got = limit_cdf("gumbel", np.array([-1000.0, -710.0, -700.0, -np.inf, np.nan, 0.0]))
+        assert LimitLaw("gumbel")(-1000.0) == 0.0
+        assert LimitLaw("gumbel")(-np.inf) == 0.0
+        assert math.isnan(LimitLaw("gumbel")(np.nan))
+        got = LimitLaw("gumbel")(np.array([-1000.0, -710.0, -700.0, -np.inf, np.nan, 0.0]))
         assert got[:4].tolist() == [0.0] * 4 and math.isnan(got[4])
         assert got[5] == math.exp(-1.0)
         # one outlier far below the rest: its empirical step is the whole KS gap

@@ -5,7 +5,6 @@ import haarfrontier
 PUBLIC = [
     "CellStats",
     "DyadicIndex",
-    "ErrorMetrics",
     "EstimateBundle",
     "ExperimentConfig",
     "FrontierSpec",
@@ -22,20 +21,14 @@ PUBLIC = [
     "coefficient_estimates",
     "constant_frontier",
     "corrected_estimate",
-    "dirichlet_kernel",
     "dyadic_index",
-    "error_metrics",
-    "geffroy_estimate",
-    "haar_coefficient",
     "haar_ev_estimate",
     "haar_eval",
     "haar_step",
     "haar_transform",
     "ks_statistic",
-    "limit_cdf",
     "limit_law",
     "minima_mean",
-    "oracle_corrected_estimate",
     "parse_frontier",
     "run_experiment",
     "simulate",
