@@ -93,6 +93,8 @@ class ExperimentConfig:
         # NaN fails the comparison, so this rejects it too
         if not all(0.0 <= x <= 1.0 for x in self.xs):
             raise ValueError("evaluation points x must lie in [0, 1]")
+        if not all(0.0 < eps < math.inf for eps in self.sup_eps):
+            raise ValueError("sup-norm levels sup_eps must be finite and > 0")
 
 
 def _mean_se(col: np.ndarray) -> tuple:

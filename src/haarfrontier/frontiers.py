@@ -4,9 +4,10 @@ A FrontierSpec wraps the boundary function together with everything the
 simulator and the analytic oracles need: global bounds, a Lipschitz
 declaration, and four exact capabilities, all required: the integral of f,
 the integral of f^2, the range of f over an interval and the area above a
-level. Each is the one path to its quantity. The shipped family (constant,
-affine, sine, two-level) gives all four in closed form, so oracle errors
-stay far below Monte Carlo noise.
+level. Each is the one path to its quantity. Every shipped family gives all
+four in closed form, so oracle errors stay far below Monte Carlo noise. The
+constant, affine and two-level families are one piecewise-linear form,
+`_piecewise_linear`, given their knots, levels and slopes.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class FrontierSpec:
     exact_integral_sq: Callable = None
     exact_range: Callable = None
     exact_area_above: Callable[[float, float, float], float] = None
-    knots: tuple = field(default=())
+    knots: tuple = field(default=())  # a piecewise family's interior knots, which kernels.sup_grid reads
 
     def __post_init__(self):
         if not (0.0 < self.m <= self.M < math.inf):
@@ -123,62 +124,89 @@ class FrontierSpec:
         return float(self.exact_area_above(lo, hi, u))
 
 
+def _piece(v: float, s: float, pow_square: bool) -> tuple:
+    """The piece v + s*x's integral, integral of f^2, range and area above u, over [p, q]."""
+
+    def integ_sq(p, q):
+        if s == 0.0:  # v*v on one piece, pow on several: the constant and two-level roundings
+            return (v**2 if pow_square else v * v) * (q - p)
+        # float_power is libm's pow, as for Python floats, on arrays too
+        return (np.float_power(v + s * q, 3) - np.float_power(v + s * p, 3)) / (3.0 * s)
+
+    def rng(p, q) -> tuple:
+        fp, fq = (v + s * p, v + s * q) if s else (np.full(np.shape(q - p), v),) * 2
+        return (np.minimum(fp, fq), np.maximum(fp, fq))
+
+    def above(p, q, u):  # each conditional gives what the builtin max gives, NaN included
+        if s == 0.0:
+            return (0.0 if (d := v - u) < 0.0 else d) * (q - p)
+        fl, fh = v + s * p - u, v + s * q - u
+        if fl <= 0.0 and fh <= 0.0:
+            return 0.0
+        if fl >= 0.0 and fh >= 0.0:
+            return 0.5 * (fl + fh) * (q - p)
+        w = fh if fh > fl else fl
+        return 0.5 * w * w / abs(s)
+
+    return (lambda p, q: v * (q - p) + 0.5 * s * (q * q - p * p) if s else v * (q - p)), integ_sq, rng, above
+
+
+def _piecewise_linear(label: str, knots, values, slopes, lip: float) -> FrontierSpec:
+    """f = values[j] + slopes[j]*x on [t_j, t_{j+1}), t = (0, *knots, 1), the last piece closed.
+
+    One piece is its own frontier. On several, each capability sums (the range takes the min
+    and max of) the pieces' own over the pieces clipped to an interval within [0, 1]."""
+    starts, stops = (0.0, *knots), (*knots, math.inf)
+    integs, integ_sqs, rngs, aboves = zip(*(_piece(v, s, bool(knots)) for v, s in zip(values, slopes)))
+    backwards = tuple(zip(values, slopes, stops))[::-1]
+
+    def f(x):
+        x, out = np.asarray(x, dtype=float), None
+        for v, s, t in backwards:
+            at = v if s == 0.0 else v + s * x  # a flat piece enters as its level alone
+            out = at if out is None else np.where(x < t, at, out)
+        return np.full_like(x, out) if isinstance(out, float) else out
+
+    def cuts(lo, hi) -> tuple:  # piece j clipped to [lo, hi] is [cut[j], cut[j + 1]]
+        return (lo, *(np.minimum(np.maximum(t, lo), hi) for t in knots), hi)
+
+    def summed(terms) -> Callable:
+        def total(lo, hi, *level):
+            cut, out = cuts(lo, hi), -0.0  # -0.0 + x is x, the sign of zero included
+            for term, p, q in zip(terms, cut, cut[1:]):
+                out += term(p, q, *level)
+            return out
+
+        return total if knots else terms[0]
+
+    def rng(lo, hi) -> tuple:
+        cut, low, high = cuts(lo, hi), np.inf, -np.inf
+        for term, t0, t1, p, q in zip(rngs, starts, stops, cut, cut[1:]):
+            at_lo, at_hi = term(p, q)
+            # cells are half-open: a piece counts if it holds a point of [lo, hi), or lo = hi
+            meets = ((hi > t0) | (lo >= t0)) & (lo < t1)
+            low = np.minimum(low, np.where(meets, at_lo, np.inf))
+            high = np.maximum(high, np.where(meets, at_hi, -np.inf))
+        return (low, high)
+
+    ends = [values[0]]  # f(0) first: min and max keep it, so a NaN slope fails the Lipschitz check
+    ends += [v + s * t for v, s, t0, t1 in zip(values, slopes, starts, (*knots, 1.0)) for t in (t0, t1)]
+    return FrontierSpec(
+        f=f, m=min(ends), M=max(ends), alpha=1.0, lip=lip, label=label,
+        exact_integral=summed(integs), exact_integral_sq=summed(integ_sqs),
+        exact_range=rng if knots else rngs[0], exact_area_above=summed(aboves), knots=knots,
+    )
+
+
 def constant_frontier(a: float = 1.0) -> FrontierSpec:
     a = float(a)
-    return FrontierSpec(
-        f=lambda x: np.full_like(np.asarray(x, dtype=float), a),
-        m=a,
-        M=a,
-        alpha=1.0,
-        lip=0.0,
-        label=f"constant:a={a!r}",
-        exact_integral=lambda lo, hi: a * (hi - lo),
-        exact_integral_sq=lambda lo, hi: a * a * (hi - lo),
-        exact_range=lambda lo, hi: (np.full(np.shape(hi - lo), a), np.full(np.shape(hi - lo), a)),
-        exact_area_above=lambda lo, hi, u: max(a - u, 0.0) * (hi - lo),
-    )
+    return _piecewise_linear(f"constant:a={a!r}", (), (a,), (0.0,), lip=0.0)
 
 
 def affine_frontier(a: float = 1.0, b: float = 0.5) -> FrontierSpec:
     """Frontier f(x) = a + b*x."""
     a, b = float(a), float(b)
-
-    def integ(lo, hi):
-        return a * (hi - lo) + 0.5 * b * (hi * hi - lo * lo)
-
-    def integ_sq(lo, hi):
-        if b == 0.0:
-            return a * a * (hi - lo)
-        # float_power is libm's pow, as for Python floats, on arrays too
-        return (np.float_power(a + b * hi, 3) - np.float_power(a + b * lo, 3)) / (3.0 * b)
-
-    def rng(lo, hi) -> tuple:
-        va, vb = a + b * lo, a + b * hi
-        return (np.minimum(va, vb), np.maximum(va, vb))
-
-    def above(lo: float, hi: float, u: float) -> float:
-        if b == 0.0:
-            return max(a - u, 0.0) * (hi - lo)
-        fl, fh = a + b * lo - u, a + b * hi - u
-        if fl <= 0.0 and fh <= 0.0:
-            return 0.0
-        if fl >= 0.0 and fh >= 0.0:
-            return 0.5 * (fl + fh) * (hi - lo)
-        v = max(fl, fh)
-        return 0.5 * v * v / abs(b)
-
-    return FrontierSpec(
-        f=lambda x: a + b * np.asarray(x, dtype=float),
-        m=min(a, a + b),
-        M=max(a, a + b),
-        alpha=1.0,
-        lip=abs(b),
-        label=f"affine:a={a!r},b={b!r}",
-        exact_integral=integ,
-        exact_integral_sq=integ_sq,
-        exact_range=rng,
-        exact_area_above=above,
-    )
+    return _piecewise_linear(f"affine:a={a!r},b={b!r}", (), (a,), (b,), lip=abs(b))
 
 
 def sine_frontier(a: float = 1.0, b: float = 0.25) -> FrontierSpec:
@@ -250,39 +278,8 @@ def two_level_frontier(lo: float = 0.8, hi: float = 1.2, split: float = 0.5) -> 
     lo_val, hi_val, split = float(lo), float(hi), float(split)
     if not 0.0 < split < 1.0:
         raise ValueError("split must be interior to (0, 1)")
-
-    def piece_overlap(seg_lo, seg_hi, a, b):
-        return np.maximum(np.minimum(b, seg_hi) - np.maximum(a, seg_lo), 0.0)
-
-    def integ(a, b):
-        return lo_val * piece_overlap(0.0, split, a, b) + hi_val * piece_overlap(split, 1.0, a, b)
-
-    def integ_sq(a, b):
-        return lo_val**2 * piece_overlap(0.0, split, a, b) + hi_val**2 * piece_overlap(split, 1.0, a, b)
-
-    def rng(a, b) -> tuple:
-        one = np.where(a < split, lo_val, hi_val)
-        other = np.where((b > split) | (b == 1.0) | (a >= split), hi_val, lo_val)
-        return (np.minimum(one, other), np.maximum(one, other))
-
-    def above(a: float, b: float, u: float) -> float:
-        return max(lo_val - u, 0.0) * piece_overlap(0.0, split, a, b) + max(
-            hi_val - u, 0.0
-        ) * piece_overlap(split, 1.0, a, b)
-
-    return FrontierSpec(
-        f=lambda x: np.where(np.asarray(x, dtype=float) < split, lo_val, hi_val),
-        m=min(lo_val, hi_val),
-        M=max(lo_val, hi_val),
-        alpha=1.0,
-        lip=math.inf,
-        label=f"two_level:lo={lo_val!r},hi={hi_val!r},split={split!r}",
-        exact_integral=integ,
-        exact_integral_sq=integ_sq,
-        exact_range=rng,
-        exact_area_above=above,
-        knots=(split,),
-    )
+    label = f"two_level:lo={lo_val!r},hi={hi_val!r},split={split!r}"
+    return _piecewise_linear(label, (split,), (lo_val, hi_val), (0.0, 0.0), lip=math.inf)
 
 
 _FAMILY = {

@@ -6,7 +6,9 @@ those comparisons run on are listed here too, and so are the forms of the
 paper that only these checks use: the Dirichlet kernel, the Haar
 coefficients of a frontier, the d_n = 1 histogram, the oracle-shifted
 estimate, the error metrics of a step, step-by-step arithmetic and the
-report CSV reader.
+report CSV reader. The constant, affine and two-level frontiers are kept as
+their own per-family closures, the reference for the piecewise-linear form
+that builds them in the package.
 """
 
 import csv
@@ -292,6 +294,109 @@ def sine_area_above_three_periods(a, b, lo, hi, u):
         if s0 < s1:
             area += (a - u) * (s1 - s0) - b * (math.cos(w * s1) - math.cos(w * s0)) / w
     return max(area, 0.0)
+
+
+def constant_frontier_per_family(a: float = 1.0) -> FrontierSpec:
+    """constant_frontier, f(x) = a, as its own closures."""
+    a = float(a)
+    return FrontierSpec(
+        f=lambda x: np.full_like(np.asarray(x, dtype=float), a),
+        m=a,
+        M=a,
+        alpha=1.0,
+        lip=0.0,
+        label=f"constant:a={a!r}",
+        exact_integral=lambda lo, hi: a * (hi - lo),
+        exact_integral_sq=lambda lo, hi: a * a * (hi - lo),
+        exact_range=lambda lo, hi: (np.full(np.shape(hi - lo), a), np.full(np.shape(hi - lo), a)),
+        exact_area_above=lambda lo, hi, u: max(a - u, 0.0) * (hi - lo),
+    )
+
+
+def affine_frontier_per_family(a: float = 1.0, b: float = 0.5) -> FrontierSpec:
+    """affine_frontier, f(x) = a + b*x, as its own closures."""
+    a, b = float(a), float(b)
+
+    def integ(lo, hi):
+        return a * (hi - lo) + 0.5 * b * (hi * hi - lo * lo)
+
+    def integ_sq(lo, hi):
+        if b == 0.0:
+            return a * a * (hi - lo)
+        # float_power is libm's pow, as for Python floats, on arrays too
+        return (np.float_power(a + b * hi, 3) - np.float_power(a + b * lo, 3)) / (3.0 * b)
+
+    def rng(lo, hi) -> tuple:
+        va, vb = a + b * lo, a + b * hi
+        return (np.minimum(va, vb), np.maximum(va, vb))
+
+    def above(lo: float, hi: float, u: float) -> float:
+        if b == 0.0:
+            return max(a - u, 0.0) * (hi - lo)
+        fl, fh = a + b * lo - u, a + b * hi - u
+        if fl <= 0.0 and fh <= 0.0:
+            return 0.0
+        if fl >= 0.0 and fh >= 0.0:
+            return 0.5 * (fl + fh) * (hi - lo)
+        v = max(fl, fh)
+        return 0.5 * v * v / abs(b)
+
+    return FrontierSpec(
+        f=lambda x: a + b * np.asarray(x, dtype=float),
+        m=min(a, a + b),
+        M=max(a, a + b),
+        alpha=1.0,
+        lip=abs(b),
+        label=f"affine:a={a!r},b={b!r}",
+        exact_integral=integ,
+        exact_integral_sq=integ_sq,
+        exact_range=rng,
+        exact_area_above=above,
+    )
+
+
+def two_level_frontier_per_family(lo: float = 0.8, hi: float = 1.2, split: float = 0.5) -> FrontierSpec:
+    """two_level_frontier, lo on [0, split) and hi on [split, 1], as its own closures.
+
+    Not Lipschitz (the declared constant is infinite); cell extrema and
+    integrals are exact, so everything downstream still works.
+    """
+    lo_val, hi_val, split = float(lo), float(hi), float(split)
+    if not 0.0 < split < 1.0:
+        raise ValueError("split must be interior to (0, 1)")
+
+    def piece_overlap(seg_lo, seg_hi, a, b):
+        return np.maximum(np.minimum(b, seg_hi) - np.maximum(a, seg_lo), 0.0)
+
+    def integ(a, b):
+        return lo_val * piece_overlap(0.0, split, a, b) + hi_val * piece_overlap(split, 1.0, a, b)
+
+    def integ_sq(a, b):
+        return lo_val**2 * piece_overlap(0.0, split, a, b) + hi_val**2 * piece_overlap(split, 1.0, a, b)
+
+    def rng(a, b) -> tuple:
+        one = np.where(a < split, lo_val, hi_val)
+        other = np.where((b > split) | (b == 1.0) | (a >= split), hi_val, lo_val)
+        return (np.minimum(one, other), np.maximum(one, other))
+
+    def above(a: float, b: float, u: float) -> float:
+        return max(lo_val - u, 0.0) * piece_overlap(0.0, split, a, b) + max(
+            hi_val - u, 0.0
+        ) * piece_overlap(split, 1.0, a, b)
+
+    return FrontierSpec(
+        f=lambda x: np.where(np.asarray(x, dtype=float) < split, lo_val, hi_val),
+        m=min(lo_val, hi_val),
+        M=max(lo_val, hi_val),
+        alpha=1.0,
+        lip=math.inf,
+        label=f"two_level:lo={lo_val!r},hi={hi_val!r},split={split!r}",
+        exact_integral=integ,
+        exact_integral_sq=integ_sq,
+        exact_range=rng,
+        exact_area_above=above,
+        knots=(split,),
+    )
 
 
 def _simpson(fa, fm, fb, width):

@@ -54,6 +54,15 @@ def test_config_validation() -> None:
             _cfg(xs=(0.5, x))
 
 
+@pytest.mark.parametrize("eps", [math.nan, -0.1, 0.0, -0.0, math.inf])
+def test_config_rejects_a_sup_level_that_is_not_finite_and_positive(eps) -> None:
+    # a NaN level gave a row with p = 0 and a negative one a row with p = 1, both passing
+    supnorm = experiments.PRESETS["supnorm"].config
+    with pytest.raises(ValueError, match="sup_eps must be finite and > 0"):
+        replace(supnorm, sup_eps=(0.1, eps), replicates=4)
+    assert replace(supnorm, sup_eps=(5e-324, 0.1), replicates=4).sup_eps == (5e-324, 0.1)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("replicates", 2.5), ("replicates", 3.0), ("replicates", True), ("workers", 1.5), ("workers", True)],

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from haarfrontier.frontiers import (
     FrontierSpec,
@@ -14,7 +16,14 @@ from haarfrontier.frontiers import (
 )
 from haarfrontier.quadrature import adaptive_simpson
 
-from crosschecks import SHIPPED_LABELS, frontier, sine_area_above_three_periods
+from crosschecks import (
+    SHIPPED_LABELS,
+    affine_frontier_per_family,
+    constant_frontier_per_family,
+    frontier,
+    sine_area_above_three_periods,
+    two_level_frontier_per_family,
+)
 
 EXACT = ("exact_integral", "exact_integral_sq", "exact_range", "exact_area_above")
 
@@ -125,6 +134,94 @@ def test_sine_area_above_is_the_three_period_scan_bit_for_bit(a, b) -> None:
             want = sine_area_above_three_periods(a, b, lo, hi, u)
             # equal with the sign of zero, or both NaN
             assert got.hex() == want.hex(), (lo, hi, u, got, want)
+
+
+# each piecewise-linear family, as built now and by its own closures
+PIECEWISE = {
+    "constant": (constant_frontier, constant_frontier_per_family),
+    "affine": (affine_frontier, affine_frontier_per_family),
+    "two_level": (two_level_frontier, two_level_frontier_per_family),
+}
+# x*x and x**2 (libm's pow) round apart for these levels: the constant form squares
+# by multiplication, the two-level form by pow
+POW_ROUNDS_APART = (0.1709516896240072, 0.570539394898132, 2.8272017747674254)
+
+
+def _bits(value) -> tuple:
+    """Shape and bits, the sign of zero included; any NaN matches any NaN."""
+    arr = np.asarray(value, dtype=float)
+    return arr.shape, [v.hex() for v in arr.ravel().tolist()]
+
+
+def _build(make, args):
+    try:
+        return make(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def piecewise_cases(draw):
+    """A piecewise-linear family's arguments, scalar intervals, a partition and levels."""
+    family = draw(st.sampled_from(sorted(PIECEWISE)))
+    level = st.floats(1e-6, 1e6) | st.sampled_from((1e-6, 1.0, 1e6) + POW_ROUNDS_APART)
+    level |= st.sampled_from((math.nan, math.inf, 0.0, -1.0))  # rejected, with the same message
+    if family == "constant":
+        args = (draw(level),)
+    elif family == "affine":  # b = r*a keeps a + b > 0; r = 0 and -0 give both zeros
+        a = draw(level)
+        ratio = st.floats(-0.999, 1e3) | st.sampled_from((0.0, -0.0, -0.5, 0.5, math.nan, math.inf, -1.5))
+        args = (a, a * draw(ratio))
+    else:
+        edge = (1e-9, 2e-9, 1.0 - 1e-9, 1.0 - 2e-9, 0.5, 0.3, 0.0, 1.0, math.nan)
+        args = (draw(level), draw(level), draw(st.floats(1e-9, 1.0 - 1e-9) | st.sampled_from(edge)))
+    split = args[2] if family == "two_level" else 0.5
+    # ends anywhere, at 0 or 1, on the split or one float either side of it
+    near = (0.0, 1.0, split, math.nextafter(split, 0.0), math.nextafter(split, 1.0))
+    end = st.floats(0.0, 1.0) | st.sampled_from(near)
+    intervals = [tuple(sorted(draw(st.tuples(end, end)))) for _ in range(draw(st.integers(1, 12)))]
+    intervals += [(x, x) for x in draw(st.lists(end, min_size=1, max_size=4))]  # lo = hi
+    cells = draw(st.sampled_from((1, 2, 3, 7, 16, 64, 100, 4096)))
+    levels = draw(st.lists(st.floats(-0.5, 2e6), max_size=8))
+    return family, args, intervals, cells, levels
+
+
+@settings(max_examples=200, deadline=None)
+@given(piecewise_cases())
+@example(("affine", (1.0, -0.5), [(0.3, 0.3), (0.0, 1.0)], 16, []))  # f^2 integral -0.0 on lo = hi
+@example(("two_level", (0.8, 1.2, 1e-9), [(0.0, 1e-9), (1e-9, 1e-9), (0.0, 1.0)], 4096, [1.0]))
+@example(("two_level", (1.2, 0.8, 1.0 - 1e-9), [(1.0 - 1e-9, 1.0), (0.5, 1.0 - 1e-9)], 3, [1.0]))
+@example(("two_level", POW_ROUNDS_APART[:2] + (0.3,), [(0.0, 1.0)], 1, []))
+@example(("constant", POW_ROUNDS_APART[:1], [(0.0, 1.0)], 1, []))
+def test_piecewise_families_are_their_own_closures_bit_for_bit(case) -> None:
+    family, args, intervals, cells, levels = case
+    made, reference = (_build(make, args) for make in PIECEWISE[family])
+    if isinstance(reference, str):  # a rejected frontier: the same message
+        assert made == reference
+        return
+    assert (made.label, made.knots, made.alpha) == (reference.label, reference.knots, reference.alpha)
+    assert _bits([made.m, made.M, made.lip]) == _bits([reference.m, reference.M, reference.lip])
+    # a uniform partition, the same cut at the split, and the scalar intervals as arrays
+    uniform = np.arange(cells + 1) / cells
+    at_split = np.union1d(uniform, made.knots)
+    lo, hi = np.array(intervals).T
+    partitions = [(uniform[:-1], uniform[1:]), (at_split[:-1], at_split[1:]), (lo, hi)]
+    points = np.concatenate([at_split, lo, hi])
+    assert _bits(made.f(points)) == _bits(reference.f(points))
+    for x in points[::7]:
+        assert _bits(made.f(np.asarray(x))) == _bits(reference.f(np.asarray(x)))
+    for a, b in intervals + partitions:
+        for name in ("exact_integral", "exact_integral_sq"):
+            assert _bits(getattr(made, name)(a, b)) == _bits(getattr(reference, name)(a, b)), (name, a, b)
+        assert [_bits(v) for v in made.exact_range(a, b)] == [_bits(v) for v in reference.exact_range(a, b)]
+    m, top = made.m, made.M
+    levels = [*levels, -1.0, -0.0, 0.0, m, top, math.nextafter(m, 0.0), math.nextafter(top, 3e6), 2.0 * top]
+    levels += [math.nan, 0.5 * (m + top), m + 0.25 * (top - m)]
+    cells_at_split = list(zip(at_split[:-1].tolist(), at_split[1:].tolist()))
+    for a, b in intervals + (cells_at_split if cells <= 100 else cells_at_split[:: cells // 64]):
+        for u in levels:
+            got, want = made.exact_area_above(a, b, u), reference.exact_area_above(a, b, u)
+            assert float(got).hex() == float(want).hex(), (a, b, u, got, want)
 
 
 def test_bounds_are_enforced() -> None:
