@@ -25,7 +25,7 @@ import numpy as np
 
 from .frontiers import parse_frontier
 from .haar import truncated_expansion
-from .kernels import ReplicateTask, l2_error_sq, require_sup_resolution, sup_error
+from .kernels import ReplicateTask, l2_error_sq, sup_error
 from .oracles import LimitLaw, ks_statistic
 from .process import PartitionConfig, _require_integer, _require_rate, _require_seed
 from .report import ReportRow
@@ -51,15 +51,12 @@ KS_TOL_GAUSSIAN = 0.05
 _KS_SD = 0.26  # asymptotic standard deviation of sqrt(R) * KS
 
 
-def _real_tuple(name: str, values) -> tuple:
-    """values as a tuple of Python floats; bool, text and other non-numbers raise.
-
-    A numpy float would reach the report CSV as its repr, "np.float64(0.3)".
-    """
-    items = tuple(values) if isinstance(values, Iterable) else None
-    if items is None or any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in items):
-        raise ValueError(f"{name} must be a sequence of numbers")
-    return tuple(map(float, items))
+def _tuple_of(name: str, values, kind: type, what: str) -> tuple:
+    """values as a tuple of items of kind; bool, a bare string and any other item raise."""
+    items = tuple(values) if isinstance(values, Iterable) and not isinstance(values, str) else None
+    if items is None or any(isinstance(v, bool) or not isinstance(v, kind) for v in items):
+        raise ValueError(f"{name} must be a sequence of {what}")
+    return items
 
 
 @dataclass(frozen=True)
@@ -82,10 +79,15 @@ class ExperimentConfig:
         object.__setattr__(self, "c", _require_rate(self.c))
         for name in ("replicates", "workers"):
             object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
+        # a numpy float would reach the report CSV as its repr, "np.float64(0.3)"
         for name in ("xs", "sup_eps"):
-            object.__setattr__(self, name, _real_tuple(name, getattr(self, name)))
+            items = _tuple_of(name, getattr(self, name), numbers.Real, "numbers")
+            object.__setattr__(self, name, tuple(map(float, items)))
+        object.__setattr__(self, "regimes", _tuple_of("regimes", self.regimes, str, "strings"))
         if self.replicates < 2:
             raise ValueError("need at least two replicates")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not self.schedule:
             raise ValueError("schedule must contain at least one (n, h_prime, d_n) entry")
         if self.variant not in GAUSSIAN_VARIANTS:
@@ -284,10 +286,7 @@ def _rate_slope_rows(name, cfg, f, per_entry) -> Iterator[ReportRow]:
             )
 
 
-@_experiment(
-    "supnorm", "sup", lambda cfg: (REGIME_KN_SMALL,),
-    partition=lambda pc: require_sup_resolution(pc.h_n + 1),
-)
+@_experiment("supnorm", "sup", lambda cfg: (REGIME_KN_SMALL,))
 def _supnorm_rows(cfg, f, entries) -> Iterator[ReportRow]:
     """Tail probabilities of the uniform error across the schedule."""
     for pc, data in entries:

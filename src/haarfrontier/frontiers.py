@@ -13,7 +13,7 @@ constant, affine and two-level families are one piecewise-linear form,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,7 +53,8 @@ class FrontierSpec:
     scalar ends give a scalar (a pair for the range), ends of shape (k,) arrays of shape (k,).
 
     All four exact capabilities are required; their None defaults only let a
-    missing one raise ValueError, as a None or non-callable one does."""
+    missing one raise ValueError, as a None or non-callable one does. The exact
+    range also gives the sup-norm error, so a frontier lists no break points."""
 
     f: Callable[[np.ndarray], np.ndarray]
     m: float
@@ -65,7 +66,6 @@ class FrontierSpec:
     exact_integral_sq: Callable = None
     exact_range: Callable = None
     exact_area_above: Callable[[float, float, float], float] = None
-    knots: tuple = field(default=())  # a piecewise family's interior knots, which kernels.sup_grid reads
 
     def __post_init__(self):
         if not (0.0 < self.m <= self.M < math.inf):
@@ -124,12 +124,12 @@ class FrontierSpec:
         return float(self.exact_area_above(lo, hi, u))
 
 
-def _piece(v: float, s: float, pow_square: bool) -> tuple:
+def _piece(v: float, s: float) -> tuple:
     """The piece v + s*x's integral, integral of f^2, range and area above u, over [p, q]."""
 
     def integ_sq(p, q):
-        if s == 0.0:  # v*v on one piece, pow on several: the constant and two-level roundings
-            return (v**2 if pow_square else v * v) * (q - p)
+        if s == 0.0:
+            return v * v * (q - p)
         # float_power is libm's pow, as for Python floats, on arrays too
         return (np.float_power(v + s * q, 3) - np.float_power(v + s * p, 3)) / (3.0 * s)
 
@@ -157,7 +157,7 @@ def _piecewise_linear(label: str, knots, values, slopes, lip: float) -> Frontier
     One piece is its own frontier. On several, each capability sums (the range takes the min
     and max of) the pieces' own over the pieces clipped to an interval within [0, 1]."""
     starts, stops = (0.0, *knots), (*knots, math.inf)
-    integs, integ_sqs, rngs, aboves = zip(*(_piece(v, s, bool(knots)) for v, s in zip(values, slopes)))
+    integs, integ_sqs, rngs, aboves = zip(*(_piece(v, s) for v, s in zip(values, slopes)))
     backwards = tuple(zip(values, slopes, stops))[::-1]
 
     def f(x):
@@ -194,7 +194,7 @@ def _piecewise_linear(label: str, knots, values, slopes, lip: float) -> Frontier
     return FrontierSpec(
         f=f, m=min(ends), M=max(ends), alpha=1.0, lip=lip, label=label,
         exact_integral=summed(integs), exact_integral_sq=summed(integ_sqs),
-        exact_range=rng if knots else rngs[0], exact_area_above=summed(aboves), knots=knots,
+        exact_range=rng if knots else rngs[0], exact_area_above=summed(aboves),
     )
 
 

@@ -5,10 +5,10 @@ but by its defining sum, so agreement checks the faster form. The frontiers
 those comparisons run on are listed here too, and so are the forms of the
 paper that only these checks use: the Dirichlet kernel, the Haar
 coefficients of a frontier, the d_n = 1 histogram, the oracle-shifted
-estimate, the error metrics of a step, step-by-step arithmetic and the
-report CSV reader. The constant, affine and two-level frontiers are kept as
-their own per-family closures, the reference for the piecewise-linear form
-that builds them in the package.
+estimate, the error metrics of a step, the sup distance on a grid,
+step-by-step arithmetic and the report CSV reader. The constant, affine and
+two-level frontiers are kept as their own per-family closures, the
+reference for the piecewise-linear form that builds them in the package.
 """
 
 import csv
@@ -372,7 +372,8 @@ def two_level_frontier_per_family(lo: float = 0.8, hi: float = 1.2, split: float
         return lo_val * piece_overlap(0.0, split, a, b) + hi_val * piece_overlap(split, 1.0, a, b)
 
     def integ_sq(a, b):
-        return lo_val**2 * piece_overlap(0.0, split, a, b) + hi_val**2 * piece_overlap(split, 1.0, a, b)
+        lo_sq, hi_sq = lo_val * lo_val, hi_val * hi_val
+        return lo_sq * piece_overlap(0.0, split, a, b) + hi_sq * piece_overlap(split, 1.0, a, b)
 
     def rng(a, b) -> tuple:
         one = np.where(a < split, lo_val, hi_val)
@@ -395,7 +396,6 @@ def two_level_frontier_per_family(lo: float = 0.8, hi: float = 1.2, split: float
         exact_integral_sq=integ_sq,
         exact_range=rng,
         exact_area_above=above,
-        knots=(split,),
     )
 
 
@@ -614,12 +614,26 @@ class ErrorMetrics:
 def error_metrics(estimate: StepFunction, f: FrontierSpec, xs=()) -> ErrorMetrics:
     """L2, sup, and pointwise distances between a step estimate and the frontier.
 
-    The sup needs a step on at most 2^14 blocks; both distances come from
-    the package's error layer in `kernels`.
+    The L2 and sup distances come from the package's error layer in
+    `kernels`, both exact; `sup_on_grid` is the sup's reference form.
     """
     at_points = tuple(abs(estimate(x) - f(x)) for x in xs)
     l2 = math.sqrt(max(l2_error_sq(estimate, f), 0.0))
     return ErrorMetrics(l2=l2, sup=sup_error(estimate, f), at_points=at_points)
+
+
+def sup_on_grid(step: StepFunction, f: FrontierSpec, grid_step: float, knots=()) -> tuple:
+    """(grid max, pad): the largest |step - f| on a uniform grid plus f's knots, and L * grid_step^alpha.
+
+    For a step on blocks no finer than grid_step, every point of a block lies
+    within grid_step of a grid point in that block, so the exact sup distance
+    lies in [grid max, grid max + pad]. A jump of f needs its knot on the grid.
+    """
+    assert len(step.values) * grid_step <= 1.0, "the grid must resolve the step's blocks"
+    base = np.arange(int(round(1.0 / grid_step)) + 1) * grid_step
+    grid = np.union1d(base, np.asarray(knots, dtype=float))
+    pad = f.lip * grid_step**f.alpha if math.isfinite(f.lip) else 0.0
+    return float(np.max(np.abs(step(grid) - f(grid)))), pad
 
 
 # text of a report CSV cell -> field value, by the field's annotation

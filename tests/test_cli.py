@@ -84,8 +84,11 @@ def test_experiment_with_config_file_and_overrides(tmp_path) -> None:
         ("n = 5000\nhprime = 4\n", "given together"),
         ("replicate = 10\n", "unknown config keys"),
         ("replicates = 4\nreplicates = 6\n", "config key 'replicates' given twice"),
+        # these ran serially and exited 0
+        ("workers = 0\n", "workers must be >= 1, got 0"),
+        ("workers = -7\n", "workers must be >= 1, got -7"),
     ],
-    ids=["n-only", "n-and-hprime", "unknown-key", "repeated-key"],
+    ids=["n-only", "n-and-hprime", "unknown-key", "repeated-key", "workers-0", "workers-negative"],
 )
 def test_experiment_config_file_errors_exit_1(tmp_path, capsys, text, message) -> None:
     config = tmp_path / "run.cfg"

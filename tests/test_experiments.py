@@ -76,8 +76,22 @@ def test_config_stores_integer_fields_as_python_ints() -> None:
     cfg = _cfg(replicates=np.int64(3), workers=np.int32(2))
     assert type(cfg.replicates) is int and cfg.replicates == 3
     assert type(cfg.workers) is int and cfg.workers == 2
-    # workers <= 0 still runs serially
-    assert _cfg(workers=0).workers == 0
+
+
+@pytest.mark.parametrize("workers", [0, -7])
+def test_config_rejects_fewer_than_one_worker(workers) -> None:
+    # these ran serially and exited 0, as if workers = 1 had been asked for
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        _cfg(workers=workers)
+
+
+def test_config_stores_regimes_as_a_tuple_of_strings() -> None:
+    zn = experiments.PRESETS["zn-moments"].config
+    assert replace(zn, regimes=[REGIME_KN_SMALL]).regimes == (REGIME_KN_SMALL,)
+    # a bare string passed the regime check by substring and ran
+    for bad in (f"xx {REGIME_KN_SMALL} yy", (REGIME_KN_SMALL, 3), (None,), 7):
+        with pytest.raises(ValueError, match="regimes must be a sequence of strings"):
+            replace(zn, regimes=bad)
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, -1.0, True], ids=["nan", "inf", "-1", "True"])
@@ -237,6 +251,15 @@ def test_supnorm_huge_n_tail_vanishes() -> None:
     assert by_stat["p_sup_gt_1.5"].estimate == 0.0
 
 
+def test_supnorm_runs_on_2_to_the_16_blocks() -> None:
+    # the sup is exact on any block count, so supnorm takes h' > 14
+    cfg = _cfg(frontier="affine:a=1.0,b=0.5", schedule=((70_000, 16, 1),), replicates=2, sup_eps=(0.1,))
+    rows = run_experiment("supnorm", cfg)
+    assert [(r.h_n, r.statistic) for r in rows] == [(2**16 - 1, "p_sup_gt_0.1")]
+    # about one point per cell: empty cells put the estimate far below f somewhere
+    assert rows[0].estimate == 1.0 and rows[0].passed
+
+
 def test_weibull_small_schedule() -> None:
     cfg = _cfg(
         schedule=((500, 7, 1),),
@@ -364,7 +387,7 @@ GAUSSIAN = dict(schedule=((4096, 4, 64),), regimes=GAUSS_REGIMES)
         ("gumbel", dict(schedule=((500, 6, 1), (500, 3, 2)), regimes=(REGIME_KN_LOG,)), "d_n = 1"),
         ("gaussian", dict(GAUSSIAN, schedule=((4096, 4, 64), (4096, 4, 1))), "d_n > 1"),
         ("variance", dict(VARIANCE, schedule=((500, 4, 4), (500, 0, 4))), "h_n >= 1"),
-        ("supnorm", dict(schedule=((500, 3, 2), (500, 15, 1))), "2\\^14"),
+        ("supnorm", dict(schedule=((500, 3, 2), (500, 3, 0))), "d_n must be"),
         ("zn_moments", dict(schedule=((500, 4, 1), (0, 4, 1))), "n must be"),
         ("local_bias", dict(LOCAL_BIAS, schedule=((500, 4, 4), (500, -1, 4))), "h_prime must be"),
         ("mise", dict(schedule=((500, 3, 2), (500, 4, 0))), "d_n must be"),

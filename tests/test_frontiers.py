@@ -142,8 +142,8 @@ PIECEWISE = {
     "affine": (affine_frontier, affine_frontier_per_family),
     "two_level": (two_level_frontier, two_level_frontier_per_family),
 }
-# x*x and x**2 (libm's pow) round apart for these levels: the constant form squares
-# by multiplication, the two-level form by pow
+# x*x and x**2 (libm's pow) round apart for these levels: every flat piece squares
+# its level by multiplication, as the per-family closures do
 POW_ROUNDS_APART = (0.1709516896240072, 0.570539394898132, 2.8272017747674254)
 
 
@@ -191,7 +191,7 @@ def piecewise_cases(draw):
 @example(("affine", (1.0, -0.5), [(0.3, 0.3), (0.0, 1.0)], 16, []))  # f^2 integral -0.0 on lo = hi
 @example(("two_level", (0.8, 1.2, 1e-9), [(0.0, 1e-9), (1e-9, 1e-9), (0.0, 1.0)], 4096, [1.0]))
 @example(("two_level", (1.2, 0.8, 1.0 - 1e-9), [(1.0 - 1e-9, 1.0), (0.5, 1.0 - 1e-9)], 3, [1.0]))
-@example(("two_level", POW_ROUNDS_APART[:2] + (0.3,), [(0.0, 1.0)], 1, []))
+@example(("two_level", POW_ROUNDS_APART[:2] + (0.3,), [(0.0, 1.0)], 1, []))  # squared by v * v, not pow
 @example(("constant", POW_ROUNDS_APART[:1], [(0.0, 1.0)], 1, []))
 def test_piecewise_families_are_their_own_closures_bit_for_bit(case) -> None:
     family, args, intervals, cells, levels = case
@@ -199,11 +199,11 @@ def test_piecewise_families_are_their_own_closures_bit_for_bit(case) -> None:
     if isinstance(reference, str):  # a rejected frontier: the same message
         assert made == reference
         return
-    assert (made.label, made.knots, made.alpha) == (reference.label, reference.knots, reference.alpha)
+    assert (made.label, made.alpha) == (reference.label, reference.alpha)
     assert _bits([made.m, made.M, made.lip]) == _bits([reference.m, reference.M, reference.lip])
     # a uniform partition, the same cut at the split, and the scalar intervals as arrays
     uniform = np.arange(cells + 1) / cells
-    at_split = np.union1d(uniform, made.knots)
+    at_split = np.union1d(uniform, args[2:] if family == "two_level" else ())
     lo, hi = np.array(intervals).T
     partitions = [(uniform[:-1], uniform[1:]), (at_split[:-1], at_split[1:]), (lo, hi)]
     points = np.concatenate([at_split, lo, hi])

@@ -6,7 +6,7 @@ from haarfrontier.haar import truncated_expansion
 from haarfrontier.kernels import ReplicateTask, block_moments, l2_error_sq, run_chunk, sup_error
 from haarfrontier.stepfun import StepFunction
 
-from crosschecks import SHIPPED_LABELS, block_integrals_loop, frontier, replicate_reference
+from crosschecks import SHIPPED_LABELS, block_integrals_loop, frontier, replicate_reference, sup_on_grid
 
 # steps off 2^j equal blocks: the type cannot hold one, so the error layer never sees one
 OFF_DYADIC = {
@@ -26,11 +26,48 @@ def test_steps_off_dyadic_blocks_cannot_be_built(build, error, match) -> None:
         build()
 
 
-def test_sup_error_resolves_at_most_2_to_the_14_blocks() -> None:
+def test_sup_error_is_exact_beyond_2_to_the_14_blocks() -> None:
     f = constant_frontier(1.0)
     assert sup_error(StepFunction(np.full(2**14, 0.75)), f) == 0.25
-    with pytest.raises(ValueError, match="2\\^14"):
-        sup_error(StepFunction(np.ones(2**15)), f)
+    # 2^15 blocks: finer than a 2^-14 grid could resolve
+    values = np.ones(2**15)
+    values[12345] = 0.375
+    assert sup_error(StepFunction(values), f) == 0.625
+
+
+# each family, affine and sine with both signs of the slope, and each jump's knot,
+# which the grid needs to see both sides of the jump
+SUP_KNOTS = {
+    "constant:a=1.3": (),
+    "affine:a=1.0,b=0.5": (),
+    "affine:a=1.5,b=-0.5": (),
+    "sine:a=1.0,b=0.25": (),
+    "sine:a=1.0,b=-0.25": (),
+    "two_level:lo=0.8,hi=1.2,split=0.5": (0.5,),
+    "two_level:lo=1.2,hi=0.8,split=0.3": (0.3,),
+}
+
+
+def _steps_near(f, blocks: int) -> list:
+    """f's projection on these blocks, the same shifted by noise, and a flat step at f(1/2)."""
+    proj = truncated_expansion(f, blocks - 1)
+    noise = np.random.default_rng(blocks).normal(0.0, 0.05, blocks)
+    return [proj, StepFunction(proj.values + noise), StepFunction(np.full(blocks, f(0.5)))]
+
+
+# blocks up to 2^14 against the 2^-14 grid, and finer ones against a 2^-18 grid
+@pytest.mark.parametrize("label", SUP_KNOTS)
+@pytest.mark.parametrize(
+    "j, grid_step", [(j, 2.0**-14) for j in (0, 1, 2, 5, 9, 14)] + [(15, 2.0**-18), (16, 2.0**-18)]
+)
+def test_sup_error_lies_within_the_grid_max_and_its_pad(label, j, grid_step) -> None:
+    f = parse_frontier(label)
+    for step in _steps_near(f, 2**j):
+        grid_max, pad = sup_on_grid(step, f, grid_step, SUP_KNOTS[label])
+        got = sup_error(step, f)
+        assert grid_max <= got <= grid_max + pad, (got, grid_max, pad)
+        if label.startswith(("constant", "two_level")):  # no pad: on flat pieces the grid is exact
+            assert got == grid_max
 
 
 @pytest.mark.parametrize(
