@@ -24,8 +24,7 @@ _EXPORTS = {
     "experiments": ("ExperimentConfig", "run_experiment"),
     "frontiers": ("FrontierSpec", "affine_frontier", "constant_frontier", "parse_frontier",
                   "sine_frontier", "two_level_frontier"),
-    "haar": ("DyadicIndex", "dyadic_index", "haar_eval", "haar_step", "haar_transform",
-             "truncated_expansion"),
+    "haar": ("haar_eval", "haar_transform", "truncated_expansion"),
     "oracles": ("LimitLaw", "cell_cdf", "cell_max_mean", "cell_max_variance", "ks_statistic",
                 "limit_law"),
     "process": ("CellStats", "PartitionConfig", "PointSample", "cell_stats", "simulate"),

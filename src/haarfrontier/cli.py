@@ -1,9 +1,11 @@
 """Command-line interface: simulate, estimate, experiment, list-presets.
 
 Experiment configuration is layered: preset defaults, then a flat key=value
-config file, then command-line flags. Report CSVs are deterministic for a
-fixed configuration regardless of the worker count; the JSON manifest
-carries the config echo, a content hash, and the wall time.
+config file, then command-line flags. Each setting has one spelling, the
+same as a config key and as a flag; the schedule is `schedule = n:hprime:dn`
+(entries joined by `;`). Report CSVs are deterministic for a fixed
+configuration regardless of the worker count; the JSON manifest carries the
+config echo, a content hash, and the wall time.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="draw a point sample and write it as CSV")
+    sim.set_defaults(run=_cmd_simulate)
     sim.add_argument("--frontier", required=True, help="e.g. constant:a=1.0 or affine:a=1.0,b=0.5")
     sim.add_argument("--n", type=int, required=True)
     sim.add_argument("--c", type=float, default=1.0)
@@ -50,21 +53,23 @@ def _build_parser() -> _Parser:
     sim.add_argument("--out", default=".")
 
     est = sub.add_parser("estimate", help="estimate a frontier from a sample CSV")
+    est.set_defaults(run=_cmd_estimate)
     est.add_argument("sample", help="path to a PointSample CSV")
     est.add_argument("--hprime", type=int, required=True)
     est.add_argument("--dn", type=int, required=True)
     est.add_argument("--out", default=".")
 
     exp = sub.add_parser("experiment", help="run a named experiment preset")
+    exp.set_defaults(run=_cmd_experiment)
     exp.add_argument("name", help="preset name; see list-presets")
     exp.add_argument("--config", help="flat key=value config file; flags override it")
     # the config-file keys, as text; _apply_config parses flags and file alike
-    for key in (*_CONFIG_KEYS, *_ENTRY_KEYS):
+    for key in _CONFIG_KEYS:
         exp.add_argument(f"--{key}", action="append" if key == "x" else "store")
     exp.add_argument("--out", default=".")
     exp.add_argument("--strict", action="store_true", help="exit 2 on any tolerance failure")
 
-    sub.add_parser("list-presets", help="list experiment presets")
+    sub.add_parser("list-presets", help="list experiment presets").set_defaults(run=_cmd_list_presets)
     return parser
 
 
@@ -110,7 +115,6 @@ _CONFIG_KEYS = {
     "variant": ("variant", str),
     "workers": ("workers", int),
 }
-_ENTRY_KEYS = ("n", "hprime", "dn")  # one schedule entry, given whole or not at all
 
 
 def _parse(key: str, parse, value):
@@ -121,26 +125,11 @@ def _parse(key: str, parse, value):
 
 
 def _apply_config(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
-    unknown = sorted(values.keys() - _CONFIG_KEYS.keys() - set(_ENTRY_KEYS))
+    unknown = sorted(values.keys() - _CONFIG_KEYS.keys())
     if unknown:
         raise ValueError(f"unknown config keys {unknown}")
-    changes = {}
-    given = [key for key in _ENTRY_KEYS if key in values]
-    if given:
-        if len(given) != len(_ENTRY_KEYS):
-            raise ValueError("n, hprime and dn must be given together")
-        changes["schedule"] = (tuple(_parse(key, int, values[key]) for key in _ENTRY_KEYS),)
-    for key, (field, parse) in _CONFIG_KEYS.items():
-        if key in values:
-            changes[field] = _parse(key, parse, values[key])
-    return replace(cfg, **changes)
-
-
-def _merge_experiment_config(base: ExperimentConfig, file_vals: dict, args) -> ExperimentConfig:
-    """Preset, then the config file, then the flags; each layer overrides the last."""
-    flags = {key: getattr(args, key) for key in (*_CONFIG_KEYS, *_ENTRY_KEYS)}
-    flags = {key: value for key, value in flags.items() if value is not None}
-    return _apply_config(_apply_config(base, file_vals), flags)
+    return replace(cfg, **{field: _parse(key, parse, values[key])
+                           for key, (field, parse) in _CONFIG_KEYS.items() if key in values})
 
 
 def _config_payload(name: str, kind: str, cfg: ExperimentConfig) -> dict:
@@ -179,8 +168,10 @@ def _cmd_experiment(args) -> int:
         print(f"unknown preset {args.name!r}; see list-presets", file=sys.stderr)
         return USAGE_ERROR
     preset = PRESETS[args.name]
-    file_vals = _read_config_file(args.config) if args.config else {}
-    cfg = _merge_experiment_config(preset.config, file_vals, args)
+    # preset, then the config file, then the flags; a bad file value exits 1 even under a flag
+    cfg = _apply_config(preset.config, _read_config_file(args.config) if args.config else {})
+    flags = {key: value for key in _CONFIG_KEYS if (value := getattr(args, key)) is not None}
+    cfg = _apply_config(cfg, flags)
     payload = _config_payload(args.name, preset.kind, cfg)
 
     start = time.perf_counter()
@@ -209,7 +200,7 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_list_presets() -> int:
+def _cmd_list_presets(args) -> int:
     width = max(len(name) for name in PRESETS)
     for name, preset in PRESETS.items():
         cfgs = ", ".join(f"n={n},h'={hp},d={dn}" for n, hp, dn in preset.config.schedule)
@@ -221,18 +212,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "estimate":
-            return _cmd_estimate(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        if args.command == "list-presets":
-            return _cmd_list_presets()
+        return args.run(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"haarfrontier: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return USAGE_ERROR
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -114,7 +114,8 @@ class PartitionConfig:
         return self.d_n * (self.h_n + 1)
 
     def cell_bounds(self, r: int) -> tuple:
-        """Bounds of cell r (1-based)."""
+        """Bounds of cell r (1-based), an integer in [1, k_n]."""
+        r = _require_integer("cell index", r)
         if not 1 <= r <= self.k_n:
             raise ValueError("cell index out of range")
         return ((r - 1) / self.k_n, r / self.k_n)

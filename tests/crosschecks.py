@@ -3,10 +3,12 @@
 Each one computes a quantity the package computes in closed or block form,
 but by its defining sum, so agreement checks the faster form. The frontiers
 those comparisons run on are listed here too, and so are the forms of the
-paper that only these checks use: the Dirichlet kernel, the Haar
-coefficients of a frontier, the d_n = 1 histogram, the oracle-shifted
-estimate, the error metrics of a step, the sup distance on a grid,
-step-by-step arithmetic and the report CSV reader. The constant, affine and
+paper that only these checks use: the Dirichlet kernel, the dyadic
+decomposition i = 2^(q-1) + p and the Haar function built from it as a
+step (the reference for `haar_eval`), the Haar coefficients of a frontier,
+the d_n = 1 histogram, the oracle-shifted estimate, the error metrics of a
+step, the sup distance on a grid, step-by-step arithmetic and the report
+CSV reader. The constant, affine and
 two-level frontiers are kept as their own per-family closures, the
 reference for the piecewise-linear form that builds them in the package.
 """
@@ -98,6 +100,36 @@ def dirichlet_kernel(h_n: int, x, y):
     if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+@dataclass(frozen=True)
+class DyadicIndex:
+    i: int
+    p: int
+    q: int
+
+
+def dyadic_index(i: int) -> DyadicIndex:
+    """Unique decomposition i = 2^(q-1) + p with 0 <= p < 2^(q-1)."""
+    if i < 1:
+        raise ValueError("dyadic decomposition is defined for i >= 1")
+    q = int(i).bit_length()
+    return DyadicIndex(i=int(i), p=int(i) - 2 ** (q - 1), q=q)
+
+
+def haar_step(i: int) -> StepFunction:
+    """The i-th Haar function as an exact StepFunction (for exact integration)."""
+    if i < 0:
+        raise ValueError("Haar index must be nonnegative")
+    if i == 0:
+        return StepFunction(np.ones(1))
+    idx = dyadic_index(i)
+    cells = 2**idx.q
+    amp = 2.0 ** (0.5 * (idx.q - 1))
+    values = np.zeros(cells)
+    values[2 * idx.p] = amp
+    values[2 * idx.p + 1] = -amp
+    return StepFunction(values)
 
 
 def haar_coefficient(f: FrontierSpec, i: int) -> float:

@@ -26,13 +26,13 @@ from haarfrontier.experiments import (
     run_experiment,
 )
 from haarfrontier.frontiers import constant_frontier, parse_frontier
-from haarfrontier.haar import haar_eval, haar_step
+from haarfrontier.haar import haar_eval
 from haarfrontier.kernels import ReplicateTask
 from haarfrontier.oracles import cell_cdf, ks_statistic
 from haarfrontier.process import PartitionConfig, cell_stats, simulate
 from haarfrontier.runner import run_task
 
-from crosschecks import dirichlet_kernel, dirichlet_kernel_sum, step_inner
+from crosschecks import dirichlet_kernel, dirichlet_kernel_sum, haar_step, step_inner
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 

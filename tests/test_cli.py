@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from haarfrontier import cli
 from haarfrontier.cli import _build_parser, main
 from haarfrontier.estimators import EstimateBundle
 from haarfrontier.experiments import PRESETS
@@ -58,9 +59,7 @@ def test_experiment_with_config_file_and_overrides(tmp_path) -> None:
         "# desk-scale smoke run\n"
         "replicates = 80\n"
         "seed = 99\n"
-        "n = 1000\n"
-        "hprime = 4\n"
-        "dn = 1\n"
+        "schedule = 1000:4:1\n"
     )
     out = tmp_path / "reports"
     proc = run_cli(
@@ -80,15 +79,15 @@ def test_experiment_with_config_file_and_overrides(tmp_path) -> None:
 @pytest.mark.parametrize(
     "text, message",
     [
-        ("n = 5000\n", "given together"),
-        ("n = 5000\nhprime = 4\n", "given together"),
+        # the schedule has one spelling, schedule = n:hprime:dn
+        ("n = 5000\n", "unknown config keys ['n']"),
         ("replicate = 10\n", "unknown config keys"),
         ("replicates = 4\nreplicates = 6\n", "config key 'replicates' given twice"),
         # these ran serially and exited 0
         ("workers = 0\n", "workers must be >= 1, got 0"),
         ("workers = -7\n", "workers must be >= 1, got -7"),
     ],
-    ids=["n-only", "n-and-hprime", "unknown-key", "repeated-key", "workers-0", "workers-negative"],
+    ids=["n-only", "unknown-key", "repeated-key", "workers-0", "workers-negative"],
 )
 def test_experiment_config_file_errors_exit_1(tmp_path, capsys, text, message) -> None:
     config = tmp_path / "run.cfg"
@@ -170,6 +169,48 @@ def test_experiment_bad_flag_value_names_its_key(tmp_path, capsys) -> None:
     assert main(["experiment", "zn-moments", "--replicates", "many", "--out", str(out)]) == 1
     assert "for replicates" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_experiment_bad_config_file_value_exits_1_under_a_flag(tmp_path, capsys) -> None:
+    # the file is applied as a layer of its own, so a flag does not hide its errors
+    config = tmp_path / "run.cfg"
+    config.write_text("replicates = many\n")
+    out = tmp_path / "reports"
+    argv = ["experiment", "zn-moments", "--config", str(config), "--replicates", "20", "--out", str(out)]
+    assert main(argv) == 1
+    assert "bad value 'many' for replicates" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [["--n", "5000"], ["--hprime", "2"], ["--n", "4000", "--hprime", "2", "--dn", "2"]],
+    ids=["n", "hprime", "n-hprime-dn"],
+)
+@pytest.mark.parametrize("schedule", [[], ["--schedule", "2000:3:1"]], ids=["alone", "with-schedule"])
+def test_experiment_takes_the_schedule_only_as_schedule(tmp_path, capsys, schedule, entry) -> None:
+    # the whole entry with --schedule used to run [[2000, 3, 1]] and drop the entry without a word
+    out = tmp_path / "reports"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["experiment", "zn-moments", *schedule, *entry, "--out", str(out)])
+    assert exit_info.value.code == 1
+    assert "unrecognized arguments: " + " ".join(entry) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--frontier", "constant:a=1.0", "--n", "10"],
+        ["estimate", "sample.csv", "--hprime", "1", "--dn", "1"],
+        ["experiment", "zn-moments"],
+        ["list-presets"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_each_subcommand_runs_through_its_run_default(argv) -> None:
+    args = _build_parser().parse_args(argv)
+    assert args.run is getattr(cli, "_cmd_" + argv[0].replace("-", "_"))
 
 
 def test_experiment_workers_byte_identical(tmp_path) -> None:
@@ -423,7 +464,7 @@ def test_each_lazy_name_is_its_home_modules_object() -> None:
         print(json.dumps(found))
     """))
     assert found["experiments"] is True
-    assert found["star"] == found["all"] and len(found["all"]) == 33
+    assert found["star"] == found["all"] and len(found["all"]) == 30
     assert found["foreign"] == []
     assert found["unknown"] == "module 'haarfrontier' has no attribute 'no_such_name'"
 

@@ -19,7 +19,7 @@ from haarfrontier.frontiers import (
     sine_frontier,
     two_level_frontier,
 )
-from haarfrontier.haar import haar_eval, haar_step, truncated_expansion
+from haarfrontier.haar import haar_eval, truncated_expansion
 from haarfrontier.process import CellStats, PartitionConfig, PointSample, cell_stats, simulate
 from haarfrontier.stepfun import uniform_cell_index
 
@@ -28,6 +28,7 @@ from crosschecks import (
     coefficient_estimates_riemann,
     geffroy_estimate,
     haar_ev_estimate_at,
+    haar_step,
     minima_mean_by_mean,
     oracle_corrected_estimate,
     step_inner,

@@ -5,14 +5,16 @@ import numpy as np
 import pytest
 
 from haarfrontier.frontiers import affine_frontier, constant_frontier, parse_frontier, sine_frontier
-from haarfrontier.haar import dyadic_index, haar_eval, haar_step, haar_transform, truncated_expansion
+from haarfrontier.haar import haar_eval, haar_transform, truncated_expansion
 from haarfrontier.stepfun import uniform_cell_index
 
 from crosschecks import (
     SHIPPED_LABELS,
     dirichlet_kernel,
     dirichlet_kernel_sum,
+    dyadic_index,
     haar_coefficient,
+    haar_step,
     step_add,
     step_inner,
     step_scale,
@@ -62,10 +64,24 @@ def test_haar_eval_rejects_outside_unit_interval() -> None:
 
 
 def test_haar_step_matches_pointwise_eval() -> None:
+    # bit for bit against the reference step, on every block edge and midpoint
+    # of psi_1024's 2^11 blocks (x = 1 included) and on random points
     rng = np.random.Generator(np.random.Philox(key=3))
-    xs = rng.random(200)
-    for i in range(0, 20):
-        np.testing.assert_allclose(haar_step(i)(xs), haar_eval(i, xs), atol=0)
+    xs = np.concatenate([np.arange(2**12 + 1) / 2**12, rng.random(200)])
+    for i in range(2**10 + 1):
+        assert np.array_equal(haar_eval(i, xs), haar_step(i)(xs)), i
+        assert haar_eval(i, 1.0) == haar_step(i)(1.0), i
+
+
+@pytest.mark.parametrize("i", [2.7, 2.0, True, -1], ids=["2.7", "2.0", "True", "-1"])
+def test_haar_eval_takes_a_nonnegative_integer_index(i) -> None:
+    # 2.7 used to read psi_2 and True psi_1
+    with pytest.raises(ValueError, match="Haar index must be"):
+        haar_eval(i, 0.3)
+
+
+def test_haar_eval_accepts_numpy_integers() -> None:
+    assert haar_eval(np.int64(2), 0.3) == haar_eval(2, 0.3) == -math.sqrt(2.0)
 
 
 def test_orthonormality_small() -> None:
@@ -102,6 +118,13 @@ def test_kernel_consistency_random_pairs() -> None:
 def test_truncated_expansion_constant() -> None:
     fn = truncated_expansion(constant_frontier(0.7), 3)
     np.testing.assert_allclose(fn.values, 0.7, atol=0)
+
+
+@pytest.mark.parametrize("h_n", [3.0, True], ids=["3.0", "True"])
+def test_truncated_expansion_takes_an_integer_order(h_n) -> None:
+    # 3.0 used to raise TypeError from the power-of-two check, and True gave 2 blocks
+    with pytest.raises(ValueError, match="h_n must be an integer"):
+        truncated_expansion(constant_frontier(0.7), h_n)
 
 
 def test_truncated_expansion_affine_exact_means() -> None:

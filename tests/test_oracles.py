@@ -114,6 +114,23 @@ def test_cell_cdf_flat_frontier_closed_form() -> None:
     assert cell_cdf(f, cfg, 5, 1.0, -0.01) == 0.0
 
 
+@pytest.mark.parametrize("r", [1.5, True], ids=["1.5", "True"])
+@pytest.mark.parametrize(
+    "oracle",
+    [
+        lambda f, cfg, r: cell_cdf(f, cfg, r, 1.0, 1.0),
+        lambda f, cfg, r: cell_max_mean(f, cfg, r, 1.0),
+        lambda f, cfg, r: cell_max_variance(f, cfg, r, 1.0),
+    ],
+    ids=["cell_cdf", "cell_max_mean", "cell_max_variance"],
+)
+def test_oracles_take_an_integer_cell_index(oracle, r) -> None:
+    # r = 1.5 used to integrate over (0.125, 0.375), which is no cell: cell_cdf read 2.68e-14
+    cfg = PartitionConfig(n=1000, h_prime=1, d_n=2)
+    with pytest.raises(ValueError, match="cell index must be an integer"):
+        oracle(affine_frontier(1.0, 0.5), cfg, r)
+
+
 def test_cell_cdf_monotone_and_bounded() -> None:
     f = sine_frontier(1.0, 0.25)
     cfg = PartitionConfig(n=200, h_prime=2, d_n=2)

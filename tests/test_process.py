@@ -62,6 +62,18 @@ def test_partition_config_validation() -> None:
         PartitionConfig(n=10, h_prime=1, d_n=2).cell_bounds(5)
 
 
+@pytest.mark.parametrize("r", [1.5, 1.0, True], ids=["1.5", "1.0", "True"])
+def test_cell_bounds_takes_an_integer_index(r) -> None:
+    # 1.5 used to give (0.125, 0.375), which is no cell, and True cell 1
+    with pytest.raises(ValueError, match="cell index must be an integer"):
+        PartitionConfig(n=10, h_prime=1, d_n=2).cell_bounds(r)
+
+
+def test_cell_bounds_accepts_numpy_integers() -> None:
+    pc = PartitionConfig(n=10, h_prime=1, d_n=2)
+    assert pc.cell_bounds(np.int64(2)) == pc.cell_bounds(2) == (0.25, 0.5)
+
+
 @pytest.mark.parametrize(
     "fields",
     [

@@ -1,10 +1,15 @@
-"""The package's public names, pinned: a new or dropped name is a reviewed edit here."""
+"""The package's public names and its command line, pinned.
+
+A new or dropped name, subcommand or flag is a reviewed edit here.
+"""
+
+import argparse
 
 import haarfrontier
+from haarfrontier import cli
 
 PUBLIC = [
     "CellStats",
-    "DyadicIndex",
     "EstimateBundle",
     "ExperimentConfig",
     "FrontierSpec",
@@ -21,10 +26,8 @@ PUBLIC = [
     "coefficient_estimates",
     "constant_frontier",
     "corrected_estimate",
-    "dyadic_index",
     "haar_ev_estimate",
     "haar_eval",
-    "haar_step",
     "haar_transform",
     "ks_statistic",
     "limit_law",
@@ -44,6 +47,29 @@ def test_public_names_are_exactly_the_pinned_list() -> None:
     assert len(set(haarfrontier.__all__)) == len(haarfrontier.__all__)
     for name in PUBLIC:
         assert hasattr(haarfrontier, name), name
+
+
+# each subcommand's positional arguments and option strings, in parser order, -h left out
+COMMAND_LINE = {
+    "simulate": ["--frontier", "--n", "--c", "--seed", "--out"],
+    "estimate": ["sample", "--hprime", "--dn", "--out"],
+    "experiment": [
+        "name", "--config", "--frontier", "--c", "--schedule", "--replicates", "--seed", "--x",
+        "--variant", "--workers", "--out", "--strict",
+    ],
+    "list-presets": [],
+}
+
+
+def test_command_line_is_exactly_the_pinned_options() -> None:
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    surface = {
+        name: [s for action in sub._actions for s in (action.option_strings or [action.dest])]
+        for name, sub in commands.choices.items()
+    }
+    assert surface == {name: ["-h", "--help", *opts] for name, opts in COMMAND_LINE.items()}
+    assert [s for action in parser._actions for s in action.option_strings] == ["-h", "--help"]
 
 
 def test_run_experiment_is_the_one_experiment_entry_point() -> None:
