@@ -5,7 +5,7 @@ config file, then command-line flags. Each setting has one spelling, the
 same as a config key and as a flag; the schedule is `schedule = n:hprime:dn`
 (entries joined by `;`). Report CSVs are deterministic for a fixed
 configuration regardless of the worker count; the JSON manifest carries the
-config echo, a content hash, and the wall time.
+config echo, a content hash, the wall time and the regime numbers.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import __version__
 # wraps run_experiment, write_report_csv, simulate, cell_stats and
 # corrected_estimate where this module's namespace holds them
 from .estimators import corrected_estimate
-from .experiments import PRESETS, ExperimentConfig, run_experiment
+from .experiments import PRESETS, ExperimentConfig, _regime_numbers, run_experiment
 from .frontiers import parse_frontier
 from .process import PartitionConfig, PointSample, cell_stats, simulate
 from .report import config_hash, summarize, write_manifest, write_report_csv
@@ -33,6 +33,10 @@ TOLERANCE_FAILURE = 2
 
 
 class _Parser(argparse.ArgumentParser):
+    # also each subcommand's parser class: no parser takes a flag's prefix for the flag
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
@@ -189,6 +193,7 @@ def _cmd_experiment(args) -> int:
         {
             "config": payload,
             "input_hash": config_hash(payload),
+            "regimes": _regime_numbers(preset.kind, cfg),
             "wall_time_s": elapsed,
             "version": __version__,
             **summary,

@@ -1,16 +1,15 @@
 """Monte Carlo experiments validating the estimator's limit behavior.
 
-Each experiment simulates replicates under a declared asymptotic-regime
-schedule, compares Monte Carlo summaries against analytic comparators, and
-emits report rows. Desk-scale schedules are an engineering choice the
-presets make explicit; the regime strings record which growth conditions a
-schedule point is intended to satisfy.
+Each experiment simulates replicates along a schedule, compares Monte Carlo
+summaries against analytic comparators, and emits report rows. Desk-scale
+schedules are an engineering choice the presets make explicit. The limits
+rest on growth conditions in n, k_n, h_n and alpha: `CONDITIONS` gives the
+number behind each at one schedule entry, and nothing judges it.
 
-`run_experiment(kind, cfg)` is the one entry point. Each experiment is
-declared once, by `_experiment` on its row builder: its kernel, required
-regimes, evaluation-point rule and partition check. `run_experiment`
-checks all of them before any replicate runs, then hands each schedule
-entry's replicate data to the row builder.
+`run_experiment(kind, cfg)` is the one entry point. `_experiment` declares
+each experiment once, on its row builder: kernel, conditions, point rule and
+partition check. Points and partitions are checked before any replicate
+runs; each entry's replicate data then goes to the row builder.
 """
 
 from __future__ import annotations
@@ -31,14 +30,6 @@ from .process import PartitionConfig, _require_integer, _require_rate, _require_
 from .report import ReportRow
 from .runner import derive_seed, run_task
 
-REGIME_KN_SMALL = "kn=o(n/ln n)"
-REGIME_KN_SUBLINEAR = "kn=o(n)"
-REGIME_KN_LOG = "kn*ln(kn)=o(n)"
-REGIME_N_VS_KN = "n=o(kn^(1+alpha))"
-REGIME_HN_SMALL = "hn=o(kn)"
-REGIME_N_CENTERED = "n=o(kn^(1/2+alpha)*hn^(1/2))"
-REGIME_N_CORRECTED = "n=o(kn^(1/2)*hn^(1/2+alpha))"
-
 GAUSSIAN_VARIANTS = ("centered", "oracle_corrected", "z_corrected")
 
 # Preregistered goodness-of-fit budgets: the limit laws are asymptotic, so
@@ -51,12 +42,12 @@ KS_TOL_GAUSSIAN = 0.05
 _KS_SD = 0.26  # asymptotic standard deviation of sqrt(R) * KS
 
 
-def _tuple_of(name: str, values, kind: type, what: str) -> tuple:
-    """values as a tuple of items of kind; bool, a bare string and any other item raise."""
+def _tuple_of_numbers(name: str, values) -> tuple:
+    """values as a tuple of Python floats; bool, a string and any other item raise."""
     items = tuple(values) if isinstance(values, Iterable) and not isinstance(values, str) else None
-    if items is None or any(isinstance(v, bool) or not isinstance(v, kind) for v in items):
-        raise ValueError(f"{name} must be a sequence of {what}")
-    return items
+    if items is None or any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in items):
+        raise ValueError(f"{name} must be a sequence of numbers")
+    return tuple(map(float, items))
 
 
 @dataclass(frozen=True)
@@ -67,7 +58,6 @@ class ExperimentConfig:
     replicates: int = 500
     base_seed: int = 20260808
     xs: tuple = ()
-    regimes: tuple = ()
     workers: int = 1
     variant: str = "z_corrected"
     sup_eps: tuple = (0.05, 0.1, 0.2)
@@ -81,9 +71,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         # a numpy float would reach the report CSV as its repr, "np.float64(0.3)"
         for name in ("xs", "sup_eps"):
-            items = _tuple_of(name, getattr(self, name), numbers.Real, "numbers")
-            object.__setattr__(self, name, tuple(map(float, items)))
-        object.__setattr__(self, "regimes", _tuple_of("regimes", self.regimes, str, "strings"))
+            object.__setattr__(self, name, _tuple_of_numbers(name, getattr(self, name)))
         if self.replicates < 2:
             raise ValueError("need at least two replicates")
         if self.workers < 1:
@@ -151,11 +139,25 @@ def _nonneg_row(name, cfg, pc, statistic, sample) -> ReportRow:
     )
 
 
+# growth condition -> the number that vanishes as it holds; None if unbounded (h_n = 0)
+CONDITIONS = {
+    "kn=o(n/ln n)": lambda pc, alpha: pc.k_n * math.log(pc.n) / pc.n,
+    "kn=o(n)": lambda pc, alpha: pc.k_n / pc.n,
+    "kn*ln(kn)=o(n)": lambda pc, alpha: pc.k_n * math.log(pc.k_n) / pc.n,
+    "n=o(kn^(1+alpha))": lambda pc, alpha: pc.n / pc.k_n ** (1.0 + alpha),
+    "hn=o(kn)": lambda pc, alpha: pc.h_n / pc.k_n,
+    "n=o(kn^(1/2+alpha)*hn^(1/2))":
+        lambda pc, alpha: pc.n / (pc.k_n ** (0.5 + alpha) * pc.h_n**0.5) if pc.h_n else None,
+    "n=o(kn^(1/2)*hn^(1/2+alpha))":
+        lambda pc, alpha: pc.n / (pc.k_n**0.5 * pc.h_n ** (0.5 + alpha)) if pc.h_n else None,
+}
+
+
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment's declaration, checked in full before any replicate runs.
+    """One experiment's declaration.
 
-    `regimes(cfg)` names the regime flags the schedule must declare. The
+    `conditions` names the keys of `CONDITIONS` its limit rests on. The
     point rule is "none" (`cfg.xs` is ignored), "some" (one or more) or
     "one"; the kernel is handed the points unless it is "none".
     `partition(pc)` raises ValueError on a schedule entry the experiment
@@ -164,7 +166,7 @@ class Experiment:
     """
 
     kernel: str
-    regimes: Callable
+    conditions: tuple
     points: str
     partition: Callable
     rows: Callable
@@ -173,11 +175,11 @@ class Experiment:
 EXPERIMENTS = {}
 
 
-def _experiment(kind, kernel, regimes, points="none", partition=lambda pc: None):
+def _experiment(kind, kernel, conditions, points="none", partition=lambda pc: None):
     """Declare experiment `kind`; the function decorated is its row builder."""
 
     def register(rows):
-        EXPERIMENTS[kind] = Experiment(kernel, regimes, points, partition, rows)
+        EXPERIMENTS[kind] = Experiment(kernel, conditions, points, partition, rows)
         return rows
 
     return register
@@ -193,7 +195,7 @@ def _partition_check(ok, message):
     return check
 
 
-@_experiment("local_bias", "fhat_zn_at", lambda cfg: (REGIME_KN_SMALL,), "some")
+@_experiment("local_bias", "fhat_zn_at", ("kn=o(n/ln n)",), "some")
 def _local_bias_rows(cfg, f, entries) -> Iterator[ReportRow]:
     """Mean of the raw estimate at each x against its projection, shifted by k_n/(nc)."""
     for pc, data in entries:
@@ -210,7 +212,7 @@ def _local_bias_rows(cfg, f, entries) -> Iterator[ReportRow]:
 
 
 @_experiment(
-    "variance", "fhat_zn_at", lambda cfg: (REGIME_KN_SMALL, REGIME_N_VS_KN), "some",
+    "variance", "fhat_zn_at", ("kn=o(n/ln n)", "n=o(kn^(1+alpha))"), "some",
     _partition_check(
         lambda pc: pc.d_n == 1 or pc.h_n >= 1, "variance comparator needs h_n >= 1 when d_n > 1"
     ),
@@ -226,7 +228,7 @@ def _variance_rows(cfg, f, entries) -> Iterator[ReportRow]:
             )
 
 
-@_experiment("mise", "mise", lambda cfg: (REGIME_KN_SMALL,))
+@_experiment("mise", "mise", ("kn=o(n/ln n)",))
 def _mise_rows(cfg, f, entries) -> Iterator[ReportRow]:
     """Integrated squared error, decomposed into stochastic and systematic parts."""
     per_entry = []
@@ -286,7 +288,7 @@ def _rate_slope_rows(name, cfg, f, per_entry) -> Iterator[ReportRow]:
             )
 
 
-@_experiment("supnorm", "sup", lambda cfg: (REGIME_KN_SMALL,))
+@_experiment("supnorm", "sup", ("kn=o(n/ln n)",))
 def _supnorm_rows(cfg, f, entries) -> Iterator[ReportRow]:
     """Tail probabilities of the uniform error across the schedule."""
     for pc, data in entries:
@@ -309,7 +311,7 @@ def _supnorm_rows(cfg, f, entries) -> Iterator[ReportRow]:
 
 
 @_experiment(
-    "weibull", "weibull", lambda cfg: (REGIME_KN_SUBLINEAR, REGIME_N_VS_KN), "one",
+    "weibull", "weibull", ("kn=o(n)", "n=o(kn^(1+alpha))"), "one",
     _partition_check(lambda pc: pc.d_n == 1, "the extreme-value local limit requires d_n = 1"),
 )
 def _weibull_rows(cfg, f, entries) -> Iterator[ReportRow]:
@@ -326,7 +328,7 @@ def _weibull_rows(cfg, f, entries) -> Iterator[ReportRow]:
 
 
 @_experiment(
-    "gumbel", "gumbel", lambda cfg: (REGIME_KN_LOG,),
+    "gumbel", "gumbel", ("kn*ln(kn)=o(n)", "n=o(kn^(1+alpha))"),
     partition=_partition_check(lambda pc: pc.d_n == 1, "the worst-cell limit requires d_n = 1"),
 )
 def _gumbel_rows(cfg, f, entries) -> Iterator[ReportRow]:
@@ -348,12 +350,8 @@ def _gumbel_rows(cfg, f, entries) -> Iterator[ReportRow]:
 
 @_experiment(
     "gaussian", "fhat_zn_at",
-    # the bias regime depends on how the statistic is centered
-    lambda cfg: (
-        REGIME_HN_SMALL,
-        REGIME_KN_SMALL,
-        REGIME_N_CENTERED if cfg.variant == "centered" else REGIME_N_CORRECTED,
-    ),
+    # the bias condition of the corrected variants, then that of "centered"
+    ("hn=o(kn)", "kn=o(n/ln n)", "n=o(kn^(1/2)*hn^(1/2+alpha))", "n=o(kn^(1/2+alpha)*hn^(1/2))"),
     "one",
     _partition_check(lambda pc: pc.d_n > 1, "the Gaussian normalization presumes d_n > 1"),
 )
@@ -389,7 +387,7 @@ def _gaussian_rows(cfg, f, entries) -> Iterator[ReportRow]:
         )
 
 
-@_experiment("zn_moments", "fhat_zn_at", lambda cfg: (REGIME_KN_SMALL,))
+@_experiment("zn_moments", "fhat_zn_at", ("kn=o(n/ln n)",))
 def _zn_moments_rows(cfg, f, entries) -> Iterator[ReportRow]:
     """Mean and variance of the minima mean against k_n/(nc) and k_n/(nc)^2."""
     for pc, data in entries:
@@ -408,17 +406,14 @@ def _zn_moments_rows(cfg, f, entries) -> Iterator[ReportRow]:
 def run_experiment(kind: str, cfg: ExperimentConfig) -> list:
     """The report rows of experiment `kind` under cfg: the one experiment entry point.
 
-    Everything the experiment declares is checked before any replicate
-    runs: its regimes, then its evaluation points, then the partition of
-    every schedule entry. Each entry's replicates then run in schedule
-    order, and the row builder takes their data entry by entry.
+    The experiment's evaluation points, then the partition of every
+    schedule entry, are checked before any replicate runs. Each entry's
+    replicates then run in schedule order, and the row builder takes their
+    data entry by entry.
     """
     if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {kind!r}; choose from {sorted(EXPERIMENTS)}")
     spec = EXPERIMENTS[kind]
-    missing = [r for r in spec.regimes(cfg) if r not in cfg.regimes]
-    if missing:
-        raise ValueError(f"schedule must declare regime flags {missing}")
     name = kind.replace("_", " ")
     if spec.points == "some" and not cfg.xs:
         raise ValueError(f"{name} experiment needs evaluation points")
@@ -438,6 +433,13 @@ def run_experiment(kind: str, cfg: ExperimentConfig) -> list:
     return list(spec.rows(cfg, f, entries()))
 
 
+def _regime_numbers(kind: str, cfg: ExperimentConfig) -> list:
+    """Per schedule entry, {condition: number} for each condition experiment `kind` names."""
+    conditions, alpha = EXPERIMENTS[kind].conditions, parse_frontier(cfg.frontier).alpha
+    pcs = (PartitionConfig(n, h_prime, d_n) for n, h_prime, d_n in cfg.schedule)
+    return [{name: CONDITIONS[name](pc, alpha) for name in conditions} for pc in pcs]
+
+
 @dataclass(frozen=True)
 class Preset:
     kind: str
@@ -453,7 +455,6 @@ PRESETS = {
             schedule=((10_000, 4, 4),),
             replicates=400,
             xs=(0.3, 0.7),
-            regimes=(REGIME_KN_SMALL,),
         ),
         "mean local error of the raw estimate, shifted by k_n/(nc)",
     ),
@@ -464,7 +465,6 @@ PRESETS = {
             schedule=((4096, 4, 16),),
             replicates=1000,
             xs=(0.5,),
-            regimes=(REGIME_KN_SMALL, REGIME_N_VS_KN),
         ),
         "local variance against k_n h_n/(nc)^2",
     ),
@@ -474,7 +474,6 @@ PRESETS = {
             frontier="affine:a=1.0,b=0.5",
             schedule=((10_000, 3, 8), (10_000, 4, 4)),
             replicates=300,
-            regimes=(REGIME_KN_SMALL,),
         ),
         "integrated squared error and its orthogonal decomposition",
     ),
@@ -484,7 +483,6 @@ PRESETS = {
             frontier="constant:a=1.0",
             schedule=((20_000, 4, 2), (50_000, 4, 4), (100_000, 4, 8)),
             replicates=200,
-            regimes=(REGIME_KN_SMALL,),
         ),
         "tail probabilities of the uniform error",
     ),
@@ -495,7 +493,6 @@ PRESETS = {
             schedule=((2000, 9, 1),),
             replicates=2000,
             xs=(0.3,),
-            regimes=(REGIME_KN_SUBLINEAR, REGIME_N_VS_KN),
         ),
         "local statistic vs the Weibull extreme-value law (d_n = 1)",
     ),
@@ -505,7 +502,6 @@ PRESETS = {
             frontier="constant:a=1.0",
             schedule=((50_000, 7, 1),),
             replicates=1500,
-            regimes=(REGIME_KN_LOG, REGIME_N_VS_KN),
         ),
         "worst-cell deviation vs the Gumbel law (d_n = 1)",
     ),
@@ -517,7 +513,6 @@ PRESETS = {
             c=4.0,
             replicates=2000,
             xs=(0.3,),
-            regimes=(REGIME_HN_SMALL, REGIME_KN_SMALL, REGIME_N_CORRECTED, REGIME_N_CENTERED),
         ),
         "normalized local error vs the standard Gaussian (d_n large)",
     ),
@@ -527,7 +522,6 @@ PRESETS = {
             frontier="constant:a=1.0",
             schedule=((10_000, 6, 1),),
             replicates=2000,
-            regimes=(REGIME_KN_SMALL,),
         ),
         "moments of the minima mean",
     ),

@@ -63,7 +63,7 @@ def config_hash(payload: dict) -> str:
 
 def write_manifest(path, payload: dict) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

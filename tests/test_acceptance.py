@@ -15,16 +15,7 @@ import numpy as np
 import pytest
 
 from haarfrontier.estimators import coefficient_estimates, haar_ev_estimate
-from haarfrontier.experiments import (
-    REGIME_HN_SMALL,
-    REGIME_KN_LOG,
-    REGIME_KN_SMALL,
-    REGIME_KN_SUBLINEAR,
-    REGIME_N_CORRECTED,
-    REGIME_N_VS_KN,
-    ExperimentConfig,
-    run_experiment,
-)
+from haarfrontier.experiments import ExperimentConfig, run_experiment
 from haarfrontier.frontiers import constant_frontier, parse_frontier
 from haarfrontier.haar import haar_eval
 from haarfrontier.kernels import ReplicateTask
@@ -108,7 +99,6 @@ def test_criterion_03_local_bias() -> None:
         replicates=2000,
         base_seed=303,
         xs=(0.3, 0.7),
-        regimes=(REGIME_KN_SMALL,),
     )
     rows = run_experiment("local_bias", cfg)
     ok = all(r.passed for r in rows)
@@ -126,7 +116,6 @@ def test_criterion_04_local_variance() -> None:
         replicates=5000,
         base_seed=404,
         xs=(0.5,),
-        regimes=(REGIME_KN_SMALL, REGIME_N_VS_KN),
     )
     row = run_experiment("variance", cfg)[0]
     ok = 0.8 <= row.estimate <= 1.2
@@ -140,7 +129,6 @@ def test_criterion_05_mise_decomposition() -> None:
         c=1.0,
         replicates=500,
         base_seed=505,
-        regimes=(REGIME_KN_SMALL,),
     )
     rows = run_experiment("mise", cfg)
     totals = [r for r in rows if r.statistic == "mise_total"]
@@ -166,7 +154,6 @@ def test_criterion_06_weibull_limit() -> None:
         replicates=5000,
         base_seed=606,
         xs=(0.3,),
-        regimes=(REGIME_KN_SUBLINEAR, REGIME_N_VS_KN),
     )
     rows = run_experiment("weibull", cfg)
     ks = next(r for r in rows if r.statistic == "ks_weibull")
@@ -187,7 +174,6 @@ def test_criterion_07_gumbel_limit() -> None:
         c=1.0,
         replicates=5000,
         base_seed=707,
-        regimes=(REGIME_KN_LOG,),
         # replicate seeds do not depend on the pool size, so the rows are those of workers=1
         workers=os.cpu_count() or 1,
     )
@@ -209,7 +195,6 @@ def test_criterion_08_gaussian_limit() -> None:
         replicates=5000,
         base_seed=808,
         xs=(0.3,),
-        regimes=(REGIME_HN_SMALL, REGIME_KN_SMALL, REGIME_N_CORRECTED),
         variant="z_corrected",
     )
     rows = run_experiment("gaussian", cfg)
@@ -232,7 +217,6 @@ def test_criterion_09_minima_mean_moments() -> None:
         c=1.0,
         replicates=2000,
         base_seed=909,
-        regimes=(REGIME_KN_SMALL,),
     )
     rows = run_experiment("zn_moments", cfg)
     mean_row = next(r for r in rows if r.statistic == "zn_mean")

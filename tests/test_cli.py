@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from haarfrontier.cli import _build_parser, main
 from haarfrontier.estimators import EstimateBundle
 from haarfrontier.experiments import PRESETS
 from haarfrontier.process import PointSample
-from haarfrontier.report import ReportRow, write_report_csv
+from haarfrontier.report import ReportRow, write_manifest, write_report_csv
 
 from crosschecks import read_report_csv
 
@@ -196,6 +197,47 @@ def test_experiment_takes_the_schedule_only_as_schedule(tmp_path, capsys, schedu
     assert exit_info.value.code == 1
     assert "unrecognized arguments: " + " ".join(entry) in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "zn-moments", "--rep", "5"],
+        ["experiment", "zn-moments", "--sched", "2000:3:1"],
+        ["experiment", "zn-moments", "--work", "1"],
+        ["estimate", "S", "--hp", "1", "--d", "1"],
+    ],
+    ids=["rep", "sched", "work", "hp-d"],
+)
+def test_a_prefix_of_a_flag_is_a_usage_error(tmp_path, capsys, argv) -> None:
+    # each prefix used to be taken for its flag: --rep 5 ran as --replicates 5
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--out", str(out)])
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err.startswith("usage: haarfrontier")
+    assert not out.exists()
+
+
+def test_experiment_manifest_is_strict_json_with_an_unbounded_regime_number_null(tmp_path) -> None:
+    # at h_n = 0 both bias conditions divide by zero; Infinity would not be JSON
+    argv = ["experiment", "gaussian", "--schedule", "4096:0:64", "--replicates", "20"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    text = (tmp_path / "gaussian_manifest.json").read_text()
+    [numbers] = json.loads(text, parse_constant=no_constant)["regimes"]
+    assert numbers["n=o(kn^(1/2)*hn^(1/2+alpha))"] is None
+    assert numbers["n=o(kn^(1/2+alpha)*hn^(1/2))"] is None
+    assert numbers["hn=o(kn)"] == 0.0
+
+
+def test_write_manifest_refuses_a_value_that_is_not_json(tmp_path) -> None:
+    for value in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            write_manifest(tmp_path / "manifest.json", {"value": value})
 
 
 @pytest.mark.parametrize(

@@ -1,24 +1,14 @@
 import math
-import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from haarfrontier import experiments
-from haarfrontier.experiments import (
-    REGIME_HN_SMALL,
-    REGIME_KN_LOG,
-    REGIME_KN_SMALL,
-    REGIME_KN_SUBLINEAR,
-    REGIME_N_CENTERED,
-    REGIME_N_CORRECTED,
-    REGIME_N_VS_KN,
-    ExperimentConfig,
-    run_experiment,
-)
+from haarfrontier.experiments import CONDITIONS, EXPERIMENTS, ExperimentConfig, run_experiment
 from haarfrontier.frontiers import affine_frontier, constant_frontier
 from haarfrontier.kernels import ReplicateTask
+from haarfrontier.process import PartitionConfig
 from haarfrontier.report import write_report_csv
 from haarfrontier.runner import plan_chunks, run_task
 from haarfrontier.stepfun import StepFunction
@@ -34,7 +24,6 @@ def _cfg(**kw) -> ExperimentConfig:
         replicates=200,
         base_seed=1234,
         xs=(0.3,),
-        regimes=(REGIME_KN_SMALL,),
     )
     base.update(kw)
     return ExperimentConfig(**base)
@@ -85,15 +74,6 @@ def test_config_rejects_fewer_than_one_worker(workers) -> None:
         _cfg(workers=workers)
 
 
-def test_config_stores_regimes_as_a_tuple_of_strings() -> None:
-    zn = experiments.PRESETS["zn-moments"].config
-    assert replace(zn, regimes=[REGIME_KN_SMALL]).regimes == (REGIME_KN_SMALL,)
-    # a bare string passed the regime check by substring and ran
-    for bad in (f"xx {REGIME_KN_SMALL} yy", (REGIME_KN_SMALL, 3), (None,), 7):
-        with pytest.raises(ValueError, match="regimes must be a sequence of strings"):
-            replace(zn, regimes=bad)
-
-
 @pytest.mark.parametrize("c", [math.nan, math.inf, -1.0, True], ids=["nan", "inf", "-1", "True"])
 def test_config_rejects_a_rate_that_is_not_finite_and_positive(c) -> None:
     # NaN used to pass `c <= 0.0` and fail inside the first replicate's Poisson draw
@@ -125,15 +105,6 @@ def test_replicate_task_checks_its_points_before_any_replicate(monkeypatch, xs) 
         run_task(ReplicateTask("fhat_zn_at", "constant:a=1.0", 200, 2, 1, 1.0, xs), 4, 1)
 
 
-def test_regime_flags_are_enforced() -> None:
-    with pytest.raises(ValueError, match="regime"):
-        run_experiment("local_bias", _cfg(regimes=()))
-    with pytest.raises(ValueError, match="regime"):
-        run_experiment("variance", _cfg(regimes=(REGIME_KN_SMALL,)))
-    with pytest.raises(ValueError, match="regime"):
-        run_experiment("gumbel", _cfg(regimes=()))
-
-
 def test_local_bias_flat_frontier_matches_closed_form() -> None:
     # for a flat frontier the shifted residual has the exact value
     # (k/(nc)) * exp(-nc/k); the Monte Carlo mean must sit within 3 SE of it
@@ -161,7 +132,6 @@ def test_variance_ratio_d1_comparator() -> None:
         schedule=((2000, 5, 1),),
         replicates=1500,
         xs=(0.5,),
-        regimes=(REGIME_KN_SMALL, REGIME_N_VS_KN),
     )
     rows = run_experiment("variance", cfg)
     assert len(rows) == 1
@@ -265,7 +235,6 @@ def test_weibull_small_schedule() -> None:
         schedule=((500, 7, 1),),
         replicates=800,
         xs=(0.3,),
-        regimes=(REGIME_KN_SUBLINEAR, REGIME_N_VS_KN),
     )
     rows = run_experiment("weibull", cfg)
     by_stat = {r.statistic: r for r in rows}
@@ -286,17 +255,13 @@ def test_weibull_ks_shrinks_with_the_cell_to_mass_ratio() -> None:
         schedule=((512, 9, 1), (1024, 9, 1), (2048, 9, 1)),
         replicates=1500,
         xs=(0.3,),
-        regimes=(REGIME_KN_SUBLINEAR, REGIME_N_VS_KN),
     )
     ks = [r.estimate for r in run_experiment("weibull", cfg) if r.statistic == "ks_weibull"]
     assert ks[0] > ks[1] > ks[2]
 
 
 def test_weibull_rejects_grouped_cells() -> None:
-    cfg = _cfg(
-        schedule=((500, 4, 2),),
-        regimes=(REGIME_KN_SUBLINEAR, REGIME_N_VS_KN),
-    )
+    cfg = _cfg(schedule=((500, 4, 2),))
     with pytest.raises(ValueError):
         run_experiment("weibull", cfg)
 
@@ -305,7 +270,6 @@ def test_gumbel_small_schedule() -> None:
     cfg = _cfg(
         schedule=((20_000, 6, 1),),
         replicates=1000,
-        regimes=(REGIME_KN_LOG,),
     )
     rows = run_experiment("gumbel", cfg)
     by_stat = {r.statistic: r for r in rows}
@@ -315,7 +279,7 @@ def test_gumbel_small_schedule() -> None:
 
 
 def test_gumbel_median_row_once_for_a_repeated_entry() -> None:
-    cfg = _cfg(schedule=((2000, 5, 1), (2000, 5, 1)), replicates=20, regimes=(REGIME_KN_LOG,))
+    cfg = _cfg(schedule=((2000, 5, 1), (2000, 5, 1)), replicates=20)
     stats = [r.statistic for r in run_experiment("gumbel", cfg)]
     assert stats.count("gumbel_median") == 1
     assert stats.count("ks_gumbel") == 2
@@ -323,12 +287,9 @@ def test_gumbel_median_row_once_for_a_repeated_entry() -> None:
 
 
 def test_gumbel_rejects_grouped_cells() -> None:
-    cfg = _cfg(schedule=((500, 3, 2),), regimes=(REGIME_KN_LOG,))
+    cfg = _cfg(schedule=((500, 3, 2),))
     with pytest.raises(ValueError):
         run_experiment("gumbel", cfg)
-
-
-GAUSS_REGIMES = (REGIME_HN_SMALL, REGIME_KN_SMALL, REGIME_N_CORRECTED)
 
 
 def test_gaussian_variants_agree_and_center() -> None:
@@ -337,7 +298,6 @@ def test_gaussian_variants_agree_and_center() -> None:
         c=4.0,
         replicates=1000,
         xs=(0.3,),
-        regimes=GAUSS_REGIMES + ("n=o(kn^(1/2+alpha)*hn^(1/2))",),
     )
     rows_z = run_experiment("gaussian", replace(cfg, variant="z_corrected"))
     rows_c = run_experiment("gaussian", replace(cfg, variant="centered"))
@@ -355,7 +315,6 @@ def test_gaussian_uncorrected_mean_diverges_like_sqrt_d() -> None:
         c=4.0,
         replicates=600,
         xs=(0.3,),
-        regimes=GAUSS_REGIMES,
     )
     rows = run_experiment("gaussian", replace(cfg, variant="z_corrected"))
     raw = next(r for r in rows if r.statistic == "uncorrected_mean")
@@ -364,19 +323,14 @@ def test_gaussian_uncorrected_mean_diverges_like_sqrt_d() -> None:
 
 
 def test_gaussian_rejects_single_cell_blocks() -> None:
-    cfg = _cfg(schedule=((4096, 4, 1),), regimes=GAUSS_REGIMES)
+    cfg = _cfg(schedule=((4096, 4, 1),))
     with pytest.raises(ValueError):
         run_experiment("gaussian", cfg)
 
 
-WEIBULL_REGIMES = (REGIME_KN_SUBLINEAR, REGIME_N_VS_KN)
-VARIANCE_REGIMES = (REGIME_KN_SMALL, REGIME_N_VS_KN)
-
-
-LOCAL_BIAS = dict(regimes=(REGIME_KN_SMALL,))
-VARIANCE = dict(regimes=VARIANCE_REGIMES, xs=(0.5,))
-WEIBULL = dict(schedule=((500, 7, 1),), regimes=WEIBULL_REGIMES)
-GAUSSIAN = dict(schedule=((4096, 4, 64),), regimes=GAUSS_REGIMES)
+VARIANCE = dict(xs=(0.5,))
+WEIBULL = dict(schedule=((500, 7, 1),))
+GAUSSIAN = dict(schedule=((4096, 4, 64),))
 
 
 @pytest.mark.parametrize(
@@ -384,26 +338,23 @@ GAUSSIAN = dict(schedule=((4096, 4, 64),), regimes=GAUSS_REGIMES)
     [
         # a bad partition after a good one
         ("weibull", dict(WEIBULL, schedule=((500, 7, 1), (500, 4, 2))), "d_n = 1"),
-        ("gumbel", dict(schedule=((500, 6, 1), (500, 3, 2)), regimes=(REGIME_KN_LOG,)), "d_n = 1"),
+        ("gumbel", dict(schedule=((500, 6, 1), (500, 3, 2))), "d_n = 1"),
         ("gaussian", dict(GAUSSIAN, schedule=((4096, 4, 64), (4096, 4, 1))), "d_n > 1"),
         ("variance", dict(VARIANCE, schedule=((500, 4, 4), (500, 0, 4))), "h_n >= 1"),
         ("supnorm", dict(schedule=((500, 3, 2), (500, 3, 0))), "d_n must be"),
         ("zn_moments", dict(schedule=((500, 4, 1), (0, 4, 1))), "n must be"),
-        ("local_bias", dict(LOCAL_BIAS, schedule=((500, 4, 4), (500, -1, 4))), "h_prime must be"),
+        ("local_bias", dict(schedule=((500, 4, 4), (500, -1, 4))), "h_prime must be"),
         ("mise", dict(schedule=((500, 3, 2), (500, 4, 0))), "d_n must be"),
         # the evaluation-point rules
-        ("local_bias", dict(LOCAL_BIAS, xs=()), "^local bias experiment needs evaluation points$"),
+        ("local_bias", dict(xs=()), "^local bias experiment needs evaluation points$"),
         ("variance", dict(VARIANCE, xs=()), "^variance experiment needs evaluation points$"),
         ("weibull", dict(WEIBULL, xs=(0.3, 0.7)), "^weibull experiment needs exactly one"),
         ("gaussian", dict(GAUSSIAN, xs=(0.3, 0.7)), "^gaussian experiment needs exactly one"),
         ("gaussian", dict(GAUSSIAN, xs=()), "^gaussian experiment needs exactly one"),
-        # the centered variant's own regime
-        ("gaussian", dict(GAUSSIAN, variant="centered"), re.escape(repr([REGIME_N_CENTERED]))),
     ],
     ids=[
         "weibull", "gumbel", "gaussian", "variance", "supnorm", "zn_moments", "local_bias", "mise",
         "local_bias-no-x", "variance-no-x", "weibull-two-x", "gaussian-two-x", "gaussian-no-x",
-        "gaussian-centered-regime",
     ],
 )
 def test_bad_schedule_entry_raises_before_any_replicate(monkeypatch, kind, changes, message) -> None:
@@ -420,12 +371,35 @@ def test_bad_schedule_entry_raises_before_any_replicate(monkeypatch, kind, chang
     assert calls == []
 
 
-def test_requirements_are_checked_regimes_then_points_then_partitions() -> None:
-    every_fault = _cfg(schedule=((500, 4, 2),), regimes=(), xs=(0.3, 0.7))
-    with pytest.raises(ValueError, match="regime flags"):
-        run_experiment("weibull", every_fault)
+def test_requirements_are_checked_points_then_partitions() -> None:
+    every_fault = _cfg(schedule=((500, 4, 2),), xs=(0.3, 0.7))
     with pytest.raises(ValueError, match="exactly one evaluation point"):
-        run_experiment("weibull", replace(every_fault, regimes=WEIBULL_REGIMES))
+        run_experiment("weibull", every_fault)
+    with pytest.raises(ValueError, match="d_n = 1"):
+        run_experiment("weibull", replace(every_fault, xs=(0.3,)))
+
+
+def test_every_condition_an_experiment_names_has_a_number() -> None:
+    for kind, spec in EXPERIMENTS.items():
+        assert spec.conditions and set(spec.conditions) <= CONDITIONS.keys(), kind
+
+
+def test_condition_numbers_at_an_alpha_below_one() -> None:
+    # every shipped frontier has alpha = 1, so the preset pins cannot see alpha misused
+    pc = PartitionConfig(4096, 4, 64)  # k_n = 1024, h_n = 15
+    numbers = {name: number(pc, 0.5) for name, number in CONDITIONS.items()}
+    assert numbers == pytest.approx(
+        {
+            "kn=o(n/ln n)": 1024 * math.log(4096) / 4096,
+            "kn=o(n)": 0.25,
+            "kn*ln(kn)=o(n)": 1024 * math.log(1024) / 4096,
+            "n=o(kn^(1+alpha))": 4096 / 1024**1.5,
+            "hn=o(kn)": 15 / 1024,
+            "n=o(kn^(1/2+alpha)*hn^(1/2))": 4096 / (1024 * 15**0.5),
+            "n=o(kn^(1/2)*hn^(1/2+alpha))": 4096 / (32 * 15),
+        },
+        rel=1e-12,
+    )
 
 
 def test_an_experiment_without_points_ignores_them(monkeypatch) -> None:

@@ -8,6 +8,9 @@ between CPUs). To regenerate after an intended change, for each preset p:
     PYTHONPATH=src python -m haarfrontier experiment p --replicates 40 --workers 1 --out OUT
     cp OUT/p.csv tests/golden/p.csv
 
+Each preset's manifest is checked for its regime numbers, one {condition:
+number} per schedule entry, pinned below to four significant figures.
+
 The file path, CLI `simulate` then `estimate`, is pinned on an affine
 frontier, which needs only a multiply and an add and so draws the same
 points on any CPU: sample-affine.csv byte for byte, and estimate-affine.json
@@ -37,6 +40,28 @@ GOLDEN = Path(__file__).parent / "golden"
 FLOAT_COLUMNS = [f.type in ("float", "Optional[float]") for f in fields(ReportRow)]
 
 
+# each preset's regime numbers per schedule entry; they depend on the schedule and alpha alone
+KN_LN_N = "kn=o(n/ln n)"
+N_VS_KN = "n=o(kn^(1+alpha))"
+REGIMES = {
+    "local-bias": [{KN_LN_N: 0.05895}],
+    "variance": [{KN_LN_N: 0.5199, N_VS_KN: 0.0625}],
+    "mise": [{KN_LN_N: 0.05895}, {KN_LN_N: 0.05895}],
+    "supnorm": [{KN_LN_N: 0.01585}, {KN_LN_N: 0.01385}, {KN_LN_N: 0.01474}],
+    "weibull": [{"kn=o(n)": 0.256, N_VS_KN: 0.007629}],
+    "gumbel": [{"kn*ln(kn)=o(n)": 0.01242, N_VS_KN: 3.052}],
+    "gaussian": [
+        {
+            "hn=o(kn)": 0.01465,
+            KN_LN_N: 2.079,
+            "n=o(kn^(1/2)*hn^(1/2+alpha))": 2.203,
+            "n=o(kn^(1/2+alpha)*hn^(1/2))": 0.03227,
+        }
+    ],
+    "zn-moments": [{KN_LN_N: 0.05895}],
+}
+
+
 def _read(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -52,6 +77,9 @@ def test_preset_report_matches_golden(preset, tmp_path) -> None:
         for column, is_float, g, w in zip(CSV_COLUMNS, FLOAT_COLUMNS, got_row, want_row):
             same = g == w or (is_float and g and w and math.isclose(float(g), float(w), rel_tol=1e-12))
             assert same, f"{preset}.csv line {line}, {column}: {g!r} != golden {w!r}"
+    regimes = json.loads((tmp_path / f"{preset}_manifest.json").read_text())["regimes"]
+    assert len(regimes) == len(PRESETS[preset].config.schedule)
+    assert regimes == [pytest.approx(entry, rel=1e-3) for entry in REGIMES[preset]]
 
 
 def test_simulate_then_estimate_matches_golden(tmp_path) -> None:

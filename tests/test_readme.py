@@ -1,12 +1,14 @@
-"""The README's library quick tour runs as printed, and its CLI section lists the config keys."""
+"""The README's library quick tour runs as printed, and its CLI section lists the config
+keys and the manifest keys."""
 
 import contextlib
 import io
+import json
 import math
 import re
 from pathlib import Path
 
-from haarfrontier.cli import _CONFIG_KEYS
+from haarfrontier.cli import _CONFIG_KEYS, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,6 +24,15 @@ def test_readme_lists_exactly_the_config_keys() -> None:
     match = re.search(r"The config keys are\s+(.*?)\.\s", README.read_text(), re.S)
     assert match, "README.md lists no config keys"
     assert re.findall(r"`([^`]+)`", match.group(1)) == list(_CONFIG_KEYS)
+
+
+def test_readme_lists_exactly_the_manifest_keys(tmp_path) -> None:
+    match = re.search(r"The\s+manifest\s+keys\s+are\s+(.*?)\.\s", README.read_text(), re.S)
+    assert match, "README.md lists no manifest keys"
+    argv = ["experiment", "zn-moments", "--schedule", "500:2:1", "--replicates", "4"]
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "zn-moments_manifest.json").read_text())
+    assert re.findall(r"`([^`]+)`", match.group(1)) == list(manifest)
 
 
 def test_readme_quick_tour_prints_three_finite_numbers() -> None:
