@@ -22,11 +22,9 @@ _EXPORTS = {
     "estimators": ("EstimateBundle", "coefficient_estimates", "corrected_estimate",
                    "haar_ev_estimate", "minima_mean"),
     "experiments": ("ExperimentConfig", "run_experiment"),
-    "frontiers": ("FrontierSpec", "affine_frontier", "constant_frontier", "parse_frontier",
-                  "sine_frontier", "two_level_frontier"),
+    "frontiers": ("FrontierSpec", "parse_frontier"),
     "haar": ("haar_eval", "haar_transform", "truncated_expansion"),
-    "oracles": ("LimitLaw", "cell_cdf", "cell_max_mean", "cell_max_variance", "ks_statistic",
-                "limit_law"),
+    "oracles": ("LimitLaw", "cell_cdf", "cell_max_mean", "cell_max_variance", "ks_statistic"),
     "process": ("CellStats", "PartitionConfig", "PointSample", "cell_stats", "simulate"),
     "stepfun": ("StepFunction", "uniform_cell_index"),
     "cli": (),

@@ -4,8 +4,11 @@ Experiment configuration is layered: preset defaults, then a flat key=value
 config file, then command-line flags. Each setting has one spelling, the
 same as a config key and as a flag; the schedule is `schedule = n:hprime:dn`
 (entries joined by `;`). Report CSVs are deterministic for a fixed
-configuration regardless of the worker count; the JSON manifest carries the
-config echo, a content hash, the wall time and the regime numbers.
+configuration regardless of the worker count. The JSON manifest has eight
+keys: the config echo (`config`), its content hash (`input_hash`), the
+regime numbers per schedule entry (`regimes`), `wall_time_s`, the package
+`version`, and the count of `rows`, the count of `failures` and the sorted
+`statistics` of the report.
 """
 
 from __future__ import annotations
@@ -177,9 +180,11 @@ def _cmd_experiment(args) -> int:
     flags = {key: value for key in _CONFIG_KEYS if (value := getattr(args, key)) is not None}
     cfg = _apply_config(cfg, flags)
     payload = _config_payload(args.name, preset.kind, cfg)
+    # one spec for the rows and the manifest's regime numbers
+    frontier = parse_frontier(cfg.frontier)
 
     start = time.perf_counter()
-    rows = run_experiment(preset.kind, cfg)
+    rows = run_experiment(preset.kind, cfg, f=frontier)
     elapsed = time.perf_counter() - start
 
     out_dir = Path(args.out)
@@ -193,7 +198,7 @@ def _cmd_experiment(args) -> int:
         {
             "config": payload,
             "input_hash": config_hash(payload),
-            "regimes": _regime_numbers(preset.kind, cfg),
+            "regimes": _regime_numbers(preset.kind, cfg, frontier.alpha),
             "wall_time_s": elapsed,
             "version": __version__,
             **summary,

@@ -5,7 +5,8 @@ simulator and the analytic oracles need: global bounds, a Lipschitz
 declaration, and four exact capabilities, all required: the integral of f,
 the integral of f^2, the range of f over an interval and the area above a
 level. Each is the one path to its quantity. Every shipped family gives all
-four in closed form, so oracle errors stay far below Monte Carlo noise. The
+four in closed form, so oracle errors stay far below Monte Carlo noise. A
+shipped family is built only from its label, by `parse_frontier`. The
 constant, affine and two-level families are one piecewise-linear form,
 `_piecewise_linear`, given their knots, levels and slopes.
 """
@@ -198,20 +199,18 @@ def _piecewise_linear(label: str, knots, values, slopes, lip: float) -> Frontier
     )
 
 
-def constant_frontier(a: float = 1.0) -> FrontierSpec:
-    a = float(a)
+def _constant(a: float = 1.0) -> FrontierSpec:
+    """Frontier f(x) = a."""
     return _piecewise_linear(f"constant:a={a!r}", (), (a,), (0.0,), lip=0.0)
 
 
-def affine_frontier(a: float = 1.0, b: float = 0.5) -> FrontierSpec:
+def _affine(a: float = 1.0, b: float = 0.5) -> FrontierSpec:
     """Frontier f(x) = a + b*x."""
-    a, b = float(a), float(b)
     return _piecewise_linear(f"affine:a={a!r},b={b!r}", (), (a,), (b,), lip=abs(b))
 
 
-def sine_frontier(a: float = 1.0, b: float = 0.25) -> FrontierSpec:
+def _sine(a: float = 1.0, b: float = 0.25) -> FrontierSpec:
     """Frontier f(x) = a + b*sin(2*pi*x)."""
-    a, b = float(a), float(b)
     w = 2.0 * math.pi
 
     def integ(lo, hi):
@@ -269,29 +268,30 @@ def sine_frontier(a: float = 1.0, b: float = 0.25) -> FrontierSpec:
     )
 
 
-def two_level_frontier(lo: float = 0.8, hi: float = 1.2, split: float = 0.5) -> FrontierSpec:
+def _two_level(lo: float = 0.8, hi: float = 1.2, split: float = 0.5) -> FrontierSpec:
     """Piecewise-constant frontier: lo on [0, split), hi on [split, 1].
 
     Not Lipschitz (the declared constant is infinite); cell extrema and
     integrals are exact, so everything downstream still works.
     """
-    lo_val, hi_val, split = float(lo), float(hi), float(split)
     if not 0.0 < split < 1.0:
         raise ValueError("split must be interior to (0, 1)")
-    label = f"two_level:lo={lo_val!r},hi={hi_val!r},split={split!r}"
-    return _piecewise_linear(label, (split,), (lo_val, hi_val), (0.0, 0.0), lip=math.inf)
+    label = f"two_level:lo={lo!r},hi={hi!r},split={split!r}"
+    return _piecewise_linear(label, (split,), (lo, hi), (0.0, 0.0), lip=math.inf)
 
 
-_FAMILY = {
-    "constant": constant_frontier,
-    "affine": affine_frontier,
-    "sine": sine_frontier,
-    "two_level": two_level_frontier,
-}
+# each shipped family's builder, by the name its label starts with; a builder
+# takes the label's parameters as floats, with the family's defaults for the rest
+_FAMILY = {"constant": _constant, "affine": _affine, "sine": _sine, "two_level": _two_level}
 
 
 def parse_frontier(label: str) -> FrontierSpec:
-    """Build a shipped frontier from its textual label, e.g. 'affine:a=1.0,b=0.5'."""
+    """Build a shipped frontier from its textual label, e.g. 'affine:a=1.0,b=0.5'.
+
+    The one constructor of a shipped family: the label names the family and
+    gives its parameters, each as text that `float` reads; those left out
+    take the family's defaults. The spec's label gives each one as its repr.
+    """
     name, _, params = label.partition(":")
     if name not in _FAMILY:
         raise ValueError(f"unknown frontier {name!r}; choose from {sorted(_FAMILY)}")

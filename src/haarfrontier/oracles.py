@@ -55,7 +55,8 @@ class LimitLaw:
 
 
 def limit_law(kind: str) -> LimitLaw:
-    """LimitLaw(kind), under the name that the benchmark's oracle workload calls."""
+    """LimitLaw(kind): not public, and kept only because the benchmark calls it by this name
+    (perfbench/workloads.py and perfbench/baseline.py)."""
     return LimitLaw(kind)
 
 

@@ -25,14 +25,15 @@ it is built, or for a sample from `simulate` when its arrays are filled,
 without a copy; `cell_stats` bins checked x without checking them again,
 and checks each chunk it bins straight from the stream.
 
-Each invariant of a CellStats record is established once, where it arises:
-the cell geometry (areas within the frontier's range) when `_cell_geometry`
-fills its cache, the sample when it is built or filled (or each chunk as it
-is binned from the stream), and the maxima against the
-frontier enclosure on each replicate, the one check that depends on the
-data. Binning a checked sample gives one entry per cell and 0 <= z_star <=
-x_star by construction. A kernel task's evaluation points are checked when
-the task is built (see `kernels.ReplicateTask`).
+A CellStats record is built only by `cell_stats`, and each of its
+invariants is established once, where it arises: the cell geometry (areas
+within the frontier's range) when `_cell_geometry` fills its cache, the
+sample when it is built or filled (or each chunk as it is binned from the
+stream), and the maxima against the frontier enclosure on each replicate,
+the one check that depends on the data. Binning a checked sample gives one
+entry per cell and 0 <= z_star <= x_star by construction. A kernel task's
+evaluation points are checked when the task is built (see
+`kernels.ReplicateTask`).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import os
 import stat
 import threading
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -483,89 +484,47 @@ def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
     return PointSample._drawn(draw, n=n, c=c, seed=seed, frontier_label=f.label)
 
 
-_ESCAPE = "cell maxima escape the frontier enclosure"
-
-
-def _enclosure_slack(f_max: np.ndarray) -> float:
-    """How far above f_max a cell maximum may lie, for rounding: 1e-9 * max(1, max f_max)."""
-    return 1e-9 * max(1.0, float(np.max(f_max, initial=1.0)))
-
-
-def _check_cell_areas(k_n: int, cell_areas, f_min, f_max) -> None:
-    scaled = k_n * cell_areas
-    if np.any(scaled < f_min - 1e-8) or np.any(scaled > f_max + 1e-8):
-        raise ValueError("cell areas inconsistent with frontier bounds")
-
-
 @dataclass(frozen=True, eq=False)
 class CellStats:
-    """Per-cell record: point count, extreme y values, and oracle cell geometry.
+    """Per-cell record of a binned sample: point count, extreme y values, and oracle cell geometry.
 
     x_star is the largest y among points in the cell and z_star the smallest,
     both 0 when the cell is empty. cell_areas holds the exact area of the
-    frontier region over each cell; f_min and f_max enclose the frontier there.
-    The public constructor checks every invariant; `cell_stats` builds its
-    records through `_binned`, which checks only what binning leaves open.
+    frontier region over each cell, and f_max the frontier's maximum there.
+    Every array is read-only. A record is built only by `cell_stats`, so
+    CellStats(...) raises TypeError.
     """
 
     counts: np.ndarray
     x_star: np.ndarray
     z_star: np.ndarray
     cell_areas: np.ndarray
-    f_min: np.ndarray
     f_max: np.ndarray
     cfg: PartitionConfig
 
-    def __post_init__(self):
-        k = self.cfg.k_n
-        for name in (field.name for field in fields(self) if field.name != "cfg"):
-            arr = np.asarray(getattr(self, name))
-            if arr.shape != (k,):
-                raise ValueError(f"{name} must have one entry per cell")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        occ = self.counts > 0
-        if np.any(self.z_star[occ] < 0) or np.any(self.z_star[occ] > self.x_star[occ]):
-            raise ValueError("cell minima must satisfy 0 <= z_star <= x_star")
-        slack = _enclosure_slack(self.f_max)
-        if np.any(self.x_star[occ] > self.f_max[occ] + slack):
-            raise ValueError(_ESCAPE)
-        _check_cell_areas(k, self.cell_areas, self.f_min, self.f_max)
-
-    @classmethod
-    def _binned(cls, counts, x_star, z_star, geometry, cfg) -> "CellStats":
-        """A record of fresh binned arrays over the cached geometry of cfg's partition.
-
-        Binning a checked sample gives one entry per cell and 0 <= z_star <=
-        x_star, and the cached geometry was checked when it was filled, so
-        only the maxima are checked here, against f_max plus the cached
-        slack; an empty cell holds 0, which lies below it.
-        """
-        cell_areas, f_min, f_max, slack = geometry
-        if (x_star > f_max + slack).any():
-            raise ValueError(_ESCAPE)
-        for arr in (counts, x_star, z_star):
-            arr.flags.writeable = False
-        stats = object.__new__(cls)
-        vars(stats).update(counts=counts, x_star=x_star, z_star=z_star,
-                           cell_areas=cell_areas, f_min=f_min, f_max=f_max, cfg=cfg)
-        return stats
+    def __init__(self, *args, **kwargs):
+        raise TypeError("a CellStats record is built only by cell_stats")
 
 
 @functools.lru_cache(maxsize=1)
 def _cell_geometry(f: FrontierSpec, k_n: int) -> tuple:
-    """(cell_areas, f_min, f_max, enclosure slack) of the k_n-cell partition; arrays read-only.
+    """(cell_areas, f_max, enclosure slack) of the k_n-cell partition; arrays read-only.
 
-    Checked when the cache is filled; a geometry that fails raises and is
-    not cached, so every call with it raises.
+    The slack, 1e-9 * max(1, max f_max), is how far above f_max a cell
+    maximum may lie, for rounding. Checked when the cache is filled: each
+    k_n * area lies within the frontier's range over its cell, up to 1e-8.
+    A geometry that fails raises and is not cached, so every call with it
+    raises.
     """
     edges = np.arange(k_n + 1) / k_n
     cell_areas = f.integral(edges[:-1], edges[1:])
     f_min, f_max = f.range_on(edges[:-1], edges[1:])
-    _check_cell_areas(k_n, cell_areas, f_min, f_max)
-    for arr in (cell_areas, f_min, f_max):
-        arr.flags.writeable = False
-    return cell_areas, f_min, f_max, _enclosure_slack(f_max)
+    scaled = k_n * cell_areas
+    if np.any(scaled < f_min - 1e-8) or np.any(scaled > f_max + 1e-8):
+        raise ValueError("cell areas inconsistent with frontier bounds")
+    cell_areas.flags.writeable = False
+    f_max.flags.writeable = False
+    return cell_areas, f_max, 1e-9 * max(1.0, float(np.max(f_max, initial=1.0)))
 
 
 def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> CellStats:
@@ -575,12 +534,15 @@ def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> Ce
     was not used before is binned straight from its stream, and the record
     takes O(chunk + k_n) memory whatever the point count. Each reduction is
     order-free and exact, so the record is the same however the points are
-    split into chunks.
+    split into chunks. Binning a checked sample gives one entry per cell and
+    0 <= z_star <= x_star, and the cached geometry was checked when it was
+    filled, so only the maxima are checked here, against f_max plus the
+    geometry's slack.
     """
     if sample.n != cfg.n:
         raise ValueError("sample and partition disagree on n")
     k = cfg.k_n
-    geometry = _cell_geometry(f, k)
+    cell_areas, f_max, slack = _cell_geometry(f, k)
     idx_buf = _thread_stream().idx
     counts = np.zeros(k, np.intp)
     x_star, z_star = np.empty(k), np.empty(k)
@@ -594,4 +556,12 @@ def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> Ce
     empty = counts == 0
     x_star[empty] = 0.0
     z_star[empty] = 0.0
-    return CellStats._binned(counts, x_star, z_star, geometry, cfg)
+    # an empty cell holds 0, which lies below f_max plus the slack
+    if (x_star > f_max + slack).any():
+        raise ValueError("cell maxima escape the frontier enclosure")
+    for arr in (counts, x_star, z_star):
+        arr.flags.writeable = False
+    stats = object.__new__(CellStats)
+    vars(stats).update(counts=counts, x_star=x_star, z_star=z_star,
+                       cell_areas=cell_areas, f_max=f_max, cfg=cfg)
+    return stats

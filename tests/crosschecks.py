@@ -8,7 +8,8 @@ decomposition i = 2^(q-1) + p and the Haar function built from it as a
 step (the reference for `haar_eval`), the Haar coefficients of a frontier,
 the d_n = 1 histogram, the oracle-shifted estimate, the error metrics of a
 step, the sup distance on a grid, step-by-step arithmetic and the report
-CSV reader. The constant, affine and
+CSV reader. `check_cell_record` checks every invariant of a cell record,
+the reference for what `cell_stats` establishes. The constant, affine and
 two-level frontiers are kept as their own per-family closures, the
 reference for the piecewise-linear form that builds them in the package.
 """
@@ -229,6 +230,40 @@ def cell_geometry_loop(f, k_n):
     return lam, f_min, f_max
 
 
+_CELL_ARRAYS = ("counts", "x_star", "z_star", "cell_areas", "f_max")
+
+
+def check_cell_record(stats, f) -> None:
+    """Raise ValueError unless the cell record `stats` holds every invariant under frontier f.
+
+    Each array has one entry per cell and is read-only; f_max is f's maximum
+    over each cell, and k_n times each cell area lies within f's range there,
+    up to 1e-8, both from the per-cell loop; an occupied cell has 0 <= z_star
+    <= x_star, and its maximum lies at most 1e-9 * max(1, max f_max) above
+    f_max. These are the checks of a record built field by field, each made
+    on its own, where `cell_stats` makes them once, where they arise.
+    """
+    k = stats.cfg.k_n
+    for name in _CELL_ARRAYS:
+        arr = getattr(stats, name)
+        if np.shape(arr) != (k,):
+            raise ValueError(f"{name} must have one entry per cell")
+        if arr.flags.writeable:
+            raise ValueError(f"{name} must be read-only")
+    _, f_min, f_max = cell_geometry_loop(f, k)
+    if not np.array_equal(stats.f_max, f_max):
+        raise ValueError("f_max is not the frontier's maximum over each cell")
+    occ = stats.counts > 0
+    if np.any(stats.z_star[occ] < 0) or np.any(stats.z_star[occ] > stats.x_star[occ]):
+        raise ValueError("cell minima must satisfy 0 <= z_star <= x_star")
+    slack = 1e-9 * max(1.0, float(np.max(f_max, initial=1.0)))
+    if np.any(stats.x_star[occ] > f_max[occ] + slack):
+        raise ValueError("cell maxima escape the frontier enclosure")
+    scaled = k * stats.cell_areas
+    if np.any(scaled < f_min - 1e-8) or np.any(scaled > f_max + 1e-8):
+        raise ValueError("cell areas inconsistent with frontier bounds")
+
+
 def block_integrals_loop(f, h_n):
     """Per-block integrals of f and f^2 on the h_n + 1 dyadic blocks, one call per block."""
     blocks = h_n + 1
@@ -329,7 +364,7 @@ def sine_area_above_three_periods(a, b, lo, hi, u):
 
 
 def constant_frontier_per_family(a: float = 1.0) -> FrontierSpec:
-    """constant_frontier, f(x) = a, as its own closures."""
+    """The constant family, f(x) = a, as its own closures."""
     a = float(a)
     return FrontierSpec(
         f=lambda x: np.full_like(np.asarray(x, dtype=float), a),
@@ -346,7 +381,7 @@ def constant_frontier_per_family(a: float = 1.0) -> FrontierSpec:
 
 
 def affine_frontier_per_family(a: float = 1.0, b: float = 0.5) -> FrontierSpec:
-    """affine_frontier, f(x) = a + b*x, as its own closures."""
+    """The affine family, f(x) = a + b*x, as its own closures."""
     a, b = float(a), float(b)
 
     def integ(lo, hi):
@@ -388,7 +423,7 @@ def affine_frontier_per_family(a: float = 1.0, b: float = 0.5) -> FrontierSpec:
 
 
 def two_level_frontier_per_family(lo: float = 0.8, hi: float = 1.2, split: float = 0.5) -> FrontierSpec:
-    """two_level_frontier, lo on [0, split) and hi on [split, 1], as its own closures.
+    """The two-level family, lo on [0, split) and hi on [split, 1], as its own closures.
 
     Not Lipschitz (the declared constant is infinite); cell extrema and
     integrals are exact, so everything downstream still works.

@@ -16,7 +16,7 @@ import pytest
 
 from haarfrontier.estimators import coefficient_estimates, haar_ev_estimate
 from haarfrontier.experiments import ExperimentConfig, run_experiment
-from haarfrontier.frontiers import constant_frontier, parse_frontier
+from haarfrontier.frontiers import parse_frontier
 from haarfrontier.haar import haar_eval
 from haarfrontier.kernels import ReplicateTask
 from haarfrontier.oracles import cell_cdf, ks_statistic
@@ -79,7 +79,7 @@ def test_criterion_01_haar_algebra() -> None:
 
 def test_criterion_02_exact_cell_max_law() -> None:
     # flat frontier, n=200, c=1, k_n=16, R=1e4, one fixed cell
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     pc = PartitionConfig(n=200, h_prime=4, d_n=1)
     x_probe = 0.4  # cell 7 of 16
     # at d_n = 1 the estimate at x is the maximum of the cell holding x

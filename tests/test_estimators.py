@@ -13,12 +13,7 @@ from haarfrontier.estimators import (
     haar_ev_estimate,
     minima_mean,
 )
-from haarfrontier.frontiers import (
-    affine_frontier,
-    constant_frontier,
-    sine_frontier,
-    two_level_frontier,
-)
+from haarfrontier.frontiers import parse_frontier
 from haarfrontier.haar import haar_eval, truncated_expansion
 from haarfrontier.process import CellStats, PartitionConfig, PointSample, cell_stats, simulate
 from haarfrontier.stepfun import uniform_cell_index
@@ -36,21 +31,33 @@ from crosschecks import (
 )
 
 
+FLAT = parse_frontier("constant:a=2.0")
+
+
 def synthetic_stats(cfg: PartitionConfig, maxima, minima=None) -> CellStats:
-    """CellStats with prescribed extremes under a flat frontier at height 2."""
-    k = cfg.k_n
+    """The record of prescribed extremes under the flat frontier at height 2.
+
+    Each cell whose maximum is positive holds two points at its centre, one
+    at the maximum and one at the minimum (the maximum again by default);
+    every other cell is empty.
+    """
     maxima = np.asarray(maxima, dtype=float)
-    minima = maxima.copy() if minima is None else np.asarray(minima, dtype=float)
-    counts = (maxima > 0).astype(int) * 2
-    return CellStats(
-        counts=counts,
-        x_star=maxima,
-        z_star=np.where(counts > 0, minima, 0.0),
-        cell_areas=np.full(k, 2.0 / k),
-        f_min=np.full(k, 2.0),
-        f_max=np.full(k, 2.0),
-        cfg=cfg,
-    )
+    minima = maxima if minima is None else np.asarray(minima, dtype=float)
+    cells = np.flatnonzero(maxima > 0)
+    xs = np.repeat((cells + 0.5) / cfg.k_n, 2)
+    ys = np.column_stack((maxima[cells], minima[cells])).ravel()
+    sample = PointSample(xs, ys, n=cfg.n, c=1.0, seed=0, frontier_label=FLAT.label)
+    return cell_stats(sample, cfg, FLAT)
+
+
+def test_synthetic_stats_hold_the_prescribed_extremes() -> None:
+    cfg = PartitionConfig(n=10, h_prime=1, d_n=2)
+    maxima, minima = np.array([0.8, 0.0, 1.9, 0.4]), np.array([0.1, 0.3, 1.9, 0.0])
+    stats = synthetic_stats(cfg, maxima, minima)
+    assert stats.counts.tolist() == [2, 0, 2, 2]
+    assert stats.x_star.tolist() == maxima.tolist()
+    assert stats.z_star.tolist() == [0.1, 0.0, 1.9, 0.0]
+    assert synthetic_stats(cfg, maxima).z_star.tolist() == maxima.tolist()
 
 
 def test_blockwise_mean_example() -> None:
@@ -69,7 +76,7 @@ def test_all_empty_gives_zero_estimate() -> None:
 
 
 def test_kernel_form_agrees_with_block_form() -> None:
-    f = affine_frontier(1.0, 0.5)
+    f = parse_frontier("affine:a=1.0,b=0.5")
     cfg = PartitionConfig(n=300, h_prime=2, d_n=4)
     stats = cell_stats(simulate(f, 300, 1.0, 5), cfg, f)
     est = haar_ev_estimate(stats, cfg)
@@ -79,7 +86,7 @@ def test_kernel_form_agrees_with_block_form() -> None:
 
 
 def _estimate_from_rows(points, cfg) -> np.ndarray:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     xs = np.array([p[0] for p in points], dtype=float)
     ys = np.array([p[1] for p in points], dtype=float)
     sample = PointSample(xs, ys, n=cfg.n, c=1.0, seed=0, frontier_label=f.label)
@@ -95,7 +102,7 @@ def test_estimate_does_not_depend_on_row_order() -> None:
 
 
 def test_geffroy_is_the_d1_case() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     for seed in range(100):
         cfg = PartitionConfig(n=50, h_prime=3, d_n=1)
         stats = cell_stats(simulate(f, 50, 1.0, 1000 + seed), cfg, f)
@@ -136,7 +143,7 @@ def test_constant_maxima_give_single_coefficient() -> None:
 
 
 def test_coefficient_reconstruction_identity() -> None:
-    f = affine_frontier(1.0, 0.5)
+    f = parse_frontier("affine:a=1.0,b=0.5")
     cfg = PartitionConfig(n=500, h_prime=3, d_n=4)
     stats = cell_stats(simulate(f, 500, 1.0, 21), cfg, f)
     est = haar_ev_estimate(stats, cfg)
@@ -148,7 +155,9 @@ def test_coefficient_reconstruction_identity() -> None:
 
 
 @pytest.mark.parametrize(
-    "f", [sine_frontier(1.0, 0.25), two_level_frontier()], ids=["sine", "two_level"]
+    "f",
+    [parse_frontier("sine:a=1.0,b=0.25"), parse_frontier("two_level:lo=0.8,hi=1.2,split=0.5")],
+    ids=["sine", "two_level"],
 )
 @pytest.mark.parametrize("h_prime,d_n", [(0, 1), (0, 5), (1, 1), (2, 3), (5, 4), (10, 1)])
 def test_coefficient_pyramid_matches_riemann_sum(f, h_prime, d_n) -> None:
@@ -162,7 +171,10 @@ def test_coefficient_pyramid_matches_riemann_sum(f, h_prime, d_n) -> None:
 
 @pytest.mark.parametrize(
     "f",
-    [affine_frontier(1.0, 0.5), sine_frontier(1.0, 0.25), two_level_frontier()],
+    [
+        parse_frontier(label)
+        for label in ("affine:a=1.0,b=0.5", "sine:a=1.0,b=0.25", "two_level:lo=0.8,hi=1.2,split=0.5")
+    ],
     ids=["affine", "sine", "two_level"],
 )
 @pytest.mark.parametrize("h_prime,d_n", [(0, 2), (3, 1), (6, 3)])
@@ -192,7 +204,7 @@ def test_corrected_estimate_example() -> None:
 
 
 def test_shift_identities_are_exact() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     cfg = PartitionConfig(n=200, h_prime=2, d_n=2)
     stats = cell_stats(simulate(f, 200, 1.0, 77), cfg, f)
     bundle = corrected_estimate(stats, cfg)
@@ -206,7 +218,7 @@ def test_shift_identities_are_exact() -> None:
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "0", "-1"])
 def test_oracle_corrected_requires_a_finite_positive_rate(c) -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     cfg = PartitionConfig(n=200, h_prime=2, d_n=2)
     stats = cell_stats(simulate(f, 200, 1.0, 77), cfg, f)
     with pytest.raises(ValueError, match="intensity rate c must be finite and positive"):
@@ -214,7 +226,7 @@ def test_oracle_corrected_requires_a_finite_positive_rate(c) -> None:
 
 
 def test_oracle_corrected_reduces_bias_flat_frontier() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     cfg = PartitionConfig(n=2000, h_prime=3, d_n=4)
     raw_at, fixed_at = [], []
     for seed in range(400):
@@ -225,7 +237,7 @@ def test_oracle_corrected_reduces_bias_flat_frontier() -> None:
 
 
 def test_reduced_form_identity() -> None:
-    f = affine_frontier(1.0, 0.5)
+    f = parse_frontier("affine:a=1.0,b=0.5")
     cfg = PartitionConfig(n=400, h_prime=2, d_n=3)
     stats = cell_stats(simulate(f, 400, 1.0, 99), cfg, f)
     est = haar_ev_estimate(stats, cfg)
@@ -240,7 +252,7 @@ def test_reduced_form_identity() -> None:
 
 
 def test_estimate_requires_matching_partition() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     cfg = PartitionConfig(n=100, h_prime=2, d_n=1)
     stats = cell_stats(simulate(f, 100, 1.0, 1), cfg, f)
     other = PartitionConfig(n=100, h_prime=1, d_n=2)
@@ -249,7 +261,7 @@ def test_estimate_requires_matching_partition() -> None:
 
 
 def test_bundle_json_round_trip() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     cfg = PartitionConfig(n=150, h_prime=2, d_n=2)
     stats = cell_stats(simulate(f, 150, 1.0, 8), cfg, f)
     bundle = corrected_estimate(stats, cfg)
@@ -286,7 +298,7 @@ NOT_THE_TRANSFORM = "coefficients that are not the Haar transform of f_hat_value
 )
 def test_bundle_json_rejects_what_it_would_not_write(key, value, message) -> None:
     cfg = PartitionConfig(n=150, h_prime=2, d_n=2)
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     stats = cell_stats(simulate(f, 150, 1.0, 8), cfg, f)
     payload = json.loads(corrected_estimate(stats, cfg).to_json())
     payload[key] = value
@@ -312,7 +324,7 @@ def test_bundle_json_rejects_what_it_would_not_write(key, value, message) -> Non
     st.integers(min_value=1, max_value=3),
 )
 def test_adding_a_point_never_lowers_the_estimate(points, extra, h_prime, d_n) -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     cfg = PartitionConfig(n=5, h_prime=h_prime, d_n=d_n)
 
     def build(pts):
@@ -372,7 +384,7 @@ def test_block_means_and_minima_mean_are_those_of_ndarray_mean(h_prime, d_n, emp
 
 def test_bundle_json_rejects_coefficients_that_are_not_the_transform_of_its_values() -> None:
     cfg = PartitionConfig(n=150, h_prime=2, d_n=2)
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     stats = cell_stats(simulate(f, 150, 1.0, 8), cfg, f)
     payload = json.loads(corrected_estimate(stats, cfg).to_json())
     for i in range(cfg.h_n + 1):
@@ -394,7 +406,7 @@ def test_bundle_json_rejects_coefficients_that_are_not_the_transform_of_its_valu
 )
 def test_bundle_json_rejects_a_value_of_the_wrong_type_as_a_bad_file(key, value) -> None:
     cfg = PartitionConfig(n=150, h_prime=2, d_n=2)
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     stats = cell_stats(simulate(f, 150, 1.0, 8), cfg, f)
     payload = json.loads(corrected_estimate(stats, cfg).to_json())
     payload[key] = value
@@ -408,7 +420,7 @@ ESTIMATE_KEYS = ("n", "h_prime", "d_n", "h_n", "k_n", "z_n", "coefficients", "f_
 @pytest.mark.parametrize("key", ESTIMATE_KEYS)
 def test_bundle_json_rejects_a_missing_key_as_a_bad_file(key) -> None:
     cfg = PartitionConfig(n=150, h_prime=2, d_n=2)
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     stats = cell_stats(simulate(f, 150, 1.0, 8), cfg, f)
     payload = json.loads(corrected_estimate(stats, cfg).to_json())
     assert tuple(payload) == ESTIMATE_KEYS

@@ -6,7 +6,7 @@ import pytest
 
 from haarfrontier import experiments
 from haarfrontier.experiments import CONDITIONS, EXPERIMENTS, ExperimentConfig, run_experiment
-from haarfrontier.frontiers import affine_frontier, constant_frontier
+from haarfrontier.frontiers import parse_frontier
 from haarfrontier.kernels import ReplicateTask
 from haarfrontier.process import PartitionConfig
 from haarfrontier.report import write_report_csv
@@ -444,7 +444,7 @@ def test_config_holds_points_and_levels_as_python_floats(tmp_path) -> None:
 
 
 def test_error_metrics_examples() -> None:
-    flat = constant_frontier(1.0)
+    flat = parse_frontier("constant:a=1.0")
     exact = StepFunction([1.0])
     m = error_metrics(exact, flat, xs=(0.2, 0.8))
     assert m.l2 == pytest.approx(0.0, abs=1e-12)
@@ -462,7 +462,7 @@ def test_error_metrics_projection_l2() -> None:
     # slope-1 frontier, two blocks: squared L2 projection error is 1/48
     from haarfrontier.haar import truncated_expansion
 
-    f = affine_frontier(0.5, 1.0)
+    f = parse_frontier("affine:a=0.5,b=1.0")
     proj = truncated_expansion(f, 1)
     m = error_metrics(proj, f)
     assert m.l2**2 == pytest.approx(1.0 / 48.0, abs=1e-12)

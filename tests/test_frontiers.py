@@ -6,14 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from haarfrontier.frontiers import (
-    FrontierSpec,
-    affine_frontier,
-    constant_frontier,
-    parse_frontier,
-    sine_frontier,
-    two_level_frontier,
-)
+from haarfrontier.frontiers import FrontierSpec, parse_frontier
 from haarfrontier.quadrature import adaptive_simpson
 
 from crosschecks import (
@@ -34,14 +27,14 @@ def _exact_of(spec) -> dict:
 
 
 def test_area_examples() -> None:
-    assert constant_frontier(1.0).integral(0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
-    assert affine_frontier(0.5, 1.0).integral(0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
-    assert sine_frontier(1.0, 0.25).integral(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert parse_frontier("constant:a=1.0").integral(0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert parse_frontier("affine:a=0.5,b=1.0").integral(0.0, 1.0) == pytest.approx(1.0, abs=1e-14)
+    assert parse_frontier("sine:a=1.0,b=0.25").integral(0.0, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exact_integrals_match_quadrature() -> None:
-    shipped = (affine_frontier(1.0, 0.5), sine_frontier(1.2, 0.3), two_level_frontier())
-    for f in shipped + (frontier("custom-cos"),):
+    shipped = ("affine:a=1.0,b=0.5", "sine:a=1.2,b=0.3", "two_level:lo=0.8,hi=1.2,split=0.5")
+    for f in [*map(parse_frontier, shipped), frontier("custom-cos")]:
         for lo, hi in ((0.0, 1.0), (0.1, 0.35), (0.4, 0.9)):
             quad = adaptive_simpson(lambda t: float(f(t)), lo, hi)
             assert f.integral(lo, hi) == pytest.approx(quad, abs=1e-8)
@@ -50,16 +43,16 @@ def test_exact_integrals_match_quadrature() -> None:
 
 
 def test_exact_ranges() -> None:
-    f = affine_frontier(1.0, -0.5)
+    f = parse_frontier("affine:a=1.0,b=-0.5")
     assert f.range_on(0.2, 0.6) == (pytest.approx(0.7), pytest.approx(0.9))
-    s = sine_frontier(1.0, 0.25)
+    s = parse_frontier("sine:a=1.0,b=0.25")
     mn, mx = s.range_on(0.2, 0.8)  # straddles both critical points
     assert mx == pytest.approx(1.25)
     assert mn == pytest.approx(0.75)
-    neg = sine_frontier(1.0, -0.25)  # the trough at 1/4 and the crest at 3/4
+    neg = parse_frontier("sine:a=1.0,b=-0.25")  # the trough at 1/4 and the crest at 3/4
     assert neg.range_on(0.2, 0.3) == (0.75, pytest.approx(1.0 - 0.25 * math.sin(0.4 * math.pi)))
     assert neg.range_on(0.7, 0.8) == (pytest.approx(1.0 + 0.25 * math.sin(0.4 * math.pi)), 1.25)
-    t = two_level_frontier(0.8, 1.2, 0.5)
+    t = parse_frontier("two_level:lo=0.8,hi=1.2,split=0.5")
     assert t.range_on(0.0, 0.25) == (0.8, 0.8)
     assert t.range_on(0.25, 0.75) == (0.8, 1.2)
     assert t.range_on(0.75, 1.0) == (1.2, 1.2)
@@ -80,12 +73,12 @@ def test_custom_cos_range_and_area_match_grid_and_quadrature() -> None:
 
 
 def test_area_above_matches_quadrature() -> None:
-    f = affine_frontier(1.0, 0.5)
+    f = parse_frontier("affine:a=1.0,b=0.5")
     for lo, hi in ((0.0, 0.5), (0.25, 0.3)):
         for u in (0.9, 1.05, 1.2, 1.6):
             quad = adaptive_simpson(lambda t: max(float(f(t)) - u, 0.0), lo, hi)
             assert f.area_above(lo, hi, u) == pytest.approx(quad, abs=1e-9)
-    s = sine_frontier(1.0, 0.25)
+    s = parse_frontier("sine:a=1.0,b=0.25")
     got = s.area_above(0.2, 0.3, 1.2)  # interior bump near the crest
     quad = sum(
         adaptive_simpson(lambda t: max(float(s(t)) - 1.2, 0.0), a, b)
@@ -96,7 +89,7 @@ def test_area_above_matches_quadrature() -> None:
 
 @pytest.mark.parametrize("b", [0.25, -0.25, 0.7])
 def test_sine_area_above_matches_quadrature(b) -> None:
-    f = sine_frontier(1.0, b)
+    f = parse_frontier(f"sine:a=1.0,b={b!r}")
     crest = 0.25 if b > 0.0 else 0.75
     bump = f.area_above(crest - 0.05, crest + 0.05, f.M - 0.01)
     assert bump > 1e-5
@@ -118,7 +111,7 @@ def test_sine_area_above_matches_quadrature(b) -> None:
 @pytest.mark.parametrize("a", [1.0, 1.3])
 @pytest.mark.parametrize("b", [0.25, -0.25, 0.7, -0.7, 0.0])
 def test_sine_area_above_is_the_three_period_scan_bit_for_bit(a, b) -> None:
-    f = sine_frontier(a, b)
+    f = parse_frontier(f"sine:a={a!r},b={b!r}")
     levels = [
         -0.5, 0.0,  # at or below 0
         *np.linspace(f.m, f.M, 23)[1:-1].tolist(),  # inside (m, M)
@@ -136,11 +129,11 @@ def test_sine_area_above_is_the_three_period_scan_bit_for_bit(a, b) -> None:
             assert got.hex() == want.hex(), (lo, hi, u, got, want)
 
 
-# each piecewise-linear family, as built now and by its own closures
+# each piecewise-linear family: its label's parameters, in order, and its own closures
 PIECEWISE = {
-    "constant": (constant_frontier, constant_frontier_per_family),
-    "affine": (affine_frontier, affine_frontier_per_family),
-    "two_level": (two_level_frontier, two_level_frontier_per_family),
+    "constant": (("a",), constant_frontier_per_family),
+    "affine": (("a", "b"), affine_frontier_per_family),
+    "two_level": (("lo", "hi", "split"), two_level_frontier_per_family),
 }
 # x*x and x**2 (libm's pow) round apart for these levels: every flat piece squares
 # its level by multiplication, as the per-family closures do
@@ -153,11 +146,17 @@ def _bits(value) -> tuple:
     return arr.shape, [v.hex() for v in arr.ravel().tolist()]
 
 
-def _build(make, args):
+def _build(make, *args):
     try:
         return make(*args)
     except ValueError as exc:
         return str(exc)
+
+
+def _label(family, args) -> str:
+    """The label of a piecewise-linear family with these arguments, each as its repr."""
+    names = PIECEWISE[family][0]
+    return f"{family}:" + ",".join(f"{name}={value!r}" for name, value in zip(names, args))
 
 
 @st.composite
@@ -195,7 +194,8 @@ def piecewise_cases(draw):
 @example(("constant", POW_ROUNDS_APART[:1], [(0.0, 1.0)], 1, []))
 def test_piecewise_families_are_their_own_closures_bit_for_bit(case) -> None:
     family, args, intervals, cells, levels = case
-    made, reference = (_build(make, args) for make in PIECEWISE[family])
+    made = _build(parse_frontier, _label(family, args))
+    reference = _build(PIECEWISE[family][1], *args)
     if isinstance(reference, str):  # a rejected frontier: the same message
         assert made == reference
         return
@@ -233,10 +233,10 @@ def test_bounds_are_enforced() -> None:
             alpha=1.0,
             lip=1.0,
             label="bad",
-            **_exact_of(affine_frontier(1.0, 1.0)),
+            **_exact_of(parse_frontier("affine:a=1.0,b=1.0")),
         )
-    with pytest.raises(ValueError):
-        constant_frontier(-1.0)
+    with pytest.raises(ValueError, match="0 < m <= M"):
+        parse_frontier("constant:a=-1.0")
 
 
 def test_lipschitz_spot_check_catches_lies() -> None:
@@ -248,7 +248,7 @@ def test_lipschitz_spot_check_catches_lies() -> None:
             alpha=1.0,
             lip=0.1,  # true constant is 20
             label="liar",
-            **_exact_of(sine_frontier(1.0, 0.5)),
+            **_exact_of(parse_frontier("sine:a=1.0,b=0.5")),
         )
 
 
@@ -261,13 +261,13 @@ def test_declared_bounds_spot_check() -> None:
             alpha=1.0,
             lip=1.0,
             label="escapes",
-            **_exact_of(affine_frontier(1.0, 1.0)),
+            **_exact_of(parse_frontier("affine:a=1.0,b=1.0")),
         )
 
 
 @pytest.mark.parametrize("name", EXACT)
 def test_each_exact_capability_is_required(name) -> None:
-    shipped = affine_frontier(1.0, 0.5)
+    shipped = parse_frontier("affine:a=1.0,b=0.5")
     kwargs = {field.name: getattr(shipped, field.name) for field in dataclasses.fields(shipped)}
     del kwargs[name]
     with pytest.raises(ValueError, match=name):
@@ -298,7 +298,7 @@ def test_parse_frontier_rejects_values_that_are_not_finite(label) -> None:
 
 
 def test_spec_rejects_a_nan_value_or_a_nan_or_negative_lipschitz_constant() -> None:
-    shipped = affine_frontier(1.0, 0.5)
+    shipped = parse_frontier("affine:a=1.0,b=0.5")
     with pytest.raises(ValueError, match="not finite"):
         dataclasses.replace(shipped, f=lambda x: np.where(np.asarray(x) < 0.5, 1.0, math.nan))
     for lip in (math.nan, -1.0):
@@ -336,9 +336,11 @@ def test_parse_frontier_rejects_a_repeated_parameter() -> None:
             parse_frontier(label)
 
 
-def test_two_level_requires_interior_split() -> None:
-    with pytest.raises(ValueError):
-        two_level_frontier(0.8, 1.2, 1.0)
+@pytest.mark.parametrize("split", ["0.0", "1.0", "1.5", "-0.5"])
+def test_two_level_requires_interior_split(split) -> None:
+    for label in (f"two_level:lo=0.8,hi=1.2,split={split}", f"two_level:split={split}"):
+        with pytest.raises(ValueError, match="split must be interior"):
+            parse_frontier(label)
 
 
 @pytest.mark.parametrize("label", SHIPPED_LABELS + ("custom-cos", "user-integral"))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from haarfrontier.frontiers import affine_frontier, constant_frontier, parse_frontier, sine_frontier
+from haarfrontier.frontiers import parse_frontier
 from haarfrontier.haar import haar_eval, haar_transform, truncated_expansion
 from haarfrontier.stepfun import uniform_cell_index
 
@@ -116,7 +116,7 @@ def test_kernel_consistency_random_pairs() -> None:
 
 
 def test_truncated_expansion_constant() -> None:
-    fn = truncated_expansion(constant_frontier(0.7), 3)
+    fn = truncated_expansion(parse_frontier("constant:a=0.7"), 3)
     np.testing.assert_allclose(fn.values, 0.7, atol=0)
 
 
@@ -124,12 +124,12 @@ def test_truncated_expansion_constant() -> None:
 def test_truncated_expansion_takes_an_integer_order(h_n) -> None:
     # 3.0 used to raise TypeError from the power-of-two check, and True gave 2 blocks
     with pytest.raises(ValueError, match="h_n must be an integer"):
-        truncated_expansion(constant_frontier(0.7), h_n)
+        truncated_expansion(parse_frontier("constant:a=0.7"), h_n)
 
 
 def test_truncated_expansion_affine_exact_means() -> None:
     # f(x) = 1/2 + x; blockwise means are midpoint values of the affine map
-    f = affine_frontier(0.5, 1.0)
+    f = parse_frontier("affine:a=0.5,b=1.0")
     np.testing.assert_allclose(truncated_expansion(f, 1).values, [0.75, 1.25], atol=1e-14)
     np.testing.assert_allclose(
         truncated_expansion(f, 3).values, [0.625, 0.875, 1.125, 1.375], atol=1e-14
@@ -137,12 +137,12 @@ def test_truncated_expansion_affine_exact_means() -> None:
 
 
 def test_haar_coefficient_examples() -> None:
-    const = constant_frontier(0.7)
+    const = parse_frontier("constant:a=0.7")
     assert haar_coefficient(const, 0) == pytest.approx(0.7, abs=1e-14)
     assert haar_coefficient(const, 1) == pytest.approx(0.0, abs=1e-14)
     # the slope-1 part contributes -1/4 to the first coefficient; the constant
     # shift contributes nothing for i >= 1
-    assert haar_coefficient(affine_frontier(0.5, 1.0), 1) == pytest.approx(-0.25, abs=1e-14)
+    assert haar_coefficient(parse_frontier("affine:a=0.5,b=1.0"), 1) == pytest.approx(-0.25, abs=1e-14)
 
 
 @pytest.mark.parametrize("label", SHIPPED_LABELS)
@@ -156,7 +156,7 @@ def test_haar_coefficient_is_the_inner_product_with_the_projection(label) -> Non
 def test_haar_coefficient_rejects_a_negative_index() -> None:
     # (-1).bit_length() is 1, so without the check i = -1 would read the last coefficient
     with pytest.raises(ValueError, match="nonnegative"):
-        haar_coefficient(constant_frontier(1.0), -1)
+        haar_coefficient(parse_frontier("constant:a=1.0"), -1)
 
 
 def test_haar_transform_examples() -> None:
@@ -169,7 +169,7 @@ def test_haar_transform_examples() -> None:
 def test_reconstruction_identity() -> None:
     rng = np.random.Generator(np.random.Philox(key=17))
     xs = rng.random(200)
-    for f in (affine_frontier(1.0, 0.5), sine_frontier(1.0, 0.25)):
+    for f in (parse_frontier("affine:a=1.0,b=0.5"), parse_frontier("sine:a=1.0,b=0.25")):
         for h_n in (1, 3, 7):
             fn = truncated_expansion(f, h_n)
             series = functools.reduce(
@@ -180,7 +180,7 @@ def test_reconstruction_identity() -> None:
 
 def test_projection_error_bound_on_grid() -> None:
     grid = np.arange(2**14 + 1) / 2**14
-    for f in (affine_frontier(1.0, 0.5), sine_frontier(1.0, 0.25)):
+    for f in (parse_frontier("affine:a=1.0,b=0.5"), parse_frontier("sine:a=1.0,b=0.25")):
         fvals = f(grid)
         for h_n in (1, 3, 7, 15):
             fn = truncated_expansion(f, h_n)

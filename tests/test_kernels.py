@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from haarfrontier.frontiers import constant_frontier, parse_frontier
+from haarfrontier.frontiers import parse_frontier
 from haarfrontier.haar import truncated_expansion
 from haarfrontier.kernels import ReplicateTask, block_moments, l2_error_sq, run_chunk, sup_error
 from haarfrontier.stepfun import StepFunction
@@ -27,7 +27,7 @@ def test_steps_off_dyadic_blocks_cannot_be_built(build, error, match) -> None:
 
 
 def test_sup_error_is_exact_beyond_2_to_the_14_blocks() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     assert sup_error(StepFunction(np.full(2**14, 0.75)), f) == 0.25
     # 2^15 blocks: finer than a 2^-14 grid could resolve
     values = np.ones(2**15)

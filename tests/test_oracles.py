@@ -5,19 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from haarfrontier.frontiers import (
-    affine_frontier,
-    constant_frontier,
-    parse_frontier,
-    sine_frontier,
-)
+from haarfrontier import oracles
+from haarfrontier.frontiers import parse_frontier
 from haarfrontier.oracles import (
     LimitLaw,
     cell_cdf,
     cell_max_mean,
     cell_max_variance,
     ks_statistic,
-    limit_law,
 )
 from haarfrontier.process import PartitionConfig, cell_stats, simulate
 
@@ -54,23 +49,30 @@ def test_limit_cdf_monotone_with_limits() -> None:
         assert vals[-1] > 1.0 - 1e-9
     with pytest.raises(ValueError):
         LimitLaw("cauchy")(0.0)
-    with pytest.raises(ValueError):
-        limit_law("cauchy")
 
 
 def test_a_limit_law_is_called_as_its_cdf() -> None:
     u = np.linspace(-3.0, 3.0, 13)
     for kind in ("weibull_evd", "gumbel", "std_normal"):
-        law = limit_law(kind)
-        assert law == LimitLaw(kind) and law.kind == kind
+        law = LimitLaw(kind)
+        assert law.kind == kind
         np.testing.assert_array_equal(law(u), [law(v) for v in u.tolist()])
         assert type(law(0.5)) is float and type(law(np.float64(0.5))) is float
     with pytest.raises(ValueError, match="unknown limit law"):
         LimitLaw("cauchy")
 
 
+def test_the_benchmark_alias_limit_law_is_the_limit_law() -> None:
+    # oracles.limit_law is not public; the benchmark calls it under this name
+    for kind in ("weibull_evd", "gumbel", "std_normal"):
+        assert oracles.limit_law(kind) == LimitLaw(kind)
+    with pytest.raises(ValueError, match="unknown limit law"):
+        oracles.limit_law("cauchy")
+
+
 @pytest.mark.parametrize(
-    "f", [constant_frontier(1.0), affine_frontier(1.0, 0.5), sine_frontier(1.0, 0.25)],
+    "f",
+    [parse_frontier(label) for label in ("constant:a=1.0", "affine:a=1.0,b=0.5", "sine:a=1.0,b=0.25")],
     ids=["constant", "affine", "sine"],
 )
 def test_cell_cdf_below_zero_nan_and_shapes(f) -> None:
@@ -100,11 +102,11 @@ def test_cell_oracles_reject_a_rate_that_is_not_finite_and_positive(oracle, c) -
     # NaN used to come back as a NaN probability, and -1 ran the quadrature
     # to its cap before it raised
     with pytest.raises(ValueError, match="intensity rate c must be finite and positive"):
-        oracle(constant_frontier(1.0), PartitionConfig(n=100, h_prime=2, d_n=2), c)
+        oracle(parse_frontier("constant:a=1.0"), PartitionConfig(n=100, h_prime=2, d_n=2), c)
 
 
 def test_cell_cdf_flat_frontier_closed_form() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     cfg = PartitionConfig(n=100, h_prime=0, d_n=10)  # k_n = 10
     assert cell_cdf(f, cfg, 5, 1.0, 1.0) == 1.0
     assert cell_cdf(f, cfg, 5, 1.0, 0.9) == pytest.approx(math.exp(-1.0), abs=1e-12)
@@ -128,11 +130,11 @@ def test_oracles_take_an_integer_cell_index(oracle, r) -> None:
     # r = 1.5 used to integrate over (0.125, 0.375), which is no cell: cell_cdf read 2.68e-14
     cfg = PartitionConfig(n=1000, h_prime=1, d_n=2)
     with pytest.raises(ValueError, match="cell index must be an integer"):
-        oracle(affine_frontier(1.0, 0.5), cfg, r)
+        oracle(parse_frontier("affine:a=1.0,b=0.5"), cfg, r)
 
 
 def test_cell_cdf_monotone_and_bounded() -> None:
-    f = sine_frontier(1.0, 0.25)
+    f = parse_frontier("sine:a=1.0,b=0.25")
     cfg = PartitionConfig(n=200, h_prime=2, d_n=2)
     u = np.linspace(-0.1, 1.3, 300)
     vals = cell_cdf(f, cfg, 3, 1.0, u)
@@ -142,7 +144,7 @@ def test_cell_cdf_monotone_and_bounded() -> None:
 
 
 def test_cell_cdf_matches_simulation_affine_cell() -> None:
-    f = affine_frontier(1.0, 0.5)
+    f = parse_frontier("affine:a=1.0,b=0.5")
     cfg = PartitionConfig(n=50, h_prime=2, d_n=1)  # k_n = 4
     r = 3
     reps = 20_000
@@ -160,7 +162,7 @@ def test_cell_cdf_matches_simulation_affine_cell() -> None:
 
 def test_cell_cdf_ks_band_curved_frontier() -> None:
     # empirical law of a cell maximum vs the oracle CDF, quadrature route
-    f = sine_frontier(1.0, 0.25)
+    f = parse_frontier("sine:a=1.0,b=0.25")
     cfg = PartitionConfig(n=80, h_prime=2, d_n=1)
     r = 2
     reps = 2000
@@ -173,20 +175,20 @@ def test_cell_cdf_ks_band_curved_frontier() -> None:
 
 
 def test_cell_max_mean_flat_closed_form() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     cfg = PartitionConfig(n=100, h_prime=0, d_n=10)
     want = 1.0 - (1.0 - math.exp(-10.0)) / 10.0
     assert cell_max_mean(f, cfg, 5, 1.0) == pytest.approx(want, abs=1e-10)
 
 
 def test_cell_max_mean_tends_to_sup() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     cfg = PartitionConfig(n=1_000_000, h_prime=0, d_n=10)
     assert cell_max_mean(f, cfg, 5, 1.0) == pytest.approx(1.0, abs=1e-4)
 
 
 def test_cell_max_variance_flat_asymptote() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     cfg = PartitionConfig(n=10_000, h_prime=0, d_n=64)
     var = cell_max_variance(f, cfg, 5, 1.0)
     assert var == pytest.approx(64.0**2 / 1e8, rel=0.01)
@@ -196,7 +198,7 @@ def test_cell_max_variance_flat_asymptote() -> None:
 @pytest.mark.parametrize("n, k_n", [(10_000, 16), (32_000, 16), (2_000, 512), (100, 10)])
 def test_cell_max_variance_flat_closed_form(a, n, k_n) -> None:
     # the gap W = a - max has P(W > t) = exp(-lam t) on [0, a), lam = n c / k_n
-    f = constant_frontier(a)
+    f = parse_frontier(f"constant:a={a!r}")
     cfg = PartitionConfig(n=n, h_prime=0, d_n=k_n)
     lam = n / k_n
     tail = math.exp(-lam * a)
@@ -267,7 +269,7 @@ def test_nan_level_is_nan_through_the_exact_area(label) -> None:
 def test_mean_gap_rate_across_frontier_family() -> None:
     # max_r |E(max) - (cell min of f - k/(nc))| = O(k^-alpha): fit the constant
     # at the smallest k, verify at two doublings
-    for f in (constant_frontier(1.0), affine_frontier(1.0, 0.5), sine_frontier(1.0, 0.25)):
+    for f in map(parse_frontier, ("constant:a=1.0", "affine:a=1.0,b=0.5", "sine:a=1.0,b=0.25")):
         errs = {}
         for h_prime in (3, 4, 5):
             k = 2**h_prime
@@ -288,7 +290,7 @@ def test_mean_gap_rate_across_frontier_family() -> None:
 
 def test_variance_asymptote_under_slow_n_growth() -> None:
     # n = o(k^(1+alpha)) schedule: variance ratio to (k/(nc))^2 approaches 1
-    f = affine_frontier(1.0, 0.5)
+    f = parse_frontier("affine:a=1.0,b=0.5")
     ratios = []
     for n, h_prime, d_n in ((2000, 6, 1), (8000, 5, 5), (32000, 4, 25)):
         cfg = PartitionConfig(n=n, h_prime=h_prime, d_n=d_n)
@@ -312,7 +314,7 @@ def test_ks_statistic_single_median_point() -> None:
 
 
 def test_ks_statistic_total_mismatch() -> None:
-    ks = ks_statistic(np.full(100, -50.0), limit_law("gumbel"))
+    ks = ks_statistic(np.full(100, -50.0), LimitLaw("gumbel"))
     assert ks > 1.0 - 1e-9
 
 
@@ -355,13 +357,13 @@ def test_std_normal_matches_the_per_value_reference(u) -> None:
 def test_ks_statistic_rejects_nan_samples() -> None:
     for samples in ([0.1, np.nan], [np.nan], [[0.2, 0.4], [np.nan, 0.1]]):
         with pytest.raises(ValueError, match="NaN"):
-            ks_statistic(samples, limit_law("gumbel"))
+            ks_statistic(samples, LimitLaw("gumbel"))
 
 
 def test_ks_statistic_takes_shaped_samples_flat() -> None:
     samples = np.random.default_rng(3).gumbel(size=(6, 5))
     for kind in ("gumbel", "std_normal"):
-        law = limit_law(kind)
+        law = LimitLaw(kind)
         assert ks_statistic(samples, law) == ks_statistic(samples.ravel(), law)
     assert ks_statistic([[0.3]], lambda u: np.full(np.shape(u), 0.5)) == pytest.approx(0.5)
 
@@ -370,10 +372,10 @@ def test_ks_statistic_takes_infinite_samples() -> None:
     # every law's CDF is 0 at -inf and 1 at +inf: the empirical CDF is 1/3
     # above -inf and 2/3 above 0, so the distance is at least 1/3
     for kind in ("weibull_evd", "gumbel", "std_normal"):
-        law = limit_law(kind)
+        law = LimitLaw(kind)
         want = max(1.0 / 3.0, 2.0 / 3.0 - law(0.0), law(0.0) - 1.0 / 3.0)
         assert ks_statistic([-np.inf, 0.0, np.inf], law) == pytest.approx(want, abs=1e-15)
-    assert ks_statistic([np.inf, np.inf], limit_law("gumbel")) == 1.0
+    assert ks_statistic([np.inf, np.inf], LimitLaw("gumbel")) == 1.0
 
 
 def test_gumbel_cdf_far_below_its_support_is_zero_without_overflow() -> None:
@@ -387,4 +389,4 @@ def test_gumbel_cdf_far_below_its_support_is_zero_without_overflow() -> None:
         assert got[5] == math.exp(-1.0)
         # one outlier far below the rest: its empirical step is the whole KS gap
         sample = np.append(np.random.default_rng(8).gumbel(size=99), -800.0)
-        assert ks_statistic(sample, limit_law("gumbel")) >= 0.01
+        assert ks_statistic(sample, LimitLaw("gumbel")) >= 0.01

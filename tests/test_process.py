@@ -5,6 +5,7 @@ import os
 import sys
 import threading
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from haarfrontier import process
-from haarfrontier.frontiers import FrontierSpec, constant_frontier, sine_frontier
+from haarfrontier.frontiers import FrontierSpec, parse_frontier
 from haarfrontier.process import (
     CellStats,
     PartitionConfig,
@@ -29,6 +30,7 @@ from crosschecks import (
     SHIPPED_LABELS,
     cell_centers,
     cell_geometry_loop,
+    check_cell_record,
     frontier,
     sample_from_csv_through_handle,
     sample_to_csv_per_row,
@@ -98,7 +100,7 @@ def test_partition_config_accepts_numpy_integers() -> None:
 
 
 def test_simulate_reproducible_and_contained(tmp_path) -> None:
-    f = sine_frontier(1.0, 0.25)
+    f = parse_frontier("sine:a=1.0,b=0.25")
     a = simulate(f, 500, 1.0, 12345)
     b = simulate(f, 500, 1.0, 12345)
     assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
@@ -118,14 +120,14 @@ def test_simulate_reproducible_and_contained(tmp_path) -> None:
 def test_simulate_requires_integer_n(n) -> None:
     # a float n used to reach the file as "n=1000.0", which from_csv cannot read
     with pytest.raises(ValueError, match="n must be an integer"):
-        simulate(constant_frontier(1.0), n, 1.0, 1)
+        simulate(parse_frontier("constant:a=1.0"), n, 1.0, 1)
 
 
 @pytest.mark.parametrize("seed", [3.7, 3.0, True], ids=["3.7", "3.0", "True"])
 def test_simulate_requires_integer_seed(seed) -> None:
     # a float seed used to be truncated: 3.7 drew and recorded seed 3
     with pytest.raises(ValueError, match="seed must be an integer"):
-        simulate(constant_frontier(1.0), 100, 1.0, seed)
+        simulate(parse_frontier("constant:a=1.0"), 100, 1.0, seed)
 
 
 @pytest.mark.parametrize(
@@ -143,7 +145,7 @@ def test_simulate_requires_integer_seed(seed) -> None:
 )
 def test_rate_must_be_finite_and_positive(c, message) -> None:
     # NaN used to pass `c <= 0.0` and fail inside numpy's Poisson draw
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     with pytest.raises(ValueError, match=f"intensity rate c {message}"):
         simulate(f, 100, c, 1)
     with pytest.raises(ValueError, match=f"intensity rate c {message}"):
@@ -151,7 +153,7 @@ def test_rate_must_be_finite_and_positive(c, message) -> None:
 
 
 def test_rate_is_stored_as_a_float(tmp_path) -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     assert simulate(f, 100, 2, 1).c == 2.0
     t = PointSample(np.array([0.5]), np.array([0.5]), n=1, c=np.float32(2), seed=0, frontier_label=f.label)
     assert type(t.c) is float and t.c == 2.0
@@ -163,7 +165,7 @@ def test_rate_is_stored_as_a_float(tmp_path) -> None:
 @pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2^64"])
 def test_seed_must_be_a_generator_key(seed) -> None:
     # -1 used to key the generator as 2^64 - 1 while recording seed=-1
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     with pytest.raises(ValueError, match="seed must lie in \\[0, 2\\*\\*64\\)"):
         simulate(f, 100, 1.0, seed)
     with pytest.raises(ValueError, match="seed must lie in \\[0, 2\\*\\*64\\)"):
@@ -172,7 +174,7 @@ def test_seed_must_be_a_generator_key(seed) -> None:
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["0", "2^64-1"])
 def test_seed_range_ends_are_keys(seed) -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     s = simulate(f, 100, 1.0, seed)
     assert s.seed == seed
     t = PointSample(s.xs, s.ys, n=100, c=1.0, seed=np.uint64(seed), frontier_label=f.label)
@@ -326,13 +328,14 @@ def test_stats_binned_from_the_stream_match_the_filled_sample(
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert not a.flags.writeable
-    for name in ("cell_areas", "f_min", "f_max"):
+    for name in ("cell_areas", "f_max"):
         assert getattr(got, name) is getattr(want, name)  # the cached geometry
     assert got.cfg == cfg
+    check_cell_record(got, f)
 
 
 def test_drawn_sample_fills_the_same_points_wherever_it_is_first_used() -> None:
-    f = sine_frontier(1.0, 0.25)
+    f = parse_frontier("sine:a=1.0,b=0.25")
     want, _ = simulate_fresh_philox(f, 2000, 1.0, 11)
     here, there = simulate(f, 2000, 1.0, 11), simulate(f, 2000, 1.0, 11)
     assert len(here) == len(want)  # the count is known before the points are drawn
@@ -350,7 +353,7 @@ def test_drawn_sample_fills_the_same_points_wherever_it_is_first_used() -> None:
 
 
 def test_drawn_sample_survives_a_draw_that_fails_after_moving_the_cursor() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     want, _ = simulate_fresh_philox(f, 500, 1.0, 4)
     sample = simulate(f, 500, 1.0, 4)
     with pytest.raises(ValueError, match="too large to draw"):
@@ -361,7 +364,7 @@ def test_drawn_sample_survives_a_draw_that_fails_after_moving_the_cursor() -> No
 def test_replicate_memory_does_not_grow_with_n() -> None:
     # numpy reports its buffers to tracemalloc; a sample of about 10^6
     # points holds 16 MB, and a replicate holds a few chunks and k_n cells
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     n = 10**6
     cfg = PartitionConfig(n=n, h_prime=4, d_n=1)
 
@@ -437,14 +440,14 @@ def _threads_match_serial(replicate) -> None:
 
 
 def test_simulate_in_concurrent_threads_matches_serial() -> None:
-    f = sine_frontier(1.0, 0.25)
+    f = parse_frontier("sine:a=1.0,b=0.25")
     _threads_match_serial(lambda s: simulate(f, 500, 1.0, s).xs.tobytes())
 
 
 def test_replicate_stats_in_concurrent_threads_match_serial(monkeypatch) -> None:
     # small chunks, so each replicate switches threads between its chunks
     _small_chunks(monkeypatch, 64)
-    f = sine_frontier(1.0, 0.25)
+    f = parse_frontier("sine:a=1.0,b=0.25")
     cfg = PartitionConfig(n=500, h_prime=3, d_n=3)
 
     def replicate(seed):
@@ -476,7 +479,7 @@ def test_point_sample_requires_integer_n(n) -> None:
 
 
 def test_point_sample_stores_numpy_integers_as_int(tmp_path) -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     s = simulate(f, np.int64(1000), 1.0, 1)
     assert type(s.n) is int and s.n == 1000
     t = PointSample(s.xs, s.ys, n=np.uint16(1000), c=1.0, seed=np.uint64(1), frontier_label=f.label)
@@ -488,20 +491,20 @@ def test_point_sample_stores_numpy_integers_as_int(tmp_path) -> None:
 
 
 def test_simulate_vanishing_intensity_gives_empty_sample() -> None:
-    s = simulate(constant_frontier(1.0), 1, 1e-12, 7)
+    s = simulate(parse_frontier("constant:a=1.0"), 1, 1e-12, 7)
     assert len(s) == 0
 
 
 def test_simulate_count_is_poisson_with_mean_nc_area() -> None:
     # mean over R seeds within 3*sqrt(mean/R), by the Poisson mean-variance identity
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     reps = 10_000
     counts = np.array([len(simulate(f, 100, 1.0, 50_000 + i)) for i in range(reps)])
     assert abs(counts.mean() - 100.0) <= 3.0 * math.sqrt(100.0 / reps)
 
 
 def test_simulate_y_marginal_uniform_for_flat_frontier() -> None:
-    s = simulate(constant_frontier(1.0), 100, 1.0, 424242)
+    s = simulate(parse_frontier("constant:a=1.0"), 100, 1.0, 424242)
     ys = np.sort(s.ys)
     n = len(ys)
     grid = np.arange(1, n + 1) / n
@@ -511,7 +514,7 @@ def test_simulate_y_marginal_uniform_for_flat_frontier() -> None:
 
 def test_conditional_uniformity_chi_squared() -> None:
     # aggregate ~1e4 points for a flat frontier; 4x4 spatial grid
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     obs = np.zeros((4, 4))
     total = 0
     i = 0
@@ -546,7 +549,7 @@ def test_simulate_rejects_pathological_rejection_rate() -> None:
 
 
 def test_point_sample_csv_round_trip(tmp_path) -> None:
-    f = sine_frontier(1.0, 0.25)
+    f = parse_frontier("sine:a=1.0,b=0.25")
     s = simulate(f, 300, 1.5, 987654321)
     path = tmp_path / "sample.csv"
     s.to_csv(path)
@@ -590,7 +593,7 @@ def test_point_sample_csv_empty_data_and_one_field_rows(tmp_path) -> None:
 
 
 def test_point_sample_row_order_does_not_matter(tmp_path) -> None:
-    f = sine_frontier(1.0, 0.25)
+    f = parse_frontier("sine:a=1.0,b=0.25")
     s = simulate(f, 2000, 1.0, 2468)
     xs, ys = (arr[np.random.default_rng(0).permutation(len(s))] for arr in (s.xs, s.ys))
     given = xs.copy(), ys.copy()
@@ -771,7 +774,7 @@ def test_point_sample_rejects_a_label_the_header_cannot_give_back(tmp_path, labe
     # each used to be written, and read back changed (5 as "5", spaces stripped) or not at all
     with pytest.raises(ValueError, match=f"frontier_label {message}"):
         PointSample(np.array([0.5]), np.array([0.5]), n=1, c=1.0, seed=0, frontier_label=label)
-    spec = dataclasses.replace(constant_frontier(1.0), label=label)
+    spec = dataclasses.replace(parse_frontier("constant:a=1.0"), label=label)
     path = tmp_path / "sample.csv"
     with pytest.raises(ValueError, match=f"frontier_label {message}"):
         simulate(spec, 10, 1.0, 0).to_csv(path)
@@ -792,7 +795,7 @@ def test_point_sample_rejects_invalid_values(x, y) -> None:
 
 
 def test_cell_stats_direct_examples() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     sample = PointSample(
         xs=np.array([0.1, 0.1]),
         ys=np.array([0.3, 0.7]),
@@ -809,7 +812,7 @@ def test_cell_stats_direct_examples() -> None:
 
 
 def test_cell_stats_empty_sample() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     sample = PointSample(np.empty(0), np.empty(0), n=8, c=1.0, seed=0, frontier_label=f.label)
     cfg = PartitionConfig(n=8, h_prime=2, d_n=2)
     stats = cell_stats(sample, cfg, f)
@@ -818,95 +821,121 @@ def test_cell_stats_empty_sample() -> None:
 
 
 def test_cell_stats_oracle_fields_flat_frontier() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     cfg = PartitionConfig(n=16, h_prime=2, d_n=1)  # k_n = 4
     sample = simulate(f, 16, 1.0, 3)
     stats = cell_stats(sample, cfg, f)
     np.testing.assert_allclose(stats.cell_areas, 0.25, atol=1e-14)
-    np.testing.assert_allclose(stats.f_min, 1.0, atol=1e-14)
     np.testing.assert_allclose(stats.f_max, 1.0, atol=1e-14)
 
 
-def _cell_record(**changes) -> dict:
-    """A valid two-cell CellStats record under the flat frontier at height 1, then changes."""
-    record = dict(
-        counts=np.array([1, 2]),
-        x_star=np.array([0.5, 0.9]),
-        z_star=np.array([0.5, 0.2]),
-        cell_areas=np.array([0.5, 0.5]),
-        f_min=np.ones(2),
-        f_max=np.ones(2),
-        cfg=PartitionConfig(n=4, h_prime=1, d_n=1),
+def test_a_cell_record_is_built_only_by_cell_stats() -> None:
+    f = parse_frontier("constant:a=1.0")
+    cfg = PartitionConfig(n=16, h_prime=2, d_n=1)
+    stats = cell_stats(simulate(f, 16, 1.0, 1), cfg, f)
+    record = {field.name: getattr(stats, field.name) for field in dataclasses.fields(CellStats)}
+    assert list(record) == ["counts", "x_star", "z_star", "cell_areas", "f_max", "cfg"]
+    assert "__post_init__" not in vars(CellStats)
+    for args, kwargs in (((), record), (tuple(record.values()), {}), ((), {})):
+        with pytest.raises(TypeError, match="built only by cell_stats"):
+            CellStats(*args, **kwargs)
+    with pytest.raises(TypeError, match="built only by cell_stats"):
+        dataclasses.replace(stats, x_star=stats.x_star)
+
+
+def _record_with(stats, **changes):
+    """The fields of record `stats` in a namespace, with changes: what `cell_stats` cannot build."""
+    values = {field.name: getattr(stats, field.name) for field in dataclasses.fields(stats)}
+    for name, value in changes.items():
+        value = np.array(value)
+        value.flags.writeable = False
+        values[name] = value
+    return types.SimpleNamespace(**values)
+
+
+def _two_cell_record():
+    """Under the flat frontier at height 1: one point in cell 1 and two in cell 2."""
+    f = parse_frontier("constant:a=1.0")
+    sample = PointSample(
+        xs=np.array([0.2, 0.7, 0.8]), ys=np.array([0.5, 0.9, 0.2]),
+        n=4, c=1.0, seed=0, frontier_label=f.label,
     )
-    record.update(changes)
-    return record
+    return cell_stats(sample, PartitionConfig(n=4, h_prime=1, d_n=1), f), f
 
 
-def test_cell_stats_rejects_inconsistent_records() -> None:
-    CellStats(**_cell_record())
-    with pytest.raises(ValueError, match="z_star <= x_star"):
-        CellStats(**_cell_record(z_star=np.array([0.6, 0.2])))
-    with pytest.raises(ValueError, match="cell areas inconsistent"):
-        CellStats(**_cell_record(cell_areas=np.array([0.5, 0.6])))
-    with pytest.raises(ValueError, match="escape the frontier enclosure"):
-        CellStats(**_cell_record(x_star=np.array([0.5, 1.1])))
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({}, None),
+        ({"z_star": [0.6, 0.2]}, "z_star <= x_star"),
+        ({"z_star": [0.5, -0.1]}, "z_star <= x_star"),
+        ({"cell_areas": [0.5, 0.6]}, "cell areas inconsistent"),
+        ({"x_star": [0.5, 1.1]}, "escape the frontier enclosure"),
+        ({"f_max": [1.0, 1.2]}, "f_max is not the frontier's maximum"),
+    ],
+    ids=["valid", "z-above-x", "negative-z", "area-mismatch", "escape", "wrong-f-max"],
+)
+def test_the_reference_check_rejects_each_fault_of_a_record(changes, message) -> None:
+    stats, f = _two_cell_record()
+    record = _record_with(stats, **changes)
+    if message is None:
+        check_cell_record(record, f)
+    else:
+        with pytest.raises(ValueError, match=message):
+            check_cell_record(record, f)
 
 
-@pytest.mark.parametrize("name", ["counts", "x_star", "z_star", "cell_areas", "f_min", "f_max"])
-def test_cell_stats_checks_every_array_field(name) -> None:
-    record = _cell_record()
-    record[name] = np.append(record[name], record[name][-1])
+@pytest.mark.parametrize("name", ["counts", "x_star", "z_star", "cell_areas", "f_max"])
+def test_the_reference_check_rejects_a_wrong_length_or_a_writeable_array(name) -> None:
+    stats, f = _two_cell_record()
+    value = getattr(stats, name)
     with pytest.raises(ValueError, match=f"{name} must have one entry per cell"):
-        CellStats(**record)
-
-
-_RECORD_ARRAYS = ("counts", "x_star", "z_star", "cell_areas", "f_min", "f_max")
+        check_cell_record(_record_with(stats, **{name: np.append(value, value[-1])}), f)
+    record = _record_with(stats)
+    setattr(record, name, value.copy())
+    with pytest.raises(ValueError, match=f"{name} must be read-only"):
+        check_cell_record(record, f)
 
 
 @pytest.mark.parametrize("label", SHIPPED_LABELS)
 @pytest.mark.parametrize("n, h_prime, d_n", [(200, 6, 4), (20, 3, 3)])  # k_n = 256, then 24
-def test_binned_record_equals_the_publicly_checked_one(label, n, h_prime, d_n) -> None:
+def test_cell_stats_records_pass_the_reference_check(label, n, h_prime, d_n) -> None:
     f = frontier(label)
     cfg = PartitionConfig(n=n, h_prime=h_prime, d_n=d_n)
-    lean = cell_stats(simulate(f, n, 1.0, 11), cfg, f)
-    assert 0 < int(np.count_nonzero(lean.counts == 0)) < cfg.k_n  # some cells empty, some not
-    public = CellStats(**{name: getattr(lean, name).copy() for name in _RECORD_ARRAYS}, cfg=cfg)
-    assert lean.cfg == public.cfg
-    for name in _RECORD_ARRAYS:
-        got, want = getattr(lean, name), getattr(public, name)
-        assert got.dtype == want.dtype and got.shape == want.shape == (cfg.k_n,)
-        assert got.tobytes() == want.tobytes()
-        assert not got.flags.writeable
+    stats = cell_stats(simulate(f, n, 1.0, 11), cfg, f)
+    assert 0 < int(np.count_nonzero(stats.counts == 0)) < cfg.k_n  # some cells empty, some not
+    assert stats.cfg == cfg
+    check_cell_record(stats, f)
 
 
 @pytest.mark.parametrize("excess, escapes", [(5e-10, False), (2e-9, True), (0.5, True)])
-def test_cell_stats_checks_maxima_with_the_public_enclosure_slack(excess, escapes) -> None:
+def test_cell_stats_checks_maxima_with_the_reference_enclosure_slack(excess, escapes) -> None:
     # the enclosure has a rounding slack of 1e-9 * max(1, max f_max) above f_max
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     cfg = PartitionConfig(n=2, h_prime=1, d_n=1)
     sample = PointSample(
         xs=np.array([0.2, 0.7]), ys=np.array([0.5, 1.0 + excess]),
         n=2, c=1.0, seed=0, frontier_label=f.label,
     )
-    record = _cell_record(x_star=np.array([0.5, 1.0 + excess]), z_star=np.array([0.5, 1.0 + excess]),
-                          counts=np.array([1, 1]), cfg=cfg)
     if escapes:
         with pytest.raises(ValueError, match="escape the frontier enclosure"):
             cell_stats(sample, cfg, f)
+        stats, _ = _two_cell_record()
         with pytest.raises(ValueError, match="escape the frontier enclosure"):
-            CellStats(**record)
+            check_cell_record(_record_with(stats, x_star=[0.5, 1.0 + excess]), f)
     else:
-        assert cell_stats(sample, cfg, f).x_star[1] == 1.0 + excess
-        CellStats(**record)
+        stats = cell_stats(sample, cfg, f)
+        assert stats.x_star[1] == 1.0 + excess
+        check_cell_record(stats, f)
 
 
 def test_cell_stats_rejects_inconsistent_geometry_on_every_call() -> None:
     # a declared integral of 1.5 per unit length under a frontier at height 1
     f = dataclasses.replace(
-        constant_frontier(1.0), exact_integral=lambda lo, hi: 1.5 * (hi - lo), label="wrong-area"
+        parse_frontier("constant:a=1.0"), exact_integral=lambda lo, hi: 1.5 * (hi - lo), label="wrong-area"
     )
     cfg = PartitionConfig(n=16, h_prime=2, d_n=1)
-    sample = simulate(constant_frontier(1.0), 16, 1.0, 4)
+    sample = simulate(parse_frontier("constant:a=1.0"), 16, 1.0, 4)
     hits = _cell_geometry.cache_info().hits
     for _ in range(3):
         with pytest.raises(ValueError, match="cell areas inconsistent"):
@@ -915,24 +944,24 @@ def test_cell_stats_rejects_inconsistent_geometry_on_every_call() -> None:
 
 
 def test_cell_stats_shares_the_cached_read_only_geometry() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     cfg = PartitionConfig(n=16, h_prime=2, d_n=1)
     a = cell_stats(simulate(f, 16, 1.0, 1), cfg, f)
     b = cell_stats(simulate(f, 16, 1.0, 2), cfg, f)
-    for name in ("cell_areas", "f_min", "f_max"):
+    for name in ("cell_areas", "f_max"):
         assert getattr(a, name) is getattr(b, name)
         assert not getattr(a, name).flags.writeable
 
 
 def test_cell_stats_requires_matching_n() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     sample = simulate(f, 16, 1.0, 3)
     with pytest.raises(ValueError):
         cell_stats(sample, PartitionConfig(n=17, h_prime=2, d_n=1), f)
 
 
 def test_cell_stats_boundary_point_goes_to_last_cell() -> None:
-    f = constant_frontier(1.0)
+    f = parse_frontier("constant:a=1.0")
     sample = PointSample(
         xs=np.array([0.5, 1.0]),
         ys=np.array([0.2, 0.9]),
@@ -949,7 +978,7 @@ def test_cell_stats_boundary_point_goes_to_last_cell() -> None:
 
 
 def test_cell_stats_matches_bruteforce_binning() -> None:
-    f = sine_frontier(1.0, 0.25)
+    f = parse_frontier("sine:a=1.0,b=0.25")
     cfg = PartitionConfig(n=400, h_prime=3, d_n=3)  # k_n = 24
     sample = simulate(f, 400, 1.0, 77)
     stats = cell_stats(sample, cfg, f)
@@ -968,7 +997,7 @@ def test_cell_stats_matches_bruteforce_binning() -> None:
 
 @pytest.mark.parametrize("h_prime, d_n", [(0, 1), (3, 3), (4, 16), (10, 3), (12, 3)])
 def test_cell_stats_matches_sorted_run_reference(h_prime, d_n) -> None:
-    f = sine_frontier(1.0, 0.25)
+    f = parse_frontier("sine:a=1.0,b=0.25")
     cfg = PartitionConfig(n=20_000, h_prime=h_prime, d_n=d_n)
     sample = simulate(f, cfg.n, 1.0, 1357)
     # points on and next to every edge, where a rounded x * k_n is off by one
@@ -990,6 +1019,9 @@ def test_cell_stats_matches_sorted_run_reference(h_prime, d_n) -> None:
 )
 def test_cell_geometry_matches_per_cell_loop(label, k_n) -> None:
     f = frontier(label)
-    for got, want in zip(_cell_geometry(f, k_n), cell_geometry_loop(f, k_n)):
+    cell_areas, f_max, slack = _cell_geometry(f, k_n)
+    lam, _, loop_max = cell_geometry_loop(f, k_n)
+    for got, want in ((cell_areas, lam), (f_max, loop_max)):
         assert got.shape == (k_n,) and not got.flags.writeable
         assert np.array_equal(got, want)
+    assert slack == 1e-9 * max(1.0, float(loop_max.max()))

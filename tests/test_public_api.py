@@ -18,26 +18,21 @@ PUBLIC = [
     "PointSample",
     "StepFunction",
     "__version__",
-    "affine_frontier",
     "cell_cdf",
     "cell_max_mean",
     "cell_max_variance",
     "cell_stats",
     "coefficient_estimates",
-    "constant_frontier",
     "corrected_estimate",
     "haar_ev_estimate",
     "haar_eval",
     "haar_transform",
     "ks_statistic",
-    "limit_law",
     "minima_mean",
     "parse_frontier",
     "run_experiment",
     "simulate",
-    "sine_frontier",
     "truncated_expansion",
-    "two_level_frontier",
     "uniform_cell_index",
 ]
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from haarfrontier.frontiers import constant_frontier
+from haarfrontier.frontiers import parse_frontier
 from haarfrontier.haar import haar_eval
 from haarfrontier.stepfun import StepFunction, uniform_cell_index
 
@@ -160,7 +160,7 @@ POINT_TO_CELL_CALLERS = {
     "haar_eval-0": lambda x: haar_eval(0, x),
     "haar_eval-1": lambda x: haar_eval(1, x),
     "dirichlet_kernel": lambda x: dirichlet_kernel(3, x, 0.9),
-    "error_metrics": lambda x: error_metrics(STEP, constant_frontier(1.0), xs=(x,)),
+    "error_metrics": lambda x: error_metrics(STEP, parse_frontier("constant:a=1.0"), xs=(x,)),
 }
 
 
