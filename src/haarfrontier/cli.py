@@ -180,11 +180,9 @@ def _cmd_experiment(args) -> int:
     flags = {key: value for key in _CONFIG_KEYS if (value := getattr(args, key)) is not None}
     cfg = _apply_config(cfg, flags)
     payload = _config_payload(args.name, preset.kind, cfg)
-    # one spec for the rows and the manifest's regime numbers
-    frontier = parse_frontier(cfg.frontier)
 
     start = time.perf_counter()
-    rows = run_experiment(preset.kind, cfg, f=frontier)
+    rows = run_experiment(preset.kind, cfg)
     elapsed = time.perf_counter() - start
 
     out_dir = Path(args.out)
@@ -198,7 +196,7 @@ def _cmd_experiment(args) -> int:
         {
             "config": payload,
             "input_hash": config_hash(payload),
-            "regimes": _regime_numbers(preset.kind, cfg, frontier.alpha),
+            "regimes": _regime_numbers(preset.kind, cfg),
             "wall_time_s": elapsed,
             "version": __version__,
             **summary,

@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .frontiers import FrontierSpec, parse_frontier
+from .frontiers import parse_frontier
 from .haar import truncated_expansion
 from .kernels import ReplicateTask, l2_error_sq, sup_error
 from .oracles import LimitLaw, ks_statistic
@@ -403,14 +403,13 @@ def _zn_moments_rows(cfg, f, entries) -> Iterator[ReportRow]:
         yield _nonneg_row("zn_moments", cfg, pc, "zn_nonneg", zn)
 
 
-def run_experiment(kind: str, cfg: ExperimentConfig, *, f: FrontierSpec = None) -> list:
+def run_experiment(kind: str, cfg: ExperimentConfig) -> list:
     """The report rows of experiment `kind` under cfg: the one experiment entry point.
 
     The experiment's evaluation points, then the partition of every
     schedule entry, are checked before any replicate runs. Each entry's
     replicates then run in schedule order, and the row builder takes their
-    data entry by entry. `f`, when given, is `parse_frontier(cfg.frontier)`
-    from a caller that needs the spec too, so the label is not parsed again.
+    data entry by entry.
     """
     if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {kind!r}; choose from {sorted(EXPERIMENTS)}")
@@ -424,7 +423,7 @@ def run_experiment(kind: str, cfg: ExperimentConfig, *, f: FrontierSpec = None) 
     pcs = [PartitionConfig(n, h_prime, d_n) for n, h_prime, d_n in cfg.schedule]
     for pc in pcs:
         spec.partition(pc)
-    f = parse_frontier(cfg.frontier) if f is None else f
+    f = parse_frontier(cfg.frontier)
 
     def entries():
         for e, pc in enumerate(pcs):
@@ -434,10 +433,9 @@ def run_experiment(kind: str, cfg: ExperimentConfig, *, f: FrontierSpec = None) 
     return list(spec.rows(cfg, f, entries()))
 
 
-def _regime_numbers(kind: str, cfg: ExperimentConfig, alpha: float) -> list:
-    """Per schedule entry, {condition: number} for each condition experiment `kind` names,
-    at the frontier's order alpha."""
-    conditions = EXPERIMENTS[kind].conditions
+def _regime_numbers(kind: str, cfg: ExperimentConfig) -> list:
+    """Per schedule entry, {condition: number} for each condition experiment `kind` names."""
+    conditions, alpha = EXPERIMENTS[kind].conditions, parse_frontier(cfg.frontier).alpha
     pcs = (PartitionConfig(n, h_prime, d_n) for n, h_prime, d_n in cfg.schedule)
     return [{name: CONDITIONS[name](pc, alpha) for name in conditions} for pc in pcs]
 

@@ -199,17 +199,17 @@ def _piecewise_linear(label: str, knots, values, slopes, lip: float) -> Frontier
     )
 
 
-def _constant(a: float = 1.0) -> FrontierSpec:
+def _constant(*, a: float = 1.0) -> FrontierSpec:
     """Frontier f(x) = a."""
     return _piecewise_linear(f"constant:a={a!r}", (), (a,), (0.0,), lip=0.0)
 
 
-def _affine(a: float = 1.0, b: float = 0.5) -> FrontierSpec:
+def _affine(*, a: float = 1.0, b: float = 0.5) -> FrontierSpec:
     """Frontier f(x) = a + b*x."""
     return _piecewise_linear(f"affine:a={a!r},b={b!r}", (), (a,), (b,), lip=abs(b))
 
 
-def _sine(a: float = 1.0, b: float = 0.25) -> FrontierSpec:
+def _sine(*, a: float = 1.0, b: float = 0.25) -> FrontierSpec:
     """Frontier f(x) = a + b*sin(2*pi*x)."""
     w = 2.0 * math.pi
 
@@ -268,7 +268,7 @@ def _sine(a: float = 1.0, b: float = 0.25) -> FrontierSpec:
     )
 
 
-def _two_level(lo: float = 0.8, hi: float = 1.2, split: float = 0.5) -> FrontierSpec:
+def _two_level(*, lo: float = 0.8, hi: float = 1.2, split: float = 0.5) -> FrontierSpec:
     """Piecewise-constant frontier: lo on [0, split), hi on [split, 1].
 
     Not Lipschitz (the declared constant is infinite); cell extrema and
@@ -281,7 +281,8 @@ def _two_level(lo: float = 0.8, hi: float = 1.2, split: float = 0.5) -> Frontier
 
 
 # each shipped family's builder, by the name its label starts with; a builder
-# takes the label's parameters as floats, with the family's defaults for the rest
+# takes the label's parameters as floats, by keyword only, with the family's
+# defaults for the rest
 _FAMILY = {"constant": _constant, "affine": _affine, "sine": _sine, "two_level": _two_level}
 
 
@@ -295,6 +296,8 @@ def parse_frontier(label: str) -> FrontierSpec:
     name, _, params = label.partition(":")
     if name not in _FAMILY:
         raise ValueError(f"unknown frontier {name!r}; choose from {sorted(_FAMILY)}")
+    build = _FAMILY[name]
+    taken = build.__kwdefaults__  # the family's parameters, with their defaults
     kwargs = {}
     if params:
         for item in params.split(","):
@@ -302,10 +305,12 @@ def parse_frontier(label: str) -> FrontierSpec:
             key = key.strip()
             if not _:
                 raise ValueError(f"malformed frontier parameter {item!r}")
+            if key not in taken:
+                raise ValueError(
+                    f"malformed frontier {label!r}: {name!r} takes no parameter {key!r};"
+                    f" it takes {', '.join(taken)}"
+                )
             if key in kwargs:
                 raise ValueError(f"frontier parameter {key!r} given twice in {label!r}")
             kwargs[key] = float(value)
-    try:
-        return _FAMILY[name](**kwargs)
-    except TypeError as exc:  # a parameter the family does not take
-        raise ValueError(f"malformed frontier {label!r}: {exc}") from None
+    return build(**kwargs)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from haarfrontier import cli, frontiers
+from haarfrontier import cli
 from haarfrontier.cli import _build_parser, main
 from haarfrontier.estimators import EstimateBundle
 from haarfrontier.experiments import PRESETS
@@ -530,22 +530,3 @@ def test_report_csv_round_trip(tmp_path) -> None:
     assert read_report_csv(path) == rows
     header = path.read_text().splitlines()[0]
     assert header == "experiment,frontier,n,c,h_n,d_n,k_n,x,statistic,estimate,std_err,comparator,tolerance,pass"
-
-
-def test_an_experiment_parses_its_frontier_once_for_the_rows_and_the_manifest(
-    tmp_path, monkeypatch
-) -> None:
-    # one parse serves the rows and the regime numbers; the one serial chunk
-    # parses the label its task carries, as a worker process would
-    calls = []
-    for family, build in list(frontiers._FAMILY.items()):
-        def counted(*args, family=family, build=build, **kwargs):
-            calls.append(family)
-            return build(*args, **kwargs)
-
-        monkeypatch.setitem(frontiers._FAMILY, family, counted)
-    argv = ["experiment", "zn-moments", "--schedule", "500:2:1", "--replicates", "4", "--workers", "1"]
-    assert main([*argv, "--out", str(tmp_path)]) == 0
-    assert calls == ["constant"] * len(calls) and 1 <= len(calls) <= 2
-    manifest = json.loads((tmp_path / "zn-moments_manifest.json").read_text())
-    assert manifest["regimes"] == [{"kn=o(n/ln n)": pytest.approx(4 * math.log(500) / 500)}]

@@ -326,7 +326,7 @@ def test_parse_frontier_rejects_unknown() -> None:
         parse_frontier("parabola:a=1")
     with pytest.raises(ValueError):
         parse_frontier("affine:a")
-    with pytest.raises(ValueError, match="unexpected keyword"):
+    with pytest.raises(ValueError, match="'constant' takes no parameter 'b'; it takes a$"):
         parse_frontier("constant:b=1")
 
 
