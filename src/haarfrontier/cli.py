@@ -1,14 +1,13 @@
 """Command-line interface: simulate, estimate, experiment, list-presets.
 
-Experiment configuration is layered: preset defaults, then a flat key=value
-config file, then command-line flags. Each setting has one spelling, the
-same as a config key and as a flag; the schedule is `schedule = n:hprime:dn`
-(entries joined by `;`). Report CSVs are deterministic for a fixed
-configuration regardless of the worker count. The JSON manifest has eight
-keys: the config echo (`config`), its content hash (`input_hash`), the
-regime numbers per schedule entry (`regimes`), `wall_time_s`, the package
-`version`, and the count of `rows`, the count of `failures` and the sorted
-`statistics` of the report.
+An experiment run is its preset, then the flags that override it. Each
+setting has one flag, and only `--x` may be given twice; the schedule is
+`--schedule n:hprime:dn` (entries joined by `;`). Report CSVs are
+deterministic for a fixed configuration regardless of the worker count.
+The JSON manifest has eight keys: the config echo (`config`), its content
+hash (`input_hash`), the regime numbers per schedule entry (`regimes`),
+`wall_time_s`, the package `version`, and the count of `rows`, the count
+of `failures` and the sorted `statistics` of the report.
 """
 
 from __future__ import annotations
@@ -35,10 +34,25 @@ USAGE_ERROR = 1
 TOLERANCE_FAILURE = 2
 
 
+class _Once(argparse.Action):
+    """Store a value; the same flag given twice in one command line is a usage error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        # the namespace is new for each command line; the action is shared by all of them
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given twice")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
-    # also each subcommand's parser class: no parser takes a flag's prefix for the flag
+    # also each subcommand's parser class: no parser takes a flag's prefix for
+    # the flag, and every storing flag is taken once
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        for name in (None, "store"):
+            self.register("action", name, _Once)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -69,8 +83,7 @@ def _build_parser() -> _Parser:
     exp = sub.add_parser("experiment", help="run a named experiment preset")
     exp.set_defaults(run=_cmd_experiment)
     exp.add_argument("name", help="preset name; see list-presets")
-    exp.add_argument("--config", help="flat key=value config file; flags override it")
-    # the config-file keys, as text; _apply_config parses flags and file alike
+    # the settings, as text; _cmd_experiment parses them
     for key in _CONFIG_KEYS:
         exp.add_argument(f"--{key}", action="append" if key == "x" else "store")
     exp.add_argument("--out", default=".")
@@ -78,22 +91,6 @@ def _build_parser() -> _Parser:
 
     sub.add_parser("list-presets", help="list experiment presets").set_defaults(run=_cmd_list_presets)
     return parser
-
-
-def _read_config_file(path: str) -> dict:
-    values = {}
-    for raw in Path(path).read_text().splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ValueError(f"malformed config line {raw!r}")
-        key = key.strip()
-        if key in values:
-            raise ValueError(f"config key {key!r} given twice in {path}")
-        values[key] = value.strip()
-    return values
 
 
 def _parse_schedule(text: str) -> tuple:
@@ -106,12 +103,12 @@ def _parse_schedule(text: str) -> tuple:
     return tuple(entries)
 
 
-def _floats(value) -> tuple:
-    return tuple(float(v) for v in (value.split(",") if isinstance(value, str) else value))
+def _floats(values: list) -> tuple:
+    return tuple(float(v) for v in values)
 
 
-# config-file key and flag name -> (ExperimentConfig field, parser of its
-# text); --x may be given more than once and arrives as a list
+# flag name -> (ExperimentConfig field, parser of its text); --x may be
+# given more than once and arrives as a list
 _CONFIG_KEYS = {
     "frontier": ("frontier", str),
     "c": ("c", float),
@@ -129,14 +126,6 @@ def _parse(key: str, parse, value):
         return parse(value)
     except ValueError as exc:
         raise ValueError(f"bad value {value!r} for {key}: {exc}") from None
-
-
-def _apply_config(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
-    unknown = sorted(values.keys() - _CONFIG_KEYS.keys())
-    if unknown:
-        raise ValueError(f"unknown config keys {unknown}")
-    return replace(cfg, **{field: _parse(key, parse, values[key])
-                           for key, (field, parse) in _CONFIG_KEYS.items() if key in values})
 
 
 def _config_payload(name: str, kind: str, cfg: ExperimentConfig) -> dict:
@@ -175,10 +164,10 @@ def _cmd_experiment(args) -> int:
         print(f"unknown preset {args.name!r}; see list-presets", file=sys.stderr)
         return USAGE_ERROR
     preset = PRESETS[args.name]
-    # preset, then the config file, then the flags; a bad file value exits 1 even under a flag
-    cfg = _apply_config(preset.config, _read_config_file(args.config) if args.config else {})
-    flags = {key: value for key in _CONFIG_KEYS if (value := getattr(args, key)) is not None}
-    cfg = _apply_config(cfg, flags)
+    cfg = replace(preset.config, **{
+        field: _parse(key, parse, value)
+        for key, (field, parse) in _CONFIG_KEYS.items() if (value := getattr(args, key)) is not None
+    })
     payload = _config_payload(args.name, preset.kind, cfg)
 
     start = time.perf_counter()

@@ -41,12 +41,14 @@ KS_TOL_GAUSSIAN = 0.05
 
 _KS_SD = 0.26  # asymptotic standard deviation of sqrt(R) * KS
 
+SUP_EPS = (0.05, 0.1, 0.2)  # the levels eps of supnorm's tail probabilities P(sup error > eps)
 
-def _tuple_of_numbers(name: str, values) -> tuple:
+
+def _tuple_of_numbers(values) -> tuple:
     """values as a tuple of Python floats; bool, a string and any other item raise."""
     items = tuple(values) if isinstance(values, Iterable) and not isinstance(values, str) else None
     if items is None or any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in items):
-        raise ValueError(f"{name} must be a sequence of numbers")
+        raise ValueError("xs must be a sequence of numbers")
     return tuple(map(float, items))
 
 
@@ -60,7 +62,6 @@ class ExperimentConfig:
     xs: tuple = ()
     workers: int = 1
     variant: str = "z_corrected"
-    sup_eps: tuple = (0.05, 0.1, 0.2)
 
     def __post_init__(self):
         # derive_seed works modulo 2^64, so a seed outside [0, 2^64) would
@@ -70,8 +71,7 @@ class ExperimentConfig:
         for name in ("replicates", "workers"):
             object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
         # a numpy float would reach the report CSV as its repr, "np.float64(0.3)"
-        for name in ("xs", "sup_eps"):
-            object.__setattr__(self, name, _tuple_of_numbers(name, getattr(self, name)))
+        object.__setattr__(self, "xs", _tuple_of_numbers(self.xs))
         if self.replicates < 2:
             raise ValueError("need at least two replicates")
         if self.workers < 1:
@@ -83,8 +83,6 @@ class ExperimentConfig:
         # NaN fails the comparison, so this rejects it too
         if not all(0.0 <= x <= 1.0 for x in self.xs):
             raise ValueError("evaluation points x must lie in [0, 1]")
-        if not all(0.0 < eps < math.inf for eps in self.sup_eps):
-            raise ValueError("sup-norm levels sup_eps must be finite and > 0")
 
 
 def _mean_se(col: np.ndarray) -> tuple:
@@ -290,12 +288,12 @@ def _rate_slope_rows(name, cfg, f, per_entry) -> Iterator[ReportRow]:
 
 @_experiment("supnorm", "sup", ("kn=o(n/ln n)",))
 def _supnorm_rows(cfg, f, entries) -> Iterator[ReportRow]:
-    """Tail probabilities of the uniform error across the schedule."""
+    """Tail probabilities P(sup error > eps) across the schedule, at each level eps of SUP_EPS."""
     for pc, data in entries:
         sups = data[:, 0]
         sys_sup = sup_error(truncated_expansion(f, pc.h_n), f)
         nc = pc.n * cfg.c
-        for eps in cfg.sup_eps:
+        for eps in SUP_EPS:
             p_hat = float(np.mean(sups > eps))
             se = math.sqrt(max(p_hat * (1.0 - p_hat), 1.0 / cfg.replicates) / cfg.replicates)
             margin = eps - sys_sup

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +14,7 @@ import pytest
 from haarfrontier import cli
 from haarfrontier.cli import _build_parser, main
 from haarfrontier.estimators import EstimateBundle
-from haarfrontier.experiments import PRESETS
+from haarfrontier.experiments import PRESETS, ExperimentConfig
 from haarfrontier.process import PointSample
 from haarfrontier.report import ReportRow, write_manifest, write_report_csv
 
@@ -54,50 +56,73 @@ def test_simulate_then_estimate(tmp_path) -> None:
     assert bundle.z_n >= 0.0
 
 
-def test_experiment_with_config_file_and_overrides(tmp_path) -> None:
-    config = tmp_path / "run.cfg"
-    config.write_text(
-        "# desk-scale smoke run\n"
-        "replicates = 80\n"
-        "seed = 99\n"
-        "schedule = 1000:4:1\n"
-    )
+def test_experiment_flags_override_the_preset(tmp_path) -> None:
     out = tmp_path / "reports"
-    proc = run_cli(
-        "experiment", "zn-moments", "--config", str(config),
-        "--replicates", "120", "--out", str(out),
+    run_cli(
+        "experiment", "zn-moments", "--replicates", "120", "--seed", "99",
+        "--schedule", "1000:4:1", "--out", str(out),
     )
-    assert "120" not in proc.stderr
     rows = read_report_csv(out / "zn-moments.csv")
-    assert rows[0].n == 1000  # from the config file
+    assert rows[0].n == 1000
     manifest = json.loads((out / "zn-moments_manifest.json").read_text())
-    assert manifest["config"]["replicates"] == 120  # flag overrides file
-    assert manifest["config"]["base_seed"] == 99
+    preset = PRESETS["zn-moments"].config
+    assert manifest["config"]["replicates"] == 120 != preset.replicates
+    assert manifest["config"]["base_seed"] == 99 != preset.base_seed
+    assert manifest["config"]["schedule"] == [[1000, 4, 1]]
+    assert manifest["config"]["frontier"] == preset.frontier  # not given, so the preset's
     assert manifest["rows"] == len(rows)
     assert "wall_time_s" in manifest and "input_hash" in manifest
 
 
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        # the schedule has one spelling, schedule = n:hprime:dn
-        ("n = 5000\n", "unknown config keys ['n']"),
-        ("replicate = 10\n", "unknown config keys"),
-        ("replicates = 4\nreplicates = 6\n", "config key 'replicates' given twice"),
-        # these ran serially and exited 0
-        ("workers = 0\n", "workers must be >= 1, got 0"),
-        ("workers = -7\n", "workers must be >= 1, got -7"),
-    ],
-    ids=["n-only", "unknown-key", "repeated-key", "workers-0", "workers-negative"],
-)
-def test_experiment_config_file_errors_exit_1(tmp_path, capsys, text, message) -> None:
-    config = tmp_path / "run.cfg"
-    config.write_text(text)
+@pytest.mark.parametrize("workers", ["0", "-7"])
+def test_experiment_fewer_than_one_worker_exits_1(tmp_path, capsys, workers) -> None:
+    # these ran serially and exited 0
     out = tmp_path / "reports"
-    rc = main(["experiment", "zn-moments", "--config", str(config), "--out", str(out)])
-    assert rc == 1
-    assert message in capsys.readouterr().err
+    assert main(["experiment", "zn-moments", "--workers", workers, "--out", str(out)]) == 1
+    assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["simulate", "--frontier", "constant:a=1.0", "--n", "10", "--n", "20"], "--n"),
+        # --c, --seed and --out have defaults, so a second one is told apart from the first,
+        # not from an unset value; the same value twice is an error too
+        (["simulate", "--frontier", "constant:a=1.0", "--n", "10", "--seed", "0", "--seed=0"], "--seed"),
+        (["simulate", "--frontier", "constant:a=1.0", "--frontier", "constant:a=1.0", "--n", "10"],
+         "--frontier"),
+        (["estimate", "S", "--hprime", "1", "--dn", "1", "--hprime", "2"], "--hprime"),
+        (["estimate", "S", "--hprime", "1", "--dn", "1", "--out", "a"], "--out"),
+        (["experiment", "zn-moments", "--replicates", "4", "--replicates", "6"], "--replicates"),
+        (["experiment", "zn-moments", "--c", "1.0", "--c", "2.0"], "--c"),
+        (["experiment", "zn-moments", "--schedule", "500:2:1", "--schedule", "1000:2:1"], "--schedule"),
+    ],
+    ids=[
+        "simulate-n", "simulate-seed", "simulate-frontier", "estimate-hprime", "estimate-out",
+        "experiment-replicates", "experiment-c", "experiment-schedule",
+    ],
+)
+def test_a_flag_given_twice_is_a_usage_error(tmp_path, capsys, argv, flag) -> None:
+    # the last one used to win: --replicates 4 --replicates 6 ran 6 replicates and exited 0
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--out", str(out)])
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: haarfrontier {argv[0]}")
+    assert f"error: argument {flag}: given twice" in err
+    assert not out.exists()
+
+
+def test_each_experiment_setting_has_exactly_one_flag() -> None:
+    # a field no flag sets would be reachable from Python alone
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = commands.choices["experiment"]._actions
+    assert {f"--{key}" for key in cli._CONFIG_KEYS} <= {s for a in actions for s in a.option_strings}
+    set_by = sorted(field for field, _ in cli._CONFIG_KEYS.values())
+    assert set_by == sorted(field.name for field in dataclasses.fields(ExperimentConfig))
 
 
 def test_estimate_rejects_invalid_values(tmp_path, capsys) -> None:
@@ -145,6 +170,7 @@ def test_estimate_reports_memory_error_as_usage_error(
         # after the frontier, an extra key reads as a frontier parameter
         ("n=4,c=1.0,seed=0,frontier=constant:a=1.0,run=3\nx,y\n0.1,0.5\n", "malformed frontier"),
         ("n=4,c=1.0,seed=0,frontier=constant:a=1.0\nx,y\n0.1,0.5,0.2\n", "malformed sample row"),
+        ("n=4,c=1.0,seed=0,frontier=constant:a=1.0\ny,x\n0.1,0.5\n", "expected 'x,y' column header"),
         # well formed, but a point lies above the frontier the header names
         (
             "n=4,c=1.0,seed=0,frontier=constant:a=1.0\nx,y\n0.1,0.5\n0.6,1.5\n",
@@ -153,7 +179,7 @@ def test_estimate_reports_memory_error_as_usage_error(
     ],
     ids=[
         "missing-header-key", "extra-header-key", "extra-key-after-frontier", "three-field-row",
-        "point-above-frontier",
+        "swapped-column-header", "point-above-frontier",
     ],
 )
 def test_estimate_rejects_malformed_sample_file(tmp_path, capsys, text, message) -> None:
@@ -165,21 +191,18 @@ def test_estimate_rejects_malformed_sample_file(tmp_path, capsys, text, message)
     assert not (out / "estimate.json").exists()
 
 
-def test_experiment_bad_flag_value_names_its_key(tmp_path, capsys) -> None:
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--replicates", "many", "bad value 'many' for replicates"),
+        ("--schedule", "2000:3", "for schedule: malformed schedule entry '2000:3'; expected n:hprime:dn"),
+    ],
+    ids=["replicates", "schedule"],
+)
+def test_experiment_bad_flag_value_names_its_key(tmp_path, capsys, flag, value, message) -> None:
     out = tmp_path / "reports"
-    assert main(["experiment", "zn-moments", "--replicates", "many", "--out", str(out)]) == 1
-    assert "for replicates" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_experiment_bad_config_file_value_exits_1_under_a_flag(tmp_path, capsys) -> None:
-    # the file is applied as a layer of its own, so a flag does not hide its errors
-    config = tmp_path / "run.cfg"
-    config.write_text("replicates = many\n")
-    out = tmp_path / "reports"
-    argv = ["experiment", "zn-moments", "--config", str(config), "--replicates", "20", "--out", str(out)]
-    assert main(argv) == 1
-    assert "bad value 'many' for replicates" in capsys.readouterr().err
+    assert main(["experiment", "zn-moments", flag, value, "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -43,15 +43,6 @@ def test_config_validation() -> None:
             _cfg(xs=(0.5, x))
 
 
-@pytest.mark.parametrize("eps", [math.nan, -0.1, 0.0, -0.0, math.inf])
-def test_config_rejects_a_sup_level_that_is_not_finite_and_positive(eps) -> None:
-    # a NaN level gave a row with p = 0 and a negative one a row with p = 1, both passing
-    supnorm = experiments.PRESETS["supnorm"].config
-    with pytest.raises(ValueError, match="sup_eps must be finite and > 0"):
-        replace(supnorm, sup_eps=(0.1, eps), replicates=4)
-    assert replace(supnorm, sup_eps=(5e-324, 0.1), replicates=4).sup_eps == (5e-324, 0.1)
-
-
 @pytest.mark.parametrize(
     "field,value",
     [("replicates", 2.5), ("replicates", 3.0), ("replicates", True), ("workers", 1.5), ("workers", True)],
@@ -202,10 +193,9 @@ def test_supnorm_tail_probabilities_decrease_along_schedule() -> None:
     cfg = _cfg(
         schedule=((500, 3, 2), (2000, 3, 2), (8000, 3, 2)),
         replicates=150,
-        sup_eps=(0.05, 0.1, 0.2),
     )
     rows = run_experiment("supnorm", cfg)
-    for eps in (0.05, 0.1, 0.2):
+    for eps in experiments.SUP_EPS:
         ps = [r.estimate for r in rows if r.statistic == f"p_sup_gt_{eps}"]
         assert len(ps) == 3
         assert ps[0] >= ps[1] >= ps[2]
@@ -213,21 +203,35 @@ def test_supnorm_tail_probabilities_decrease_along_schedule() -> None:
 
 
 def test_supnorm_huge_n_tail_vanishes() -> None:
-    cfg = _cfg(schedule=((100_000, 7, 1),), replicates=150, sup_eps=(0.1, 1.5))
+    cfg = _cfg(schedule=((100_000, 7, 1),), replicates=150)
     rows = run_experiment("supnorm", cfg)
+    assert [r.statistic for r in rows] == [f"p_sup_gt_{eps}" for eps in experiments.SUP_EPS]
     by_stat = {r.statistic: r for r in rows}
     assert by_stat["p_sup_gt_0.1"].estimate < 0.01
-    # the error can never exceed the frontier bound itself
-    assert by_stat["p_sup_gt_1.5"].estimate == 0.0
+    # about 780 points per cell: no cell's maximum falls 0.2 below the frontier
+    assert by_stat["p_sup_gt_0.2"].estimate == 0.0
+
+
+def test_supnorm_comparator_is_1_at_levels_within_the_systematic_sup() -> None:
+    # one block on a line of slope 0.5: the projection misses f by exactly 0.25 at
+    # each end, so every level lies at or below the systematic sup and no bound applies
+    cfg = _cfg(frontier="affine:a=1.0,b=0.5", schedule=((2000, 0, 4),), replicates=20)
+    rows = run_experiment("supnorm", cfg)
+    assert [r.statistic for r in rows] == [f"p_sup_gt_{eps}" for eps in experiments.SUP_EPS]
+    assert max(experiments.SUP_EPS) <= 0.25
+    for row in rows:
+        assert row.estimate == 1.0 and row.comparator == 1.0 and row.passed
 
 
 def test_supnorm_runs_on_2_to_the_16_blocks() -> None:
     # the sup is exact on any block count, so supnorm takes h' > 14
-    cfg = _cfg(frontier="affine:a=1.0,b=0.5", schedule=((70_000, 16, 1),), replicates=2, sup_eps=(0.1,))
+    cfg = _cfg(frontier="affine:a=1.0,b=0.5", schedule=((70_000, 16, 1),), replicates=2)
     rows = run_experiment("supnorm", cfg)
-    assert [(r.h_n, r.statistic) for r in rows] == [(2**16 - 1, "p_sup_gt_0.1")]
+    assert [(r.h_n, r.statistic) for r in rows] == [
+        (2**16 - 1, f"p_sup_gt_{eps}") for eps in experiments.SUP_EPS
+    ]
     # about one point per cell: empty cells put the estimate far below f somewhere
-    assert rows[0].estimate == 1.0 and rows[0].passed
+    assert all(r.estimate == 1.0 and r.passed for r in rows)
 
 
 def test_weibull_small_schedule() -> None:
@@ -301,12 +305,19 @@ def test_gaussian_variants_agree_and_center() -> None:
     )
     rows_z = run_experiment("gaussian", replace(cfg, variant="z_corrected"))
     rows_c = run_experiment("gaussian", replace(cfg, variant="centered"))
+    # the exact shift k_n/(nc) in place of the minima mean z_n
+    rows_o = run_experiment("gaussian", replace(cfg, variant="oracle_corrected"))
     ks_z = next(r for r in rows_z if r.statistic.startswith("ks_gaussian"))
     ks_c = next(r for r in rows_c if r.statistic.startswith("ks_gaussian"))
-    assert ks_z.estimate < 0.07
+    ks_o = next(r for r in rows_o if r.statistic.startswith("ks_gaussian"))
+    assert ks_o.statistic == "ks_gaussian_oracle_corrected"
+    assert ks_z.estimate < 0.07 and ks_o.estimate < 0.07
     assert abs(ks_z.estimate - ks_c.estimate) <= 0.02
+    assert abs(ks_z.estimate - ks_o.estimate) <= 0.02
     v_mean_c = next(r for r in rows_c if r.statistic == "v_mean")
     assert v_mean_c.estimate == pytest.approx(0.0, abs=1e-12)
+    v_mean_o = next(r for r in rows_o if r.statistic == "v_mean")
+    assert abs(v_mean_o.estimate) <= v_mean_o.tolerance and v_mean_o.passed
 
 
 def test_gaussian_uncorrected_mean_diverges_like_sqrt_d() -> None:
@@ -425,7 +436,7 @@ def test_zn_moments_small() -> None:
     assert by_stat["zn_nonneg"].estimate >= 0.0
 
 
-def test_config_holds_points_and_levels_as_python_floats(tmp_path) -> None:
+def test_config_holds_points_as_python_floats(tmp_path) -> None:
     # a numpy float reached the report CSV as "np.float64(0.3)", which reads back as no number
     cfg = replace(experiments.PRESETS["local-bias"].config, xs=(np.float64(0.3),), replicates=4)
     assert cfg.xs == (0.3,) and type(cfg.xs[0]) is float
@@ -433,14 +444,13 @@ def test_config_holds_points_and_levels_as_python_floats(tmp_path) -> None:
     assert [row.x for row in read_report_csv(tmp_path / "report.csv")] == [0.3]
     # an array is copied into the frozen config, not kept as a mutable view
     points = np.array([0.3, 0.7])
-    cfg = replace(cfg, xs=points, sup_eps=np.array([0.1], dtype=np.float32))
+    cfg = replace(cfg, xs=points)
     points[0] = 0.9
-    assert cfg.xs == (0.3, 0.7) and cfg.sup_eps == (float(np.float32(0.1)),)
-    assert all(type(v) is float for v in cfg.xs + cfg.sup_eps)
+    assert cfg.xs == (0.3, 0.7)
+    assert all(type(v) is float for v in cfg.xs)
     for bad in (("0.3",), (None,), (True,), 0.3, "0.3"):
-        for field in ("xs", "sup_eps"):
-            with pytest.raises(ValueError, match=f"{field} must be a sequence of numbers"):
-                replace(cfg, **{field: bad})
+        with pytest.raises(ValueError, match="xs must be a sequence of numbers"):
+            replace(cfg, xs=bad)
 
 
 def test_error_metrics_examples() -> None:

@@ -308,6 +308,13 @@ def test_spec_rejects_a_nan_value_or_a_nan_or_negative_lipschitz_constant() -> N
     assert dataclasses.replace(shipped, lip=math.inf).lip == math.inf
 
 
+@pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, math.nan])
+def test_spec_rejects_a_lipschitz_order_outside_0_1(alpha) -> None:
+    shipped = parse_frontier("affine:a=1.0,b=0.5")
+    with pytest.raises(ValueError, match="Lipschitz order must lie in \\(0, 1\\]"):
+        dataclasses.replace(shipped, alpha=alpha)
+
+
 def test_parse_frontier_round_trip() -> None:
     for label in (
         "constant:a=1.0",

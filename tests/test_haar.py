@@ -120,10 +120,18 @@ def test_truncated_expansion_constant() -> None:
     np.testing.assert_allclose(fn.values, 0.7, atol=0)
 
 
-@pytest.mark.parametrize("h_n", [3.0, True], ids=["3.0", "True"])
-def test_truncated_expansion_takes_an_integer_order(h_n) -> None:
+@pytest.mark.parametrize(
+    "h_n, message",
+    [
+        (3.0, "h_n must be an integer"),
+        (True, "h_n must be an integer"),
+        (2, "h_n \\+ 1 must be a power of two"),
+    ],
+    ids=["3.0", "True", "3-blocks"],
+)
+def test_truncated_expansion_takes_an_integer_order(h_n, message) -> None:
     # 3.0 used to raise TypeError from the power-of-two check, and True gave 2 blocks
-    with pytest.raises(ValueError, match="h_n must be an integer"):
+    with pytest.raises(ValueError, match=message):
         truncated_expansion(parse_frontier("constant:a=0.7"), h_n)
 
 

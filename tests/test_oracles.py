@@ -354,6 +354,11 @@ def test_std_normal_matches_the_per_value_reference(u) -> None:
     assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
 
 
+def test_ks_statistic_rejects_no_samples() -> None:
+    with pytest.raises(ValueError, match="need at least one sample"):
+        ks_statistic([], LimitLaw("gumbel"))
+
+
 def test_ks_statistic_rejects_nan_samples() -> None:
     for samples in ([0.1, np.nan], [np.nan], [[0.2, 0.4], [np.nan, 0.1]]):
         with pytest.raises(ValueError, match="NaN"):

@@ -116,10 +116,19 @@ def test_simulate_reproducible_and_contained(tmp_path) -> None:
     assert sorted(map(tuple, rows)) == sorted(zip(a.xs, a.ys))
 
 
-@pytest.mark.parametrize("n", [1e3, 1000.0, True], ids=["1e3", "1000.0", "True"])
-def test_simulate_requires_integer_n(n) -> None:
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        (1e3, "n must be an integer"),
+        (1000.0, "n must be an integer"),
+        (True, "n must be an integer"),
+        (0, "n must be a positive integer"),
+    ],
+    ids=["1e3", "1000.0", "True", "0"],
+)
+def test_simulate_requires_integer_n(n, message) -> None:
     # a float n used to reach the file as "n=1000.0", which from_csv cannot read
-    with pytest.raises(ValueError, match="n must be an integer"):
+    with pytest.raises(ValueError, match=message):
         simulate(parse_frontier("constant:a=1.0"), n, 1.0, 1)
 
 
@@ -790,6 +799,14 @@ def test_point_sample_rejects_invalid_values(x, y) -> None:
     with pytest.raises(ValueError, match="must be finite"):
         PointSample(
             np.array([0.2, x]), np.array([0.1, y]), n=2, c=1.0, seed=0,
+            frontier_label="constant:a=1.0",
+        )
+
+
+def test_point_sample_rejects_coordinates_of_unequal_length() -> None:
+    with pytest.raises(ValueError, match="xs and ys must be 1-d arrays of equal length"):
+        PointSample(
+            np.array([0.2, 0.4]), np.array([0.1]), n=2, c=1.0, seed=0,
             frontier_label="constant:a=1.0",
         )
 

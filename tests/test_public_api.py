@@ -49,8 +49,8 @@ COMMAND_LINE = {
     "simulate": ["--frontier", "--n", "--c", "--seed", "--out"],
     "estimate": ["sample", "--hprime", "--dn", "--out"],
     "experiment": [
-        "name", "--config", "--frontier", "--c", "--schedule", "--replicates", "--seed", "--x",
-        "--variant", "--workers", "--out", "--strict",
+        "name", "--frontier", "--c", "--schedule", "--replicates", "--seed", "--x", "--variant",
+        "--workers", "--out", "--strict",
     ],
     "list-presets": [],
 }

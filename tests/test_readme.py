@@ -1,14 +1,15 @@
 """The README's library quick tour runs as printed, and its CLI section lists the config
-keys and the manifest keys."""
+keys and the manifest keys and gives command lines that the parser takes."""
 
 import contextlib
 import io
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 
-from haarfrontier.cli import _CONFIG_KEYS, main
+from haarfrontier.cli import _CONFIG_KEYS, _build_parser, main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -18,6 +19,17 @@ def _quick_tour() -> str:
     match = re.search(r"^## Library quick tour\n.*?^```python\n(.*?)^```", text, re.M | re.S)
     assert match, "README.md has no ```python block under 'Library quick tour'"
     return match.group(1)
+
+
+def test_readme_command_lines_parse() -> None:
+    # parsed only, never run: an example that names a removed flag fails here
+    match = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert match, "README.md has no ```sh block under 'CLI'"
+    lines = match.group(1).splitlines()
+    assert lines and all(line.startswith("haarfrontier ") for line in lines), lines
+    for line in lines:
+        args = _build_parser().parse_args(shlex.split(line)[1:])
+        assert args.command == line.split()[1]
 
 
 def test_readme_lists_exactly_the_config_keys() -> None:
