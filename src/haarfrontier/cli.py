@@ -1,9 +1,9 @@
 """Command-line interface: simulate, estimate, experiment, list-presets.
 
 An experiment run is its preset, then the flags that override it. Each
-setting has one flag, and only `--x` may be given twice; the schedule is
-`--schedule n:hprime:dn` (entries joined by `;`). Report CSVs are
-deterministic for a fixed configuration regardless of the worker count.
+setting has one flag; only `--x` may be given twice, with another point.
+The schedule is `--schedule n:hprime:dn` (entries joined by `;`). Report
+CSVs are deterministic for a fixed configuration whatever the workers.
 The JSON manifest has eight keys: the config echo (`config`), its content
 hash (`input_hash`), the regime numbers per schedule entry (`regimes`),
 `wall_time_s`, the package `version`, and the count of `rows`, the count

@@ -83,6 +83,8 @@ class ExperimentConfig:
         # NaN fails the comparison, so this rejects it too
         if not all(0.0 <= x <= 1.0 for x in self.xs):
             raise ValueError("evaluation points x must lie in [0, 1]")
+        if len(set(self.xs)) != len(self.xs):  # one check reported as two rows
+            raise ValueError(f"evaluation points x must be distinct, got {list(self.xs)}")
 
 
 def _mean_se(col: np.ndarray) -> tuple:

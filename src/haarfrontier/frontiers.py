@@ -13,6 +13,7 @@ constant, affine and two-level families are one piecewise-linear form,
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -55,7 +56,9 @@ class FrontierSpec:
 
     All four exact capabilities are required; their None defaults only let a
     missing one raise ValueError, as a None or non-callable one does. The exact
-    range also gives the sup-norm error, so a frontier lists no break points."""
+    range also gives the sup-norm error, so a frontier lists no break points.
+    The mass (integral of f over [0, 1]) is computed once, when the spec is
+    built. Bounds that meet, m = M, declare a flat frontier, f = M."""
 
     f: Callable[[np.ndarray], np.ndarray]
     m: float
@@ -79,6 +82,7 @@ class FrontierSpec:
             if not callable(getattr(self, name)):
                 raise ValueError(f"frontier {self.label!r} needs a callable {name}")
         self._spot_check()
+        object.__setattr__(self, "_mass", self.integral(0.0, 1.0))
 
     def _spot_check(self) -> None:
         """Verify the bounds and the Lipschitz declaration on a fixed set of point pairs."""
@@ -286,12 +290,15 @@ def _two_level(*, lo: float = 0.8, hi: float = 1.2, split: float = 0.5) -> Front
 _FAMILY = {"constant": _constant, "affine": _affine, "sine": _sine, "two_level": _two_level}
 
 
+@functools.lru_cache(maxsize=64)
 def parse_frontier(label: str) -> FrontierSpec:
     """Build a shipped frontier from its textual label, e.g. 'affine:a=1.0,b=0.5'.
 
     The one constructor of a shipped family: the label names the family and
     gives its parameters, each as text that `float` reads; those left out
     take the family's defaults. The spec's label gives each one as its repr.
+    A spec is immutable, so the specs of the last 64 labels are kept and
+    shared; a label that raises is not kept, so it raises on every call.
     """
     name, _, params = label.partition(":")
     if name not in _FAMILY:

@@ -44,8 +44,8 @@ class ReplicateTask:
         return PartitionConfig(n=self.n, h_prime=self.h_prime, d_n=self.d_n)
 
 
-# run_chunk parses a fresh FrontierSpec per chunk, so an entry keyed on one is
-# hit only within its chunk and by the experiment's own lookup: two suffice.
+# keyed on a spec, of which parse_frontier gives one per label: an experiment's
+# own lookups and its chunks in this process share an entry, so two suffice.
 @functools.lru_cache(maxsize=2)
 def block_moments(f: FrontierSpec, h_n: int) -> tuple:
     """Per-block integrals of f and f^2 on the h_n + 1 dyadic blocks."""

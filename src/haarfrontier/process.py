@@ -4,9 +4,10 @@ The observed process is the superposition of n unit-rate-c Poisson
 processes restricted to the region under the frontier, i.e. a single
 Poisson process with intensity n*c on that region. Sampling is by
 rejection from the bounding box [0,1] x [0,M]; the acceptance rate is
-bounded below by m/M > 0. A rejection batch of B candidates that starts at
-word s of the Philox stream takes u[s + j] as candidate j's x and
-M * u[s + B + j] as its y, and the next batch starts at s + 2B. Each
+bounded below by m/M > 0, and on a flat frontier (m = M) every candidate
+is kept without evaluating f. A rejection batch of B candidates that
+starts at word s of the Philox stream takes u[s + j] as candidate j's x
+and M * u[s + B + j] as its y, and the next batch starts at s + 2B. Each
 thread draws the stream with two cursors, one at the x half and one at the
 y half of the batch, in fixed-size chunks no longer than the usable rest
 of the batch, so every sample is the one whole batches give.
@@ -15,7 +16,8 @@ of the batch, so every sample is the one whole batches give.
 drawn when the sample is first used. Its xs and ys are filled on their
 first use, and until then `cell_stats` bins the accepted chunks as they
 come, so `cell_stats(simulate(...))`, a Monte Carlo replicate, holds
-O(chunk + k_n) values whatever n is.
+O(chunk + k_n) values whatever n is; the first chunk's cell counts start
+the running total.
 
 A PointSample keeps its points in the order given: every cell statistic
 is an order-free reduction (count, max, min) over the cells
@@ -389,6 +391,8 @@ def _usable_prefix(need: int, accept_rate: float) -> int:
 
 def _accepted(f: FrontierSpec, cand_x: np.ndarray, cand_y: np.ndarray, need: int) -> tuple:
     """The first `need` candidates under the frontier, in draw order; all of them if fewer."""
+    if f.m == f.M:  # a flat frontier is M everywhere, and every y = M*u, u < 1, lies under it
+        return cand_x[:need], cand_y[:need]
     keep = cand_y <= f(cand_x)
     if keep[:need].all():
         # the first `need` candidates are the ones a gather would take
@@ -464,7 +468,7 @@ def simulate(f: FrontierSpec, n: int, c: float, seed: int) -> PointSample:
     seed, n, c = _require_seed(seed), _require_integer("n", n), _require_rate(c)
     if n < 1:
         raise ValueError("n must be a positive integer")
-    total_area = f.integral(0.0, 1.0)
+    total_area = f._mass
     if f.M / total_area > 1e6:
         raise ValueError(
             f"rejection sampling would be pathological: M/mean(f) = {f.M / total_area:.3g} > 1e6"
@@ -544,15 +548,18 @@ def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> Ce
     k = cfg.k_n
     cell_areas, f_max, slack = _cell_geometry(f, k)
     idx_buf = _thread_stream().idx
-    counts = np.zeros(k, np.intp)
+    counts = None
     x_star, z_star = np.empty(k), np.empty(k)
     x_star.fill(-np.inf)
     z_star.fill(np.inf)
     for x, y in sample._chunks(len(idx_buf)):
         idx = _cell_index(x, k, out=idx_buf[: len(x)])
-        counts += np.bincount(idx, minlength=k)
+        binned = np.bincount(idx, minlength=k)
+        counts = binned if counts is None else np.add(counts, binned, out=counts)
         np.maximum.at(x_star, idx, y)
         np.minimum.at(z_star, idx, y)
+    if counts is None:  # a sample with no points
+        counts = np.zeros(k, np.intp)
     empty = counts == 0
     x_star[empty] = 0.0
     z_star[empty] = 0.0

@@ -115,6 +115,15 @@ def test_a_flag_given_twice_is_a_usage_error(tmp_path, capsys, argv, flag) -> No
     assert not out.exists()
 
 
+def test_a_repeated_evaluation_point_exits_1(tmp_path, capsys) -> None:
+    # --x may be given more than once, but not with the same point: this wrote two equal rows
+    out = tmp_path / "out"
+    argv = ["experiment", "local-bias", "--x", "0.3", "--x", "0.3", "--replicates", "4"]
+    assert main([*argv, "--out", str(out)]) == 1
+    assert "evaluation points x must be distinct, got [0.3, 0.3]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_each_experiment_setting_has_exactly_one_flag() -> None:
     # a field no flag sets would be reachable from Python alone
     parser = _build_parser()

@@ -43,6 +43,13 @@ def test_config_validation() -> None:
             _cfg(xs=(0.5, x))
 
 
+@pytest.mark.parametrize("xs", [(0.3, 0.3), (0.3, 0.7, 0.3), (0.0, -0.0)], ids=["twice", "apart", "signed-zero"])
+def test_config_rejects_a_repeated_evaluation_point(xs) -> None:
+    # a repeated point ran and reported the same bias_residual row twice
+    with pytest.raises(ValueError, match="evaluation points x must be distinct"):
+        _cfg(xs=xs)
+
+
 @pytest.mark.parametrize(
     "field,value",
     [("replicates", 2.5), ("replicates", 3.0), ("replicates", True), ("workers", 1.5), ("workers", True)],

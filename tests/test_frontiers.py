@@ -343,6 +343,36 @@ def test_parse_frontier_rejects_a_repeated_parameter() -> None:
             parse_frontier(label)
 
 
+def test_parse_frontier_gives_one_spec_per_label() -> None:
+    label = "affine:a=1.0,b=0.25"
+    f = parse_frontier(label)
+    assert parse_frontier(label) is f
+    # its mass is computed once, when it is built, by the one path to the integral
+    assert f._mass == f.integral(0.0, 1.0) == 1.125
+    # another label of the same frontier is another key
+    assert parse_frontier("affine:a=1,b=0.25") is not f
+
+
+def test_parse_frontier_raises_on_every_call_with_a_bad_label() -> None:
+    held = parse_frontier.cache_info().currsize
+    for label in ("parabola:a=1", "affine:a", "constant:a=-1.0", "affine:a=1.0,b=nan"):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                parse_frontier(label)
+    assert parse_frontier.cache_info().currsize == held
+
+
+def test_parse_frontier_keeps_a_bounded_number_of_specs() -> None:
+    size = parse_frontier.cache_info().maxsize
+    assert isinstance(size, int) and size >= 8
+    labels = [f"constant:a={1.0 + j / 1024!r}" for j in range(size + 5)]
+    specs = [parse_frontier(label) for label in labels]
+    assert parse_frontier.cache_info().currsize == size
+    # the first labels were evicted, so they build a new spec; the last are kept
+    assert parse_frontier(labels[0]) is not specs[0]
+    assert parse_frontier(labels[-1]) is specs[-1]
+
+
 @pytest.mark.parametrize("split", ["0.0", "1.0", "1.5", "-0.5"])
 def test_two_level_requires_interior_split(split) -> None:
     for label in (f"two_level:lo=0.8,hi=1.2,split={split}", f"two_level:split={split}"):

@@ -1,5 +1,8 @@
 """The eight presets' report CSVs at --replicates 40 --workers 1, and one sample file, pinned.
 
+Two presets, one on a constant and one on an affine frontier, are also run
+at --workers 2 against the same golden CSVs.
+
 Each preset is rerun through `cli.main` and compared with tests/golden/<preset>.csv:
 the header and every non-float column exactly, every float column to a
 relative 1e-12 (numpy's SIMD exp, log and pow may differ in the last bit
@@ -69,7 +72,19 @@ def _read(path):
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_preset_report_matches_golden(preset, tmp_path) -> None:
-    assert main(["experiment", preset, "--replicates", "40", "--workers", "1", "--out", str(tmp_path)]) == 0
+    _check_preset(preset, "1", tmp_path)
+
+
+# a constant and an affine preset through a pool of two worker processes; a
+# forked worker inherits the frontier specs this process has parsed
+@pytest.mark.parametrize("preset", ["zn-moments", "local-bias"])
+def test_preset_report_at_two_workers_matches_golden(preset, tmp_path) -> None:
+    _check_preset(preset, "2", tmp_path)
+
+
+def _check_preset(preset, workers, tmp_path) -> None:
+    """Run preset at --replicates 40 and compare its CSV and regime numbers with the golden ones."""
+    assert main(["experiment", preset, "--replicates", "40", "--workers", workers, "--out", str(tmp_path)]) == 0
     got, want = _read(tmp_path / f"{preset}.csv"), _read(GOLDEN / f"{preset}.csv")
     assert got[0] == want[0] == CSV_COLUMNS
     assert len(got) == len(want)

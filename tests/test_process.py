@@ -210,6 +210,35 @@ def test_simulate_matches_fresh_philox_reference(label, n, seed, batches) -> Non
     assert (got.n, got.c, got.seed, got.frontier_label) == (n, 1.0, seed, f.label)
 
 
+# flat frontiers, whose declared bounds meet, in each form a shipped family gives one
+FLAT_LABELS = (
+    "constant:a=1.3",
+    "two_level:lo=0.9,hi=0.9,split=0.4",
+    "sine:a=1.0,b=0.0",
+    "affine:a=1.0,b=0.0",
+)
+
+
+@pytest.mark.parametrize("chunks", [1, 2, 3])
+@pytest.mark.parametrize("label", FLAT_LABELS)
+def test_flat_frontier_draw_matches_the_reference_that_evaluates_f(label, chunks) -> None:
+    # the draw keeps every candidate without evaluating f; the reference
+    # evaluates f on each batch and keeps those on or under it
+    f = parse_frontier(label)
+    assert f.m == f.M
+    n = int((chunks - 0.5) * process._CHUNK / f.integral(0.0, 1.0))
+    want, drawn = simulate_fresh_philox(f, n, 1.0, 29)
+    got = simulate(f, n, 1.0, 29)
+    assert drawn == 1 and -(-len(got) // process._CHUNK) == chunks
+    assert got.xs.tobytes() == want.xs.tobytes() and got.ys.tobytes() == want.ys.tobytes()
+    cfg = PartitionConfig(n=n, h_prime=5, d_n=3)
+    streamed, filled = cell_stats(simulate(f, n, 1.0, 29), cfg, f), cell_stats(got, cfg, f)
+    for name in ("counts", "x_star", "z_star"):
+        a, b = getattr(streamed, name), getattr(filled, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert int(streamed.counts.sum()) == len(got)
+
+
 def _small_chunks(mp, size) -> None:
     """Draw and bin in chunks of `size` from here on, on fresh thread streams of that size."""
     mp.setattr(process, "_CHUNK", size)
@@ -832,9 +861,12 @@ def test_cell_stats_empty_sample() -> None:
     f = parse_frontier("constant:a=1.0")
     sample = PointSample(np.empty(0), np.empty(0), n=8, c=1.0, seed=0, frontier_label=f.label)
     cfg = PartitionConfig(n=8, h_prime=2, d_n=2)
-    stats = cell_stats(sample, cfg, f)
-    assert np.all(stats.counts == 0)
-    assert np.all(stats.x_star == 0.0) and np.all(stats.z_star == 0.0)
+    drawn = simulate(f, 8, 1e-12, 7)  # no point drawn, and none binned from the stream
+    assert len(drawn) == 0
+    for stats in (cell_stats(sample, cfg, f), cell_stats(drawn, cfg, f)):
+        assert stats.counts.dtype == np.intp and stats.counts.shape == (cfg.k_n,)
+        assert np.all(stats.counts == 0) and not stats.counts.flags.writeable
+        assert np.all(stats.x_star == 0.0) and np.all(stats.z_star == 0.0)
 
 
 def test_cell_stats_oracle_fields_flat_frontier() -> None:
