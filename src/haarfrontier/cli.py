@@ -1,13 +1,15 @@
 """Command-line interface: simulate, estimate, experiment, list-presets.
 
 An experiment run is its preset, then the flags that override it. Each
-setting has one flag; only `--x` may be given twice, with another point.
-The schedule is `--schedule n:hprime:dn` (entries joined by `;`). Report
-CSVs are deterministic for a fixed configuration whatever the workers.
-The JSON manifest has eight keys: the config echo (`config`), its content
-hash (`input_hash`), the regime numbers per schedule entry (`regimes`),
-`wall_time_s`, the package `version`, and the count of `rows`, the count
-of `failures` and the sorted `statistics` of the report.
+setting has one flag; only `--x` may be given twice, with another point,
+and only to an experiment that takes points. The schedule is
+`--schedule n:hprime:dn` (entries joined by `;`). Report CSVs are
+deterministic for a fixed configuration whatever the workers, and for a
+frontier however it is spelled. The JSON manifest has eight keys: the
+config echo (`config`), its content hash (`input_hash`), the regime
+numbers per schedule entry (`regimes`), `wall_time_s`, the package
+`version`, and the count of `rows`, the count of `failures` and the
+sorted `statistics` of the report.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ TOLERANCE_FAILURE = 2
 
 
 class _Once(argparse.Action):
-    """Store a value; the same flag given twice in one command line is a usage error."""
+    """Store a value, or const for a flag that takes none; the same flag given twice is a usage error."""
 
     def __call__(self, parser, namespace, values, option_string=None):
         # the namespace is new for each command line; the action is shared by all of them
@@ -43,7 +45,7 @@ class _Once(argparse.Action):
         if self.dest in given:
             raise argparse.ArgumentError(self, "given twice")
         given.add(self.dest)
-        setattr(namespace, self.dest, values)
+        setattr(namespace, self.dest, self.const if self.nargs == 0 else values)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,7 +89,8 @@ def _build_parser() -> _Parser:
     for key in _CONFIG_KEYS:
         exp.add_argument(f"--{key}", action="append" if key == "x" else "store")
     exp.add_argument("--out", default=".")
-    exp.add_argument("--strict", action="store_true", help="exit 2 on any tolerance failure")
+    exp.add_argument("--strict", action=_Once, nargs=0, const=True, default=False,
+                     help="exit 2 on any tolerance failure")
 
     sub.add_parser("list-presets", help="list experiment presets").set_defaults(run=_cmd_list_presets)
     return parser
@@ -116,7 +119,6 @@ _CONFIG_KEYS = {
     "replicates": ("replicates", int),
     "seed": ("base_seed", int),
     "x": ("xs", _floats),
-    "variant": ("variant", str),
     "workers": ("workers", int),
 }
 

@@ -9,7 +9,8 @@ number behind each at one schedule entry, and nothing judges it.
 `run_experiment(kind, cfg)` is the one entry point. `_experiment` declares
 each experiment once, on its row builder: kernel, conditions, point rule and
 partition check. Points and partitions are checked before any replicate
-runs; each entry's replicate data then goes to the row builder.
+runs; each entry's replicate data then goes to the row builder. A config
+holds only what shapes the rows: a frontier is stored as its spec's label.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ from .oracles import LimitLaw, ks_statistic
 from .process import PartitionConfig, _require_integer, _require_rate, _require_seed
 from .report import ReportRow
 from .runner import derive_seed, run_task
-
-GAUSSIAN_VARIANTS = ("centered", "oracle_corrected", "z_corrected")
 
 # Preregistered goodness-of-fit budgets: the limit laws are asymptotic, so
 # fixed desk-scale KS tolerances (validated by closed-form pilots on constant
@@ -61,9 +60,12 @@ class ExperimentConfig:
     base_seed: int = 20260808
     xs: tuple = ()
     workers: int = 1
-    variant: str = "z_corrected"
 
     def __post_init__(self):
+        # "constant" and "constant:a=1" are one frontier, with one CSV column and one hash
+        if not isinstance(self.frontier, str):
+            raise ValueError(f"frontier must be a label such as 'constant:a=1.0', got {self.frontier!r}")
+        object.__setattr__(self, "frontier", parse_frontier(self.frontier).label)
         # derive_seed works modulo 2^64, so a seed outside [0, 2^64) would
         # run the same replicates as its residue under another recorded seed
         object.__setattr__(self, "base_seed", _require_seed(self.base_seed))
@@ -78,8 +80,6 @@ class ExperimentConfig:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not self.schedule:
             raise ValueError("schedule must contain at least one (n, h_prime, d_n) entry")
-        if self.variant not in GAUSSIAN_VARIANTS:
-            raise ValueError(f"variant must be one of {GAUSSIAN_VARIANTS}")
         # NaN fails the comparison, so this rejects it too
         if not all(0.0 <= x <= 1.0 for x in self.xs):
             raise ValueError("evaluation points x must lie in [0, 1]")
@@ -146,8 +146,6 @@ CONDITIONS = {
     "kn*ln(kn)=o(n)": lambda pc, alpha: pc.k_n * math.log(pc.k_n) / pc.n,
     "n=o(kn^(1+alpha))": lambda pc, alpha: pc.n / pc.k_n ** (1.0 + alpha),
     "hn=o(kn)": lambda pc, alpha: pc.h_n / pc.k_n,
-    "n=o(kn^(1/2+alpha)*hn^(1/2))":
-        lambda pc, alpha: pc.n / (pc.k_n ** (0.5 + alpha) * pc.h_n**0.5) if pc.h_n else None,
     "n=o(kn^(1/2)*hn^(1/2+alpha))":
         lambda pc, alpha: pc.n / (pc.k_n**0.5 * pc.h_n ** (0.5 + alpha)) if pc.h_n else None,
 }
@@ -158,8 +156,8 @@ class Experiment:
     """One experiment's declaration.
 
     `conditions` names the keys of `CONDITIONS` its limit rests on. The
-    point rule is "none" (`cfg.xs` is ignored), "some" (one or more) or
-    "one"; the kernel is handed the points unless it is "none".
+    point rule is "none" (a point is an error), "some" (one or more) or
+    "one"; the kernel is handed `cfg.xs`.
     `partition(pc)` raises ValueError on a schedule entry the experiment
     cannot take. `rows(cfg, f, entries)` builds the report rows from each
     entry's (partition, replicate data), in schedule order.
@@ -350,13 +348,13 @@ def _gumbel_rows(cfg, f, entries) -> Iterator[ReportRow]:
 
 @_experiment(
     "gaussian", "fhat_zn_at",
-    # the bias condition of the corrected variants, then that of "centered"
-    ("hn=o(kn)", "kn=o(n/ln n)", "n=o(kn^(1/2)*hn^(1/2+alpha))", "n=o(kn^(1/2+alpha)*hn^(1/2))"),
+    # the last is the bias condition of the z_n-corrected statistic
+    ("hn=o(kn)", "kn=o(n/ln n)", "n=o(kn^(1/2)*hn^(1/2+alpha))"),
     "one",
     _partition_check(lambda pc: pc.d_n > 1, "the Gaussian normalization presumes d_n > 1"),
 )
 def _gaussian_rows(cfg, f, entries) -> Iterator[ReportRow]:
-    """Normalized local error at x against the standard Gaussian (d_n large regime)."""
+    """v = (f_hat + z_n - f(x)) / sigma at x against the standard Gaussian (d_n large regime)."""
     x = cfg.xs[0]
     f_true = f(x)
     law = LimitLaw("std_normal")
@@ -364,15 +362,8 @@ def _gaussian_rows(cfg, f, entries) -> Iterator[ReportRow]:
         fhat, zn = data[:, 0], data[:, 1]
         nc = pc.n * cfg.c
         sigma = pc.k_n / (nc * math.sqrt(pc.d_n))
-        if cfg.variant == "centered":
-            # two passes over the same replicate set: grand mean, then centering
-            v = (fhat - fhat.mean()) / sigma
-        elif cfg.variant == "oracle_corrected":
-            v = (fhat + pc.k_n / nc - f_true) / sigma
-        else:
-            v = (fhat + zn - f_true) / sigma
-        statistic = f"ks_gaussian_{cfg.variant}"
-        yield _ks_row("gaussian", cfg, pc, x, statistic, v, law, KS_TOL_GAUSSIAN)
+        v = (fhat + zn - f_true) / sigma
+        yield _ks_row("gaussian", cfg, pc, x, "ks_gaussian_z_corrected", v, law, KS_TOL_GAUSSIAN)
         v_mean, v_se = _mean_se(v)
         mean_tol = 3.0 / math.sqrt(cfg.replicates)
         yield _row(
@@ -415,11 +406,12 @@ def run_experiment(kind: str, cfg: ExperimentConfig) -> list:
         raise ValueError(f"unknown experiment {kind!r}; choose from {sorted(EXPERIMENTS)}")
     spec = EXPERIMENTS[kind]
     name = kind.replace("_", " ")
+    if spec.points == "none" and cfg.xs:
+        raise ValueError(f"{name} experiment takes no evaluation points")
     if spec.points == "some" and not cfg.xs:
         raise ValueError(f"{name} experiment needs evaluation points")
     if spec.points == "one" and len(cfg.xs) != 1:
         raise ValueError(f"{name} experiment needs exactly one evaluation point")
-    xs = () if spec.points == "none" else cfg.xs
     pcs = [PartitionConfig(n, h_prime, d_n) for n, h_prime, d_n in cfg.schedule]
     for pc in pcs:
         spec.partition(pc)
@@ -427,7 +419,7 @@ def run_experiment(kind: str, cfg: ExperimentConfig) -> list:
 
     def entries():
         for e, pc in enumerate(pcs):
-            task = ReplicateTask(spec.kernel, cfg.frontier, pc.n, pc.h_prime, pc.d_n, cfg.c, xs)
+            task = ReplicateTask(spec.kernel, cfg.frontier, pc.n, pc.h_prime, pc.d_n, cfg.c, cfg.xs)
             yield pc, run_task(task, cfg.replicates, derive_seed(cfg.base_seed, e), cfg.workers)
 
     return list(spec.rows(cfg, f, entries()))

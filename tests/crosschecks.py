@@ -6,7 +6,9 @@ those comparisons run on are listed here too, and so are the forms of the
 paper that only these checks use: the Dirichlet kernel, the dyadic
 decomposition i = 2^(q-1) + p and the Haar function built from it as a
 step (the reference for `haar_eval`), the Haar coefficients of a frontier,
-the d_n = 1 histogram, the oracle-shifted estimate, the error metrics of a
+the d_n = 1 histogram, the oracle-shifted estimate, the `gaussian`
+experiment's statistic under the oracle shift and under centering beside
+the minima-mean shift it reports, the error metrics of a
 step, the sup distance on a grid, step-by-step arithmetic and the report
 CSV reader. `check_cell_record` checks every invariant of a cell record,
 the reference for what `cell_stats` establishes. The constant, affine and
@@ -24,10 +26,13 @@ import numpy as np
 from haarfrontier.estimators import haar_ev_estimate, minima_mean
 from haarfrontier.frontiers import FrontierSpec, parse_frontier
 from haarfrontier.haar import haar_eval, haar_transform, truncated_expansion
-from haarfrontier.kernels import l2_error_sq, sup_error
+from haarfrontier.kernels import ReplicateTask, l2_error_sq, sup_error
 from haarfrontier.oracles import _gap_quadrature
-from haarfrontier.process import _SAMPLE_HEADER, PointSample, _require_rate, cell_stats, simulate
+from haarfrontier.process import (
+    _SAMPLE_HEADER, PartitionConfig, PointSample, _require_rate, cell_stats, simulate,
+)
 from haarfrontier.report import _COLUMNS, ReportRow
+from haarfrontier.runner import derive_seed, run_task
 from haarfrontier.stepfun import StepFunction, is_power_of_two, uniform_cell_index
 
 # each shipped family; the sine with both signs of b, and a second two-level
@@ -151,6 +156,31 @@ def geffroy_estimate(stats, cfg) -> StepFunction:
 def oracle_corrected_estimate(stats, cfg, c: float) -> StepFunction:
     """The block-mean estimate shifted by the true k_n/(n c); usable only when c is known."""
     return haar_ev_estimate(stats, cfg) + cfg.k_n / (cfg.n * _require_rate(c))
+
+
+def gaussian_normalized_errors(cfg) -> dict:
+    """The `gaussian` experiment's normalized local error v at x, under each of three centerings.
+
+    The replicates are the experiment's own at its first schedule entry:
+    the `fhat_zn_at` kernel at cfg.xs, seeded by derive_seed(cfg.base_seed, 0).
+    "z_corrected" adds the minima mean z_n, as the experiment does;
+    "oracle_corrected" adds the true k_n/(n c), the shift of
+    `oracle_corrected_estimate`, known only in a simulation; "centered"
+    subtracts the replicates' grand mean of the estimate.
+    """
+    n, h_prime, d_n = cfg.schedule[0]
+    pc = PartitionConfig(n, h_prime, d_n)
+    task = ReplicateTask("fhat_zn_at", cfg.frontier, n, h_prime, d_n, cfg.c, cfg.xs)
+    data = run_task(task, cfg.replicates, derive_seed(cfg.base_seed, 0), cfg.workers)
+    fhat, zn = data[:, 0], data[:, 1]
+    f_true = parse_frontier(cfg.frontier)(cfg.xs[0])
+    nc = pc.n * cfg.c
+    sigma = pc.k_n / (nc * math.sqrt(pc.d_n))
+    return {
+        "z_corrected": (fhat + zn - f_true) / sigma,
+        "oracle_corrected": (fhat + pc.k_n / nc - f_true) / sigma,
+        "centered": (fhat - fhat.mean()) / sigma,
+    }
 
 
 def haar_ev_estimate_at(stats, cfg, x):

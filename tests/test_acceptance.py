@@ -195,7 +195,6 @@ def test_criterion_08_gaussian_limit() -> None:
         replicates=5000,
         base_seed=808,
         xs=(0.3,),
-        variant="z_corrected",
     )
     rows = run_experiment("gaussian", cfg)
     ks = next(r for r in rows if r.statistic == "ks_gaussian_z_corrected")

@@ -97,10 +97,12 @@ def test_experiment_fewer_than_one_worker_exits_1(tmp_path, capsys, workers) -> 
         (["experiment", "zn-moments", "--replicates", "4", "--replicates", "6"], "--replicates"),
         (["experiment", "zn-moments", "--c", "1.0", "--c", "2.0"], "--c"),
         (["experiment", "zn-moments", "--schedule", "500:2:1", "--schedule", "1000:2:1"], "--schedule"),
+        # a flag that takes no value; given twice, it ran the experiment
+        (["experiment", "zn-moments", "--replicates", "4", "--strict", "--strict"], "--strict"),
     ],
     ids=[
         "simulate-n", "simulate-seed", "simulate-frontier", "estimate-hprime", "estimate-out",
-        "experiment-replicates", "experiment-c", "experiment-schedule",
+        "experiment-replicates", "experiment-c", "experiment-schedule", "experiment-strict",
     ],
 )
 def test_a_flag_given_twice_is_a_usage_error(tmp_path, capsys, argv, flag) -> None:
@@ -122,6 +124,40 @@ def test_a_repeated_evaluation_point_exits_1(tmp_path, capsys) -> None:
     assert main([*argv, "--out", str(out)]) == 1
     assert "evaluation points x must be distinct, got [0.3, 0.3]" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["mise", "supnorm", "gumbel", "zn-moments"])
+def test_an_experiment_without_points_exits_1_on_a_point(tmp_path, capsys, name) -> None:
+    # zn-moments --x 0.3 exited 0 and wrote the CSV of the run without it, under another input hash
+    out = tmp_path / "out"
+    assert main(["experiment", name, "--replicates", "4", "--x", "0.3", "--out", str(out)]) == 1
+    kind = PRESETS[name].kind.replace("_", " ")
+    assert f"error: {kind} experiment takes no evaluation points" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_the_variant_flag_is_gone(tmp_path, capsys) -> None:
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["experiment", "gaussian", "--variant", "centered", "--out", str(out)])
+    assert exit_info.value.code == 1
+    assert "unrecognized arguments: --variant centered" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_each_spelling_of_a_frontier_writes_one_report_and_one_hash(tmp_path) -> None:
+    # constant:a=1.0, constant:a=1 and constant ran the same replicates under three labels and hashes
+    reports, manifests = [], []
+    for k, spelling in enumerate(["constant:a=1.0", "constant:a=1", "constant"]):
+        out = tmp_path / str(k)
+        argv = ["experiment", "zn-moments", "--replicates", "4", "--frontier", spelling]
+        assert main([*argv, "--out", str(out)]) == 0
+        reports.append((out / "zn-moments.csv").read_bytes())
+        manifests.append(json.loads((out / "zn-moments_manifest.json").read_text()))
+    assert reports[0] == reports[1] == reports[2]
+    assert len({m["input_hash"] for m in manifests}) == 1
+    assert [m["config"]["frontier"] for m in manifests] == ["constant:a=1.0"] * 3
+    assert read_report_csv(tmp_path / "2" / "zn-moments.csv")[0].frontier == "constant:a=1.0"
 
 
 def test_each_experiment_setting_has_exactly_one_flag() -> None:
@@ -252,7 +288,7 @@ def test_a_prefix_of_a_flag_is_a_usage_error(tmp_path, capsys, argv) -> None:
 
 
 def test_experiment_manifest_is_strict_json_with_an_unbounded_regime_number_null(tmp_path) -> None:
-    # at h_n = 0 both bias conditions divide by zero; Infinity would not be JSON
+    # at h_n = 0 the bias condition divides by zero; Infinity would not be JSON
     argv = ["experiment", "gaussian", "--schedule", "4096:0:64", "--replicates", "20"]
     assert main([*argv, "--out", str(tmp_path)]) == 0
 
@@ -261,8 +297,8 @@ def test_experiment_manifest_is_strict_json_with_an_unbounded_regime_number_null
 
     text = (tmp_path / "gaussian_manifest.json").read_text()
     [numbers] = json.loads(text, parse_constant=no_constant)["regimes"]
+    assert list(numbers) == ["hn=o(kn)", "kn=o(n/ln n)", "n=o(kn^(1/2)*hn^(1/2+alpha))"]
     assert numbers["n=o(kn^(1/2)*hn^(1/2+alpha))"] is None
-    assert numbers["n=o(kn^(1/2+alpha)*hn^(1/2))"] is None
     assert numbers["hn=o(kn)"] == 0.0
 
 

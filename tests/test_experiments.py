@@ -8,12 +8,13 @@ from haarfrontier import experiments
 from haarfrontier.experiments import CONDITIONS, EXPERIMENTS, ExperimentConfig, run_experiment
 from haarfrontier.frontiers import parse_frontier
 from haarfrontier.kernels import ReplicateTask
+from haarfrontier.oracles import LimitLaw, ks_statistic
 from haarfrontier.process import PartitionConfig
 from haarfrontier.report import write_report_csv
 from haarfrontier.runner import plan_chunks, run_task
 from haarfrontier.stepfun import StepFunction
 
-from crosschecks import error_metrics, read_report_csv
+from crosschecks import error_metrics, gaussian_normalized_errors, read_report_csv
 
 
 def _cfg(**kw) -> ExperimentConfig:
@@ -23,7 +24,6 @@ def _cfg(**kw) -> ExperimentConfig:
         c=1.0,
         replicates=200,
         base_seed=1234,
-        xs=(0.3,),
     )
     base.update(kw)
     return ExperimentConfig(**base)
@@ -36,8 +36,8 @@ def test_config_validation() -> None:
         _cfg(replicates=1)
     with pytest.raises(ValueError):
         _cfg(schedule=())
-    with pytest.raises(ValueError):
-        _cfg(variant="magic")
+    with pytest.raises(TypeError, match="variant"):  # the gaussian statistic is not a setting
+        _cfg(variant="z_corrected")
     for x in (math.nan, 1.5):
         with pytest.raises(ValueError, match="must lie in"):
             _cfg(xs=(0.5, x))
@@ -117,7 +117,7 @@ def test_local_bias_flat_frontier_matches_closed_form() -> None:
 
 
 def test_local_bias_raw_bias_is_negative() -> None:
-    cfg = _cfg(schedule=((500, 4, 4),), replicates=400)
+    cfg = _cfg(schedule=((500, 4, 4),), replicates=400, xs=(0.3,))
     rows = run_experiment("local_bias", cfg)
     shift = 64 / 500
     for row in rows:
@@ -272,7 +272,7 @@ def test_weibull_ks_shrinks_with_the_cell_to_mass_ratio() -> None:
 
 
 def test_weibull_rejects_grouped_cells() -> None:
-    cfg = _cfg(schedule=((500, 4, 2),))
+    cfg = _cfg(schedule=((500, 4, 2),), xs=(0.3,))
     with pytest.raises(ValueError):
         run_experiment("weibull", cfg)
 
@@ -310,21 +310,20 @@ def test_gaussian_variants_agree_and_center() -> None:
         replicates=1000,
         xs=(0.3,),
     )
-    rows_z = run_experiment("gaussian", replace(cfg, variant="z_corrected"))
-    rows_c = run_experiment("gaussian", replace(cfg, variant="centered"))
-    # the exact shift k_n/(nc) in place of the minima mean z_n
-    rows_o = run_experiment("gaussian", replace(cfg, variant="oracle_corrected"))
-    ks_z = next(r for r in rows_z if r.statistic.startswith("ks_gaussian"))
-    ks_c = next(r for r in rows_c if r.statistic.startswith("ks_gaussian"))
-    ks_o = next(r for r in rows_o if r.statistic.startswith("ks_gaussian"))
-    assert ks_o.statistic == "ks_gaussian_oracle_corrected"
-    assert ks_z.estimate < 0.07 and ks_o.estimate < 0.07
-    assert abs(ks_z.estimate - ks_c.estimate) <= 0.02
-    assert abs(ks_z.estimate - ks_o.estimate) <= 0.02
-    v_mean_c = next(r for r in rows_c if r.statistic == "v_mean")
-    assert v_mean_c.estimate == pytest.approx(0.0, abs=1e-12)
-    v_mean_o = next(r for r in rows_o if r.statistic == "v_mean")
-    assert abs(v_mean_o.estimate) <= v_mean_o.tolerance and v_mean_o.passed
+    rows = run_experiment("gaussian", cfg)
+    assert [r.statistic for r in rows] == ["ks_gaussian_z_corrected", "v_mean", "uncorrected_mean"]
+    ks_row, v_mean_row = rows[0], rows[1]
+    # the same replicates, with the minima mean z_n, the exact shift k_n/(nc) or the grand mean
+    v = gaussian_normalized_errors(cfg)
+    law = LimitLaw("std_normal")
+    ks_z, ks_c, ks_o = (ks_statistic(v[name], law) for name in ("z_corrected", "centered", "oracle_corrected"))
+    assert ks_z == ks_row.estimate and float(v["z_corrected"].mean()) == v_mean_row.estimate
+    assert ks_z < 0.07 and ks_o < 0.07
+    assert abs(ks_z - ks_c) <= 0.02
+    assert abs(ks_z - ks_o) <= 0.02
+    assert float(v["centered"].mean()) == pytest.approx(0.0, abs=1e-12)
+    # the v_mean row's window, 3/sqrt(R), holds the oracle-shifted mean too
+    assert abs(float(v["oracle_corrected"].mean())) <= v_mean_row.tolerance
 
 
 def test_gaussian_uncorrected_mean_diverges_like_sqrt_d() -> None:
@@ -334,21 +333,21 @@ def test_gaussian_uncorrected_mean_diverges_like_sqrt_d() -> None:
         replicates=600,
         xs=(0.3,),
     )
-    rows = run_experiment("gaussian", replace(cfg, variant="z_corrected"))
+    rows = run_experiment("gaussian", cfg)
     raw = next(r for r in rows if r.statistic == "uncorrected_mean")
     assert raw.estimate < -2.0
     assert raw.estimate == pytest.approx(-8.0, abs=0.5)
 
 
 def test_gaussian_rejects_single_cell_blocks() -> None:
-    cfg = _cfg(schedule=((4096, 4, 1),))
+    cfg = _cfg(schedule=((4096, 4, 1),), xs=(0.3,))
     with pytest.raises(ValueError):
         run_experiment("gaussian", cfg)
 
 
 VARIANCE = dict(xs=(0.5,))
-WEIBULL = dict(schedule=((500, 7, 1),))
-GAUSSIAN = dict(schedule=((4096, 4, 64),))
+WEIBULL = dict(schedule=((500, 7, 1),), xs=(0.3,))
+GAUSSIAN = dict(schedule=((4096, 4, 64),), xs=(0.3,))
 
 
 @pytest.mark.parametrize(
@@ -361,7 +360,7 @@ GAUSSIAN = dict(schedule=((4096, 4, 64),))
         ("variance", dict(VARIANCE, schedule=((500, 4, 4), (500, 0, 4))), "h_n >= 1"),
         ("supnorm", dict(schedule=((500, 3, 2), (500, 3, 0))), "d_n must be"),
         ("zn_moments", dict(schedule=((500, 4, 1), (0, 4, 1))), "n must be"),
-        ("local_bias", dict(schedule=((500, 4, 4), (500, -1, 4))), "h_prime must be"),
+        ("local_bias", dict(schedule=((500, 4, 4), (500, -1, 4)), xs=(0.3,)), "h_prime must be"),
         ("mise", dict(schedule=((500, 3, 2), (500, 4, 0))), "d_n must be"),
         # the evaluation-point rules
         ("local_bias", dict(xs=()), "^local bias experiment needs evaluation points$"),
@@ -395,11 +394,15 @@ def test_requirements_are_checked_points_then_partitions() -> None:
         run_experiment("weibull", every_fault)
     with pytest.raises(ValueError, match="d_n = 1"):
         run_experiment("weibull", replace(every_fault, xs=(0.3,)))
+    with pytest.raises(ValueError, match="takes no evaluation points"):
+        run_experiment("gumbel", replace(every_fault, xs=(0.3,)))
 
 
 def test_every_condition_an_experiment_names_has_a_number() -> None:
     for kind, spec in EXPERIMENTS.items():
         assert spec.conditions and set(spec.conditions) <= CONDITIONS.keys(), kind
+    # and no condition is kept that no experiment names
+    assert CONDITIONS.keys() == {name for spec in EXPERIMENTS.values() for name in spec.conditions}
 
 
 def test_condition_numbers_at_an_alpha_below_one() -> None:
@@ -413,14 +416,15 @@ def test_condition_numbers_at_an_alpha_below_one() -> None:
             "kn*ln(kn)=o(n)": 1024 * math.log(1024) / 4096,
             "n=o(kn^(1+alpha))": 4096 / 1024**1.5,
             "hn=o(kn)": 15 / 1024,
-            "n=o(kn^(1/2+alpha)*hn^(1/2))": 4096 / (1024 * 15**0.5),
             "n=o(kn^(1/2)*hn^(1/2+alpha))": 4096 / (32 * 15),
         },
         rel=1e-12,
     )
 
 
-def test_an_experiment_without_points_ignores_them(monkeypatch) -> None:
+@pytest.mark.parametrize("kind", ["mise", "supnorm", "gumbel", "zn_moments"])
+def test_an_experiment_without_points_refuses_them(monkeypatch, kind) -> None:
+    # zn_moments ran with --x 0.3 and wrote the CSV of a run without it, under another input hash
     tasks = []
 
     def fake_run_task(task, replicates, seed, workers):
@@ -428,9 +432,25 @@ def test_an_experiment_without_points_ignores_them(monkeypatch) -> None:
         return np.ones((replicates, 2))
 
     monkeypatch.setattr(experiments, "run_task", fake_run_task)
-    rows = run_experiment("zn_moments", _cfg(xs=(0.1, 0.2, 0.9), replicates=10))
+    cfg = _cfg(schedule=((500, 3, 1),), replicates=10)
+    with pytest.raises(ValueError, match=f"^{kind.replace('_', ' ')} experiment takes no evaluation points$"):
+        run_experiment(kind, replace(cfg, xs=(0.1, 0.2, 0.9)))
+    assert tasks == []
+    rows = run_experiment(kind, cfg)
     assert [t.xs for t in tasks] == [()]
-    assert all(r.x is None for r in rows)
+    assert rows and all(r.x is None for r in rows)
+
+
+@pytest.mark.parametrize("spelling", ["constant:a=1.0", "constant:a=1", "constant", "constant: a = 1e0"])
+def test_config_stores_the_frontiers_canonical_label(spelling) -> None:
+    assert _cfg(frontier=spelling).frontier == "constant:a=1.0"
+    assert _cfg(frontier=spelling) == _cfg()
+
+
+@pytest.mark.parametrize("frontier", [None, 1.0, b"constant:a=1.0", ("constant:a=1.0",)])
+def test_config_rejects_a_frontier_that_is_not_a_label(frontier) -> None:
+    with pytest.raises(ValueError, match="frontier must be a label"):
+        _cfg(frontier=frontier)
 
 
 def test_zn_moments_small() -> None:

@@ -58,7 +58,6 @@ REGIMES = {
             "hn=o(kn)": 0.01465,
             KN_LN_N: 2.079,
             "n=o(kn^(1/2)*hn^(1/2+alpha))": 2.203,
-            "n=o(kn^(1/2+alpha)*hn^(1/2))": 0.03227,
         }
     ],
     "zn-moments": [{KN_LN_N: 0.05895}],

@@ -49,7 +49,7 @@ COMMAND_LINE = {
     "simulate": ["--frontier", "--n", "--c", "--seed", "--out"],
     "estimate": ["sample", "--hprime", "--dn", "--out"],
     "experiment": [
-        "name", "--frontier", "--c", "--schedule", "--replicates", "--seed", "--x", "--variant",
+        "name", "--frontier", "--c", "--schedule", "--replicates", "--seed", "--x",
         "--workers", "--out", "--strict",
     ],
     "list-presets": [],

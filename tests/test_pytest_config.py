@@ -6,13 +6,20 @@ installed, and libcst can raise mypy_extensions' TypedDict deprecation; as an
 error, that stopped the whole session with INTERNALERROR (exit 3), so the
 tests after the failing one never ran. Where libcst is not installed, the
 plugin takes its ImportError path, and this test passes there too.
+
+The versions of the test tools are listed twice, in pyproject.toml's `test`
+extra and in the CI workflow's install line; the suite is verified on those
+versions, so the two lists must name the same ones.
 """
 
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
-PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+ROOT = Path(__file__).resolve().parent.parent
+PYPROJECT = ROOT / "pyproject.toml"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 FAILING_AND_PASSING = """
 from hypothesis import given, settings
@@ -41,3 +48,11 @@ def test_a_failing_hypothesis_test_fails_alone(tmp_path) -> None:
     assert "INTERNALERROR" not in output, output
     assert run.returncode == 1, output
     assert "1 failed, 1 passed" in output, output
+
+
+def test_the_test_extra_pins_the_versions_ci_installs() -> None:
+    extra = tomllib.loads(PYPROJECT.read_text())["project"]["optional-dependencies"]["test"]
+    [install] = [line for line in WORKFLOW.read_text().splitlines() if "pip install" in line]
+    tools = {requirement.partition("==")[0] for requirement in extra}
+    installed = [word for word in install.split() if word.partition("==")[0] in tools]
+    assert sorted(extra) == sorted(installed), (extra, install)
