@@ -1,15 +1,16 @@
 """Command-line interface: simulate, estimate, experiment, list-presets.
 
-An experiment run is its preset, then the flags that override it. Each
-setting has one flag; only `--x` may be given twice, with another point,
-and only to an experiment that takes points. The schedule is
-`--schedule n:hprime:dn` (entries joined by `;`). Report CSVs are
-deterministic for a fixed configuration whatever the workers, and for a
-frontier however it is spelled. The JSON manifest has eight keys: the
-config echo (`config`), its content hash (`input_hash`), the regime
-numbers per schedule entry (`regimes`), `wall_time_s`, the package
-`version`, and the count of `rows`, the count of `failures` and the
-sorted `statistics` of the report.
+An experiment is named as `list-presets` prints it, and a run is its
+preset, then the flags that override it. Each setting has one flag; only
+`--x` may be given twice, with another point, and only to an experiment
+that takes points. The schedule is `--schedule n:hprime:dn` (entries
+joined by `;`, each entry once). `--workers` is not a setting but an
+argument of the run. Report CSVs are deterministic for a fixed
+configuration whatever the workers, and for a frontier however it is
+spelled. The JSON manifest has eight keys: the config echo (`config`), its
+content hash (`input_hash`), the regime numbers per schedule entry
+(`regimes`), `wall_time_s`, the package `version`, and the count of
+`rows`, the count of `failures` and the sorted `statistics` of the report.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import __version__
 # wraps run_experiment, write_report_csv, simulate, cell_stats and
 # corrected_estimate where this module's namespace holds them
 from .estimators import corrected_estimate
-from .experiments import PRESETS, ExperimentConfig, _regime_numbers, run_experiment
+from .experiments import PRESETS, _regime_numbers, _report_name, run_experiment
 from .frontiers import parse_frontier
 from .process import PartitionConfig, PointSample, cell_stats, simulate
 from .report import config_hash, summarize, write_manifest, write_report_csv
@@ -88,6 +89,7 @@ def _build_parser() -> _Parser:
     # the settings, as text; _cmd_experiment parses them
     for key in _CONFIG_KEYS:
         exp.add_argument(f"--{key}", action="append" if key == "x" else "store")
+    exp.add_argument("--workers", default="1")
     exp.add_argument("--out", default=".")
     exp.add_argument("--strict", action=_Once, nargs=0, const=True, default=False,
                      help="exit 2 on any tolerance failure")
@@ -119,7 +121,6 @@ _CONFIG_KEYS = {
     "replicates": ("replicates", int),
     "seed": ("base_seed", int),
     "x": ("xs", _floats),
-    "workers": ("workers", int),
 }
 
 
@@ -128,13 +129,6 @@ def _parse(key: str, parse, value):
         return parse(value)
     except ValueError as exc:
         raise ValueError(f"bad value {value!r} for {key}: {exc}") from None
-
-
-def _config_payload(name: str, kind: str, cfg: ExperimentConfig) -> dict:
-    """The manifest's config echo: every field but workers, which never changes the output."""
-    payload = {"preset": name, "experiment": kind, **asdict(cfg)}
-    del payload["workers"]
-    return payload
 
 
 def _cmd_simulate(args) -> int:
@@ -165,15 +159,15 @@ def _cmd_experiment(args) -> int:
     if args.name not in PRESETS:
         print(f"unknown preset {args.name!r}; see list-presets", file=sys.stderr)
         return USAGE_ERROR
-    preset = PRESETS[args.name]
-    cfg = replace(preset.config, **{
+    cfg = replace(PRESETS[args.name].config, **{
         field: _parse(key, parse, value)
         for key, (field, parse) in _CONFIG_KEYS.items() if (value := getattr(args, key)) is not None
     })
-    payload = _config_payload(args.name, preset.kind, cfg)
+    workers = _parse("workers", int, args.workers)
+    payload = {"preset": args.name, "experiment": _report_name(args.name), **asdict(cfg)}
 
     start = time.perf_counter()
-    rows = run_experiment(preset.kind, cfg)
+    rows = run_experiment(args.name, cfg, workers)
     elapsed = time.perf_counter() - start
 
     out_dir = Path(args.out)
@@ -187,7 +181,7 @@ def _cmd_experiment(args) -> int:
         {
             "config": payload,
             "input_hash": config_hash(payload),
-            "regimes": _regime_numbers(preset.kind, cfg),
+            "regimes": _regime_numbers(args.name, cfg),
             "wall_time_s": elapsed,
             "version": __version__,
             **summary,
@@ -201,9 +195,9 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_list_presets(args) -> int:
     width = max(len(name) for name in PRESETS)
-    for name, preset in PRESETS.items():
-        cfgs = ", ".join(f"n={n},h'={hp},d={dn}" for n, hp, dn in preset.config.schedule)
-        print(f"{name:<{width}}  {preset.note} [{cfgs}]")
+    for name, spec in PRESETS.items():
+        cfgs = ", ".join(f"n={n},h'={hp},d={dn}" for n, hp, dn in spec.config.schedule)
+        print(f"{name:<{width}}  {spec.note} [{cfgs}]")
     return 0
 
 

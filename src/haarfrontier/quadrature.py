@@ -17,14 +17,14 @@ def adaptive_simpson(
     a: float,
     b: float,
     tol: float = DEFAULT_TOL,
-    max_subintervals: int = MAX_SUBINTERVALS,
 ) -> float:
     """Integrate f over [a, b] to absolute tolerance tol.
 
     Classic adaptive Simpson with the 1/15 Richardson error estimate, run on
-    an explicit stack so the subinterval cap is enforced exactly. Simpson's
-    rule on a panel, width * (f(lo) + 4 f(mid) + f(hi)) / 6, is written out
-    at each use, so a node costs f and its arithmetic alone.
+    an explicit stack so the subinterval cap, `MAX_SUBINTERVALS`, is
+    enforced exactly. Simpson's rule on a panel, width * (f(lo) + 4 f(mid)
+    + f(hi)) / 6, is written out at each use, so a node costs f and its
+    arithmetic alone.
     """
     if b < a:
         raise ValueError("integration bounds must satisfy a <= b")
@@ -38,7 +38,7 @@ def adaptive_simpson(
     stack = [(a, fa, m, fm, b, fb, whole, tol)]
     pop, push = stack.pop, stack.append
     total = 0.0
-    used = 1
+    used, cap = 1, MAX_SUBINTERVALS
     while stack:
         xa, ya, xm, ym, xb, yb, coarse, loc_tol = pop()
         lm = 0.5 * (xa + xm)
@@ -51,9 +51,9 @@ def adaptive_simpson(
             total += left + right + delta / 15.0
             continue
         used += 1
-        if used > max_subintervals:
+        if used > cap:
             raise QuadratureError(
-                f"adaptive Simpson exceeded {max_subintervals} subintervals "
+                f"adaptive Simpson exceeded {cap} subintervals "
                 f"on [{a}, {b}] at tolerance {tol}"
             )
         half = 0.5 * loc_tol

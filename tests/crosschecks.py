@@ -171,7 +171,7 @@ def gaussian_normalized_errors(cfg) -> dict:
     n, h_prime, d_n = cfg.schedule[0]
     pc = PartitionConfig(n, h_prime, d_n)
     task = ReplicateTask("fhat_zn_at", cfg.frontier, n, h_prime, d_n, cfg.c, cfg.xs)
-    data = run_task(task, cfg.replicates, derive_seed(cfg.base_seed, 0), cfg.workers)
+    data = run_task(task, cfg.replicates, derive_seed(cfg.base_seed, 0))
     fhat, zn = data[:, 0], data[:, 1]
     f_true = parse_frontier(cfg.frontier)(cfg.xs[0])
     nc = pc.n * cfg.c

@@ -100,7 +100,7 @@ def test_criterion_03_local_bias() -> None:
         base_seed=303,
         xs=(0.3, 0.7),
     )
-    rows = run_experiment("local_bias", cfg)
+    rows = run_experiment("local-bias", cfg)
     ok = all(r.passed for r in rows)
     detail = "; ".join(
         f"x={r.x}: |{r.estimate:.2e}| <= 1/64 + 3SE = {r.tolerance:.2e}" for r in rows
@@ -174,10 +174,9 @@ def test_criterion_07_gumbel_limit() -> None:
         c=1.0,
         replicates=5000,
         base_seed=707,
-        # replicate seeds do not depend on the pool size, so the rows are those of workers=1
-        workers=os.cpu_count() or 1,
     )
-    rows = run_experiment("gumbel", cfg)
+    # replicate seeds do not depend on the pool size, so the rows are those of workers=1
+    rows = run_experiment("gumbel", cfg, workers=os.cpu_count() or 1)
     ks = next(r for r in rows if r.statistic == "ks_gumbel")
     nonneg = next(r for r in rows if r.statistic == "gumbel_nonneg")
     ok = ks.estimate < 0.03 and nonneg.passed
@@ -217,7 +216,7 @@ def test_criterion_09_minima_mean_moments() -> None:
         replicates=2000,
         base_seed=909,
     )
-    rows = run_experiment("zn_moments", cfg)
+    rows = run_experiment("zn-moments", cfg)
     mean_row = next(r for r in rows if r.statistic == "zn_mean")
     var_row = next(r for r in rows if r.statistic == "zn_var_ratio")
     ok = mean_row.passed and 0.8 <= var_row.estimate <= 1.2

@@ -126,13 +126,38 @@ def test_a_repeated_evaluation_point_exits_1(tmp_path, capsys) -> None:
     assert not out.exists()
 
 
+def test_a_repeated_schedule_entry_exits_1(tmp_path, capsys) -> None:
+    # this wrote 6 rows for the 3 checks of one entry
+    out = tmp_path / "out"
+    argv = ["experiment", "mise", "--schedule", "10000:3:8;10000:3:8", "--replicates", "20"]
+    assert main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: schedule entries must be distinct, got [(10000, 3, 8), (10000, 3, 8)]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["local_bias", "zn_moments"])
+def test_an_experiment_is_named_only_as_list_presets_prints_it(tmp_path, capsys, name) -> None:
+    out = tmp_path / "out"
+    assert main(["experiment", name, "--replicates", "4", "--out", str(out)]) == 1
+    assert f"unknown preset {name!r}; see list-presets" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", list(PRESETS))
+def test_each_manifest_names_its_preset_and_experiment(tmp_path, name) -> None:
+    assert main(["experiment", name, "--replicates", "4", "--out", str(tmp_path)]) == 0
+    config = json.loads((tmp_path / f"{name}_manifest.json").read_text())["config"]
+    assert (config["preset"], config["experiment"]) == (name, name.replace("-", "_"))
+    assert {row.experiment for row in read_report_csv(tmp_path / f"{name}.csv")} == {config["experiment"]}
+
+
 @pytest.mark.parametrize("name", ["mise", "supnorm", "gumbel", "zn-moments"])
 def test_an_experiment_without_points_exits_1_on_a_point(tmp_path, capsys, name) -> None:
     # zn-moments --x 0.3 exited 0 and wrote the CSV of the run without it, under another input hash
     out = tmp_path / "out"
     assert main(["experiment", name, "--replicates", "4", "--x", "0.3", "--out", str(out)]) == 1
-    kind = PRESETS[name].kind.replace("_", " ")
-    assert f"error: {kind} experiment takes no evaluation points" in capsys.readouterr().err
+    assert f"error: {name} experiment takes no evaluation points" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from haarfrontier import experiments
-from haarfrontier.experiments import CONDITIONS, EXPERIMENTS, ExperimentConfig, run_experiment
+from haarfrontier.cli import main
+from haarfrontier.experiments import CONDITIONS, PRESETS, ExperimentConfig, run_experiment
 from haarfrontier.frontiers import parse_frontier
 from haarfrontier.kernels import ReplicateTask
 from haarfrontier.oracles import LimitLaw, ks_statistic
@@ -36,6 +37,8 @@ def test_config_validation() -> None:
         _cfg(replicates=1)
     with pytest.raises(ValueError):
         _cfg(schedule=())
+    with pytest.raises(TypeError, match="workers"):  # the worker count is an argument of the run
+        _cfg(workers=2)
     with pytest.raises(TypeError, match="variant"):  # the gaussian statistic is not a setting
         _cfg(variant="z_corrected")
     for x in (math.nan, 1.5):
@@ -51,25 +54,66 @@ def test_config_rejects_a_repeated_evaluation_point(xs) -> None:
 
 
 @pytest.mark.parametrize(
-    "field,value",
-    [("replicates", 2.5), ("replicates", 3.0), ("replicates", True), ("workers", 1.5), ("workers", True)],
+    "entries",
+    [((500, 4, 4), (500, 4, 4)), ((500, 4, 4), (1000, 4, 4), (500, 4, 4)), ((500, 4, 4), [500, 4, 4])],
+    ids=["twice", "apart", "tuple-and-list"],
 )
+def test_config_rejects_a_repeated_schedule_entry(entries) -> None:
+    # a repeated entry ran its replicates twice and reported each of its checks as two rows
+    with pytest.raises(ValueError, match=r"^schedule entries must be distinct, got \[\(500, 4, 4\), "):
+        _cfg(schedule=entries)
+
+
+def test_config_holds_its_schedule_as_tuples() -> None:
+    # a list was kept as given: appending its first entry again ran it twice, past the check above
+    schedule = [[500, 4, 4]]
+    cfg = _cfg(schedule=schedule)
+    schedule.append([500, 4, 4])
+    assert cfg.schedule == ((500, 4, 4),) and cfg == _cfg()
+    assert hash(cfg) == hash(_cfg())
+
+
+@pytest.mark.parametrize("field,value", [("replicates", 2.5), ("replicates", 3.0), ("replicates", True)])
 def test_config_rejects_integer_fields_that_are_not_integers(field, value) -> None:
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         _cfg(**{field: value})
 
 
 def test_config_stores_integer_fields_as_python_ints() -> None:
-    cfg = _cfg(replicates=np.int64(3), workers=np.int32(2))
+    cfg = _cfg(replicates=np.int64(3))
     assert type(cfg.replicates) is int and cfg.replicates == 3
-    assert type(cfg.workers) is int and cfg.workers == 2
 
 
-@pytest.mark.parametrize("workers", [0, -7])
-def test_config_rejects_fewer_than_one_worker(workers) -> None:
-    # these ran serially and exited 0, as if workers = 1 had been asked for
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        _cfg(workers=workers)
+def _no_replicates(monkeypatch) -> list:
+    """The tasks run_experiment hands run_task, which runs none of them; each as (task, workers)."""
+    calls = []
+
+    def fake_run_task(task, replicates, seed, workers):
+        calls.append((task, workers))
+        return np.zeros((replicates, 4))
+
+    monkeypatch.setattr(experiments, "run_task", fake_run_task)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "workers, message",
+    [(0, "workers must be >= 1, got 0"), (-7, "workers must be >= 1, got -7"),
+     (1.5, "workers must be an integer"), (True, "workers must be an integer")],
+)
+def test_run_rejects_a_worker_count_before_any_replicate(monkeypatch, workers, message) -> None:
+    # 0 and -7 ran serially and exited 0, as if workers = 1 had been asked for
+    calls = _no_replicates(monkeypatch)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_experiment("zn-moments", _cfg(replicates=4), workers)
+    assert calls == []
+
+
+def test_run_hands_the_worker_count_to_each_entry_as_a_python_int(monkeypatch) -> None:
+    calls = _no_replicates(monkeypatch)
+    run_experiment("mise", _cfg(schedule=((500, 3, 2), (500, 4, 1)), replicates=4), np.int32(2))
+    assert [workers for _, workers in calls] == [2, 2]
+    assert all(type(workers) is int for _, workers in calls)
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, -1.0, True], ids=["nan", "inf", "-1", "True"])
@@ -107,7 +151,7 @@ def test_local_bias_flat_frontier_matches_closed_form() -> None:
     # for a flat frontier the shifted residual has the exact value
     # (k/(nc)) * exp(-nc/k); the Monte Carlo mean must sit within 3 SE of it
     cfg = _cfg(schedule=((500, 4, 4),), replicates=800, xs=(0.3, 0.7))
-    rows = run_experiment("local_bias", cfg)
+    rows = run_experiment("local-bias", cfg)
     k, n = 64, 500
     exact = (k / n) * math.exp(-n / k)
     for row in rows:
@@ -118,7 +162,7 @@ def test_local_bias_flat_frontier_matches_closed_form() -> None:
 
 def test_local_bias_raw_bias_is_negative() -> None:
     cfg = _cfg(schedule=((500, 4, 4),), replicates=400, xs=(0.3,))
-    rows = run_experiment("local_bias", cfg)
+    rows = run_experiment("local-bias", cfg)
     shift = 64 / 500
     for row in rows:
         raw_bias = row.estimate - shift
@@ -289,8 +333,8 @@ def test_gumbel_small_schedule() -> None:
     assert abs(by_stat["gumbel_median"].estimate + math.log(math.log(2.0))) <= 0.15
 
 
-def test_gumbel_median_row_once_for_a_repeated_entry() -> None:
-    cfg = _cfg(schedule=((2000, 5, 1), (2000, 5, 1)), replicates=20)
+def test_gumbel_median_row_once_across_entries() -> None:
+    cfg = _cfg(schedule=((2000, 5, 1), (4000, 5, 1)), replicates=20)
     stats = [r.statistic for r in run_experiment("gumbel", cfg)]
     assert stats.count("gumbel_median") == 1
     assert stats.count("ks_gumbel") == 2
@@ -351,7 +395,7 @@ GAUSSIAN = dict(schedule=((4096, 4, 64),), xs=(0.3,))
 
 
 @pytest.mark.parametrize(
-    "kind, changes, message",
+    "name, changes, message",
     [
         # a bad partition after a good one
         ("weibull", dict(WEIBULL, schedule=((500, 7, 1), (500, 4, 2))), "d_n = 1"),
@@ -359,32 +403,26 @@ GAUSSIAN = dict(schedule=((4096, 4, 64),), xs=(0.3,))
         ("gaussian", dict(GAUSSIAN, schedule=((4096, 4, 64), (4096, 4, 1))), "d_n > 1"),
         ("variance", dict(VARIANCE, schedule=((500, 4, 4), (500, 0, 4))), "h_n >= 1"),
         ("supnorm", dict(schedule=((500, 3, 2), (500, 3, 0))), "d_n must be"),
-        ("zn_moments", dict(schedule=((500, 4, 1), (0, 4, 1))), "n must be"),
-        ("local_bias", dict(schedule=((500, 4, 4), (500, -1, 4)), xs=(0.3,)), "h_prime must be"),
+        ("zn-moments", dict(schedule=((500, 4, 1), (0, 4, 1))), "n must be"),
+        ("local-bias", dict(schedule=((500, 4, 4), (500, -1, 4)), xs=(0.3,)), "h_prime must be"),
         ("mise", dict(schedule=((500, 3, 2), (500, 4, 0))), "d_n must be"),
         # the evaluation-point rules
-        ("local_bias", dict(xs=()), "^local bias experiment needs evaluation points$"),
+        ("local-bias", dict(xs=()), "^local-bias experiment needs evaluation points$"),
         ("variance", dict(VARIANCE, xs=()), "^variance experiment needs evaluation points$"),
         ("weibull", dict(WEIBULL, xs=(0.3, 0.7)), "^weibull experiment needs exactly one"),
         ("gaussian", dict(GAUSSIAN, xs=(0.3, 0.7)), "^gaussian experiment needs exactly one"),
         ("gaussian", dict(GAUSSIAN, xs=()), "^gaussian experiment needs exactly one"),
     ],
     ids=[
-        "weibull", "gumbel", "gaussian", "variance", "supnorm", "zn_moments", "local_bias", "mise",
-        "local_bias-no-x", "variance-no-x", "weibull-two-x", "gaussian-two-x", "gaussian-no-x",
+        "weibull", "gumbel", "gaussian", "variance", "supnorm", "zn-moments", "local-bias", "mise",
+        "local-bias-no-x", "variance-no-x", "weibull-two-x", "gaussian-two-x", "gaussian-no-x",
     ],
 )
-def test_bad_schedule_entry_raises_before_any_replicate(monkeypatch, kind, changes, message) -> None:
-    calls = []
-
-    def fake_run_task(task, replicates, seed, workers):
-        calls.append(task)
-        return np.zeros((replicates, 4))
-
-    monkeypatch.setattr(experiments, "run_task", fake_run_task)
+def test_bad_schedule_entry_raises_before_any_replicate(monkeypatch, name, changes, message) -> None:
+    calls = _no_replicates(monkeypatch)
     cfg = _cfg(replicates=10, **changes)
     with pytest.raises(ValueError, match=message):
-        run_experiment(kind, cfg)
+        run_experiment(name, cfg)
     assert calls == []
 
 
@@ -399,10 +437,10 @@ def test_requirements_are_checked_points_then_partitions() -> None:
 
 
 def test_every_condition_an_experiment_names_has_a_number() -> None:
-    for kind, spec in EXPERIMENTS.items():
-        assert spec.conditions and set(spec.conditions) <= CONDITIONS.keys(), kind
+    for name, spec in PRESETS.items():
+        assert spec.conditions and set(spec.conditions) <= CONDITIONS.keys(), name
     # and no condition is kept that no experiment names
-    assert CONDITIONS.keys() == {name for spec in EXPERIMENTS.values() for name in spec.conditions}
+    assert CONDITIONS.keys() == {condition for spec in PRESETS.values() for condition in spec.conditions}
 
 
 def test_condition_numbers_at_an_alpha_below_one() -> None:
@@ -422,9 +460,9 @@ def test_condition_numbers_at_an_alpha_below_one() -> None:
     )
 
 
-@pytest.mark.parametrize("kind", ["mise", "supnorm", "gumbel", "zn_moments"])
-def test_an_experiment_without_points_refuses_them(monkeypatch, kind) -> None:
-    # zn_moments ran with --x 0.3 and wrote the CSV of a run without it, under another input hash
+@pytest.mark.parametrize("name", ["mise", "supnorm", "gumbel", "zn-moments"])
+def test_an_experiment_without_points_refuses_them(monkeypatch, name) -> None:
+    # zn-moments ran with --x 0.3 and wrote the CSV of a run without it, under another input hash
     tasks = []
 
     def fake_run_task(task, replicates, seed, workers):
@@ -433,10 +471,10 @@ def test_an_experiment_without_points_refuses_them(monkeypatch, kind) -> None:
 
     monkeypatch.setattr(experiments, "run_task", fake_run_task)
     cfg = _cfg(schedule=((500, 3, 1),), replicates=10)
-    with pytest.raises(ValueError, match=f"^{kind.replace('_', ' ')} experiment takes no evaluation points$"):
-        run_experiment(kind, replace(cfg, xs=(0.1, 0.2, 0.9)))
+    with pytest.raises(ValueError, match=f"^{name} experiment takes no evaluation points$"):
+        run_experiment(name, replace(cfg, xs=(0.1, 0.2, 0.9)))
     assert tasks == []
-    rows = run_experiment(kind, cfg)
+    rows = run_experiment(name, cfg)
     assert [t.xs for t in tasks] == [()]
     assert rows and all(r.x is None for r in rows)
 
@@ -455,7 +493,7 @@ def test_config_rejects_a_frontier_that_is_not_a_label(frontier) -> None:
 
 def test_zn_moments_small() -> None:
     cfg = _cfg(schedule=((10_000, 6, 1),), replicates=500)
-    rows = run_experiment("zn_moments", cfg)
+    rows = run_experiment("zn-moments", cfg)
     by_stat = {r.statistic: r for r in rows}
     assert by_stat["zn_mean"].comparator == pytest.approx(6.4e-3)
     assert by_stat["zn_mean"].passed
@@ -467,7 +505,7 @@ def test_config_holds_points_as_python_floats(tmp_path) -> None:
     # a numpy float reached the report CSV as "np.float64(0.3)", which reads back as no number
     cfg = replace(experiments.PRESETS["local-bias"].config, xs=(np.float64(0.3),), replicates=4)
     assert cfg.xs == (0.3,) and type(cfg.xs[0]) is float
-    write_report_csv(run_experiment("local_bias", cfg), tmp_path / "report.csv")
+    write_report_csv(run_experiment("local-bias", cfg), tmp_path / "report.csv")
     assert [row.x for row in read_report_csv(tmp_path / "report.csv")] == [0.3]
     # an array is copied into the frozen config, not kept as a mutable view
     points = np.array([0.3, 0.7])
@@ -505,21 +543,34 @@ def test_error_metrics_projection_l2() -> None:
     assert m.l2**2 == pytest.approx(1.0 / 48.0, abs=1e-12)
 
 
-def test_run_experiment_dispatch() -> None:
-    rows = run_experiment("zn_moments", _cfg(schedule=((1000, 4, 1),), replicates=100))
-    assert rows and all(r.experiment == "zn_moments" for r in rows)
-    with pytest.raises(ValueError):
-        run_experiment("nope", _cfg())
+# the names list-presets prints, in its order
+LISTED = ["local-bias", "variance", "mise", "supnorm", "weibull", "gumbel", "gaussian", "zn-moments"]
+
+
+def test_list_presets_prints_the_registry_in_order(capsys) -> None:
+    assert main(["list-presets"]) == 0
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == LISTED == list(PRESETS)
+
+
+@pytest.mark.parametrize("name", LISTED)
+def test_each_listed_name_runs_and_its_rows_spell_it_with_underscores(name) -> None:
+    rows = run_experiment(name, replace(PRESETS[name].config, replicates=4))
+    assert rows and {r.experiment for r in rows} == {name.replace("-", "_")}
+
+
+@pytest.mark.parametrize("name", ["local_bias", "zn_moments", "local bias", "nope"])
+def test_run_refuses_a_name_list_presets_does_not_print(name) -> None:
+    # the report's spelling is not a second name: "local_bias" used to be the only one run_experiment took
+    with pytest.raises(ValueError) as info:
+        run_experiment(name, _cfg())
+    assert str(info.value) == f"unknown experiment {name!r}; choose from {LISTED}"
 
 
 def test_workers_do_not_change_results() -> None:
-    cfg1 = _cfg(schedule=((1000, 4, 2),), replicates=64, workers=1)
-    cfg2 = _cfg(schedule=((1000, 4, 2),), replicates=64, workers=3)
-    rows1 = run_experiment("zn_moments", cfg1)
-    rows2 = run_experiment("zn_moments", cfg2)
-    assert rows1 == rows2
+    cfg = _cfg(schedule=((1000, 4, 2),), replicates=64)
+    assert run_experiment("zn-moments", cfg, workers=1) == run_experiment("zn-moments", cfg, workers=3)
 
 
 def test_rerun_is_deterministic() -> None:
     cfg = _cfg(schedule=((1000, 4, 2),), replicates=64)
-    assert run_experiment("zn_moments", cfg) == run_experiment("zn_moments", cfg)
+    assert run_experiment("zn-moments", cfg) == run_experiment("zn-moments", cfg)

@@ -9,9 +9,11 @@ plugin takes its ImportError path, and this test passes there too.
 
 The versions of the test tools are listed twice, in pyproject.toml's `test`
 extra and in the CI workflow's install line; the suite is verified on those
-versions, so the two lists must name the same ones.
+versions, so the two lists must name the same ones. Likewise CI runs the
+oldest Python that pyproject.toml declares.
 """
 
+import re
 import subprocess
 import sys
 import tomllib
@@ -56,3 +58,9 @@ def test_the_test_extra_pins_the_versions_ci_installs() -> None:
     tools = {requirement.partition("==")[0] for requirement in extra}
     installed = [word for word in install.split() if word.partition("==")[0] in tools]
     assert sorted(extra) == sorted(installed), (extra, install)
+
+
+def test_ci_runs_the_declared_minimum_python() -> None:
+    declared = tomllib.loads(PYPROJECT.read_text())["project"]["requires-python"]
+    [version] = re.findall(r'python-version:\s*"([^"]+)"', WORKFLOW.read_text())
+    assert declared == f">={version}", (declared, version)

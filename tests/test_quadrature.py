@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from haarfrontier import quadrature
 from haarfrontier.quadrature import QuadratureError, adaptive_simpson
 
 
@@ -29,9 +30,10 @@ def test_degenerate_and_reversed_bounds() -> None:
         adaptive_simpson(math.exp, 1.0, 0.0)
 
 
-def test_subinterval_cap_raises() -> None:
-    with pytest.raises(QuadratureError):
-        adaptive_simpson(math.exp, 0.0, 1.0, tol=1e-15, max_subintervals=4)
+def test_subinterval_cap_raises(monkeypatch) -> None:
+    monkeypatch.setattr(quadrature, "MAX_SUBINTERVALS", 4)
+    with pytest.raises(QuadratureError, match="exceeded 4 subintervals"):
+        adaptive_simpson(math.exp, 0.0, 1.0, tol=1e-15)
 
 
 def test_tolerance_is_absolute() -> None:
