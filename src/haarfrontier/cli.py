@@ -28,7 +28,7 @@ from . import __version__
 # wraps run_experiment, write_report_csv, simulate, cell_stats and
 # corrected_estimate where this module's namespace holds them
 from .estimators import corrected_estimate
-from .experiments import PRESETS, _regime_numbers, _report_name, run_experiment
+from .experiments import PRESETS, _declared, _regime_numbers, _report_name, run_experiment
 from .frontiers import parse_frontier
 from .process import PartitionConfig, PointSample, cell_stats, simulate
 from .report import config_hash, summarize, write_manifest, write_report_csv
@@ -156,10 +156,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.name not in PRESETS:
-        print(f"unknown preset {args.name!r}; see list-presets", file=sys.stderr)
-        return USAGE_ERROR
-    cfg = replace(PRESETS[args.name].config, **{
+    # the name first: an unknown one is reported by the check run_experiment makes
+    cfg = replace(_declared(args.name).config, **{
         field: _parse(key, parse, value)
         for key, (field, parse) in _CONFIG_KEYS.items() if (value := getattr(args, key)) is not None
     })

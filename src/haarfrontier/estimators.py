@@ -5,7 +5,9 @@ equivalently a Haar-series estimate with Riemann-sum coefficient estimates.
 The minima mean estimates the downward bias k_n/(n c) without knowing c,
 and shifting by it gives the practical corrected estimator. Both averages
 are the sum and division of `ndarray.mean`, bit for bit, without its
-Python-level wrapper.
+Python-level wrapper, taken along the last axis by one helper each, so
+that the kernels reduce a table of replicates, one row each, by the same
+arithmetic.
 """
 
 from __future__ import annotations
@@ -84,8 +86,17 @@ def haar_ev_estimate(stats: CellStats, cfg: PartitionConfig) -> StepFunction:
     # the identity test first: the dataclass comparison costs about 1 us
     if stats.cfg is not cfg and stats.cfg != cfg:
         raise ValueError("statistics were not produced under this partition")
-    d_n = cfg.d_n
-    return StepFunction(np.add.reduce(stats.x_star.reshape(-1, d_n), axis=1) / d_n)
+    return StepFunction(_block_means(stats.x_star, cfg.d_n))
+
+
+def _block_means(x_star: np.ndarray, d_n: int) -> np.ndarray:
+    """The mean of each run of d_n cells along the last axis: each row's block values."""
+    return np.add.reduce(x_star.reshape(*x_star.shape[:-1], -1, d_n), axis=-1) / d_n
+
+
+def _minima_means(z_star: np.ndarray) -> np.ndarray:
+    """The mean along the last axis: each row's minima mean."""
+    return np.add.reduce(z_star, axis=-1) / z_star.shape[-1]
 
 
 def coefficient_estimates(stats: CellStats, cfg: PartitionConfig) -> np.ndarray:
@@ -99,7 +110,7 @@ def coefficient_estimates(stats: CellStats, cfg: PartitionConfig) -> np.ndarray:
 
 def minima_mean(stats: CellStats) -> float:
     """Mean of the cell minima; estimates k_n/(n c) with empty cells contributing 0."""
-    return float(np.add.reduce(stats.z_star) / stats.z_star.size)
+    return float(_minima_means(stats.z_star))
 
 
 def corrected_estimate(stats: CellStats, cfg: PartitionConfig) -> EstimateBundle:

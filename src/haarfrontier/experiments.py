@@ -82,7 +82,12 @@ class ExperimentConfig:
         if not self.schedule:
             raise ValueError("schedule must contain at least one (n, h_prime, d_n) entry")
         # held as tuples, so no caller's list can later add a repeated entry
-        entries = tuple(tuple(entry) for entry in self.schedule)
+        entries = tuple(
+            tuple(entry) if isinstance(entry, Iterable) and not isinstance(entry, (str, bytes)) else entry
+            for entry in self.schedule
+        )
+        if not all(isinstance(entry, tuple) and len(entry) == 3 for entry in entries):
+            raise ValueError(f"schedule entries must be (n, h_prime, d_n) triples, got {list(entries)}")
         if len(set(entries)) != len(entries):  # one check reported as two rows each
             raise ValueError(f"schedule entries must be distinct, got {list(entries)}")
         object.__setattr__(self, "schedule", entries)
@@ -450,6 +455,13 @@ def _zn_moments_rows(row, cfg, f, entries) -> Iterator[ReportRow]:
         yield _nonneg_row(row, pc, "zn_nonneg", zn)
 
 
+def _declared(name: str) -> Experiment:
+    """The declaration of experiment `name`, one that `list-presets` prints; ValueError otherwise."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown experiment {name!r}; choose from {list(PRESETS)}")
+    return PRESETS[name]
+
+
 def run_experiment(name: str, cfg: ExperimentConfig, workers: int = 1) -> list:
     """The report rows of experiment `name` under cfg: the one experiment entry point.
 
@@ -459,12 +471,10 @@ def run_experiment(name: str, cfg: ExperimentConfig, workers: int = 1) -> list:
     then run in schedule order, on up to `workers` processes, and the row
     builder takes their data entry by entry.
     """
-    if name not in PRESETS:
-        raise ValueError(f"unknown experiment {name!r}; choose from {list(PRESETS)}")
+    spec = _declared(name)
     workers = _require_integer("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    spec = PRESETS[name]
     if spec.points == "none" and cfg.xs:
         raise ValueError(f"{name} experiment takes no evaluation points")
     if spec.points == "some" and not cfg.xs:

@@ -1,11 +1,15 @@
 """Per-replicate simulation kernels for the experiment driver.
 
-Each kernel maps one seed to a small vector of replicate statistics. The
-cell and block of each evaluation point depend only on the task, so
-`run_chunk` locates them once per chunk and hands them to every replicate as
-`at`, a pair of index arrays (cells, blocks). Tasks carry only picklable
-primitives (the frontier travels as its label), so chunks of replicates can
-run in worker processes; per-frontier geometry is cached per process.
+Each kernel maps a table of replicates, one row of cell statistics each,
+to one small vector of statistics per replicate. `run_chunk` has
+`process._cell_tables` bin its replicates a table at a time, and each
+kernel reduces all of a table's rows in one go, along the last axis, with
+the arithmetic of the public one-record calls. The cell and block of each
+evaluation point depend only on the task, so `run_chunk` locates them once
+per chunk and hands them to every table as `at`, a pair of index arrays
+(cells, blocks). Tasks carry only picklable primitives (the frontier
+travels as its label), so chunks of replicates can run in worker
+processes; per-frontier geometry is cached per process.
 
 The error layer is here too: the L2 and sup distances from a step (on its
 2^j equal blocks) to the frontier, for the kernels and the experiments. Both
@@ -20,10 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimators import haar_ev_estimate, minima_mean
+# cell_stats, haar_ev_estimate and minima_mean are unused here, but the
+# traced benchmark wraps them through this module's names
+from .estimators import _block_means, _minima_means, haar_ev_estimate, minima_mean  # noqa: F401
 from .frontiers import FrontierSpec, parse_frontier
-from .process import PartitionConfig, cell_stats, simulate
+from .process import PartitionConfig, _cell_tables, cell_stats, simulate  # noqa: F401
 from .stepfun import StepFunction, _cell_index, _unit_points
+
 
 @dataclass(frozen=True)
 class ReplicateTask:
@@ -69,10 +76,14 @@ def sup_grid(f: FrontierSpec, h_n: int) -> tuple:
 
 def l2_error_sq(step: StepFunction, f: FrontierSpec) -> float:
     """Exact squared L2 distance between a step and f."""
-    vals = step.values
-    blocks = len(vals)
+    return float(_l2_error_sq(step.values, f))
+
+
+def _l2_error_sq(values: np.ndarray, f: FrontierSpec) -> np.ndarray:
+    """`l2_error_sq` of the step with each row of block values, along the last axis."""
+    blocks = values.shape[-1]
     integ, integ_sq = block_moments(f, blocks - 1)
-    return float(np.sum(vals**2 / blocks - 2.0 * vals * integ + integ_sq))
+    return np.add.reduce(values**2 / blocks - 2.0 * values * integ + integ_sq, axis=-1)
 
 
 def sup_error(step: StepFunction, f: FrontierSpec) -> float:
@@ -81,47 +92,49 @@ def sup_error(step: StepFunction, f: FrontierSpec) -> float:
     On each block |v - y| is convex in y, so its sup over f's range [m_b, M_b]
     there is at an end of that range.
     """
-    vals = step.values
-    low, high = sup_grid(f, len(vals) - 1)
-    return float(np.max(np.maximum(np.abs(vals - low), np.abs(vals - high))))
+    return float(_sup_error(step.values, f))
 
 
-def _stats(f: FrontierSpec, cfg: PartitionConfig, c: float, seed: int):
-    return cell_stats(simulate(f, cfg.n, c, seed), cfg, f)
+def _sup_error(values: np.ndarray, f: FrontierSpec) -> np.ndarray:
+    """`sup_error` of the step with each row of block values, along the last axis."""
+    low, high = sup_grid(f, values.shape[-1] - 1)
+    return np.max(np.maximum(np.abs(values - low), np.abs(values - high)), axis=-1)
 
 
-def _kernel_fhat_zn_at(f, cfg, c, at, seed):
+# Each kernel takes the task's frontier, partition, rate c and located
+# points, and a table from `_cell_tables`; it returns one row per replicate.
+
+
+def _kernel_fhat_zn_at(f, cfg, c, at, table):
     """The block-mean estimate at each evaluation point, then the minima mean z_n."""
-    stats = _stats(f, cfg, c, seed)
-    return np.append(haar_ev_estimate(stats, cfg).values[at[1]], minima_mean(stats))
+    values = _block_means(table.x_star, cfg.d_n)
+    return np.column_stack((values[:, at[1]], _minima_means(table.z_star)))
 
 
-def _kernel_mise(f, cfg, c, at, seed):
+def _kernel_mise(f, cfg, c, at, table):
     """Squared L2 distances of the estimate from the projection and from f."""
-    est = haar_ev_estimate(_stats(f, cfg, c, seed), cfg)
+    values = _block_means(table.x_star, cfg.d_n)
     blocks = cfg.h_n + 1
     proj = blocks * block_moments(f, cfg.h_n)[0]
-    stoch_sq = float(np.sum((est.values - proj) ** 2)) / blocks
-    return np.array([stoch_sq, l2_error_sq(est, f)])
+    stoch_sq = np.add.reduce((values - proj) ** 2, axis=-1) / blocks
+    return np.column_stack((stoch_sq, _l2_error_sq(values, f)))
 
 
-def _kernel_sup(f, cfg, c, at, seed):
-    return np.array([sup_error(haar_ev_estimate(_stats(f, cfg, c, seed), cfg), f)])
+def _kernel_sup(f, cfg, c, at, table):
+    return _sup_error(_block_means(table.x_star, cfg.d_n), f)[:, None]
 
 
-def _kernel_weibull(f, cfg, c, at, seed):
-    stats = _stats(f, cfg, c, seed)
+def _kernel_weibull(f, cfg, c, at, table):
     r, k_n = at[0][0], cfg.k_n
-    center = k_n * stats.cell_areas[r]
+    center = k_n * table.cell_areas[r]
     rate = cfg.n * c / k_n
-    t_est = rate * (haar_ev_estimate(stats, cfg).values[at[1][0]] - center)
-    t_max = rate * (stats.x_star[r] - center)
-    return np.array([t_est, t_max])
+    t_est = rate * (_block_means(table.x_star, cfg.d_n)[:, at[1][0]] - center)
+    t_max = rate * (table.x_star[:, r] - center)
+    return np.column_stack((t_est, t_max))
 
 
-def _kernel_gumbel(f, cfg, c, at, seed):
-    stats = _stats(f, cfg, c, seed)
-    return np.array([float(np.max(stats.f_max - stats.x_star))])
+def _kernel_gumbel(f, cfg, c, at, table):
+    return np.max(table.f_max - table.x_star, axis=-1)[:, None]
 
 
 KERNELS = {
@@ -134,7 +147,11 @@ KERNELS = {
 
 
 def run_chunk(task: ReplicateTask, seeds) -> np.ndarray:
-    """Run a contiguous block of replicates; the unit of work for one worker."""
+    """Run a contiguous block of replicates; the unit of work for one worker.
+
+    The replicates are binned a table at a time (see `process._cell_tables`),
+    and the kernel reduces each table's rows; row i is replicate i.
+    """
     f = parse_frontier(task.frontier)
     cfg = task.partition()
     kernel = KERNELS[task.kind]
@@ -142,4 +159,6 @@ def run_chunk(task: ReplicateTask, seeds) -> np.ndarray:
     # block are the same on every replicate, so they are located once here
     xs = np.asarray(task.xs, dtype=float)
     at = (_cell_index(xs, cfg.k_n), _cell_index(xs, cfg.h_n + 1))
-    return np.array([kernel(f, cfg, task.c, at, int(s)) for s in seeds])
+    samples = (simulate(f, cfg.n, task.c, int(s)) for s in seeds)
+    tables = _cell_tables(samples, len(seeds), cfg, f)
+    return np.concatenate([kernel(f, cfg, task.c, at, table) for table in tables])

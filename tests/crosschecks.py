@@ -215,16 +215,26 @@ def std_normal_loop(u):
 
 
 def replicate_reference(task, seed):
-    """One kernel replicate of `task`, its evaluation points located on the replicate itself.
+    """One kernel replicate of `task`, from its own cell record and the public one-record calls.
 
-    Built from the public point-to-cell rule and the estimate called at x;
-    covers the kernels that read the estimate at points, fhat_zn_at and weibull.
+    Built from `cell_stats` of the replicate alone, the estimate
+    `haar_ev_estimate` gives (called at x, its points located on the
+    replicate itself), the minima mean, `l2_error_sq` and `sup_error`; the
+    reference for every kernel that `run_chunk` runs a table at a time.
     """
     f, cfg = parse_frontier(task.frontier), task.partition()
     stats = cell_stats(simulate(f, cfg.n, task.c, seed), cfg, f)
     est = haar_ev_estimate(stats, cfg)
     if task.kind == "fhat_zn_at":
         return np.array([est(x) for x in task.xs] + [minima_mean(stats)])
+    if task.kind == "mise":
+        blocks = cfg.h_n + 1
+        stoch_sq = float(np.sum((est.values - truncated_expansion(f, cfg.h_n).values) ** 2)) / blocks
+        return np.array([stoch_sq, l2_error_sq(est, f)])
+    if task.kind == "sup":
+        return np.array([sup_error(est, f)])
+    if task.kind == "gumbel":
+        return np.array([float(np.max(stats.f_max - stats.x_star))])
     assert task.kind == "weibull"
     x = task.xs[0]
     r = int(uniform_cell_index(x, cfg.k_n))

@@ -138,9 +138,11 @@ def test_a_repeated_schedule_entry_exits_1(tmp_path, capsys) -> None:
 
 @pytest.mark.parametrize("name", ["local_bias", "zn_moments"])
 def test_an_experiment_is_named_only_as_list_presets_prints_it(tmp_path, capsys, name) -> None:
+    # the CLI printed its own "unknown preset" line, without the prefix of every other usage error
     out = tmp_path / "out"
     assert main(["experiment", name, "--replicates", "4", "--out", str(out)]) == 1
-    assert f"unknown preset {name!r}; see list-presets" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"haarfrontier: error: unknown experiment {name!r}; choose from {list(PRESETS)}\n"
     assert not out.exists()
 
 

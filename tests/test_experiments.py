@@ -64,6 +64,19 @@ def test_config_rejects_a_repeated_schedule_entry(entries) -> None:
         _cfg(schedule=entries)
 
 
+@pytest.mark.parametrize(
+    "entry, shown",
+    [((500, 4), "(500, 4)"), ((500, 4, 4, 1), "(500, 4, 4, 1)"), (500, "500"), ("544", "'544'")],
+    ids=["pair", "quadruple", "int", "str"],
+)
+def test_config_rejects_a_schedule_entry_that_is_not_a_triple(entry, shown) -> None:
+    # a pair failed only in run_experiment, "not enough values to unpack"; an int raised TypeError
+    with pytest.raises(ValueError) as info:
+        _cfg(schedule=((500, 4, 4), entry))
+    want = f"schedule entries must be (n, h_prime, d_n) triples, got [(500, 4, 4), {shown}]"
+    assert str(info.value) == want
+
+
 def test_config_holds_its_schedule_as_tuples() -> None:
     # a list was kept as given: appending its first entry again ran it twice, past the check above
     schedule = [[500, 4, 4]]

@@ -1,6 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from haarfrontier import process
 from haarfrontier.frontiers import parse_frontier
 from haarfrontier.haar import truncated_expansion
 from haarfrontier.kernels import ReplicateTask, block_moments, l2_error_sq, run_chunk, sup_error
@@ -110,3 +115,42 @@ def test_points_located_once_per_chunk_give_the_per_replicate_estimates(label, h
     for task in tasks:
         want = np.array([replicate_reference(task, seed) for seed in seeds])
         assert run_chunk(task, seeds).tobytes() == want.tobytes()
+
+
+# each kernel with the evaluation points it reads
+KERNEL_POINTS = {"fhat_zn_at": (0.0, 0.3, 1.0), "mise": (), "sup": (), "weibull": (0.3,), "gumbel": ()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    label=st.sampled_from(["constant:a=1.0", "affine:a=1.0,b=0.5", "sine:a=1.0,b=0.25"]),
+    kind=st.sampled_from(sorted(KERNEL_POINTS)),
+    n=st.sampled_from([1, 5, 40, 300, 2500]),
+    h_prime=st.integers(0, 3),
+    d_n=st.sampled_from([1, 3, 64]),
+    chunk=st.sampled_from([7, 64, process._CHUNK]),
+    rows=st.sampled_from([1, 2, 5, None]),
+    seeds=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=12),
+)
+# chunks of 7: 7 points fill the buffer exactly, seeds 4 and 120 draw no point,
+# and seed 2's 10 points take two chunks between them
+@example(label="constant:a=1.0", kind="fhat_zn_at", n=5, h_prime=1, d_n=3, chunk=7, rows=None,
+         seeds=[18, 4, 2, 120, 37])
+# chunks of 64: seed 7's 48 points fill a buffer exactly (16 candidates spare),
+# after seed 0's and before seed 3's, whose first chunk also takes the whole buffer
+@example(label="constant:a=1.0", kind="mise", n=40, h_prime=2, d_n=1, chunk=64, rows=2,
+         seeds=[0, 7, 3, 1, 20])
+def test_run_chunk_matches_each_replicate_on_its_own(
+    label, kind, n, h_prime, d_n, chunk, rows, seeds
+) -> None:
+    # replicates packed into shared buffers and binned a table at a time, bit for
+    # bit the kernel of each replicate binned alone, at any chunk and table size
+    task = ReplicateTask(kind, label, n, h_prime, d_n, 1.0, KERNEL_POINTS[kind])
+    want = np.array([replicate_reference(task, seed) for seed in seeds])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(process, "_CHUNK", chunk)
+        mp.setattr(process, "_THREAD", threading.local())
+        if rows is not None:
+            mp.setattr(process, "_TABLE_CELLS", rows * task.partition().k_n)
+        got = run_chunk(task, seeds)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()

@@ -372,6 +372,79 @@ def test_stats_binned_from_the_stream_match_the_filled_sample(
     check_cell_record(got, f)
 
 
+# (c, seed) of each sample of a table at n = 64: about 64 points, none, about
+# 38,400 (more than a chunk of 2^15, so its draw streams on alone between the
+# small ones), 32 and 128
+TABLE_SAMPLES = ((1.0, 1), (1e-4, 2), (600.0, 3), (0.5, 4), (2.0, 5))
+
+
+@pytest.mark.parametrize("filled", ["none", "alternate", "all"])
+@pytest.mark.parametrize("rows", [1, 2, None], ids=["rows-1", "rows-2", "rows-cap"])
+@pytest.mark.parametrize("chunk", [64, process._CHUNK])
+@pytest.mark.parametrize("label", ["constant:a=1.0", "affine:a=1.0,b=0.5", "sine:a=1.0,b=0.25"])
+def test_each_table_row_is_its_sample_binned_on_its_own(label, chunk, rows, filled) -> None:
+    # samples packed into the stream's buffers, streamed alone, or read from
+    # their filled arrays all bin to the rows of the sorted-run reference
+    f = parse_frontier(label)
+    cfg = PartitionConfig(n=64, h_prime=3, d_n=3)
+    want = [_filled(simulate(f, cfg.n, c, seed)) for c, seed in TABLE_SAMPLES]
+    assert [len(s) for s in want][1] == 0 and len(want[2]) > process._CHUNK
+    with pytest.MonkeyPatch.context() as mp:
+        _small_chunks(mp, chunk)
+        if rows is not None:
+            mp.setattr(process, "_TABLE_CELLS", rows * cfg.k_n)
+        samples = [simulate(f, cfg.n, c, seed) for c, seed in TABLE_SAMPLES]
+        for i, sample in enumerate(samples):
+            if filled == "all" or (filled == "alternate" and i % 2):
+                _filled(sample)
+        seeks = _record_seeks(mp)
+        tables = list(process._cell_tables(iter(samples), len(samples), cfg, f))
+    # a filled sample is binned from its arrays, without drawing it again
+    assert (seeks == []) == (filled == "all")
+    assert [len(t.counts) for t in tables] == ([rows] * 5 if rows == 1 else [2, 2, 1] if rows else [5])
+    geometry = _cell_geometry(f, cfg.k_n)
+    for table in tables:
+        assert table.cfg is cfg and (table.cell_areas, table.f_max) == geometry[:2]
+        for name in ("counts", "x_star", "z_star"):
+            arr = getattr(table, name)
+            assert arr.shape[1:] == (cfg.k_n,) and not arr.flags.writeable
+    got = [(t.counts[r], t.x_star[r], t.z_star[r]) for t in tables for r in range(len(t.counts))]
+    for sample, row in zip(want, got):
+        for a, b in zip(row, sorted_run_cell_extremes(sample.xs, sample.ys, cfg.k_n)):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [2000, 50_000], ids=["packed", "streamed"])
+def test_each_binning_pass_checks_the_points_drawn_into_the_buffers(monkeypatch, n) -> None:
+    # a point below the frontier's box fails the sample check before it is binned
+    accepted = process._accepted
+
+    def one_bad_point(f, cand_x, cand_y, need):
+        kept = accepted(f, cand_x, cand_y, need)
+        cand_y[kept - 1 : kept] = -1.0
+        return kept
+
+    monkeypatch.setattr(process, "_accepted", one_bad_point)
+    f = parse_frontier("constant:a=1.0")
+    cfg = PartitionConfig(n=n, h_prime=3, d_n=1)
+    samples = (simulate(f, n, 1.0, seed) for seed in range(3))
+    with pytest.raises(ValueError, match="sample values must be finite, with x in"):
+        list(process._cell_tables(samples, 3, cfg, f))
+    with pytest.raises(ValueError, match="sample values must be finite, with x in"):
+        cell_stats(simulate(f, n, 1.0, 7), cfg, f)
+
+
+def test_cell_stats_is_the_one_row_table() -> None:
+    f = parse_frontier("sine:a=1.0,b=0.25")
+    cfg = PartitionConfig(n=3000, h_prime=4, d_n=3)
+    stats = cell_stats(simulate(f, cfg.n, 1.0, 8), cfg, f)
+    (table,) = process._cell_tables([simulate(f, cfg.n, 1.0, 8)], 1, cfg, f)
+    for name in ("counts", "x_star", "z_star"):
+        assert getattr(stats, name).tobytes() == getattr(table, name).tobytes()
+        assert getattr(table, name).shape == (1, cfg.k_n)
+    check_cell_record(stats, f)
+
+
 def test_drawn_sample_fills_the_same_points_wherever_it_is_first_used() -> None:
     f = parse_frontier("sine:a=1.0,b=0.25")
     want, _ = simulate_fresh_philox(f, 2000, 1.0, 11)
