@@ -43,6 +43,8 @@ class ReplicateTask:
     xs: tuple = ()
 
     def __post_init__(self):
+        if self.kind not in KERNELS:
+            raise ValueError(f"unknown kernel {self.kind!r}; choose from {sorted(KERNELS)}")
         # the check of uniform_cell_index, once per task: the kernels then
         # locate these points with its unchecked core
         _unit_points(self.xs)

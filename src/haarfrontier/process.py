@@ -16,10 +16,9 @@ of the batch, so every sample is the one whole batches give.
 drawn when the sample is first used. Its xs and ys are filled on their
 first use, and until then the binning draws its points straight into the
 thread's chunk buffers. `_cell_tables` bins consecutive samples into a
-table of one row each: small samples are packed whole into the buffers,
-each drawn at the offset where the last one ended, and one pass bins all
-that the buffers hold; a sample whose draw takes more than one chunk
-streams on alone into its row. A table has at most
+table of one row each: each replicate continues the fill, its draw
+starting at the offset where the last one's points end, and a draw that
+needs the buffers back bins what they hold in one pass. A table has at most
 max(1, _TABLE_CELLS // k_n) rows, so binning any number of replicates
 holds O(chunk + max(k_n, _TABLE_CELLS)) values whatever n is, and
 `cell_stats(simulate(...))` is the table of one row.
@@ -244,6 +243,10 @@ class PointSample:
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
 
+    def __reduce__(self):
+        # a plain checked sample of the same points: a drawn one's _draw holds the spec's closures
+        return type(self), (self.xs, self.ys, self.n, self.c, self.seed, self.frontier_label)
+
     def __len__(self) -> int:
         draw = vars(self).get("_draw")
         return len(self.xs) if draw is None else draw.count
@@ -393,9 +396,6 @@ def _accepted(f: FrontierSpec, cand_x: np.ndarray, cand_y: np.ndarray, need: int
     if f.m == f.M:  # a flat frontier is M everywhere, and every y = M*u, u < 1, lies under it
         return min(need, len(cand_x))
     keep = cand_y <= f(cand_x)
-    if keep[:need].all():
-        # the first `need` candidates are the ones a gather would take
-        return min(need, len(cand_x))
     # one index gathers both coordinates, about twice as fast as two boolean masks
     kept = np.flatnonzero(keep)[:need]
     cand_x[: len(kept)] = cand_x.take(kept)
@@ -415,13 +415,6 @@ class _Draw(NamedTuple):
     count: int
     start: int
     accept_rate: float
-
-    def prefix(self, room: int) -> int:
-        """Candidates in the first chunk that `chunks` draws where the buffers have `room`."""
-        if not self.count:
-            return 0
-        need, accept_rate = self.count, self.accept_rate
-        return min(room, _batch_size(need, accept_rate), _usable_prefix(need, accept_rate))
 
     def chunks(self, at: int = 0):
         """The accepted points in draw order, `count` in all, as (x, y) chunks.
@@ -585,14 +578,14 @@ def _cell_tables(samples, count: int, cfg: PartitionConfig, f: FrontierSpec):
 
     Each table is a CellStats whose counts, x_star and z_star have shape
     (rows, k_n), at most max(1, _TABLE_CELLS // k_n) rows. A sample from
-    `simulate` whose arrays are unfilled is drawn straight into the
-    thread's chunk buffers, after the points already waiting there, if the
-    first chunk of its draw fits; otherwise the waiting points are binned
-    first. One binning pass over the buffers then serves every sample they
-    hold: one value check, a cell index offset by row * k_n, one bincount,
-    one maximum.at and one minimum.at. A sample whose draw takes more than
-    one chunk streams on alone into its row, and a sample whose arrays are
-    filled (checked already) is binned from them, chunk by chunk. Empty
+    `simulate` whose arrays are unfilled continues the fill: its draw goes
+    straight into the thread's chunk buffers, after the points already
+    waiting there. A draw that needs the buffers back, its next chunk
+    drawn at offset 0, bins what they hold first, as does the table's end.
+    One binning pass serves every sample the buffers hold: one value
+    check, a cell index offset by row * k_n, one bincount, one maximum.at
+    and one minimum.at. A sample whose arrays are filled (checked already)
+    is binned from them, chunk by chunk. Empty
     cells are set to 0 and the maxima checked against f_max plus the
     geometry's slack once per table; every array is read-only.
     """
@@ -619,9 +612,6 @@ def _cell_tables(samples, count: int, cfg: PartitionConfig, f: FrontierSpec):
                 continue
             draw = sample._draw
             fill = runs[-1][1] if runs else 0
-            if draw.prefix(room) > room - fill:
-                _bin_buffers(cells, k, stream, runs)
-                fill = 0
             have = 0
             for x, _ in draw.chunks(at=fill):
                 fill += len(x)
@@ -658,8 +648,6 @@ def _bin(cells: tuple, k: int, idx_buf: np.ndarray, x: np.ndarray, y: np.ndarray
     `runs` gives, in order, the row and the end of each run of points that
     belongs to one row; rows only grow along the points.
     """
-    if not len(x):
-        return
     low = runs[0][0]
     idx = _cell_index(x, k, out=idx_buf[: len(x)])
     start = 0

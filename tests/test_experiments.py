@@ -160,6 +160,19 @@ def test_replicate_task_checks_its_points_before_any_replicate(monkeypatch, xs) 
         run_task(ReplicateTask("fhat_zn_at", "constant:a=1.0", 200, 2, 1, 1.0, xs), 4, 1)
 
 
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_an_unknown_kernel_is_refused_before_any_pool_starts(monkeypatch, workers) -> None:
+    # the name was looked up inside run_chunk, in the pool when workers > 1,
+    # and failed there with KeyError
+    def no_pool(*args, **kwargs):
+        raise AssertionError("started a pool")
+
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("haarfrontier.runner.run_chunk", no_pool)
+    with pytest.raises(ValueError, match=r"unknown kernel 'nope'; choose from \['fhat_zn_at', "):
+        run_task(ReplicateTask("nope", "constant:a=1.0", 100, 2, 1, 1.0), 4, 1, workers=workers)
+
 def test_local_bias_flat_frontier_matches_closed_form() -> None:
     # for a flat frontier the shifted residual has the exact value
     # (k/(nc)) * exp(-nc/k); the Monte Carlo mean must sit within 3 SE of it

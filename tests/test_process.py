@@ -1,7 +1,9 @@
+import copy
 import dataclasses
 import itertools
 import math
 import os
+import pickle
 import sys
 import threading
 import tracemalloc
@@ -471,6 +473,24 @@ def test_drawn_sample_survives_a_draw_that_fails_after_moving_the_cursor() -> No
         simulate(f, 10, 1e300, 5)
     assert sample.xs.tobytes() == want.xs.tobytes()
 
+
+
+@pytest.mark.parametrize("made", ["unfilled", "filled", "constructed"])
+def test_any_sample_pickles_and_copies_as_a_plain_checked_sample(made) -> None:
+    # a drawn sample's private draw holds the spec's closures, which no pickle can carry
+    f = parse_frontier("sine:a=1.0,b=0.25")
+    fresh, sample = simulate(f, 100, 1.0, 3), simulate(f, 100, 1.0, 3)
+    want = (fresh.xs.tobytes(), fresh.ys.tobytes())
+    if made == "filled":
+        sample.xs
+    elif made == "constructed":
+        sample = PointSample(sample.xs, sample.ys, n=100, c=1.0, seed=3, frontier_label=f.label)
+    for back in (pickle.loads(pickle.dumps(sample)), copy.copy(sample), copy.deepcopy(sample)):
+        assert type(back) is PointSample and "_draw" not in vars(back)
+        assert (back.xs.tobytes(), back.ys.tobytes()) == want
+        assert not back.xs.flags.writeable and not back.ys.flags.writeable
+        assert (back.n, back.c, back.seed, back.frontier_label) == (100, 1.0, 3, f.label)
+        assert len(back) == len(sample)
 
 def test_replicate_memory_does_not_grow_with_n() -> None:
     # numpy reports its buffers to tracemalloc; a sample of about 10^6

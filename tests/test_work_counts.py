@@ -20,6 +20,7 @@ from haarfrontier.experiments import PRESETS
 from haarfrontier.frontiers import FrontierSpec, parse_frontier
 from haarfrontier.kernels import KERNELS, ReplicateTask, run_chunk
 from haarfrontier.process import PartitionConfig, _cell_tables, cell_stats, simulate
+from haarfrontier.runner import derive_seed
 from haarfrontier.stepfun import _cell_index
 
 
@@ -100,16 +101,32 @@ def _binning_passes(monkeypatch) -> list:
     return passes
 
 
+# (task, replicates, passes) at workload shapes, on seeds derive_seed(5, i)
+PACKED_SHAPES = [
+    # weibull's: about 2,000 points a replicate, 16 of them to a buffer
+    (ReplicateTask("weibull", "constant:a=1.0", 2000, 9, 1, 1.0, (0.3,)), 100, 7),
+    # gumbel's: about 50,000 points a replicate, each split across two buffers
+    # (20 passes when a replicate whose first chunk did not fit started a fill)
+    (ReplicateTask("gumbel", "constant:a=1.0", 50_000, 7, 1, 1.0), 10, 16),
+    # gaussian's: k_n = 1,024, so 16 rows a table and two tables (16 passes before)
+    (ReplicateTask("fhat_zn_at", "constant:a=1.0", 4096, 4, 64, 4.0, (0.3,)), 20, 12),
+]
+
+
 def test_small_replicates_are_binned_a_stream_buffer_at_a_time(monkeypatch) -> None:
-    # weibull's shape: about 2,000 points a replicate, 16 of them to a buffer
-    task = ReplicateTask("weibull", "constant:a=1.0", 2000, 9, 1, 1.0, (0.3,))
-    seeds = list(range(100))
-    points = sum(len(simulate(parse_frontier(task.frontier), 2000, 1.0, s)) for s in seeds)
     passes = _binning_passes(monkeypatch)
-    run_chunk(task, seeds)
-    # each buffer is filled up to the first replicate whose first chunk does not fit
-    assert sum(n for n, _ in passes) == points
-    assert len(passes) == -(-points // process._CHUNK) == 7
+    for task, replicates, want in PACKED_SHAPES:
+        f, cfg = parse_frontier(task.frontier), task.partition()
+        seeds = [derive_seed(5, i) for i in range(replicates)]
+        rows = max(1, process._TABLE_CELLS // cfg.k_n)
+        tables = [seeds[i : i + rows] for i in range(0, replicates, rows)]
+        points = [sum(len(simulate(f, cfg.n, task.c, s)) for s in table) for table in tables]
+        passes.clear()
+        run_chunk(task, seeds)
+        # each replicate continues the fill, so on a flat frontier every pass
+        # but a table's last bins a full buffer
+        assert sum(n for n, _ in passes) == sum(points)
+        assert len(passes) == sum(-(-p // process._CHUNK) for p in points) == want, task.kind
 
 
 @pytest.mark.parametrize("h_prime", [10, 16])
