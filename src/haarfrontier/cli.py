@@ -5,12 +5,13 @@ preset, then the flags that override it. Each setting has one flag; only
 `--x` may be given twice, with another point, and only to an experiment
 that takes points. The schedule is `--schedule n:hprime:dn` (entries
 joined by `;`, each entry once). `--workers` is not a setting but an
-argument of the run. Report CSVs are deterministic for a fixed
+argument of the run. The parser types every flag's value: a malformed
+one is a usage error. Report CSVs are deterministic for a fixed
 configuration whatever the workers, and for a frontier however it is
-spelled. The JSON manifest has eight keys: the config echo (`config`), its
-content hash (`input_hash`), the regime numbers per schedule entry
-(`regimes`), `wall_time_s`, the package `version`, and the count of
-`rows`, the count of `failures` and the sorted `statistics` of the report.
+spelled. The JSON manifest has eight keys: the config echo (`config`),
+its content hash (`input_hash`), the regime numbers per schedule entry
+(`regimes`), `wall_time_s`, the package `version`, the counts of `rows`
+and `failures`, and the sorted `statistics` of the report.
 """
 
 from __future__ import annotations
@@ -86,10 +87,9 @@ def _build_parser() -> _Parser:
     exp = sub.add_parser("experiment", help="run a named experiment preset")
     exp.set_defaults(run=_cmd_experiment)
     exp.add_argument("name", help="preset name; see list-presets")
-    # the settings, as text; _cmd_experiment parses them
-    for key in _CONFIG_KEYS:
-        exp.add_argument(f"--{key}", action="append" if key == "x" else "store")
-    exp.add_argument("--workers", default="1")
+    for key, (_, parse) in _CONFIG_KEYS.items():
+        exp.add_argument(f"--{key}", type=parse, action="append" if key == "x" else "store")
+    exp.add_argument("--workers", type=int, default=1)
     exp.add_argument("--out", default=".")
     exp.add_argument("--strict", action=_Once, nargs=0, const=True, default=False,
                      help="exit 2 on any tolerance failure")
@@ -101,18 +101,16 @@ def _build_parser() -> _Parser:
 def _parse_schedule(text: str) -> tuple:
     entries = []
     for part in text.split(";"):
-        fields = part.strip().split(":")
-        if len(fields) != 3:
-            raise ValueError(f"malformed schedule entry {part!r}; expected n:hprime:dn")
-        entries.append(tuple(int(v) for v in fields))
+        try:
+            n, h_prime, d_n = (int(v) for v in part.strip().split(":"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"malformed schedule entry {part!r}; expected n:hprime:dn") from None
+        entries.append((n, h_prime, d_n))
     return tuple(entries)
 
 
-def _floats(values: list) -> tuple:
-    return tuple(float(v) for v in values)
-
-
-# flag name -> (ExperimentConfig field, parser of its text); --x may be
+# flag name -> (ExperimentConfig field, type of one value); --x may be
 # given more than once and arrives as a list
 _CONFIG_KEYS = {
     "frontier": ("frontier", str),
@@ -120,15 +118,8 @@ _CONFIG_KEYS = {
     "schedule": ("schedule", _parse_schedule),
     "replicates": ("replicates", int),
     "seed": ("base_seed", int),
-    "x": ("xs", _floats),
+    "x": ("xs", float),
 }
-
-
-def _parse(key: str, parse, value):
-    try:
-        return parse(value)
-    except ValueError as exc:
-        raise ValueError(f"bad value {value!r} for {key}: {exc}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -158,14 +149,12 @@ def _cmd_estimate(args) -> int:
 def _cmd_experiment(args) -> int:
     # the name first: an unknown one is reported by the check run_experiment makes
     cfg = replace(_declared(args.name).config, **{
-        field: _parse(key, parse, value)
-        for key, (field, parse) in _CONFIG_KEYS.items() if (value := getattr(args, key)) is not None
+        field: value for key, (field, _) in _CONFIG_KEYS.items() if (value := getattr(args, key)) is not None
     })
-    workers = _parse("workers", int, args.workers)
     payload = {"preset": args.name, "experiment": _report_name(args.name), **asdict(cfg)}
 
     start = time.perf_counter()
-    rows = run_experiment(args.name, cfg, workers)
+    rows = run_experiment(args.name, cfg, args.workers)
     elapsed = time.perf_counter() - start
 
     out_dir = Path(args.out)

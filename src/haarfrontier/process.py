@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .frontiers import FrontierSpec
+from .frontiers import FrontierSpec, parse_frontier
 from .stepfun import _cell_index
 
 _SEED_LIMIT = 1 << 64
@@ -548,12 +548,22 @@ def cell_stats(sample: PointSample, cfg: PartitionConfig, f: FrontierSpec) -> Ce
     takes O(chunk + k_n) memory whatever the point count. Each reduction is
     order-free and exact, so the record is the same however the points are
     split into chunks, and whether or not the sample's arrays were filled.
+    The sample's frontier label is f.label or parses to it, as `constant` does.
     """
     if sample.n != cfg.n:
         raise ValueError("sample and partition disagree on n")
+    if f.label not in (sample.frontier_label, _shipped_label(sample.frontier_label)):
+        raise ValueError(f"sample of frontier {sample.frontier_label!r} binned against frontier {f.label!r}")
     table = next(_cell_tables([sample], 1, cfg, f))
     return _record(table.counts[0], table.x_star[0], table.z_star[0], table.cell_areas,
                    table.f_max, cfg)
+
+
+def _shipped_label(label: str):
+    try:
+        return parse_frontier(label).label
+    except ValueError:  # not a shipped frontier's label
+        return None
 
 
 def _record(counts, x_star, z_star, cell_areas, f_max, cfg) -> CellStats:

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -1077,12 +1078,40 @@ def test_cell_stats_rejects_inconsistent_geometry_on_every_call() -> None:
         parse_frontier("constant:a=1.0"), exact_integral=lambda lo, hi: 1.5 * (hi - lo), label="wrong-area"
     )
     cfg = PartitionConfig(n=16, h_prime=2, d_n=1)
-    sample = simulate(parse_frontier("constant:a=1.0"), 16, 1.0, 4)
+    drawn = simulate(parse_frontier("constant:a=1.0"), 16, 1.0, 4)
+    sample = PointSample(drawn.xs, drawn.ys, n=16, c=1.0, seed=4, frontier_label=f.label)
     hits = _cell_geometry.cache_info().hits
     for _ in range(3):
         with pytest.raises(ValueError, match="cell areas inconsistent"):
             cell_stats(sample, cfg, f)
     assert _cell_geometry.cache_info().hits == hits  # the failure was never cached
+
+
+def test_cell_stats_refuses_a_frontier_that_is_not_its_samples() -> None:
+    # this returned the constant's cell areas (0.25 each) and f_max (2.0) for an affine sample
+    sample = simulate(parse_frontier("affine:a=1.0,b=0.5"), 2000, 1.0, 3)
+    message = "sample of frontier 'affine:a=1.0,b=0.5' binned against frontier 'constant:a=2.0'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cell_stats(sample, PartitionConfig(2000, 2, 2), parse_frontier("constant:a=2.0"))
+
+
+def test_cell_stats_takes_a_sample_under_any_label_of_its_frontier() -> None:
+    f = parse_frontier("constant:a=1.0")
+    cfg = PartitionConfig(n=200, h_prime=2, d_n=1)
+    drawn = simulate(f, 200, 1.0, 3)
+    want = cell_stats(drawn, cfg, f)
+    # a hand-written sample file may name the shipped frontier in any spelling
+    for label in ("constant", "constant:a=1"):
+        sample = PointSample(drawn.xs, drawn.ys, n=200, c=1.0, seed=3, frontier_label=label)
+        np.testing.assert_array_equal(cell_stats(sample, cfg, f).x_star, want.x_star)
+    # a custom spec bins the samples drawn under its own label, and no other
+    custom = dataclasses.replace(f, label="flat-one")
+    assert simulate(custom, 200, 1.0, 3).frontier_label == "flat-one"
+    np.testing.assert_array_equal(cell_stats(simulate(custom, 200, 1.0, 3), cfg, custom).x_star, want.x_star)
+    with pytest.raises(ValueError, match="sample of frontier 'constant:a=1.0' binned against frontier 'flat-one'"):
+        cell_stats(drawn, cfg, custom)
+    with pytest.raises(ValueError, match="sample of frontier 'flat-one' binned against frontier 'constant:a=1.0'"):
+        cell_stats(simulate(custom, 200, 1.0, 3), cfg, f)
 
 
 def test_cell_stats_shares_the_cached_read_only_geometry() -> None:

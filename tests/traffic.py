@@ -2,7 +2,9 @@
 
 Runs, in a temporary directory and under the standard library's
 `trace.Trace(count=1, trace=0)`:
-- the eight experiment presets at 6 replicates with `--workers 1`;
+- `list-presets`, then the eight experiment presets at 6 replicates with
+  `--workers 1`, and `local-bias` with each of its settings given as a flag
+  and `--workers 2`;
 - `simulate` (n = 20,000, seed 5) then `estimate` at (h', d) in
   {(4, 4), (3, 3), (0, 1)} on each of the four frontier families;
 - one `cell_max_mean`, `cell_max_variance` and `cell_cdf` call per family,
@@ -50,9 +52,13 @@ def traffic(tmp: Path) -> None:
     from haarfrontier.process import PartitionConfig, cell_stats, simulate
 
     with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["list-presets"]) == 0
         for name in PRESETS:
             argv = ["experiment", name, "--replicates", "6", "--workers", "1"]
             assert main([*argv, "--out", str(tmp / name)]) == 0
+        assert main(["experiment", "local-bias", "--frontier", "affine:a=1.0,b=0.5", "--c", "2.0",
+                     "--schedule", "2000:2:2;4000:2:2", "--replicates", "8", "--seed", "3",
+                     "--x", "0.2", "--x", "0.7", "--workers", "2", "--out", str(tmp / "flagged")]) == 0
         for i, label in enumerate(FAMILIES):
             out = tmp / f"family-{i}"
             assert main(["simulate", "--frontier", label, "--n", "20000", "--seed", "5",
